@@ -1,7 +1,7 @@
 """Command line interface.
 
-Commands operate on a scenario assembled from a relation file and a
-ring spec. Exit status is 0 for success, 1 for a domain failure such as
+Commands operate on a group built from a relation file and a ring
+spec. Exit status is 0 for success, 1 for a domain failure such as
 an invalid relation or a non-normal subset, and 2 for usage or parse
 errors. All output is deterministic: pairs are sorted and ring literals
 are canonical.
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 from .elements import McLainGroup, format_word
 from .factorization import (
@@ -20,13 +19,8 @@ from .factorization import (
     word_factorization,
 )
 from .parsing import parse_element_expression, parse_order_file
-from .relations import (
-    ParseError,
-    Relation,
-    check_axioms,
-    parse_relation_file,
-)
-from .rings import Ring, RingError, parse_ring_spec
+from .relations import ParseError, check_axioms, parse_relation_file
+from .rings import RingError, parse_ring_spec
 from .series import (
     coset_representative,
     format_chain_lines,
@@ -36,18 +30,9 @@ from .series import (
 )
 
 
-@dataclass(frozen=True)
-class Scenario:
-    relation: Relation
-    ring: Ring
-    group: McLainGroup
-
-
-def _load_scenario(args: argparse.Namespace) -> Scenario:
+def _load_group(args: argparse.Namespace) -> McLainGroup:
     relation = parse_relation_file(args.relation)
-    ring = parse_ring_spec(args.ring)
-    group = McLainGroup(relation, ring)
-    return Scenario(relation, ring, group)
+    return McLainGroup(relation, parse_ring_spec(args.ring))
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -76,16 +61,16 @@ def _cmd_series(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    scenario = _load_scenario(args)
-    word = parse_element_expression(args.expression, scenario.ring)
-    print(str(scenario.group.eval_word(word)))
+    group = _load_group(args)
+    word = parse_element_expression(args.expression, group.ring)
+    print(str(group.eval_word(word)))
     return 0
 
 
 def _cmd_factor(args: argparse.Namespace) -> int:
-    scenario = _load_scenario(args)
-    word = parse_element_expression(args.expression, scenario.ring)
-    element = scenario.group.eval_word(word)
+    group = _load_group(args)
+    word = parse_element_expression(args.expression, group.ring)
+    element = group.eval_word(word)
     if args.order:
         order = parse_order_file(args.order)
         form = ordered_factorization(element, order)
@@ -97,11 +82,11 @@ def _cmd_factor(args: argparse.Namespace) -> int:
 
 
 def _cmd_quotient(args: argparse.Namespace) -> int:
-    scenario = _load_scenario(args)
-    word = parse_element_expression(args.expression, scenario.ring)
-    element = scenario.group.eval_word(word)
+    group = _load_group(args)
+    word = parse_element_expression(args.expression, group.ring)
+    element = group.eval_word(word)
     gamma_input = parse_relation_file(args.gamma)
-    gamma = scenario.relation.subset(gamma_input.pairs)
+    gamma = group.relation.subset(gamma_input.pairs)
     projected = quotient_project(element, gamma)
     representative = coset_representative(element, gamma)
     print(f"projection: {projected}")
@@ -152,17 +137,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p_series.add_argument("--ring", default="Z", help="ring spec (default Z)")
     p_series.set_defaults(handler=_cmd_series)
 
-    def add_scenario_flags(p: argparse.ArgumentParser) -> None:
+    def add_group_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--relation", required=True, help="relation file")
         p.add_argument("--ring", default="Z", help="ring spec (default Z)")
 
     p_eval = sub.add_parser("eval", help="evaluate an expression to normal form")
-    add_scenario_flags(p_eval)
+    add_group_flags(p_eval)
     p_eval.add_argument("expression", help="element expression")
     p_eval.set_defaults(handler=_cmd_eval)
 
     p_factor = sub.add_parser("factor", help="factor an element into generators")
-    add_scenario_flags(p_factor)
+    add_group_flags(p_factor)
     p_factor.add_argument(
         "--order", help="file of pairs fixing the factor order", default=None
     )
@@ -172,7 +157,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_quotient = sub.add_parser(
         "quotient", help="project modulo a normal subset and lift a representative"
     )
-    add_scenario_flags(p_quotient)
+    add_group_flags(p_quotient)
     p_quotient.add_argument("--gamma", required=True, help="normal subset file")
     p_quotient.add_argument("expression", help="element expression")
     p_quotient.set_defaults(handler=_cmd_quotient)

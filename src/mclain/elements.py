@@ -15,7 +15,7 @@ stored, so equality of elements is equality of coefficient maps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .relations import Pair, Relation, require_valid, spanned_nodes
 from .rings import Ring, RingValue
@@ -156,9 +156,9 @@ def _splice(
     return out
 
 
-def _merge(
-    *maps: dict[Pair, RingValue],
-) -> dict[Pair, RingValue]:
+def _merge(maps: Iterable[dict[Pair, RingValue]]) -> dict[Pair, RingValue]:
+    """The sum of the maps, zeros pruned, added into one running sum as
+    the maps are produced."""
     out: dict[Pair, RingValue] = {}
     for coeffs in maps:
         for pair, value in coeffs.items():
@@ -202,32 +202,13 @@ class GroupElement:
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         other = self._mate(other)
         cross = _splice(self.group, self._coeffs, other._coeffs)
-        return GroupElement(self.group, _merge(self._coeffs, other._coeffs, cross))
+        return GroupElement(self.group, _merge((self._coeffs, other._coeffs, cross)))
 
     def inverse(self) -> "GroupElement":
-        """Alternating power series 1 - x + x^2 - ...
-
-        The loop is bounded by the number of nodes the support touches;
-        running past that bound would mean a non-nilpotent coefficient
-        map, which a valid relation cannot produce.
-        """
-        if not self._coeffs:
-            return self
+        """Alternating power series 1 - x + x^2 - ..., the sum of the
+        powers of -x, added up as the power loop produces them."""
         negated = {pair: -value for pair, value in self._coeffs.items()}
-        bound = len(spanned_nodes(self.support()))
-        acc = dict(negated)
-        power = negated
-        steps = 1
-        while power:
-            power = _splice(self.group, power, negated)
-            steps += 1
-            if power and steps > bound:
-                raise AssertionError(
-                    "inverse series exceeded the nilpotency bound; "
-                    "the ambient relation is corrupted"
-                )
-            acc = _merge(acc, power)
-        return GroupElement(self.group, acc)
+        return GroupElement(self.group, _merge(self._powers(negated)))
 
     def commutator(self, other: "GroupElement") -> "GroupElement":
         """g h g^-1 h^-1, computed by composition."""
@@ -236,17 +217,28 @@ class GroupElement:
 
     def nilpotency_index(self) -> int:
         """Least m >= 1 with (g - 1)^m = 0; the identity gives 1."""
-        if not self._coeffs:
-            return 1
+        return 1 + sum(1 for _ in self._powers(self._coeffs))
+
+    def _powers(self, base: dict[Pair, RingValue]) -> Iterator[dict[Pair, RingValue]]:
+        """The nonzero powers base, base^2, ... of a map on this support.
+
+        A nonzero power base^m walks through m + 1 distinct nodes, so the
+        loop is bounded by the number of nodes the support touches;
+        running past that bound would mean a non-nilpotent coefficient
+        map, which a valid relation cannot produce.
+        """
         bound = len(spanned_nodes(self.support()))
-        power = dict(self._coeffs)
-        index = 1
+        power = base
+        exponent = 1
         while power:
-            power = _splice(self.group, power, self._coeffs)
-            index += 1
-            if power and index > bound:
-                raise AssertionError("nilpotency index exceeded the node bound")
-        return index
+            yield power
+            power = _splice(self.group, power, base)
+            exponent += 1
+            if power and exponent > bound:
+                raise AssertionError(
+                    "power series exceeded the nilpotency bound; "
+                    "the ambient relation is corrupted"
+                )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GroupElement):

@@ -103,7 +103,9 @@ def ordered_factorization(g: GroupElement, order: tuple[Pair, ...]) -> OrderedFo
     """The unique coefficients reproducing g as an ordered product.
 
     The order must list each pair of a closed subset exactly once, and
-    that subset must contain the support of g.
+    that subset must contain the support of g. The returned form is
+    filled in place: each level reads its residual against the form's
+    own ordered product of the coefficients found so far.
     """
     group = g.group
     order = tuple(order)
@@ -118,28 +120,18 @@ def ordered_factorization(g: GroupElement, order: tuple[Pair, ...]) -> OrderedFo
         raise ValueError(f"order does not cover the support: missing {missing}")
     chain = gamma_series(gamma, group.relation)  # also rejects a non-closed order
     coefficients = {pair: group.ring.zero for pair in order}
+    form = OrderedForm(group, order, coefficients)
     for level in range(1, len(chain.terms)):
         current = chain.terms[level - 1]
         deeper = chain.terms[level]
-        partial = _ordered_product(group, order, coefficients)
-        residual = partial.inverse() * g
+        residual = form.product().inverse() * g
         if not (residual.support().pairs <= current.pairs):
             raise AssertionError("level sweep residual escaped its bracket level")
         for pair in sorted(current.pairs - deeper.pairs):
             coefficients[pair] = coefficients[pair] + residual.coefficient(*pair)
-    form = OrderedForm(group, order, coefficients)
     if form.product() != g:
         raise AssertionError("level sweep did not converge to the target")
     return form
-
-
-def _ordered_product(
-    group: McLainGroup, order: tuple[Pair, ...], coefficients: dict[Pair, RingValue]
-) -> GroupElement:
-    out = group.identity()
-    for source, target in order:
-        out = out * group.generator(source, target, coefficients[(source, target)])
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,11 +158,11 @@ def demonstrate_ngon_obstruction(n: int, ring: Ring | None = None) -> NgonReport
     The target is the sum of unit generators on all step-one pairs. Any
     ordered product of step-one generators reproduces its own inputs on
     the step-one coefficients, which is asserted on random inputs and
-    forces every candidate coefficient to be the unit. All n! orderings
-    of the unit generators are then multiplied out; each one picks up a
-    nonzero step-two coefficient wherever (i,i+1) precedes (i+1,i+2),
-    and a full cycle of descents is impossible, so none can equal the
-    target. A mixed factorization from word_factorization is attached
+    forces every candidate coefficient to be the unit. The ordered
+    product of the unit generators is then taken in all n! orderings;
+    each one picks up a nonzero step-two coefficient wherever (i,i+1)
+    precedes (i+1,i+2), and a full cycle of descents is impossible, so
+    none can equal the target. A mixed factorization from word_factorization is attached
     to show the target is still a product of generators.
     """
     if not 4 <= n <= 6:
@@ -191,9 +183,7 @@ def demonstrate_ngon_obstruction(n: int, ring: Ring | None = None) -> NgonReport
         values = {edge: ring.sample(rng) for edge in edges}
         shuffled = list(edges)
         rng.shuffle(shuffled)
-        product = group.identity()
-        for edge in shuffled:
-            product = product * group.generator(edge[0], edge[1], values[edge])
+        product = OrderedForm(group, tuple(shuffled), values).product()
         for edge in edges:
             if product.coefficient(*edge) != values[edge]:
                 forced = False
@@ -201,10 +191,9 @@ def demonstrate_ngon_obstruction(n: int, ring: Ring | None = None) -> NgonReport
     checked = 0
     successes = 0
     all_have_step_two = True
+    units = {edge: ring.one for edge in edges}
     for ordering in itertools.permutations(edges):
-        product = group.identity()
-        for edge in ordering:
-            product = product * group.generator(edge[0], edge[1], ring.one)
+        product = OrderedForm(group, ordering, units).product()
         checked += 1
         if product == target:
             successes += 1

@@ -6,7 +6,8 @@ Expression grammar (products evaluate left to right):
     term := "1" | gen | "inv(" expr ")" | "comm(" expr "," expr ")" | "(" expr ")"
     gen  := "x(" label "," label ";" ringliteral ")"
 
-Labels may not contain whitespace or any of ``* ( ) , ; [ ]``. Ring
+Labels follow the rule of relation files: no whitespace and none of
+``* ( ) , ; [ ] + #``. Ring
 literals follow the coefficient ring: signed decimal for the scalar
 rings, ``[a,b;c,d]`` for the matrix rings. A parenthesized expr splices
 its tokens into the surrounding product.
@@ -23,10 +24,10 @@ Order files list one pair per line, ``i j``, in increasing order;
 from __future__ import annotations
 
 from .elements import Comm, Gen, GeneratorWord, Inv, McLainGroup
-from .relations import Pair, ParseError
+from .relations import _LABEL_PUNCTUATION, Pair, ParseError, _require_labels
 from .rings import Ring, RingError
 
-_LABEL_STOP = set("*(),;[] \t\r\n")
+_LABEL_STOP = set(_LABEL_PUNCTUATION + " \t\r\n")
 
 
 class _Scanner:
@@ -175,6 +176,7 @@ def parse_order_text(text: str) -> tuple[Pair, ...]:
         tokens = line.split()
         if len(tokens) != 2:
             raise ParseError(f"line {lineno}: expected 'i j', got {raw.strip()!r}")
+        _require_labels(tokens, lineno)
         out.append((tokens[0], tokens[1]))
     return tuple(out)
 

@@ -21,7 +21,7 @@ normal subsets index normal subgroups and quotients.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
@@ -212,38 +212,44 @@ def is_normal(sub: Relation, delta: Relation) -> bool:
 def closure(omega: Relation, delta: Relation) -> Relation:
     """The smallest closed subset of delta containing omega.
 
-    Saturation under composition; every added pair keeps both endpoints
-    among the nodes omega already touches, so the result stays finite
-    and inside delta restricted to those nodes.
+    Saturation under composition with the pairs collected so far; every
+    added pair keeps both endpoints among the nodes omega already
+    touches, so the result stays finite and inside delta restricted to
+    those nodes.
     """
     _require_subset(omega, delta, "subset")
-    pairs: set[Pair] = set(omega.pairs)
-    work: list[Pair] = sorted(pairs)
-    while work:
-        i, j = work.pop()
-        for a, b in list(pairs):
-            if b == i and (a, j) in delta.pairs and (a, j) not in pairs:
-                pairs.add((a, j))
-                work.append((a, j))
-            if a == j and (i, b) in delta.pairs and (i, b) not in pairs:
-                pairs.add((i, b))
-                work.append((i, b))
-    return Relation(delta.nodes, frozenset(pairs))
+    return _saturate(omega, delta, closed=True)
 
 
 def normal_closure(omega: Relation, delta: Relation) -> Relation:
-    """The smallest normal subset of delta containing omega."""
+    """The smallest normal subset of delta containing omega.
+
+    Saturation under composition with any pair of delta, on either side.
+    """
     _require_subset(omega, delta, "subset")
+    return _saturate(omega, delta, closed=False)
+
+
+def _saturate(omega: Relation, delta: Relation, closed: bool) -> Relation:
+    """Worklist saturation of omega under the composites delta admits.
+
+    Each popped pair (i,j) meets its partners on both sides, (j,k) on
+    the right and (k,i) on the left, found through delta's cached
+    indexes. For the closure the partners are the pairs collected so
+    far; a partner collected later meets (i,j) when it is popped in
+    turn. For the normal closure every pair of delta is a partner.
+    """
     pairs: set[Pair] = set(omega.pairs)
+    partners = pairs if closed else delta.pairs
     work: list[Pair] = sorted(pairs)
     while work:
         i, j = work.pop()
         for _, k in delta.by_first.get(j, ()):
-            if (i, k) in delta.pairs and (i, k) not in pairs:
+            if (i, k) in delta.pairs and (i, k) not in pairs and (j, k) in partners:
                 pairs.add((i, k))
                 work.append((i, k))
         for k, _ in delta.by_second.get(i, ()):
-            if (k, j) in delta.pairs and (k, j) not in pairs:
+            if (k, j) in delta.pairs and (k, j) not in pairs and (k, i) in partners:
                 pairs.add((k, j))
                 work.append((k, j))
     return Relation(delta.nodes, frozenset(pairs))
@@ -327,23 +333,28 @@ def difference(delta: Relation, gamma: Relation) -> Relation:
 def has_maximal(omega: Relation, delta: Relation) -> bool:
     """Is there a pair (i,j) in omega with no (j,k) in omega such that
     (i,k) lies in delta?"""
-    _require_subset(omega, delta, "subset")
-    if not omega.pairs:
-        raise ValueError("maximality is about nonempty subsets")
-    for i, j in omega.pairs:
-        if not any((i, k) in delta.pairs for _, k in omega.by_first.get(j, ())):
-            return True
-    return False
+    return _has_unextended(omega, delta, maximal=True)
 
 
 def has_minimal(omega: Relation, delta: Relation) -> bool:
     """Dual of has_maximal: a pair (i,j) in omega with no (k,i) in omega
     such that (k,j) lies in delta."""
+    return _has_unextended(omega, delta, maximal=False)
+
+
+def _has_unextended(omega: Relation, delta: Relation, maximal: bool) -> bool:
+    """Is some pair of omega without a composite in delta with a pair of
+    omega on its right (maximal) or on its left (not maximal)?"""
     _require_subset(omega, delta, "subset")
     if not omega.pairs:
-        raise ValueError("minimality is about nonempty subsets")
+        kind = "maximality" if maximal else "minimality"
+        raise ValueError(f"{kind} is about nonempty subsets")
     for i, j in omega.pairs:
-        if not any((k, j) in delta.pairs for k, _ in omega.by_second.get(i, ())):
+        if maximal:
+            composites = ((i, k) for _, k in omega.by_first.get(j, ()))
+        else:
+            composites = ((k, j) for k, _ in omega.by_second.get(i, ()))
+        if not any(c in delta.pairs for c in composites):
             return True
     return False
 
@@ -442,21 +453,16 @@ def random_pruned_order(seed: int, node_count: int, density: float) -> Relation:
     nodes = [str(i) for i in range(1, node_count + 1)]
     ranked = list(nodes)
     rng.shuffle(ranked)
-    pairs: set[Pair] = set()
-    for a in range(node_count):
-        for b in range(a + 1, node_count):
-            if rng.random() < density:
-                pairs.add((ranked[a], ranked[b]))
-    # transitive closure turns the sampled edges into a strict order
-    changed = True
-    while changed:
-        changed = False
-        for i, j in list(pairs):
-            for a, b in list(pairs):
-                if a == j and (i, b) not in pairs:
-                    pairs.add((i, b))
-                    changed = True
-    order = from_pairs(pairs, nodes)
+    forward = [
+        (ranked[a], ranked[b])
+        for a in range(node_count)
+        for b in range(a + 1, node_count)
+    ]
+    total = from_pairs(forward, nodes)
+    steps = [pair for pair in forward if rng.random() < density]
+    # inside a total order the closed subsets are exactly the transitive
+    # ones, so the closure of the sampled steps is a strict order
+    order = closure(total.subset(steps), total)
     seeds = [p for p in sorted(order.pairs) if rng.random() < 0.3]
     doomed = normal_closure(order.subset(seeds), order)
     return difference(order, doomed)
@@ -472,6 +478,22 @@ def random_pruned_order(seed: int, node_count: int, density: float) -> Relation:
 # Serialization lists bare nodes first, then pairs, each sorted, so the
 # format round-trips byte for byte. The word "node" is reserved and
 # cannot start a pair.
+#
+# Labels contain no whitespace and none of _LABEL_PUNCTUATION, which the
+# expression grammar, printed normal forms and comments use to delimit
+# labels; so every label a relation file accepts prints and parses back.
+
+_LABEL_PUNCTUATION = "*(),;[]+#"
+
+
+def _require_labels(labels: list[str], lineno: int) -> None:
+    for label in labels:
+        bad = sorted(set(label) & set(_LABEL_PUNCTUATION))
+        if bad:
+            raise ParseError(
+                f"line {lineno}: label {label!r} contains {''.join(bad)!r}; labels "
+                f"may not contain whitespace or any of {_LABEL_PUNCTUATION!r}"
+            )
 
 
 def parse_relation_text(text: str) -> Relation:
@@ -485,8 +507,10 @@ def parse_relation_text(text: str) -> Relation:
         if tokens[0] == "node":
             if len(tokens) != 2:
                 raise ParseError(f"line {lineno}: node line needs exactly one label")
+            _require_labels(tokens[1:], lineno)
             nodes.add(tokens[1])
         elif len(tokens) == 2:
+            _require_labels(tokens, lineno)
             pairs.add((tokens[0], tokens[1]))
             nodes.update(tokens)
         else:

@@ -111,22 +111,19 @@ def coset_representative(g: GroupElement, gamma: Relation) -> GroupElement:
     """The canonical representative of g modulo the subgroup over gamma.
 
     Project g into the quotient group, factor the image into generators
-    there in increasing pair order, then multiply those same generators
-    back inside the ambient group. The result depends only on the coset
-    of g, and the defining membership inverse(r) * g in the subgroup is
-    checked on every call rather than trusted.
+    there in increasing pair order, then take the ordered product
+    (OrderedForm.product) of those same generators inside the ambient
+    group. The result depends only on the coset of g, and the defining
+    membership inverse(r) * g in the subgroup is checked on every call
+    rather than trusted.
     """
-    from .factorization import minimal_closed_support, ordered_factorization
+    from .factorization import OrderedForm, minimal_closed_support, ordered_factorization
 
     projected = quotient_project(g, gamma)
     closed = minimal_closed_support(projected)
     order = tuple(sorted(closed.pairs))
     form = ordered_factorization(projected, order)
-    representative = g.group.identity()
-    for pair in order:
-        representative = representative * g.group.generator(
-            pair[0], pair[1], form.coefficients[pair]
-        )
+    representative = OrderedForm(g.group, order, form.coefficients).product()
     leftover = representative.inverse() * g
     if not (leftover.support().pairs <= gamma.pairs):
         raise AssertionError("coset representative failed the membership check")

@@ -17,11 +17,15 @@ routes is meaningful evidence rather than a tautology.
   admits no composite inside that support; each peel fixes one
   coefficient without disturbing the others, and the routine reports
   failure when no such pair exists.
+* Fixed-point saturations: closures recomputed straight from their
+  definitions by rescanning every couple of pairs until nothing changes,
+  with no worklist and no index.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 
 from mclain import GroupElement, McLainGroup, gamma_series, is_closed, quotient_project
 
@@ -147,3 +151,63 @@ def greedy_peel_factorization(g: GroupElement):
         out.append((pick, value))
         residual = group.generator(pick[0], pick[1], value).inverse() * residual
     return out
+
+
+def naive_closure(omega: frozenset, delta: frozenset) -> frozenset:
+    """Least superset of omega holding every composite of two of its own
+    pairs that delta admits."""
+    pairs = set(omega)
+    changed = True
+    while changed:
+        changed = False
+        for (i, j), (k, l) in itertools.product(list(pairs), repeat=2):
+            if j == k and (i, l) in delta and (i, l) not in pairs:
+                pairs.add((i, l))
+                changed = True
+    return frozenset(pairs)
+
+
+def naive_normal_closure(omega: frozenset, delta: frozenset) -> frozenset:
+    """Least superset of omega holding every composite, inside delta, of
+    one of its pairs with a pair of delta on either side."""
+    pairs = set(omega)
+    changed = True
+    while changed:
+        changed = False
+        for (i, j), (k, l) in itertools.product(list(pairs), delta):
+            for composite, composable in (((i, l), j == k), ((k, j), l == i)):
+                if composable and composite in delta and composite not in pairs:
+                    pairs.add(composite)
+                    changed = True
+    return frozenset(pairs)
+
+
+def naive_transitive_closure(pairs) -> set:
+    out = set(pairs)
+    changed = True
+    while changed:
+        changed = False
+        for (i, j), (k, l) in itertools.product(list(out), repeat=2):
+            if j == k and (i, l) not in out:
+                out.add((i, l))
+                changed = True
+    return out
+
+
+def fixed_point_pruned_order(seed: int, node_count: int, density: float):
+    """random_pruned_order rebuilt with the same random draws: sampled
+    forward steps of a shuffled ranking, their transitive closure, then
+    removal of the normal closure of a sampled seed set. Returns the
+    node set and the pair set."""
+    rng = random.Random(seed)
+    nodes = [str(i) for i in range(1, node_count + 1)]
+    ranked = list(nodes)
+    rng.shuffle(ranked)
+    steps = set()
+    for a in range(node_count):
+        for b in range(a + 1, node_count):
+            if rng.random() < density:
+                steps.add((ranked[a], ranked[b]))
+    order = frozenset(naive_transitive_closure(steps))
+    seeds = frozenset(p for p in sorted(order) if rng.random() < 0.3)
+    return frozenset(nodes), order - naive_normal_closure(seeds, order)

@@ -311,6 +311,21 @@ def test_nilpotency_index_bounded_by_touched_nodes():
             assert g.nilpotency_index() <= max(1, touched)
 
 
+@pytest.mark.parametrize("power", ["inverse", "nilpotency_index"])
+def test_power_loop_bound_catches_a_corrupted_relation(power):
+    # The complete digraph on three nodes breaks the exchange axiom, and
+    # over it the sum of all basis elements squares to itself, so its
+    # powers never vanish. Swapped in after validation, it must trip the
+    # node-bound self-check instead of looping forever.
+    group = _group()
+    nodes = ("1", "2", "3")
+    cycle = from_pairs([(i, j) for i in nodes for j in nodes if i != j])
+    object.__setattr__(group, "relation", cycle)
+    g = group.element({pair: 1 for pair in cycle.pairs})
+    with pytest.raises(AssertionError, match="nilpotency bound"):
+        getattr(g, power)()
+
+
 # ---------------------------------------------------------------------------
 # printing and reparsing
 

@@ -1,0 +1,58 @@
+"""One label rule for every text surface: relation files, order files,
+expressions and printed normal forms."""
+
+from __future__ import annotations
+
+import re
+
+import pytest
+
+from mclain import (
+    IntegersMod,
+    Matrices2x2Mod,
+    McLainGroup,
+    ParseError,
+    format_relation,
+    from_pairs,
+    parse_element_expression,
+    parse_normal_form,
+    parse_order_text,
+    parse_relation_text,
+)
+from mclain.cli import main
+
+# Labels that the rule admits although they look like punctuation elsewhere.
+ODD_LABELS = ("a-b", "n.1", "x", "inv", "1", "ü", "k=2", "<q>", "p'")
+
+
+def test_every_admitted_label_round_trips_through_every_surface():
+    pairs = list(zip(ODD_LABELS, ODD_LABELS[1:]))
+    delta = parse_relation_text(format_relation(from_pairs(pairs)))
+    assert delta.pairs == frozenset(pairs)
+    assert parse_order_text("".join(f"{i} {j}\n" for i, j in pairs)) == tuple(pairs)
+    for ring in (IntegersMod(7), Matrices2x2Mod(3)):
+        group = McLainGroup(delta, ring)
+        g = group.element({pair: ring.one for pair in pairs})
+        assert parse_normal_form(str(g), group) == g
+        text = "*".join(f"x({i},{j};{ring.one})" for i, j in pairs)
+        assert group.eval_word(parse_element_expression(text, ring)) == g
+
+
+@pytest.mark.parametrize("char", list("*(),;[]+"))
+def test_labels_with_punctuation_are_rejected_with_their_line(char):
+    label = f"a{char}b"
+    with pytest.raises(ParseError, match=re.escape(f"line 2: label '{label}'")):
+        parse_relation_text(f"1 2\n{label} c\n")
+    with pytest.raises(ParseError, match="line 1: label"):
+        parse_relation_text(f"node {label}")
+    with pytest.raises(ParseError, match="line 2: label"):
+        parse_order_text(f"1 2\nc {label}\n")
+
+
+def test_cli_names_the_line_of_a_bad_label(tmp_path, capsys):
+    path = tmp_path / "rel.txt"
+    path.write_text("# pairs\na+b c\n")
+    code = main(["eval", "--relation", str(path), "x(a+b,c;2)"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: line 2: label 'a+b' contains '+'")

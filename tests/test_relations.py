@@ -7,6 +7,7 @@ import random
 import pytest
 
 from helpers import relation_zoo
+from oracles import fixed_point_pruned_order, naive_closure, naive_normal_closure
 from mclain import (
     ExchangeViolation,
     ParseError,
@@ -189,6 +190,29 @@ def test_normal_closure_properties_random():
             assert is_normal(normal, delta)
             assert is_closed(normal, delta)
             assert normal_closure(normal, delta).pairs == normal.pairs
+
+
+def test_closures_equal_the_fixed_point_oracles_random():
+    # Minimality as well as closedness: the worklist saturations must land
+    # exactly on the least fixed points, also on relations that break the
+    # axioms (reflexive pairs, cycles), since saturation does not rely on them.
+    rng = random.Random(34)
+    nodes = [str(i) for i in range(5)]
+    digraphs = [
+        from_pairs(
+            [(i, j) for i in nodes for j in nodes if rng.random() < 0.3], nodes
+        )
+        for _ in range(6)
+    ]
+    cases = relation_zoo() + [(f"digraph{k}", d) for k, d in enumerate(digraphs)]
+    for name, delta in cases:
+        pairs = sorted(delta.pairs)
+        for _ in range(20):
+            omega = delta.subset([p for p in pairs if rng.random() < 0.3])
+            want = naive_closure(omega.pairs, delta.pairs)
+            assert closure(omega, delta).pairs == want, name
+            want = naive_normal_closure(omega.pairs, delta.pairs)
+            assert normal_closure(omega, delta).pairs == want, name
 
 
 def test_normal_implies_closed_on_zoo_subsets():
@@ -449,6 +473,15 @@ def test_random_pruned_order_is_valid_and_deterministic():
     second = random_pruned_order(seed=9, node_count=6, density=0.4)
     assert first == second
     assert first.axiom_report.valid
+
+
+@pytest.mark.parametrize("node_count", [6, 12, 36])
+def test_random_pruned_order_matches_the_fixed_point_construction(node_count):
+    for seed in range(3):
+        for density in (0.1, 0.3):
+            got = random_pruned_order(seed, node_count, density)
+            nodes, pairs = fixed_point_pruned_order(seed, node_count, density)
+            assert (got.nodes, got.pairs) == (nodes, pairs), (seed, density)
 
 
 # ---------------------------------------------------------------------------
