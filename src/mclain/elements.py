@@ -3,19 +3,24 @@
 An element is the formal unit plus a finitely supported coefficient map
 on the pairs of a valid relation. Basis elements multiply by splicing:
 e(i,j) e(k,l) is e(i,l) when j = k and (i,l) is a pair of the relation,
-and zero otherwise. Every coefficient map is nilpotent, which makes the
-elements invertible by an alternating geometric series that provably
-stops: a nonzero product of basis elements walks through distinct
-nodes, so the power index never reaches the number of touched nodes.
+and zero otherwise. Every coefficient map x is nilpotent: a nonzero
+product of basis elements walks through distinct nodes, so x^m vanishes
+once m reaches the number of touched nodes. That makes 1 + x invertible
+by repeated squaring, (1+x)^-1 = (1-x)(1+x^2)(1+x^4)..., which stops
+after about log2 m products and is exact over noncommutative rings,
+since every factor is a polynomial in x.
 
 Elements are immutable and normalized: zero coefficients are never
-stored, so equality of elements is equality of coefficient maps.
+stored, so equality of elements is equality of coefficient maps. The
+map holds raw ring payloads (an int, or a 4-tuple for M2(Z/n)) and the
+arithmetic calls the group ring's payload hooks directly; coefficients
+become RingValues again only where they leave an element.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from .relations import Pair, Relation, require_valid, spanned_nodes
 from .rings import Ring, RingValue
@@ -105,13 +110,13 @@ class McLainGroup:
 
     def element(self, coefficients: Mapping[Pair, RingValue | int]) -> "GroupElement":
         """Build an element from a pair-to-coefficient map; zeros drop out."""
-        cleaned: dict[Pair, RingValue] = {}
+        cleaned: Coeffs = {}
         for pair, raw in coefficients.items():
             if pair not in self.relation.pairs:
                 raise ValueError(f"pair ({pair[0]},{pair[1]}) is not in the relation")
             value = self.ring.coerce(raw)
             if value:
-                cleaned[pair] = value
+                cleaned[pair] = value.payload
         return GroupElement(self, cleaned)
 
     def generator(self, source: str, target: str, value: RingValue | int) -> "GroupElement":
@@ -135,40 +140,73 @@ class McLainGroup:
         raise ValueError(f"bad word token: {token!r}")
 
 
+# A coefficient map: each pair to a nonzero raw payload of the group's ring.
+Coeffs = dict[Pair, object]
+
+
 def _splice(
-    group: McLainGroup, x: dict[Pair, RingValue], y: dict[Pair, RingValue]
-) -> dict[Pair, RingValue]:
-    """The pure product xy of two coefficient maps, zeros pruned."""
-    out: dict[Pair, RingValue] = {}
-    by_first: dict[str, list[tuple[Pair, RingValue]]] = {}
-    for pair, value in y.items():
-        by_first.setdefault(pair[0], []).append((pair, value))
+    group: McLainGroup, x: Coeffs, y: Coeffs, base: Coeffs | None = None
+) -> Coeffs:
+    """base + xy for coefficient maps, zeros pruned.
+
+    base is zero when omitted; a given base must hold no zeros, and it
+    is added into in place. The ring's payload hooks are bound once, the
+    products are added up raw, and the entries they reach are pruned of
+    zeros in one pass at the end.
+    """
+    ring, pairs = group.ring, group.relation.pairs
+    mul, add, is_zero = ring._mul, ring._add, ring._is_zero
+    # Index only the terms that can meet: x at (i,j) and y at (j,l).
+    firsts = {j for j, _ in y}
+    rows: dict[str, list[tuple[str, object]]] = {}
     for (i, j), a in x.items():
-        for (_, l), b in by_first.get(j, ()):
-            if (i, l) in group.relation.pairs:
-                c = a * b
-                prior = out.get((i, l))
-                total = c if prior is None else prior + c
-                if total:
-                    out[(i, l)] = total
-                elif (i, l) in out:
-                    del out[(i, l)]
+        if j in firsts:
+            rows.setdefault(i, []).append((j, a))
+    middles = {j for row in rows.values() for j, _ in row}
+    by_first: dict[str, list[tuple[str, object]]] = {}
+    for (j, l), b in y.items():
+        if j in middles:
+            by_first.setdefault(j, []).append((l, b))
+    out: Coeffs = {} if base is None else base
+    touched: list[Pair] = []
+    for i, row in rows.items():
+        # Sum row i of xy by target, then keep the targets the relation
+        # admits: every other product of basis elements is zero.
+        sums: dict[str, object] = {}
+        for j, a in row:
+            for l, b in by_first.get(j, ()):
+                prior = sums.get(l)
+                sums[l] = mul(a, b) if prior is None else add(prior, mul(a, b))
+        for l, c in sums.items():
+            pair = (i, l)
+            if pair in pairs:
+                prior = out.get(pair)
+                out[pair] = c if prior is None else add(prior, c)
+                touched.append(pair)
+    for pair in touched:
+        if is_zero(out[pair]):
+            del out[pair]
     return out
 
 
-def _merge(maps: Iterable[dict[Pair, RingValue]]) -> dict[Pair, RingValue]:
-    """The sum of the maps, zeros pruned, added into one running sum as
-    the maps are produced."""
-    out: dict[Pair, RingValue] = {}
-    for coeffs in maps:
-        for pair, value in coeffs.items():
-            prior = out.get(pair)
-            total = value if prior is None else prior + value
-            if total:
-                out[pair] = total
-            elif pair in out:
-                del out[pair]
-    return out
+def _product(group: McLainGroup, x: Coeffs, y: Coeffs) -> Coeffs:
+    """The map of (1+x)(1+y) = 1 + (x + y + xy)."""
+    add, is_zero = group.ring._add, group.ring._is_zero
+    out = dict(x)
+    for pair, c in y.items():
+        prior = out.get(pair)
+        if prior is None:
+            out[pair] = c
+        elif is_zero(total := add(prior, c)):
+            del out[pair]
+        else:
+            out[pair] = total
+    return _splice(group, x, y, out)
+
+
+_BOUND_MESSAGE = (
+    "power series exceeded the nilpotency bound; the ambient relation is corrupted"
+)
 
 
 class GroupElement:
@@ -176,15 +214,18 @@ class GroupElement:
 
     __slots__ = ("group", "_coeffs")
 
-    def __init__(self, group: McLainGroup, coeffs: dict[Pair, RingValue]):
+    def __init__(self, group: McLainGroup, coeffs: Coeffs):
         self.group = group
         self._coeffs = coeffs
 
     def coefficient(self, source: str, target: str) -> RingValue:
-        return self._coeffs.get((source, target), self.group.ring.zero)
+        payload = self._coeffs.get((source, target))
+        ring = self.group.ring
+        return ring.zero if payload is None else RingValue(ring, payload)
 
     def coefficients(self) -> dict[Pair, RingValue]:
-        return dict(self._coeffs)
+        ring = self.group.ring
+        return {pair: RingValue(ring, c) for pair, c in self._coeffs.items()}
 
     def support(self) -> Relation:
         return Relation(self.group.relation.nodes, frozenset(self._coeffs))
@@ -201,14 +242,28 @@ class GroupElement:
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         other = self._mate(other)
-        cross = _splice(self.group, self._coeffs, other._coeffs)
-        return GroupElement(self.group, _merge((self._coeffs, other._coeffs, cross)))
+        return GroupElement(
+            self.group, _product(self.group, self._coeffs, other._coeffs)
+        )
 
     def inverse(self) -> "GroupElement":
-        """Alternating power series 1 - x + x^2 - ..., the sum of the
-        powers of -x, added up as the power loop produces them."""
-        negated = {pair: -value for pair, value in self._coeffs.items()}
-        return GroupElement(self.group, _merge(self._powers(negated)))
+        """(1+x)^-1 = (1-x)(1+x^2)(1+x^4)..., by repeated squaring.
+
+        The product telescopes to 1 - x^(2^k) once x^(2^k) vanishes. A
+        nonzero x^(2^k) with 2^k past the node bound, as in
+        ``nilpotency_index``, means a corrupted relation.
+        """
+        group, x = self.group, self._coeffs
+        neg = group.ring._neg
+        bound = self._node_bound()
+        out = {pair: neg(c) for pair, c in x.items()}
+        square, exponent = _splice(group, x, x), 2
+        while square:
+            if exponent > bound:
+                raise AssertionError(_BOUND_MESSAGE)
+            out = _product(group, out, square)
+            square, exponent = _splice(group, square, square), 2 * exponent
+        return GroupElement(group, out)
 
     def commutator(self, other: "GroupElement") -> "GroupElement":
         """g h g^-1 h^-1, computed by composition."""
@@ -216,29 +271,24 @@ class GroupElement:
         return self * other * self.inverse() * other.inverse()
 
     def nilpotency_index(self) -> int:
-        """Least m >= 1 with (g - 1)^m = 0; the identity gives 1."""
-        return 1 + sum(1 for _ in self._powers(self._coeffs))
+        """Least m >= 1 with (g - 1)^m = 0; the identity gives 1.
 
-    def _powers(self, base: dict[Pair, RingValue]) -> Iterator[dict[Pair, RingValue]]:
-        """The nonzero powers base, base^2, ... of a map on this support.
-
-        A nonzero power base^m walks through m + 1 distinct nodes, so the
-        loop is bounded by the number of nodes the support touches;
-        running past that bound would mean a non-nilpotent coefficient
-        map, which a valid relation cannot produce.
+        Powers are taken one at a time. A nonzero power x^m walks through
+        m + 1 distinct nodes, so running past the node bound would mean a
+        non-nilpotent map, which a valid relation cannot produce.
         """
-        bound = len(spanned_nodes(self.support()))
-        power = base
-        exponent = 1
+        x = self._coeffs
+        bound = self._node_bound()
+        power, exponent = x, 1
         while power:
-            yield power
-            power = _splice(self.group, power, base)
+            power = _splice(self.group, power, x)
             exponent += 1
             if power and exponent > bound:
-                raise AssertionError(
-                    "power series exceeded the nilpotency bound; "
-                    "the ambient relation is corrupted"
-                )
+                raise AssertionError(_BOUND_MESSAGE)
+        return exponent
+
+    def _node_bound(self) -> int:
+        return len(spanned_nodes(self.support()))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GroupElement):
@@ -251,8 +301,9 @@ class GroupElement:
     def __str__(self) -> str:
         if not self._coeffs:
             return "1"
+        fmt = self.group.ring._format
         parts = [
-            f"{self._coeffs[pair]}*e({pair[0]},{pair[1]})"
+            f"{fmt(self._coeffs[pair])}*e({pair[0]},{pair[1]})"
             for pair in sorted(self._coeffs)
         ]
         return "1 + " + " + ".join(parts)

@@ -21,6 +21,7 @@ normal subsets index normal subgroups and quotients.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -364,11 +365,19 @@ def _has_unextended(omega: Relation, delta: Relation, maximal: bool) -> bool:
 
 
 def from_pairs(pairs: Iterable[Pair], nodes: Iterable[str] = ()) -> Relation:
+    """The relation on the given pairs, over their nodes and ``nodes``.
+
+    Labels go through ``str`` and must follow the label rule below, so
+    that every relation built here prints and parses back.
+    """
     pair_set = frozenset((str(i), str(j)) for i, j in pairs)
     node_set = set(str(n) for n in nodes)
     for i, j in pair_set:
         node_set.add(i)
         node_set.add(j)
+    # one scan over all labels; a label is looked at alone only on failure
+    if "" in node_set or "node" in node_set or _LABEL_BREAK.search("".join(node_set)):
+        raise ValueError(next(filter(None, map(_label_fault, sorted(node_set)))))
     return Relation(frozenset(node_set), pair_set)
 
 
@@ -476,24 +485,38 @@ def random_pruned_order(seed: int, node_count: int, density: float) -> Relation:
 #   node k ............... declares node k even if no pair touches it
 #
 # Serialization lists bare nodes first, then pairs, each sorted, so the
-# format round-trips byte for byte. The word "node" is reserved and
-# cannot start a pair.
+# format round-trips byte for byte.
 #
-# Labels contain no whitespace and none of _LABEL_PUNCTUATION, which the
+# The label rule: a label is nonempty, is not the reserved word "node",
+# and contains no whitespace and none of _LABEL_PUNCTUATION, which the
 # expression grammar, printed normal forms and comments use to delimit
-# labels; so every label a relation file accepts prints and parses back.
+# labels. Both text parsers and from_pairs apply it, so every label they
+# accept prints and parses back.
 
 _LABEL_PUNCTUATION = "*(),;[]+#"
+_LABEL_BREAK = re.compile(r"[\s" + re.escape(_LABEL_PUNCTUATION) + "]")
+
+
+def _label_fault(label: str) -> str | None:
+    """How ``label`` breaks the label rule, or None if it follows it."""
+    if not label:
+        return "label '' is empty; labels must be nonempty"
+    if label == "node":
+        return "label 'node' is reserved for node lines"
+    bad = _LABEL_BREAK.findall(label)
+    if bad:
+        return (
+            f"label {label!r} contains {''.join(sorted(set(bad)))!r}; labels "
+            f"may not contain whitespace or any of {_LABEL_PUNCTUATION!r}"
+        )
+    return None
 
 
 def _require_labels(labels: list[str], lineno: int) -> None:
     for label in labels:
-        bad = sorted(set(label) & set(_LABEL_PUNCTUATION))
-        if bad:
-            raise ParseError(
-                f"line {lineno}: label {label!r} contains {''.join(bad)!r}; labels "
-                f"may not contain whitespace or any of {_LABEL_PUNCTUATION!r}"
-            )
+        fault = _label_fault(label)
+        if fault:
+            raise ParseError(f"line {lineno}: {fault}")
 
 
 def parse_relation_text(text: str) -> Relation:

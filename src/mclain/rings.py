@@ -264,10 +264,15 @@ class Matrices2x2Mod(Ring):
         return tuple(x % self.n for x in payload)
 
     def _add(self, a, b):
-        return tuple((x + y) % self.n for x, y in zip(a, b))
+        n = self.n
+        a11, a12, a21, a22 = a
+        b11, b12, b21, b22 = b
+        return ((a11 + b11) % n, (a12 + b12) % n, (a21 + b21) % n, (a22 + b22) % n)
 
     def _neg(self, a):
-        return tuple((-x) % self.n for x in a)
+        n = self.n
+        a11, a12, a21, a22 = a
+        return (-a11 % n, -a12 % n, -a21 % n, -a22 % n)
 
     def _mul(self, a, b):
         a11, a12, a21, a22 = a

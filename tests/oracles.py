@@ -20,6 +20,9 @@ routes is meaningful evidence rather than a tautology.
 * Fixed-point saturations: closures recomputed straight from their
   definitions by rescanning every couple of pairs until nothing changes,
   with no worklist and no index.
+* Series route: the inverse of 1 + x as the alternating power series
+  1 - x + x^2 - ..., summed one power at a time in RingValue arithmetic,
+  against the library's inverse by repeated squaring on raw payloads.
 """
 
 from __future__ import annotations
@@ -211,3 +214,25 @@ def fixed_point_pruned_order(seed: int, node_count: int, density: float):
     order = frozenset(naive_transitive_closure(steps))
     seeds = frozenset(p for p in sorted(order) if rng.random() < 0.3)
     return frozenset(nodes), order - naive_normal_closure(seeds, order)
+
+
+def alternating_series_inverse(g: GroupElement) -> GroupElement:
+    """(1+x)^-1 = 1 - x + x^2 - ..., term by term: each power of -x is
+    spliced from the last over every couple of pairs and added in. A
+    nonzero power of x walks through distinct nodes, so the powers from
+    the node count on vanish."""
+    group = g.group
+    minus_x = {pair: -value for pair, value in g.coefficients().items()}
+    total, power = dict(minus_x), minus_x
+    for _ in range(len(group.relation.nodes)):
+        spliced = {}
+        for ((i, j), a), ((k, l), b) in itertools.product(
+            power.items(), minus_x.items()
+        ):
+            if j == k and (i, l) in group.relation.pairs:
+                prior = spliced.get((i, l), group.ring.zero)
+                spliced[(i, l)] = prior + a * b
+        power = spliced
+        for pair, value in power.items():
+            total[pair] = total.get(pair, group.ring.zero) + value
+    return group.element(total)

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import random
+import subprocess
+import sys
 
 import pytest
 
 from helpers import acceptance_relations, random_element, relation_zoo, ring_instances
+from oracles import alternating_series_inverse
 from mclain import (
     Comm,
     Gen,
@@ -324,6 +327,40 @@ def test_power_loop_bound_catches_a_corrupted_relation(power):
     g = group.element({pair: 1 for pair in cycle.pairs})
     with pytest.raises(AssertionError, match="nilpotency bound"):
         getattr(g, power)()
+
+
+@pytest.mark.parametrize("power", ["inverse", "nilpotency_index"])
+def test_power_loop_bound_survives_python_O(power):
+    # The same corrupted relation as above, in an interpreter that strips
+    # assert statements: the self-check is a raise, so it still fires.
+    script = f"""
+from mclain import Integers, McLainGroup, chain, from_pairs
+print(__debug__)
+group = McLainGroup(chain(3), Integers())
+nodes = ("1", "2", "3")
+cycle = from_pairs([(i, j) for i in nodes for j in nodes if i != j])
+object.__setattr__(group, "relation", cycle)
+group.element({{pair: 1 for pair in cycle.pairs}}).{power}()
+"""
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True
+    )
+    assert proc.stdout == "False\n"
+    assert proc.returncode == 1
+    last = proc.stderr.strip().splitlines()[-1]
+    assert last.startswith("AssertionError: power series exceeded the nilpotency bound")
+
+
+def test_squaring_inverse_equals_the_alternating_series():
+    rng = random.Random(67)
+    rings = ring_instances() + [Matrices2x2Mod(3)]
+    relations = relation_zoo() + [("chain9", chain(9))]
+    for _, delta in relations:
+        for ring in rings:
+            group = McLainGroup(delta, ring)
+            dense = group.element({pair: ring.sample(rng) for pair in delta.pairs})
+            for g in (dense, random_element(group, rng)):
+                assert g.inverse() == alternating_series_inverse(g)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import re
 import pytest
 
 from mclain import (
+    Integers,
     IntegersMod,
     Matrices2x2Mod,
     McLainGroup,
@@ -56,3 +57,25 @@ def test_cli_names_the_line_of_a_bad_label(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: line 2: label 'a+b' contains '+'")
+
+
+@pytest.mark.parametrize("label", ["a+b", "p,q", "e(x)", "a b", "a\tb", ""])
+def test_from_pairs_refuses_labels_that_break_the_rule(label):
+    # Accepted, a+b would print 1 + 2*e(a+b,c), which does not parse back.
+    with pytest.raises(ValueError, match=re.escape(f"label {label!r}")):
+        McLainGroup(from_pairs([(label, "c")]), Integers())
+    with pytest.raises(ValueError, match=re.escape(f"label {label!r}")):
+        from_pairs([("1", "2")], nodes=[label])
+
+
+def test_node_is_a_reserved_label_everywhere():
+    # A pair (node, x) would print as the line "node x", which declares a
+    # bare node instead.
+    with pytest.raises(ValueError, match="label 'node' is reserved"):
+        from_pairs([("node", "x")])
+    for text in ("x node\n", "1 2\nnode node\n"):
+        with pytest.raises(ParseError, match="label 'node' is reserved"):
+            parse_relation_text(text)
+    with pytest.raises(ParseError, match="line 2: label 'node' is reserved"):
+        parse_order_text("1 2\nnode x\n")
+    assert parse_relation_text("node x\n").nodes == frozenset({"x"})
