@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
-from .relations import Pair, Relation, require_valid, spanned_nodes
+from .relations import Pair, Relation, _require_label_rule, require_valid, spanned_nodes
 from .rings import Ring, RingValue
 
 
@@ -95,14 +95,16 @@ def _format_token(token: Token) -> str:
 class McLainGroup:
     """The group of units 1 + x over a valid relation and coefficient ring.
 
-    Construction validates the relation's axioms once; everything else
-    leans on that validity (most of all the inverse power bound).
+    Construction validates the relation's labels and axioms once;
+    everything else leans on that validity (most of all the inverse
+    power bound).
     """
 
     relation: Relation
     ring: Ring
 
     def __post_init__(self) -> None:
+        _require_label_rule(self.relation.nodes)
         require_valid(self.relation)
 
     def identity(self) -> "GroupElement":

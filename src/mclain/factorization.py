@@ -10,10 +10,11 @@ The ordered one is canonical: given any total order on a closed set
 covering the element's support, there is exactly one choice of one
 coefficient per pair whose ordered generator product reproduces the
 element. It is computed by a level sweep. Before level k the running
-product agrees with the target modulo the k-th bracket term; the pairs
-at level k are isolated in the quotient that kills level k + 1, so
-their generators are central there and their coefficients can be read
-straight off the residual, in any position of the order.
+product P agrees with the target g outside the k-th bracket term. That
+term is normal, so P^-1 g lies in the subgroup over it, and in
+g = P (P^-1 g) every cross term lands at level k + 1 or deeper: at a
+level-k pair the coefficient is g's minus P's, in any position of the
+order, and no residual P^-1 g is ever formed.
 
 The n-gon demonstration shows why the order must be allowed to roam
 over the closure rather than just the support: around an n-cycle with
@@ -104,8 +105,8 @@ def ordered_factorization(g: GroupElement, order: tuple[Pair, ...]) -> OrderedFo
 
     The order must list each pair of a closed subset exactly once, and
     that subset must contain the support of g. The returned form is
-    filled in place: each level reads its residual against the form's
-    own ordered product of the coefficients found so far.
+    filled in place: each level's coefficients are g's minus those of
+    the form's own ordered product of the coefficients found so far.
     """
     group = g.group
     order = tuple(order)
@@ -121,14 +122,13 @@ def ordered_factorization(g: GroupElement, order: tuple[Pair, ...]) -> OrderedFo
     chain = gamma_series(gamma, group.relation)  # also rejects a non-closed order
     coefficients = {pair: group.ring.zero for pair in order}
     form = OrderedForm(group, order, coefficients)
-    for level in range(1, len(chain.terms)):
-        current = chain.terms[level - 1]
-        deeper = chain.terms[level]
-        residual = form.product().inverse() * g
-        if not (residual.support().pairs <= current.pairs):
+    for current, deeper in zip(chain.terms, chain.terms[1:]):
+        running = form.product()
+        outside = (pair for pair in order if pair not in current.pairs)
+        if any(running.coefficient(*p) != g.coefficient(*p) for p in outside):
             raise AssertionError("level sweep residual escaped its bracket level")
-        for pair in sorted(current.pairs - deeper.pairs):
-            coefficients[pair] = coefficients[pair] + residual.coefficient(*pair)
+        for pair in current.pairs - deeper.pairs:
+            coefficients[pair] = g.coefficient(*pair) - running.coefficient(*pair)
     if form.product() != g:
         raise AssertionError("level sweep did not converge to the target")
     return form

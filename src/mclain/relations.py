@@ -24,7 +24,7 @@ import random
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Collection, Iterable, Iterator
 
 Pair = tuple[str, str]
 
@@ -145,7 +145,6 @@ def check_axioms(delta: Relation) -> AxiomReport:
     for pair in sorted(delta.pairs):
         if pair[0] == pair[1]:
             violations.append(ReflexiveViolation(pair))
-    seen: set[tuple[str, str, str, str]] = set()
     for i, j in sorted(delta.pairs):
         for _, k in delta.by_first.get(j, ()):
             for _, l in delta.by_first.get(k, ()):
@@ -155,12 +154,8 @@ def check_axioms(delta: Relation) -> AxiomReport:
                 has_jl = (j, l) in delta.pairs
                 if has_ik == has_jl:
                     continue
-                quad = (i, j, k, l)
-                if quad in seen:
-                    continue
-                seen.add(quad)
                 present, absent = ((i, k), (j, l)) if has_ik else ((j, l), (i, k))
-                violations.append(ExchangeViolation(quad, present, absent))
+                violations.append(ExchangeViolation((i, j, k, l), present, absent))
     return AxiomReport(not violations, tuple(violations))
 
 
@@ -195,18 +190,21 @@ def is_normal(sub: Relation, delta: Relation) -> bool:
 
     Two absorption rules: for (i,j) in sub, any ambient (j,k) with
     (i,k) ambient forces (i,k) into sub, and any ambient (k,i) with
-    (k,j) ambient forces (k,j) into sub. Normality implies closedness,
-    which is asserted rather than trusted.
+    (k,j) ambient forces (k,j) into sub. Normality implies closedness.
     """
     _require_subset(sub, delta, "subset")
-    for i, j in sub.pairs:
+    return _absorbs(sub.pairs, sub.pairs, delta)
+
+
+def _absorbs(pairs: Iterable[Pair], sub: frozenset[Pair], delta: Relation) -> bool:
+    """Do ``is_normal``'s absorption rules for sub hold at these of its pairs?"""
+    for i, j in pairs:
         for _, k in delta.by_first.get(j, ()):
-            if (i, k) in delta.pairs and (i, k) not in sub.pairs:
+            if (i, k) in delta.pairs and (i, k) not in sub:
                 return False
         for k, _ in delta.by_second.get(i, ()):
-            if (k, j) in delta.pairs and (k, j) not in sub.pairs:
+            if (k, j) in delta.pairs and (k, j) not in sub:
                 return False
-    assert is_closed(sub, delta)
     return True
 
 
@@ -325,7 +323,6 @@ def difference(delta: Relation, gamma: Relation) -> Relation:
     Normality of gamma is exactly what makes coefficient deletion a
     homomorphism, so it is demanded here rather than assumed.
     """
-    _require_subset(gamma, delta, "subset")
     if not is_normal(gamma, delta):
         raise ValueError("can only remove a normal subset")
     return Relation(delta.nodes, delta.pairs - gamma.pairs)
@@ -375,9 +372,7 @@ def from_pairs(pairs: Iterable[Pair], nodes: Iterable[str] = ()) -> Relation:
     for i, j in pair_set:
         node_set.add(i)
         node_set.add(j)
-    # one scan over all labels; a label is looked at alone only on failure
-    if "" in node_set or "node" in node_set or _LABEL_BREAK.search("".join(node_set)):
-        raise ValueError(next(filter(None, map(_label_fault, sorted(node_set)))))
+    _require_label_rule(node_set)
     return Relation(frozenset(node_set), pair_set)
 
 
@@ -490,8 +485,8 @@ def random_pruned_order(seed: int, node_count: int, density: float) -> Relation:
 # The label rule: a label is nonempty, is not the reserved word "node",
 # and contains no whitespace and none of _LABEL_PUNCTUATION, which the
 # expression grammar, printed normal forms and comments use to delimit
-# labels. Both text parsers and from_pairs apply it, so every label they
-# accept prints and parses back.
+# labels. Both text parsers, from_pairs and McLainGroup apply it, so every
+# label a group is built on prints and parses back.
 
 _LABEL_PUNCTUATION = "*(),;[]+#"
 _LABEL_BREAK = re.compile(r"[\s" + re.escape(_LABEL_PUNCTUATION) + "]")
@@ -510,6 +505,13 @@ def _label_fault(label: str) -> str | None:
             f"may not contain whitespace or any of {_LABEL_PUNCTUATION!r}"
         )
     return None
+
+
+def _require_label_rule(labels: Collection[str]) -> None:
+    """Raise a ValueError naming a label that breaks the rule."""
+    # one scan over all labels; a label is looked at alone only on failure
+    if "" in labels or "node" in labels or _LABEL_BREAK.search("".join(labels)):
+        raise ValueError(next(filter(None, map(_label_fault, sorted(labels)))))
 
 
 def _require_labels(labels: list[str], lineno: int) -> None:

@@ -15,6 +15,7 @@ from .elements import GroupElement, McLainGroup
 from .relations import (
     Relation,
     SubsetChain,
+    _absorbs,
     difference,
     gamma_series,
     isolated,
@@ -45,12 +46,8 @@ def lower_central_series(
     require_valid(delta)
     chain = gamma_series(delta, delta)
     reports = []
-    for level in range(1, len(chain.terms)):
-        current = chain.terms[level - 1]
-        nxt = chain.terms[level]
+    for level, (current, nxt) in enumerate(zip(chain.terms, chain.terms[1:]), 1):
         support = Relation(delta.nodes, current.pairs - nxt.pairs)
-        if not current.pairs:
-            break
         reports.append(FactorReport(level, support, len(support.pairs), ring))
     return chain, reports
 
@@ -71,21 +68,23 @@ def upper_central_series(delta: Relation) -> SubsetChain:
 
     Each step adjoins the isolated pairs of what is left; the quotient
     isomorphism is what lets the accumulated union stand in for centers
-    of successive quotient groups. The difference call re-checks
-    normality of the accumulated subset at every step.
+    of successive quotient groups. Each term is checked to be normal at
+    its new pairs; the previous term already was at the others.
     """
     require_valid(delta)
-    zeta = Relation(delta.nodes, frozenset())
-    terms = [zeta]
-    while zeta.pairs != delta.pairs:
-        remaining = difference(delta, zeta)
+    terms = [Relation(delta.nodes, frozenset())]
+    remaining = delta
+    while remaining.pairs:
         step = isolated(remaining)
         if not step.pairs:
             raise AssertionError(
                 "upper central series stalled before exhausting the relation"
             )
-        zeta = Relation(delta.nodes, zeta.pairs | step.pairs)
-        terms.append(zeta)
+        zeta = terms[-1].pairs | step.pairs
+        if not _absorbs(step.pairs, zeta, delta):
+            raise ValueError("can only remove a normal subset")
+        remaining = Relation(delta.nodes, remaining.pairs - step.pairs)
+        terms.append(Relation(delta.nodes, zeta))
     return SubsetChain("ascending", tuple(terms))
 
 

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -21,6 +23,7 @@ from mclain import (
     closure,
     demonstrate_ngon_obstruction,
     format_word,
+    from_pairs,
     gamma_series,
     minimal_closed_support,
     ngon,
@@ -186,6 +189,72 @@ def test_filtration_order_splits_into_level_blocks():
                     h = h * group.generator(*pair, form.coefficients[pair])
                 rebuilt = rebuilt * h
             assert rebuilt == g
+
+
+class NegationFreeMod(IntegersMod):
+    """Z/n with negation broken to the identity, so a - b = a + b."""
+
+    def _neg(self, a: int) -> int:
+        return a
+
+
+# chain(m) in a ring whose subtraction is wrong for n > 2, in sorted order,
+# with the sum of the step-one generators as target. Its level-2
+# coefficients come out as 1 instead of -1: chain(3) has no level below to
+# see it, so only the final check can; chain(4) has, so the agreement check
+# before level 3 does.
+SWEEP_FAULTS = [
+    (3, "level sweep did not converge to the target"),
+    (4, "level sweep residual escaped its bracket level"),
+]
+
+
+@pytest.mark.parametrize("m, message", SWEEP_FAULTS)
+def test_level_sweep_checks_catch_a_corrupted_ring(m, message):
+    group = McLainGroup(chain(m), NegationFreeMod(5))
+    order = tuple(sorted(group.relation.pairs))
+    g = group.element({(str(i), str(i + 1)): 1 for i in range(1, m)})
+    with pytest.raises(AssertionError, match=message):
+        ordered_factorization(g, order)
+
+
+@pytest.mark.parametrize("m, message", SWEEP_FAULTS)
+def test_level_sweep_checks_survive_python_O(m, message):
+    script = f"""
+from mclain import IntegersMod, McLainGroup, chain, ordered_factorization
+print(__debug__)
+class NegationFreeMod(IntegersMod):
+    def _neg(self, a):
+        return a
+group = McLainGroup(chain({m}), NegationFreeMod(5))
+order = tuple(sorted(group.relation.pairs))
+g = group.element({{(str(i), str(i + 1)): 1 for i in range(1, {m})}})
+ordered_factorization(g, order)
+"""
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True
+    )
+    assert proc.stdout == "False\n"
+    assert proc.returncode == 1
+    assert proc.stderr.strip().splitlines()[-1] == f"AssertionError: {message}"
+
+
+def test_level_sweep_is_exact_over_a_relation_breaking_the_axioms():
+    # Reading each level off the target needs only that the bracket series
+    # of a closed order terminates, not the exchange axiom: over a relation
+    # that breaks it, swapped in after validation, the sweep still converges
+    # and neither of its checks fires.
+    rng = random.Random(66)
+    broken = from_pairs([("1", "2"), ("2", "3"), ("3", "4"), ("1", "4"), ("1", "3")])
+    assert not broken.axiom_report.valid
+    for ring in ring_instances():
+        group = McLainGroup(chain(4), ring)
+        object.__setattr__(group, "relation", broken)
+        order = sorted(broken.pairs)
+        for _ in range(20):
+            rng.shuffle(order)
+            g = group.element({p: ring.sample(rng) for p in broken.pairs})
+            assert ordered_factorization(g, tuple(order)).product() == g
 
 
 def test_ordered_factorization_matches_recursive_oracle():

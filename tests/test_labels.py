@@ -13,6 +13,7 @@ from mclain import (
     Matrices2x2Mod,
     McLainGroup,
     ParseError,
+    Relation,
     format_relation,
     from_pairs,
     parse_element_expression,
@@ -79,3 +80,15 @@ def test_node_is_a_reserved_label_everywhere():
     with pytest.raises(ParseError, match="line 2: label 'node' is reserved"):
         parse_order_text("1 2\nnode x\n")
     assert parse_relation_text("node x\n").nodes == frozenset({"x"})
+
+
+@pytest.mark.parametrize("label", ["a+b", "p,q", "a b", "", "node"])
+def test_group_refuses_a_hand_built_relation_that_breaks_the_rule(label):
+    # Relation itself does not check labels, so that its construction stays
+    # cheap; the group built over it does, before any element can print.
+    delta = Relation(frozenset({label, "c"}), frozenset({(label, "c")}))
+    with pytest.raises(ValueError, match=re.escape(f"label {label!r}")):
+        McLainGroup(delta, Integers())
+    bare = Relation(frozenset({"1", "2", label}), frozenset({("1", "2")}))
+    with pytest.raises(ValueError, match=re.escape(f"label {label!r}")):
+        McLainGroup(bare, Integers())

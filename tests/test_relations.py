@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -86,6 +87,23 @@ def test_exchange_violation_other_direction():
 
 def test_exchange_holds_when_both_cross_pairs_present():
     assert chain(4).axiom_report.valid
+
+
+def test_exchange_violations_match_a_scan_of_all_quadruples():
+    # Each quadruple is reported once, in order, on digraphs with reflexive
+    # pairs and 2-cycles, where nodes of a quadruple may repeat.
+    rng = random.Random(41)
+    nodes = [str(i) for i in range(1, 6)]
+    for _ in range(40):
+        pairs = {(i, j) for i in nodes for j in nodes if rng.random() < 0.35}
+        expected = []
+        for i, j, k, l in itertools.product(nodes, repeat=4):
+            has_ik, has_jl = (i, k) in pairs, (j, l) in pairs
+            if {(i, j), (j, k), (k, l), (i, l)} <= pairs and has_ik != has_jl:
+                present, absent = ((i, k), (j, l)) if has_ik else ((j, l), (i, k))
+                expected.append(ExchangeViolation((i, j, k, l), present, absent))
+        found = check_axioms(from_pairs(pairs)).violations
+        assert [v for v in found if isinstance(v, ExchangeViolation)] == expected
 
 
 def test_repairing_the_witness_restores_validity():

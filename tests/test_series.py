@@ -7,7 +7,9 @@ import random
 import pytest
 
 from helpers import random_element, relation_zoo, ring_instances
+import mclain.series
 from mclain import (
+    AxiomReport,
     Integers,
     IntegersMod,
     McLainGroup,
@@ -196,6 +198,34 @@ def test_upper_central_series_reaches_the_whole_relation():
             # each increment is the center support of what remains
             remainder = difference(delta, earlier)
             assert later.pairs - earlier.pairs == isolated(remainder).pairs, name
+
+
+def _forced_valid(pairs):
+    """A relation whose cached axiom report claims validity it lacks."""
+    delta = from_pairs(pairs)
+    assert not delta.axiom_report.valid
+    object.__setattr__(delta, "axiom_report", AxiomReport(True, ()))
+    return delta
+
+
+def test_upper_central_series_stall_check_catches_a_corrupted_relation():
+    # On the complete digraph on three nodes every pair composes with
+    # another, so no pair is ever isolated.
+    nodes = ("1", "2", "3")
+    delta = _forced_valid([(i, j) for i in nodes for j in nodes if i != j])
+    with pytest.raises(AssertionError, match="stalled before exhausting"):
+        upper_central_series(delta)
+
+
+def test_upper_central_series_normality_check_catches_a_wrong_step(monkeypatch):
+    # No relation reaches this check: a pair isolated in what is left cannot
+    # compose, within the relation, with a pair adjoined earlier, because
+    # that pair was then not isolated. A faulty step must still trip it.
+    monkeypatch.setattr(
+        mclain.series, "isolated", lambda rest: rest.subset([("1", "2")])
+    )
+    with pytest.raises(ValueError, match="can only remove a normal subset"):
+        upper_central_series(chain(3))
 
 
 def test_last_nonempty_gamma_sits_inside_the_first_zeta():
