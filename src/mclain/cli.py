@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .elements import McLainGroup, format_word
+from .elements import GroupElement, McLainGroup, format_word
 from .factorization import (
     demonstrate_ngon_obstruction,
     ordered_factorization,
@@ -30,9 +30,11 @@ from .series import (
 )
 
 
-def _load_group(args: argparse.Namespace) -> McLainGroup:
-    relation = parse_relation_file(args.relation)
-    return McLainGroup(relation, parse_ring_spec(args.ring))
+def _load_element(args: argparse.Namespace) -> GroupElement:
+    """The element that the expression evaluates to in the group built from
+    the relation file and the ring spec."""
+    group = McLainGroup(parse_relation_file(args.relation), parse_ring_spec(args.ring))
+    return group.eval_word(parse_element_expression(args.expression, group.ring))
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -61,16 +63,12 @@ def _cmd_series(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    group = _load_group(args)
-    word = parse_element_expression(args.expression, group.ring)
-    print(str(group.eval_word(word)))
+    print(str(_load_element(args)))
     return 0
 
 
 def _cmd_factor(args: argparse.Namespace) -> int:
-    group = _load_group(args)
-    word = parse_element_expression(args.expression, group.ring)
-    element = group.eval_word(word)
+    element = _load_element(args)
     if args.order:
         order = parse_order_file(args.order)
         form = ordered_factorization(element, order)
@@ -82,11 +80,9 @@ def _cmd_factor(args: argparse.Namespace) -> int:
 
 
 def _cmd_quotient(args: argparse.Namespace) -> int:
-    group = _load_group(args)
-    word = parse_element_expression(args.expression, group.ring)
-    element = group.eval_word(word)
+    element = _load_element(args)
     gamma_input = parse_relation_file(args.gamma)
-    gamma = group.relation.subset(gamma_input.pairs)
+    gamma = element.group.relation.subset(gamma_input.pairs)
     projected = quotient_project(element, gamma)
     representative = coset_representative(element, gamma)
     print(f"projection: {projected}")

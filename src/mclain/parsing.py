@@ -24,7 +24,7 @@ Order files list one pair per line, ``i j``, in increasing order;
 from __future__ import annotations
 
 from .elements import Comm, Gen, GeneratorWord, Inv, McLainGroup
-from .relations import _LABEL_PUNCTUATION, Pair, ParseError, _require_labels
+from .relations import _LABEL_PUNCTUATION, Pair, ParseError, _pair_lines
 from .rings import Ring, RingError
 
 _LABEL_STOP = set(_LABEL_PUNCTUATION + " \t\r\n")
@@ -168,17 +168,7 @@ def parse_normal_form(text: str, group: McLainGroup):
 
 def parse_order_text(text: str) -> tuple[Pair, ...]:
     """Pairs one per line, in file order; comments and blanks allowed."""
-    out: list[Pair] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        if len(tokens) != 2:
-            raise ParseError(f"line {lineno}: expected 'i j', got {raw.strip()!r}")
-        _require_labels(tokens, lineno)
-        out.append((tokens[0], tokens[1]))
-    return tuple(out)
+    return tuple((i, j) for i, j in _pair_lines(text, node_lines=False))
 
 
 def parse_order_file(path: str) -> tuple[Pair, ...]:

@@ -102,7 +102,28 @@ class Relation:
 
     @cached_property
     def axiom_report(self) -> AxiomReport:
-        return check_axioms(self)
+        """Both axioms diagnosed once, every violation reported in a fixed order.
+
+        The exchange scan walks composable triples (i,j), (j,k), (k,l) with
+        (i,l) present, so its cost is the number of length-3 paths rather
+        than the fourth power of the pair count.
+        """
+        violations: list[object] = []
+        for pair in sorted(self.pairs):
+            if pair[0] == pair[1]:
+                violations.append(ReflexiveViolation(pair))
+        for i, j in sorted(self.pairs):
+            for _, k in self.by_first.get(j, ()):
+                for _, l in self.by_first.get(k, ()):
+                    if (i, l) not in self.pairs:
+                        continue
+                    has_ik = (i, k) in self.pairs
+                    has_jl = (j, l) in self.pairs
+                    if has_ik == has_jl:
+                        continue
+                    present, absent = ((i, k), (j, l)) if has_ik else ((j, l), (i, k))
+                    violations.append(ExchangeViolation((i, j, k, l), present, absent))
+        return AxiomReport(not violations, tuple(violations))
 
     def subset(self, pairs: Iterable[Pair]) -> "Relation":
         """A sub-relation over the same node set."""
@@ -135,28 +156,8 @@ def spanned_nodes(omega: Relation) -> frozenset[str]:
 
 
 def check_axioms(delta: Relation) -> AxiomReport:
-    """Diagnose both axioms, reporting every violation deterministically.
-
-    The exchange scan walks composable triples (i,j), (j,k), (k,l) with
-    (i,l) present, so its cost is the number of length-3 paths rather
-    than the fourth power of the pair count.
-    """
-    violations: list[object] = []
-    for pair in sorted(delta.pairs):
-        if pair[0] == pair[1]:
-            violations.append(ReflexiveViolation(pair))
-    for i, j in sorted(delta.pairs):
-        for _, k in delta.by_first.get(j, ()):
-            for _, l in delta.by_first.get(k, ()):
-                if (i, l) not in delta.pairs:
-                    continue
-                has_ik = (i, k) in delta.pairs
-                has_jl = (j, l) in delta.pairs
-                if has_ik == has_jl:
-                    continue
-                present, absent = ((i, k), (j, l)) if has_ik else ((j, l), (i, k))
-                violations.append(ExchangeViolation((i, j, k, l), present, absent))
-    return AxiomReport(not violations, tuple(violations))
+    """Diagnose both axioms: the relation's cached ``axiom_report``."""
+    return delta.axiom_report
 
 
 def require_valid(delta: Relation) -> None:
@@ -178,11 +179,7 @@ def _require_subset(sub: Relation, delta: Relation, name: str) -> None:
 def is_closed(sub: Relation, delta: Relation) -> bool:
     """Does sub contain every composite of its own pairs that delta admits?"""
     _require_subset(sub, delta, "subset")
-    for i, j in sub.pairs:
-        for _, k in sub.by_first.get(j, ()):
-            if (i, k) in delta.pairs and (i, k) not in sub.pairs:
-                return False
-    return True
+    return _absorbs(sub.pairs, sub.pairs, delta, sub.pairs)
 
 
 def is_normal(sub: Relation, delta: Relation) -> bool:
@@ -193,19 +190,31 @@ def is_normal(sub: Relation, delta: Relation) -> bool:
     (k,j) ambient forces (k,j) into sub. Normality implies closedness.
     """
     _require_subset(sub, delta, "subset")
-    return _absorbs(sub.pairs, sub.pairs, delta)
+    return _absorbs(sub.pairs, sub.pairs, delta, delta.pairs)
 
 
-def _absorbs(pairs: Iterable[Pair], sub: frozenset[Pair], delta: Relation) -> bool:
-    """Do ``is_normal``'s absorption rules for sub hold at these of its pairs?"""
+def _absorbs(
+    pairs: Iterable[Pair], sub: frozenset, delta: Relation, partners: frozenset
+) -> bool:
+    """Does sub hold each composite in delta of these pairs with a partner?
+
+    Partners are sub for closedness and delta for normality. For isolation
+    sub is the pairs removed and the partners are the pairs left: every
+    composite outside sub is then one that is left.
+    """
     for i, j in pairs:
         for _, k in delta.by_first.get(j, ()):
-            if (i, k) in delta.pairs and (i, k) not in sub:
+            if (i, k) in delta.pairs and (i, k) not in sub and (j, k) in partners:
                 return False
         for k, _ in delta.by_second.get(i, ()):
-            if (k, j) in delta.pairs and (k, j) not in sub:
+            if (k, j) in delta.pairs and (k, j) not in sub and (k, i) in partners:
                 return False
     return True
+
+
+def _isolated_in(rest: frozenset, gone: frozenset, delta: Relation) -> frozenset:
+    """The pairs of rest, which is delta without gone, isolated within rest."""
+    return frozenset(p for p in rest if _absorbs((p,), gone, delta, rest))
 
 
 def closure(omega: Relation, delta: Relation) -> Relation:
@@ -259,15 +268,18 @@ def bracket(sub1: Relation, sub2: Relation, delta: Relation) -> Relation:
 
     Symmetric in its two arguments: (i,k) belongs to the bracket when
     some middle node j gives (i,j) in one subset and (j,k) in the other.
+    Only sub2 is indexed: ``gamma_series`` passes its shrinking terms as sub1.
     """
     _require_subset(sub1, delta, "first subset")
     _require_subset(sub2, delta, "second subset")
     out: set[Pair] = set()
-    for left, right in ((sub1, sub2), (sub2, sub1)):
-        for i, j in left.pairs:
-            for _, k in right.by_first.get(j, ()):
-                if (i, k) in delta.pairs:
-                    out.add((i, k))
+    for i, j in sub1.pairs:
+        for _, k in sub2.by_first.get(j, ()):
+            if (i, k) in delta.pairs:
+                out.add((i, k))
+        for k, _ in sub2.by_second.get(i, ()):
+            if (k, j) in delta.pairs:
+                out.add((k, j))
     return Relation(delta.nodes, frozenset(out))
 
 
@@ -306,15 +318,9 @@ def gamma_series(gamma: Relation, delta: Relation) -> SubsetChain:
 
 def isolated(delta: Relation) -> Relation:
     """Pairs that compose with nothing: no right extension (j,k) with
-    (i,k) present, and no left extension (l,i) with (l,j) present."""
-    out: set[Pair] = set()
-    for i, j in delta.pairs:
-        blocked = any(
-            (i, k) in delta.pairs for _, k in delta.by_first.get(j, ())
-        ) or any((l, j) in delta.pairs for l, _ in delta.by_second.get(i, ()))
-        if not blocked:
-            out.add((i, j))
-    return Relation(delta.nodes, frozenset(out))
+    (i,k) present, and no left extension (l,i) with (l,j) present.
+    Found by one early-exit absorption scan per pair (``_absorbs``)."""
+    return Relation(delta.nodes, _isolated_in(delta.pairs, frozenset(), delta))
 
 
 def difference(delta: Relation, gamma: Relation) -> Relation:
@@ -349,10 +355,10 @@ def _has_unextended(omega: Relation, delta: Relation, maximal: bool) -> bool:
         raise ValueError(f"{kind} is about nonempty subsets")
     for i, j in omega.pairs:
         if maximal:
-            composites = ((i, k) for _, k in omega.by_first.get(j, ()))
+            walk = (((j, k), (i, k)) for _, k in delta.by_first.get(j, ()))
         else:
-            composites = ((k, j) for k, _ in omega.by_second.get(i, ()))
-        if not any(c in delta.pairs for c in composites):
+            walk = (((k, i), (k, j)) for k, _ in delta.by_second.get(i, ()))
+        if not any(p in omega.pairs and c in delta.pairs for p, c in walk):
             return True
     return False
 
@@ -396,10 +402,7 @@ def ngon(n: int) -> Relation:
     """
     if n < 4:
         raise ValueError("ngon needs at least four nodes")
-    nodes = [str(i) for i in range(n)]
-    pairs = [(str(i), str((i + 1) % n)) for i in range(n)]
-    pairs += [(str(i), str((i + 2) % n)) for i in range(n)]
-    return from_pairs(pairs, nodes)
+    return from_pairs(ngon_edges(n) + ngon_diagonals(n))
 
 
 def ngon_edges(n: int) -> tuple[Pair, ...]:
@@ -408,6 +411,17 @@ def ngon_edges(n: int) -> tuple[Pair, ...]:
 
 def ngon_diagonals(n: int) -> tuple[Pair, ...]:
     return tuple((str(i), str((i + 2) % n)) for i in range(n))
+
+
+def _random_nodes(
+    seed: int, node_count: int, density: float
+) -> tuple[random.Random, list[str]]:
+    """The seeded generator and the nodes 1..node_count of a random builder."""
+    if node_count < 1:
+        raise ValueError("need at least one node")
+    if not 0.0 <= density <= 1.0:
+        raise ValueError("density must lie in [0, 1]")
+    return random.Random(seed), [str(i) for i in range(1, node_count + 1)]
 
 
 def random_relation(
@@ -422,12 +436,7 @@ def random_relation(
     the given density; candidates failing the axioms are rejected. Gives
     up after max_attempts candidates.
     """
-    if node_count < 1:
-        raise ValueError("need at least one node")
-    if not 0.0 <= density <= 1.0:
-        raise ValueError("density must lie in [0, 1]")
-    rng = random.Random(seed)
-    nodes = [str(i) for i in range(1, node_count + 1)]
+    rng, nodes = _random_nodes(seed, node_count, density)
     candidates = [(i, j) for i in nodes for j in nodes if i != j]
     candidates.sort()
     rejections = 0
@@ -449,12 +458,7 @@ def random_pruned_order(seed: int, node_count: int, density: float) -> Relation:
     Strict partial orders satisfy both axioms, and removing a normal
     subset preserves them, so this builder never rejects.
     """
-    if node_count < 1:
-        raise ValueError("need at least one node")
-    if not 0.0 <= density <= 1.0:
-        raise ValueError("density must lie in [0, 1]")
-    rng = random.Random(seed)
-    nodes = [str(i) for i in range(1, node_count + 1)]
+    rng, nodes = _random_nodes(seed, node_count, density)
     ranked = list(nodes)
     rng.shuffle(ranked)
     forward = [
@@ -492,8 +496,10 @@ _LABEL_PUNCTUATION = "*(),;[]+#"
 _LABEL_BREAK = re.compile(r"[\s" + re.escape(_LABEL_PUNCTUATION) + "]")
 
 
-def _label_fault(label: str) -> str | None:
+def _label_fault(label: object) -> str | None:
     """How ``label`` breaks the label rule, or None if it follows it."""
+    if not isinstance(label, str):
+        return f"label {label!r} is not a string; labels are strings"
     if not label:
         return "label '' is empty; labels must be nonempty"
     if label == "node":
@@ -509,39 +515,43 @@ def _label_fault(label: str) -> str | None:
 
 def _require_label_rule(labels: Collection[str]) -> None:
     """Raise a ValueError naming a label that breaks the rule."""
-    # one scan over all labels; a label is looked at alone only on failure
-    if "" in labels or "node" in labels or _LABEL_BREAK.search("".join(labels)):
-        raise ValueError(next(filter(None, map(_label_fault, sorted(labels)))))
+    try:  # one scan over all labels; a label is looked at alone only on failure
+        if {"", "node"}.isdisjoint(labels) and not _LABEL_BREAK.search("".join(labels)):
+            return
+    except TypeError:  # a label that is not a string
+        pass
+    raise ValueError(next(filter(None, map(_label_fault, sorted(labels, key=str)))))
 
 
-def _require_labels(labels: list[str], lineno: int) -> None:
-    for label in labels:
-        fault = _label_fault(label)
-        if fault:
-            raise ParseError(f"line {lineno}: {fault}")
-
-
-def parse_relation_text(text: str) -> Relation:
-    nodes: set[str] = set()
-    pairs: set[Pair] = set()
+def _pair_lines(text: str, node_lines: bool) -> Iterator[list[str]]:
+    """The labels of each line of a pair file, ['i', 'j'] or, for a node line
+    'node k' where ``node_lines`` allows one, ['k']. Errors name the line."""
+    expected = "'i j' or 'node k'" if node_lines else "'i j'"
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         tokens = line.split()
-        if tokens[0] == "node":
+        if node_lines and tokens[0] == "node":
             if len(tokens) != 2:
                 raise ParseError(f"line {lineno}: node line needs exactly one label")
-            _require_labels(tokens[1:], lineno)
-            nodes.add(tokens[1])
-        elif len(tokens) == 2:
-            _require_labels(tokens, lineno)
-            pairs.add((tokens[0], tokens[1]))
-            nodes.update(tokens)
-        else:
-            raise ParseError(
-                f"line {lineno}: expected 'i j' or 'node k', got {raw.strip()!r}"
-            )
+            tokens = tokens[1:]
+        elif len(tokens) != 2:
+            raise ParseError(f"line {lineno}: expected {expected}, got {raw.strip()!r}")
+        for label in tokens:
+            fault = _label_fault(label)
+            if fault:
+                raise ParseError(f"line {lineno}: {fault}")
+        yield tokens
+
+
+def parse_relation_text(text: str) -> Relation:
+    nodes: set[str] = set()
+    pairs: set[Pair] = set()
+    for labels in _pair_lines(text, node_lines=True):
+        nodes.update(labels)
+        if len(labels) == 2:
+            pairs.add((labels[0], labels[1]))
     return Relation(frozenset(nodes), frozenset(pairs))
 
 

@@ -16,6 +16,7 @@ from .relations import (
     Relation,
     SubsetChain,
     _absorbs,
+    _isolated_in,
     difference,
     gamma_series,
     isolated,
@@ -66,24 +67,25 @@ def center_support(delta: Relation) -> Relation:
 def upper_central_series(delta: Relation) -> SubsetChain:
     """Ascending chain from the empty subset up to the whole relation.
 
-    Each step adjoins the isolated pairs of what is left; the quotient
-    isomorphism is what lets the accumulated union stand in for centers
-    of successive quotient groups. Each term is checked to be normal at
-    its new pairs; the previous term already was at the others.
+    Each step adjoins the isolated pairs of what is left, found on delta's
+    cached indexes (``_isolated_in``); the quotient isomorphism is what lets
+    the accumulated union stand in for centers of successive quotient
+    groups. Each term is checked to be normal at its new pairs; the
+    previous term already was at the others.
     """
     require_valid(delta)
     terms = [Relation(delta.nodes, frozenset())]
-    remaining = delta
-    while remaining.pairs:
-        step = isolated(remaining)
-        if not step.pairs:
+    rest = delta.pairs
+    while rest:
+        step = _isolated_in(rest, terms[-1].pairs, delta)
+        if not step:
             raise AssertionError(
                 "upper central series stalled before exhausting the relation"
             )
-        zeta = terms[-1].pairs | step.pairs
-        if not _absorbs(step.pairs, zeta, delta):
+        zeta = terms[-1].pairs | step
+        if not _absorbs(step, zeta, delta, delta.pairs):
             raise ValueError("can only remove a normal subset")
-        remaining = Relation(delta.nodes, remaining.pairs - step.pairs)
+        rest = rest - step
         terms.append(Relation(delta.nodes, zeta))
     return SubsetChain("ascending", tuple(terms))
 

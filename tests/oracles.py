@@ -20,6 +20,9 @@ routes is meaningful evidence rather than a tautology.
 * Fixed-point saturations: closures recomputed straight from their
   definitions by rescanning every couple of pairs until nothing changes,
   with no worklist and no index.
+* Couple scans: isolated pairs, brackets and the upper central series
+  read straight from their definitions by testing every couple of pairs,
+  with no index.
 * Series route: the inverse of 1 + x as the alternating power series
   1 - x + x^2 - ..., summed one power at a time in RingValue arithmetic,
   against the library's inverse by repeated squaring on raw payloads.
@@ -183,6 +186,38 @@ def naive_normal_closure(omega: frozenset, delta: frozenset) -> frozenset:
                     pairs.add(composite)
                     changed = True
     return frozenset(pairs)
+
+
+def naive_isolated(pairs: frozenset) -> frozenset:
+    """Pairs of the set that compose with no pair of it, on either side,
+    to a pair of it."""
+    return frozenset(
+        (i, j)
+        for i, j in pairs
+        if not any(
+            (j == k and (i, l) in pairs) or (l == i and (k, j) in pairs)
+            for k, l in pairs
+        )
+    )
+
+
+def naive_bracket(a: frozenset, b: frozenset, delta: frozenset) -> frozenset:
+    """Pairs of delta composed of a pair of a and a pair of b, in either order."""
+    couples = itertools.chain(itertools.product(a, b), itertools.product(b, a))
+    return frozenset((i, l) for (i, j), (k, l) in couples if j == k and (i, l) in delta)
+
+
+def naive_upper_central_series(delta: frozenset):
+    """The terms from the empty set up, each adjoining the isolated pairs of
+    what is left, or None when the series stalls with nothing isolated."""
+    terms, rest = [frozenset()], delta
+    while rest:
+        step = naive_isolated(rest)
+        if not step:
+            return None
+        terms.append(terms[-1] | step)
+        rest = rest - step
+    return terms
 
 
 def naive_transitive_closure(pairs) -> set:

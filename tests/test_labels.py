@@ -92,3 +92,13 @@ def test_group_refuses_a_hand_built_relation_that_breaks_the_rule(label):
     bare = Relation(frozenset({"1", "2", label}), frozenset({("1", "2")}))
     with pytest.raises(ValueError, match=re.escape(f"label {label!r}")):
         McLainGroup(bare, Integers())
+
+
+def test_group_refuses_a_hand_built_relation_with_labels_that_are_not_strings():
+    # The joined-label scan cannot join an int; the refusal still names it.
+    delta = Relation(frozenset({1, 2}), frozenset({(1, 2)}))
+    with pytest.raises(ValueError, match=re.escape("label 1 is not a string")):
+        McLainGroup(delta, Integers())
+    mixed = Relation(frozenset({"a", 3}), frozenset({("a", 3)}))
+    with pytest.raises(ValueError, match=re.escape("label 3 is not a string")):
+        McLainGroup(mixed, Integers())

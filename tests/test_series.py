@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import random
+import subprocess
+import sys
 
 import pytest
 
 from helpers import random_element, relation_zoo, ring_instances
+import mclain.factorization
 import mclain.series
 from mclain import (
     AxiomReport,
@@ -222,7 +225,7 @@ def test_upper_central_series_normality_check_catches_a_wrong_step(monkeypatch):
     # compose, within the relation, with a pair adjoined earlier, because
     # that pair was then not isolated. A faulty step must still trip it.
     monkeypatch.setattr(
-        mclain.series, "isolated", lambda rest: rest.subset([("1", "2")])
+        mclain.series, "_isolated_in", lambda rest, gone, delta: frozenset({("1", "2")})
     )
     with pytest.raises(ValueError, match="can only remove a normal subset"):
         upper_central_series(chain(3))
@@ -347,6 +350,59 @@ def test_coset_representative_depends_only_on_the_coset():
                 )
                 leftover = coset_representative(g, gamma).inverse() * g
                 assert leftover.support().pairs <= gamma.pairs
+
+
+def _off_by_one(honest):
+    """ordered_factorization with the first coefficient of its form plus one."""
+
+    def factor(g, order):
+        form = honest(g, order)
+        coefficients = dict(form.coefficients)
+        coefficients[form.order[0]] += g.group.ring.one
+        return mclain.factorization.OrderedForm(form.group, form.order, coefficients)
+
+    return factor
+
+
+def test_coset_membership_check_catches_a_wrong_factorization(monkeypatch):
+    # No correct factorization reaches this check: the representative is the
+    # ordered product of the projection's own coefficients, so it lies in
+    # the coset of g. A form off by one at a pair outside gamma must trip it.
+    monkeypatch.setattr(
+        mclain.factorization,
+        "ordered_factorization",
+        _off_by_one(mclain.factorization.ordered_factorization),
+    )
+    group = McLainGroup(chain(3), Z)
+    gamma = group.relation.subset([("1", "3")])
+    g = group.element({("1", "2"): 2, ("2", "3"): 3, ("1", "3"): 5})
+    with pytest.raises(AssertionError, match="failed the membership check"):
+        coset_representative(g, gamma)
+
+
+def test_coset_membership_check_survives_python_O():
+    script = """
+import mclain.factorization
+from mclain import Integers, McLainGroup, chain, coset_representative
+print(__debug__)
+honest = mclain.factorization.ordered_factorization
+def factor(g, order):
+    form = honest(g, order)
+    coefficients = dict(form.coefficients)
+    coefficients[form.order[0]] += g.group.ring.one
+    return mclain.factorization.OrderedForm(form.group, form.order, coefficients)
+mclain.factorization.ordered_factorization = factor
+group = McLainGroup(chain(3), Integers())
+gamma = group.relation.subset([("1", "3")])
+coset_representative(group.element({("1", "2"): 2, ("2", "3"): 3}), gamma)
+"""
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True
+    )
+    assert proc.stdout == "False\n"
+    assert proc.returncode == 1
+    last = proc.stderr.strip().splitlines()[-1]
+    assert last == "AssertionError: coset representative failed the membership check"
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,161 @@
+"""Properties of the subset calculus on small random digraphs.
+
+The digraphs include reflexive pairs, 2-cycles and exchange breakers, so
+the absorption scans are checked beyond the relations the group accepts.
+Each property compares the library against a brute-force oracle that
+tests every couple of pairs and uses no index.
+"""
+
+from __future__ import annotations
+
+from contextlib import contextmanager
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
+
+from mclain import (  # noqa: E402
+    AxiomReport,
+    Relation,
+    bracket,
+    check_axioms,
+    closure,
+    from_pairs,
+    gamma_series,
+    is_closed,
+    is_normal,
+    isolated,
+    random_pruned_order,
+    upper_central_series,
+)
+from oracles import (  # noqa: E402
+    naive_bracket,
+    naive_closure,
+    naive_isolated,
+    naive_normal_closure,
+    naive_upper_central_series,
+)
+
+PROFILE = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+NODES = "12345"
+LOOP = from_pairs([("1", "1"), ("1", "2")])
+TWO_CYCLE = from_pairs([("1", "2"), ("2", "1"), ("2", "3")])
+EXCHANGE_BREAKER = from_pairs(
+    [("1", "2"), ("2", "3"), ("3", "4"), ("1", "4"), ("1", "3")]
+)
+
+digraphs = st.sets(
+    st.tuples(st.sampled_from(NODES), st.sampled_from(NODES)), max_size=12
+).map(from_pairs)
+pruned_orders = st.builds(
+    random_pruned_order, st.integers(0, 10**6), st.integers(1, 7), st.floats(0.0, 1.0)
+)
+relations = st.one_of(digraphs, pruned_orders)
+valid_relations = relations.filter(lambda delta: delta.axiom_report.valid)
+
+
+def subsets(delta: Relation):
+    pairs = sorted(delta.pairs)
+    if not pairs:
+        return st.just(delta)
+    return st.sets(st.sampled_from(pairs)).map(delta.subset)
+
+
+def fresh(relation: Relation) -> Relation:
+    """An equal relation whose indexes and axiom report are not built yet."""
+    return Relation(relation.nodes, relation.pairs)
+
+
+@PROFILE
+@given(st.data())
+def test_is_closed_and_is_normal_match_the_fixed_points(data):
+    delta = data.draw(relations)
+    sub = data.draw(subsets(delta))
+    assert is_closed(sub, delta) == (naive_closure(sub.pairs, delta.pairs) == sub.pairs)
+    assert is_normal(sub, delta) == (
+        naive_normal_closure(sub.pairs, delta.pairs) == sub.pairs
+    )
+
+
+@PROFILE
+@given(relations)
+@example(LOOP)
+@example(TWO_CYCLE)
+@example(EXCHANGE_BREAKER)
+def test_isolated_matches_the_couple_scan(delta):
+    assert isolated(delta).pairs == naive_isolated(delta.pairs)
+
+
+@PROFILE
+@given(st.data())
+def test_bracket_matches_the_couple_scan(data):
+    delta = data.draw(relations)
+    a, b = data.draw(subsets(delta)), data.draw(subsets(delta))
+    assert bracket(a, b, delta).pairs == naive_bracket(a.pairs, b.pairs, delta.pairs)
+
+
+@PROFILE
+@given(relations)
+@example(LOOP)
+@example(TWO_CYCLE)
+@example(EXCHANGE_BREAKER)
+def test_upper_central_series_steps_match_the_oracle(delta):
+    if not delta.axiom_report.valid:
+        with pytest.raises(ValueError, match="violates the structural axioms"):
+            upper_central_series(delta)
+        # forced past validation, the scan must still step as the oracle does
+        delta = fresh(delta)
+        object.__setattr__(delta, "axiom_report", AxiomReport(True, ()))
+    expected = naive_upper_central_series(delta.pairs)
+    if expected is None:
+        with pytest.raises(AssertionError, match="stalled before exhausting"):
+            upper_central_series(delta)
+    else:
+        assert [t.pairs for t in upper_central_series(delta).terms] == expected
+
+
+@PROFILE
+@given(relations)
+def test_check_axioms_returns_the_cached_report(delta):
+    assert check_axioms(delta) is delta.axiom_report
+    assert check_axioms(delta) is check_axioms(delta)
+
+
+@contextmanager
+def index_builds():
+    """The relations whose by_first or by_second index is built inside."""
+    built: list[Relation] = []
+    props = [Relation.__dict__["by_first"], Relation.__dict__["by_second"]]
+    originals = [prop.func for prop in props]
+
+    def recording(func):
+        def build(relation):
+            built.append(relation)
+            return func(relation)
+
+        return build
+
+    for prop, func in zip(props, originals):
+        prop.func = recording(func)
+    try:
+        yield built
+    finally:
+        for prop, func in zip(props, originals):
+            prop.func = func
+
+
+@PROFILE
+@given(st.data())
+def test_series_index_only_the_relations_they_are_given(data):
+    delta = data.draw(valid_relations)
+    closed = closure(data.draw(subsets(delta)), delta)
+    delta, gamma = fresh(delta), fresh(closed)
+    with index_builds() as built:
+        gamma_series(gamma, delta)
+    assert all(r is gamma or r is delta for r in built)
+    delta = fresh(delta)
+    with index_builds() as built:
+        upper_central_series(delta)
+    assert all(r is delta for r in built)
