@@ -33,7 +33,7 @@ from .elements import Gen, GeneratorWord, GroupElement, McLainGroup
 from .relations import (
     Pair,
     Relation,
-    bracket,
+    _decompositions,
     closure,
     gamma_series,
     ngon,
@@ -60,9 +60,8 @@ def word_factorization(g: GroupElement) -> GeneratorWord:
     residual = g
     group = g.group
     while not residual.is_identity():
-        gamma = minimal_closed_support(residual)
-        deeper = bracket(gamma, gamma, group.relation)
-        peel = [p for p in sorted(residual.support().pairs) if p not in deeper.pairs]
+        deeper = _decompositions(minimal_closed_support(residual), group.relation)
+        peel = [p for p in sorted(residual.support().pairs) if p not in deeper]
         if not peel:
             raise AssertionError("support closure has no top level to peel")
         for source, target in peel:

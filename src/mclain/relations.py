@@ -104,23 +104,22 @@ class Relation:
     def axiom_report(self) -> AxiomReport:
         """Both axioms diagnosed once, every violation reported in a fixed order.
 
-        The exchange scan walks composable triples (i,j), (j,k), (k,l) with
-        (i,l) present, so its cost is the number of length-3 paths rather
-        than the fourth power of the pair count.
+        The exchange scan walks composable couples (i,j), (j,k) in sorted
+        order. Of the l in succ(k) & succ(i), those outside succ(j) break the
+        axiom when (i,k) is present, and those inside it when (i,k) is absent.
         """
-        violations: list[object] = []
-        for pair in sorted(self.pairs):
-            if pair[0] == pair[1]:
-                violations.append(ReflexiveViolation(pair))
-        for i, j in sorted(self.pairs):
-            for _, k in self.by_first.get(j, ()):
-                for _, l in self.by_first.get(k, ()):
-                    if (i, l) not in self.pairs:
-                        continue
-                    has_ik = (i, k) in self.pairs
-                    has_jl = (j, l) in self.pairs
-                    if has_ik == has_jl:
-                        continue
+        loops = sorted(pair for pair in self.pairs if pair[0] == pair[1])
+        violations: list[object] = [ReflexiveViolation(pair) for pair in loops]
+        by_first, empty = self.by_first, frozenset()
+        succ = {i: frozenset([k for _, k in out]) for i, out in by_first.items()}
+        for i, j in (pair for out in by_first.values() for pair in out):  # sorted
+            after_i = succ[i]
+            for _, k in by_first.get(j, ()):
+                common = after_i & succ.get(k, empty)
+                if not common:
+                    continue
+                has_ik, after_j = k in after_i, succ[j]
+                for l in sorted(common - after_j if has_ik else common & after_j):
                     present, absent = ((i, k), (j, l)) if has_ik else ((j, l), (i, k))
                     violations.append(ExchangeViolation((i, j, k, l), present, absent))
         return AxiomReport(not violations, tuple(violations))
@@ -179,7 +178,7 @@ def _require_subset(sub: Relation, delta: Relation, name: str) -> None:
 def is_closed(sub: Relation, delta: Relation) -> bool:
     """Does sub contain every composite of its own pairs that delta admits?"""
     _require_subset(sub, delta, "subset")
-    return _absorbs(sub.pairs, sub.pairs, delta, sub.pairs)
+    return _decompositions(sub, delta).keys() <= sub.pairs
 
 
 def is_normal(sub: Relation, delta: Relation) -> bool:
@@ -198,9 +197,9 @@ def _absorbs(
 ) -> bool:
     """Does sub hold each composite in delta of these pairs with a partner?
 
-    Partners are sub for closedness and delta for normality. For isolation
-    sub is the pairs removed and the partners are the pairs left: every
-    composite outside sub is then one that is left.
+    Partners are delta for normality. For isolation sub is the pairs
+    removed and the partners are the pairs left: every composite outside
+    sub is then one that is left.
     """
     for i, j in pairs:
         for _, k in delta.by_first.get(j, ()):
@@ -268,7 +267,7 @@ def bracket(sub1: Relation, sub2: Relation, delta: Relation) -> Relation:
 
     Symmetric in its two arguments: (i,k) belongs to the bracket when
     some middle node j gives (i,j) in one subset and (j,k) in the other.
-    Only sub2 is indexed: ``gamma_series`` passes its shrinking terms as sub1.
+    Only sub2 is indexed, so pass the smaller or throwaway subset as sub1.
     """
     _require_subset(sub1, delta, "first subset")
     _require_subset(sub2, delta, "second subset")
@@ -298,22 +297,53 @@ class SubsetChain:
         return len(self.terms)
 
 
+def _decompositions(gamma: Relation, delta: Relation) -> dict[Pair, list[Pair]]:
+    """The factors q, r in gamma of each pair p = q∘r of delta, by one walk of
+    gamma's ``by_first``. The keys lie in gamma exactly when gamma is closed,
+    and are then [gamma, gamma]."""
+    out: dict[Pair, list[Pair]] = {}
+    for q in gamma.pairs:
+        for r in gamma.by_first.get(q[1], ()):
+            p = (q[0], r[1])
+            if p in delta.pairs:
+                out.setdefault(p, []).extend((q, r))
+    return out
+
+
 def gamma_series(gamma: Relation, delta: Relation) -> SubsetChain:
     """Iterated bracket with gamma, down to the first empty subset.
 
     Terms are gamma, [gamma, gamma], [[gamma, gamma], gamma], ...; each
-    term contains the next because gamma is closed. A closed gamma with
-    n pairs dies out within n bracket applications, so the chain has at
-    most n + 1 terms including the trailing empty one.
+    term contains the next because gamma is closed. Term k holds the pairs
+    of depth k or more, p having depth 1 + max(depth q, depth r) over its
+    decompositions p = q∘r in gamma, or 1 without one; only an axiom
+    breaker can have a cycle of decompositions, and a series that never ends.
     """
-    if not is_closed(gamma, delta):
+    _require_subset(gamma, delta, "subset")
+    below = _decompositions(gamma, delta)
+    if not below.keys() <= gamma.pairs:  # is_closed, read off the same walk
         raise ValueError("gamma series needs a closed subset")
-    terms = [gamma]
-    while terms[-1].pairs:
-        terms.append(bracket(terms[-1], gamma, delta))
-        if len(terms) > len(gamma.pairs) + 1:
+    depth = dict.fromkeys(gamma.pairs.difference(below), 1)
+    stack = list(below)
+    while stack:  # depth 0 marks a pair whose factors are still on the stack
+        p = stack.pop()
+        if depth.get(p):
+            continue
+        pending = [f for f in below[p] if not depth.get(f)]
+        if not pending:
+            depth[p] = 1 + max(map(depth.__getitem__, below[p]))
+        elif p in depth:  # p waits on itself through its factors
             raise AssertionError("bracket series failed to terminate")
-    return SubsetChain("descending", tuple(terms))
+        else:
+            depth[p] = 0
+            stack += [p, *pending]
+    levels: list[list[Pair]] = [[] for _ in range(max(depth.values(), default=0))]
+    for p, d in depth.items():
+        levels[d - 1].append(p)
+    tail = [frozenset()] if gamma.pairs else []  # terms 2, 3, ... and the empty one
+    for level in levels[:0:-1]:
+        tail.insert(0, tail[0].union(level))
+    return SubsetChain("descending", (gamma, *(Relation(delta.nodes, t) for t in tail)))
 
 
 def isolated(delta: Relation) -> Relation:

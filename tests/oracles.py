@@ -20,9 +20,11 @@ routes is meaningful evidence rather than a tautology.
 * Fixed-point saturations: closures recomputed straight from their
   definitions by rescanning every couple of pairs until nothing changes,
   with no worklist and no index.
-* Couple scans: isolated pairs, brackets and the upper central series
-  read straight from their definitions by testing every couple of pairs,
-  with no index.
+* Couple scans: isolated pairs, brackets, the bracket series and the
+  upper central series read straight from their definitions by testing
+  every couple of pairs, with no index.
+* Quadruple scan: exchange violations found by testing every quadruple
+  of nodes, with no index and no successor set.
 * Series route: the inverse of 1 + x as the alternating power series
   1 - x + x^2 - ..., summed one power at a time in RingValue arithmetic,
   against the library's inverse by repeated squaring on raw payloads.
@@ -205,6 +207,32 @@ def naive_bracket(a: frozenset, b: frozenset, delta: frozenset) -> frozenset:
     """Pairs of delta composed of a pair of a and a pair of b, in either order."""
     couples = itertools.chain(itertools.product(a, b), itertools.product(b, a))
     return frozenset((i, l) for (i, j), (k, l) in couples if j == k and (i, l) in delta)
+
+
+def naive_gamma_series(gamma: frozenset, delta: frozenset):
+    """The terms gamma, [gamma, gamma], ... down to the first empty one,
+    each the bracket of the last with gamma, or None when the term after
+    |gamma| brackets is still nonempty: the chain then needs more than
+    |gamma| + 1 terms."""
+    terms = [gamma]
+    while terms[-1]:
+        if len(terms) > len(gamma):
+            return None
+        terms.append(naive_bracket(terms[-1], gamma, delta))
+    return terms
+
+
+def naive_exchange_violations(nodes, pairs: frozenset) -> list:
+    """(quadruple, present, absent) for each quadruple i,j,k,l of nodes, in
+    sorted order, with (i,j), (j,k), (k,l), (i,l) in pairs and exactly one
+    of (i,k), (j,l); nodes of a quadruple may repeat."""
+    out = []
+    for i, j, k, l in itertools.product(sorted(nodes), repeat=4):
+        has_ik, has_jl = (i, k) in pairs, (j, l) in pairs
+        if {(i, j), (j, k), (k, l), (i, l)} <= pairs and has_ik != has_jl:
+            present, absent = ((i, k), (j, l)) if has_ik else ((j, l), (i, k))
+            out.append(((i, j, k, l), present, absent))
+    return out
 
 
 def naive_upper_central_series(delta: frozenset):

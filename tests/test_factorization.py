@@ -239,6 +239,33 @@ ordered_factorization(g, order)
     assert proc.stderr.strip().splitlines()[-1] == f"AssertionError: {message}"
 
 
+def test_peel_check_catches_a_corrupted_relation():
+    # Swapped in after validation, {(a,a), (a,b)} puts the loop
+    # (a,a) = (a,a)∘(a,a) in the bracket of its own support closure, so no
+    # pair of the support is left to peel.
+    group = McLainGroup(from_pairs([("a", "b")]), Z)
+    object.__setattr__(group, "relation", from_pairs([("a", "a"), ("a", "b")]))
+    with pytest.raises(AssertionError, match="support closure has no top level to peel"):
+        word_factorization(group.element({("a", "a"): 1}))
+
+
+def test_peel_check_survives_python_O():
+    script = """
+from mclain import Integers, McLainGroup, from_pairs, word_factorization
+print(__debug__)
+group = McLainGroup(from_pairs([("a", "b")]), Integers())
+object.__setattr__(group, "relation", from_pairs([("a", "a"), ("a", "b")]))
+word_factorization(group.element({("a", "a"): 1}))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True
+    )
+    assert proc.stdout == "False\n"
+    assert proc.returncode == 1
+    last = proc.stderr.strip().splitlines()[-1]
+    assert last == "AssertionError: support closure has no top level to peel"
+
+
 def test_level_sweep_is_exact_over_a_relation_breaking_the_axioms():
     # Reading each level off the target needs only that the bracket series
     # of a closed order terminates, not the exchange axiom: over a relation

@@ -220,6 +220,34 @@ def test_upper_central_series_stall_check_catches_a_corrupted_relation():
         upper_central_series(delta)
 
 
+# (a,a) = (a,a)∘(a,a) decomposes a loop into itself, so past validation the
+# bracket series of this relation keeps (a,a) and (a,b) at every level.
+LOOPED = [("a", "a"), ("a", "b")]
+
+
+def test_gamma_series_termination_check_catches_a_corrupted_relation():
+    delta = _forced_valid(LOOPED)
+    with pytest.raises(AssertionError, match="bracket series failed to terminate"):
+        gamma_series(delta, delta)
+
+
+def test_gamma_series_termination_check_survives_python_O():
+    script = f"""
+from mclain import AxiomReport, from_pairs, gamma_series
+print(__debug__)
+delta = from_pairs({LOOPED!r})
+object.__setattr__(delta, "axiom_report", AxiomReport(True, ()))
+gamma_series(delta, delta)
+"""
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True
+    )
+    assert proc.stdout == "False\n"
+    assert proc.returncode == 1
+    last = proc.stderr.strip().splitlines()[-1]
+    assert last == "AssertionError: bracket series failed to terminate"
+
+
 def test_upper_central_series_normality_check_catches_a_wrong_step(monkeypatch):
     # No relation reaches this check: a pair isolated in what is left cannot
     # compose, within the relation, with a pair adjoined earlier, because

@@ -17,6 +17,7 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from mclain import (  # noqa: E402
     AxiomReport,
+    ExchangeViolation,
     Relation,
     bracket,
     check_axioms,
@@ -32,6 +33,8 @@ from mclain import (  # noqa: E402
 from oracles import (  # noqa: E402
     naive_bracket,
     naive_closure,
+    naive_exchange_violations,
+    naive_gamma_series,
     naive_isolated,
     naive_normal_closure,
     naive_upper_central_series,
@@ -94,6 +97,40 @@ def test_bracket_matches_the_couple_scan(data):
     delta = data.draw(relations)
     a, b = data.draw(subsets(delta)), data.draw(subsets(delta))
     assert bracket(a, b, delta).pairs == naive_bracket(a.pairs, b.pairs, delta.pairs)
+
+
+@PROFILE
+@given(relations.flatmap(lambda delta: st.tuples(st.just(delta), subsets(delta))))
+@example((LOOP, LOOP))
+@example((TWO_CYCLE, TWO_CYCLE))
+@example((EXCHANGE_BREAKER, EXCHANGE_BREAKER))
+def test_gamma_series_matches_the_iterated_couple_scan(case):
+    # On a loop (i,i) = (i,i)∘(i,i) the iteration never dies out, and the
+    # termination check must fire exactly then.
+    delta, sub = case
+    gamma = delta.subset(naive_closure(sub.pairs, delta.pairs))
+    expected = naive_gamma_series(gamma.pairs, delta.pairs)
+    if expected is None:
+        with pytest.raises(AssertionError, match="bracket series failed to terminate"):
+            gamma_series(gamma, delta)
+    else:
+        terms = gamma_series(gamma, delta).terms
+        assert [t.pairs for t in terms] == expected
+        assert all(t.nodes == delta.nodes for t in terms)
+
+
+@PROFILE
+@given(relations)
+@example(LOOP)
+@example(TWO_CYCLE)
+@example(EXCHANGE_BREAKER)
+def test_exchange_violations_match_the_quadruple_scan(delta):
+    found = [
+        (v.quadruple, v.present, v.absent)
+        for v in fresh(delta).axiom_report.violations
+        if isinstance(v, ExchangeViolation)
+    ]
+    assert found == naive_exchange_violations(delta.nodes, delta.pairs)
 
 
 @PROFILE
