@@ -189,31 +189,20 @@ def is_normal(sub: Relation, delta: Relation) -> bool:
     (k,j) ambient forces (k,j) into sub. Normality implies closedness.
     """
     _require_subset(sub, delta, "subset")
-    return _absorbs(sub.pairs, sub.pairs, delta, delta.pairs)
+    return _absorbs(sub.pairs, sub.pairs, delta)
 
 
-def _absorbs(
-    pairs: Iterable[Pair], sub: frozenset, delta: Relation, partners: frozenset
-) -> bool:
-    """Does sub hold each composite in delta of these pairs with a partner?
-
-    Partners are delta for normality. For isolation sub is the pairs
-    removed and the partners are the pairs left: every composite outside
-    sub is then one that is left.
-    """
+def _absorbs(pairs: Iterable[Pair], sub: frozenset, delta: Relation) -> bool:
+    """Does sub hold each composite in delta of these pairs with a pair of
+    delta, on either side? With sub empty, the pairs are isolated."""
     for i, j in pairs:
         for _, k in delta.by_first.get(j, ()):
-            if (i, k) in delta.pairs and (i, k) not in sub and (j, k) in partners:
+            if (i, k) in delta.pairs and (i, k) not in sub:
                 return False
         for k, _ in delta.by_second.get(i, ()):
-            if (k, j) in delta.pairs and (k, j) not in sub and (k, i) in partners:
+            if (k, j) in delta.pairs and (k, j) not in sub:
                 return False
     return True
-
-
-def _isolated_in(rest: frozenset, gone: frozenset, delta: Relation) -> frozenset:
-    """The pairs of rest, which is delta without gone, isolated within rest."""
-    return frozenset(p for p in rest if _absorbs((p,), gone, delta, rest))
 
 
 def closure(omega: Relation, delta: Relation) -> Relation:
@@ -310,47 +299,57 @@ def _decompositions(gamma: Relation, delta: Relation) -> dict[Pair, list[Pair]]:
     return out
 
 
+def _descend(
+    start: frozenset, links: dict[Pair, list[Pair]], stall: str
+) -> Iterator[frozenset]:
+    """start, then after each term the pairs of that term that link to a pair
+    of that term, down to the empty set. A nonempty term that is its own
+    successor would repeat forever; only an axiom breaker has one, and it
+    raises ``AssertionError(stall)``."""
+    term = start
+    yield term
+    while term:
+        kept = frozenset(p for p in term if not term.isdisjoint(links.get(p, ())))
+        if kept == term:
+            raise AssertionError(stall)
+        term = kept
+        yield term
+
+
 def gamma_series(gamma: Relation, delta: Relation) -> SubsetChain:
     """Iterated bracket with gamma, down to the first empty subset.
 
     Terms are gamma, [gamma, gamma], [[gamma, gamma], gamma], ...; each
-    term contains the next because gamma is closed. Term k holds the pairs
-    of depth k or more, p having depth 1 + max(depth q, depth r) over its
-    decompositions p = q∘r in gamma, or 1 without one; only an axiom
-    breaker can have a cycle of decompositions, and a series that never ends.
+    term contains the next because gamma is closed, so a pair stays in the
+    next term while one of its factors in gamma lies in the current one.
+    Only an axiom breaker, with a cycle of decompositions, has a series
+    that never ends.
     """
     _require_subset(gamma, delta, "subset")
     below = _decompositions(gamma, delta)
     if not below.keys() <= gamma.pairs:  # is_closed, read off the same walk
         raise ValueError("gamma series needs a closed subset")
-    depth = dict.fromkeys(gamma.pairs.difference(below), 1)
-    stack = list(below)
-    while stack:  # depth 0 marks a pair whose factors are still on the stack
-        p = stack.pop()
-        if depth.get(p):
-            continue
-        pending = [f for f in below[p] if not depth.get(f)]
-        if not pending:
-            depth[p] = 1 + max(map(depth.__getitem__, below[p]))
-        elif p in depth:  # p waits on itself through its factors
-            raise AssertionError("bracket series failed to terminate")
-        else:
-            depth[p] = 0
-            stack += [p, *pending]
-    levels: list[list[Pair]] = [[] for _ in range(max(depth.values(), default=0))]
-    for p, d in depth.items():
-        levels[d - 1].append(p)
-    tail = [frozenset()] if gamma.pairs else []  # terms 2, 3, ... and the empty one
-    for level in levels[:0:-1]:
-        tail.insert(0, tail[0].union(level))
-    return SubsetChain("descending", (gamma, *(Relation(delta.nodes, t) for t in tail)))
+    _, *rest = _descend(gamma.pairs, below, "bracket series failed to terminate")
+    return SubsetChain("descending", (gamma, *(Relation(delta.nodes, t) for t in rest)))
+
+
+def _upper_remainders(delta: Relation) -> Iterator[frozenset]:
+    """delta less each term of its upper central series, from the empty term
+    up: a pair stays while it is a factor of a composite that also stays."""
+    above: dict[Pair, list[Pair]] = {}
+    for p, factors in _decompositions(delta, delta).items():
+        for f in factors:
+            above.setdefault(f, []).append(p)
+    return _descend(
+        delta.pairs, above, "upper central series stalled before exhausting the relation"
+    )
 
 
 def isolated(delta: Relation) -> Relation:
     """Pairs that compose with nothing: no right extension (j,k) with
-    (i,k) present, and no left extension (l,i) with (l,j) present.
-    Found by one early-exit absorption scan per pair (``_absorbs``)."""
-    return Relation(delta.nodes, _isolated_in(delta.pairs, frozenset(), delta))
+    (i,k) present, and no left extension (l,i) with (l,j) present."""
+    alone = (p for p in delta.pairs if _absorbs((p,), frozenset(), delta))
+    return Relation(delta.nodes, frozenset(alone))
 
 
 def difference(delta: Relation, gamma: Relation) -> Relation:

@@ -16,7 +16,7 @@ from .relations import (
     Relation,
     SubsetChain,
     _absorbs,
-    _isolated_in,
+    _upper_remainders,
     difference,
     gamma_series,
     isolated,
@@ -67,26 +67,22 @@ def center_support(delta: Relation) -> Relation:
 def upper_central_series(delta: Relation) -> SubsetChain:
     """Ascending chain from the empty subset up to the whole relation.
 
-    Each step adjoins the isolated pairs of what is left, found on delta's
-    cached indexes (``_isolated_in``); the quotient isomorphism is what lets
-    the accumulated union stand in for centers of successive quotient
-    groups. Each term is checked to be normal at its new pairs; the
-    previous term already was at the others.
+    Term k is delta less its k-th remainder (``relations._upper_remainders``):
+    each step adjoins the pairs of what is left that are a factor of no
+    composite left, the isolated pairs of the quotient by the last term. The
+    quotient isomorphism is what lets the accumulated union stand in for
+    centers of successive quotient groups. Each term is checked to be normal
+    at its new pairs; the previous term already was at the others.
     """
     require_valid(delta)
-    terms = [Relation(delta.nodes, frozenset())]
-    rest = delta.pairs
-    while rest:
-        step = _isolated_in(rest, terms[-1].pairs, delta)
-        if not step:
-            raise AssertionError(
-                "upper central series stalled before exhausting the relation"
-            )
-        zeta = terms[-1].pairs | step
-        if not _absorbs(step, zeta, delta, delta.pairs):
-            raise ValueError("can only remove a normal subset")
-        rest = rest - step
+    zeta, left, terms = frozenset(), delta.pairs, []
+    for rest in _upper_remainders(delta):
+        step = left - rest
+        zeta = zeta | step
+        if not _absorbs(step, zeta, delta):
+            raise AssertionError("upper central series term failed the normality check")
         terms.append(Relation(delta.nodes, zeta))
+        left = rest
     return SubsetChain("ascending", tuple(terms))
 
 

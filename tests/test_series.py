@@ -220,6 +220,26 @@ def test_upper_central_series_stall_check_catches_a_corrupted_relation():
         upper_central_series(delta)
 
 
+def test_upper_central_series_stall_check_survives_python_O():
+    script = """
+from mclain import AxiomReport, from_pairs, upper_central_series
+print(__debug__)
+nodes = ("1", "2", "3")
+delta = from_pairs([(i, j) for i in nodes for j in nodes if i != j])
+object.__setattr__(delta, "axiom_report", AxiomReport(True, ()))
+upper_central_series(delta)
+"""
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True
+    )
+    assert proc.stdout == "False\n"
+    assert proc.returncode == 1
+    last = proc.stderr.strip().splitlines()[-1]
+    assert last == (
+        "AssertionError: upper central series stalled before exhausting the relation"
+    )
+
+
 # (a,a) = (a,a)∘(a,a) decomposes a loop into itself, so past validation the
 # bracket series of this relation keeps (a,a) and (a,b) at every level.
 LOOPED = [("a", "a"), ("a", "b")]
@@ -249,13 +269,16 @@ gamma_series(delta, delta)
 
 
 def test_upper_central_series_normality_check_catches_a_wrong_step(monkeypatch):
-    # No relation reaches this check: a pair isolated in what is left cannot
-    # compose, within the relation, with a pair adjoined earlier, because
-    # that pair was then not isolated. A faulty step must still trip it.
-    monkeypatch.setattr(
-        mclain.series, "_isolated_in", lambda rest, gone, delta: frozenset({("1", "2")})
-    )
-    with pytest.raises(ValueError, match="can only remove a normal subset"):
+    # No relation reaches this check: a pair that is a factor of no composite
+    # left cannot compose, within the relation, into a pair still left. A
+    # faulty remainder chain must still trip it.
+    def wrong(delta):
+        return iter([delta.pairs, delta.pairs - {("1", "2")}, frozenset()])
+
+    monkeypatch.setattr(mclain.series, "_upper_remainders", wrong)
+    with pytest.raises(
+        AssertionError, match="upper central series term failed the normality check"
+    ):
         upper_central_series(chain(3))
 
 

@@ -21,3 +21,13 @@ def test_self_checks_are_raises_not_asserts():
         ]
     assert len(list(SRC.glob("*.py"))) >= 8
     assert found == []
+
+
+def test_modules_parse_with_the_oldest_supported_grammar():
+    # pyproject promises Python 3.10. This checks the grammar only, as
+    # ast.parse reads it with feature_version; it cannot catch a library
+    # call or behaviour that 3.10 lacks.
+    for path in sorted(SRC.glob("*.py")):
+        ast.parse(
+            path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10)
+        )

@@ -154,6 +154,19 @@ def test_upper_central_series_steps_match_the_oracle(delta):
 
 
 @PROFILE
+@given(valid_relations)
+def test_lower_terms_sit_inside_the_upper_terms_of_the_same_class(delta):
+    # A nilpotent group of class c has gamma_(i+1) inside zeta_(c-i), and both
+    # series reach their end in exactly c steps.
+    lower = gamma_series(delta, delta).terms
+    upper = upper_central_series(delta).terms
+    c = len(lower) - 1
+    assert len(upper) == c + 1
+    for i, term in enumerate(lower):
+        assert term.pairs <= upper[c - i].pairs
+
+
+@PROFILE
 @given(relations)
 def test_check_axioms_returns_the_cached_report(delta):
     assert check_axioms(delta) is delta.axiom_report
