@@ -15,12 +15,21 @@ stored, so equality of elements is equality of coefficient maps. The
 map holds raw ring payloads (an int, or a 4-tuple for M2(Z/n)) and the
 arithmetic calls the group ring's payload hooks directly; coefficients
 become RingValues again only where they leave an element.
+
+Products with a run of single generators 1 + c e(p,q) skip the general
+splice, which scans every term of both maps. Two kernels do the
+one-pair step of collection instead. ``_times_generators`` multiplies
+on the right and keeps the running map indexed by column: a factor
+adds P[i,p] c to P[i,q] for each i in column p, so it costs O(|column
+p|). ``_generators_times`` is its mirror on the left, indexed by row:
+a factor adds c R[q,l] to R[p,l] for each l in row q, at O(|row q|).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from itertools import groupby
+from typing import Iterable, Iterator, Mapping
 
 from .relations import Pair, Relation, _require_label_rule, require_valid, spanned_nodes
 from .rings import Ring, RingValue
@@ -112,27 +121,25 @@ class McLainGroup:
 
     def element(self, coefficients: Mapping[Pair, RingValue | int]) -> "GroupElement":
         """Build an element from a pair-to-coefficient map; zeros drop out."""
-        cleaned: Coeffs = {}
-        for pair, raw in coefficients.items():
-            if pair not in self.relation.pairs:
-                raise ValueError(f"pair ({pair[0]},{pair[1]}) is not in the relation")
-            value = self.ring.coerce(raw)
-            if value:
-                cleaned[pair] = value.payload
-        return GroupElement(self, cleaned)
+        return GroupElement(self, dict(_payloads(self, coefficients.items())))
 
     def generator(self, source: str, target: str, value: RingValue | int) -> "GroupElement":
         return self.element({(source, target): value})
 
     def eval_word(self, word: GeneratorWord) -> "GroupElement":
+        """The left-to-right product of the tokens; each run of Gen tokens
+        goes through one call of the right kernel."""
         out = self.identity()
-        for token in word.tokens:
-            out = out * self._eval_token(token)
+        for is_gen, run in groupby(word.tokens, key=lambda t: isinstance(t, Gen)):
+            if is_gen:
+                factors = (((t.source, t.target), t.value) for t in run)
+                out = GroupElement(self, _times_generators(self, out._coeffs, factors))
+            else:
+                for token in run:
+                    out = out * self._eval_token(token)
         return out
 
     def _eval_token(self, token: Token) -> "GroupElement":
-        if isinstance(token, Gen):
-            return self.generator(token.source, token.target, token.value)
         if isinstance(token, Inv):
             return self.eval_word(token.word).inverse()
         if isinstance(token, Comm):
@@ -189,6 +196,83 @@ def _splice(
         if is_zero(out[pair]):
             del out[pair]
     return out
+
+
+def _payloads(
+    group: McLainGroup, items: Iterable[tuple[Pair, object]]
+) -> Iterator[tuple[Pair, object]]:
+    """Each (pair, value) as (pair, raw payload), zeros dropped.
+
+    A pair outside the relation raises ValueError and a value the ring
+    cannot coerce raises RingError, zero values included: they are
+    checked before they are dropped.
+    """
+    pairs, coerce, is_zero = group.relation.pairs, group.ring.coerce, group.ring._is_zero
+    for pair, raw in items:
+        if pair not in pairs:
+            raise ValueError(f"pair ({pair[0]},{pair[1]}) is not in the relation")
+        payload = coerce(raw).payload
+        if not is_zero(payload):
+            yield pair, payload
+
+
+def _times_generators(
+    group: McLainGroup, x: Coeffs, factors: Iterable[tuple[Pair, object]]
+) -> Coeffs:
+    """The map of (1+x)(1 + c1 e(p1,q1))(1 + c2 e(p2,q2))..., zeros pruned.
+
+    The running map P is kept by column. A factor 1 + c e(p,q) adds
+    P[i,p] c to P[i,q] for each i in column p with (i,q) in the
+    relation, then c to P[p,q]; nothing else changes. Each factor is
+    validated as ``McLainGroup.element`` validates a coefficient.
+    """
+    ring, pairs = group.ring, group.relation.pairs
+    mul, add, is_zero = ring._mul, ring._add, ring._is_zero
+    cols: dict[str, dict[str, object]] = {}
+    for (i, j), a in x.items():
+        cols.setdefault(j, {})[i] = a
+    for (p, q), c in _payloads(group, factors):
+        col_q = cols.setdefault(q, {})
+        # With p == q the two columns are one dict; only existing keys
+        # are then reassigned, so iterating it stays safe.
+        for i, a in cols.get(p, {}).items():
+            if (i, q) in pairs:
+                prior = col_q.get(i)
+                col_q[i] = mul(a, c) if prior is None else add(prior, mul(a, c))
+        prior = col_q.get(p)
+        col_q[p] = c if prior is None else add(prior, c)
+    return {
+        (i, j): a for j, col in cols.items() for i, a in col.items() if not is_zero(a)
+    }
+
+
+def _generators_times(
+    group: McLainGroup, factors: Iterable[tuple[Pair, object]], x: Coeffs
+) -> Coeffs:
+    """The mirror of ``_times_generators``: each factor in turn multiplies
+    on the left, so the result is the map of ...(1 + c2 e(p2,q2))(1 + c1
+    e(p1,q1))(1+x).
+
+    The running map R is kept by row. A factor 1 + c e(p,q) adds
+    c R[q,l] to R[p,l] for each l in row q with (p,l) in the relation,
+    then c to R[p,q].
+    """
+    ring, pairs = group.ring, group.relation.pairs
+    mul, add, is_zero = ring._mul, ring._add, ring._is_zero
+    rows: dict[str, dict[str, object]] = {}
+    for (i, j), a in x.items():
+        rows.setdefault(i, {})[j] = a
+    for (p, q), c in _payloads(group, factors):
+        row_p = rows.setdefault(p, {})
+        for l, b in rows.get(q, {}).items():
+            if (p, l) in pairs:
+                prior = row_p.get(l)
+                row_p[l] = mul(c, b) if prior is None else add(prior, mul(c, b))
+        prior = row_p.get(q)
+        row_p[q] = c if prior is None else add(prior, c)
+    return {
+        (i, j): a for i, row in rows.items() for j, a in row.items() if not is_zero(a)
+    }
 
 
 def _product(group: McLainGroup, x: Coeffs, y: Coeffs) -> Coeffs:

@@ -16,6 +16,10 @@ g = P (P^-1 g) every cross term lands at level k + 1 or deeper: at a
 level-k pair the coefficient is g's minus P's, in any position of the
 order, and no residual P^-1 g is ever formed.
 
+Every ordered product, the sweep's included, goes through the column
+kernel ``elements._times_generators``: the factor 1 + c e(p,q) costs
+O(|column p|), not the O(|support|) of a general product.
+
 The n-gon demonstration shows why the order must be allowed to roam
 over the closure rather than just the support: around an n-cycle with
 steps of size one and two, the sum of all unit step-one generators is
@@ -29,7 +33,14 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .elements import Gen, GeneratorWord, GroupElement, McLainGroup
+from .elements import (
+    Gen,
+    GeneratorWord,
+    GroupElement,
+    McLainGroup,
+    _generators_times,
+    _times_generators,
+)
 from .relations import (
     Pair,
     Relation,
@@ -55,6 +66,11 @@ def word_factorization(g: GroupElement) -> GeneratorWord:
     current closed support, recording one generator per peeled pair;
     what remains is supported strictly deeper, so the passes terminate.
     Evaluating the recorded word left to right reconstructs g exactly.
+
+    A pass removes its peeled generators with one call of the row
+    kernel. Those undos change coefficients only in the bracket of the
+    closed support, where no peeled pair lies, so every peeled value is
+    read off the residual as it stood at the start of the pass.
     """
     tokens: list[Gen] = []
     residual = g
@@ -64,11 +80,10 @@ def word_factorization(g: GroupElement) -> GeneratorWord:
         peel = [p for p in sorted(residual.support().pairs) if p not in deeper]
         if not peel:
             raise AssertionError("support closure has no top level to peel")
-        for source, target in peel:
-            value = residual.coefficient(source, target)
-            tokens.append(Gen(source, target, value))
-            undo = group.generator(source, target, value).inverse()
-            residual = undo * residual
+        peeled = [(pair, residual.coefficient(*pair)) for pair in peel]
+        tokens.extend(Gen(*pair, value) for pair, value in peeled)
+        undos = ((pair, -value) for pair, value in peeled)
+        residual = GroupElement(group, _generators_times(group, undos, residual._coeffs))
     return GeneratorWord(tuple(tokens))
 
 
@@ -79,6 +94,9 @@ class OrderedForm:
     ``order`` fixes the factor positions; ``coefficients`` maps every
     pair of the order to its coefficient, and the ordered product of
     the corresponding generators reproduces the factored element.
+
+    ``product`` multiplies out with the column kernel: the product so
+    far is kept by column, and the factor at (p,q) costs O(|column p|).
     """
 
     group: McLainGroup
@@ -86,12 +104,8 @@ class OrderedForm:
     coefficients: dict[Pair, RingValue]
 
     def product(self) -> GroupElement:
-        out = self.group.identity()
-        for source, target in self.order:
-            out = out * self.group.generator(
-                source, target, self.coefficients[(source, target)]
-            )
-        return out
+        factors = ((pair, self.coefficients[pair]) for pair in self.order)
+        return GroupElement(self.group, _times_generators(self.group, {}, factors))
 
     def lines(self) -> list[str]:
         return [
@@ -124,7 +138,7 @@ def ordered_factorization(g: GroupElement, order: tuple[Pair, ...]) -> OrderedFo
     for current, deeper in zip(chain.terms, chain.terms[1:]):
         running = form.product()
         outside = (pair for pair in order if pair not in current.pairs)
-        if any(running.coefficient(*p) != g.coefficient(*p) for p in outside):
+        if any(running._coeffs.get(p) != g._coeffs.get(p) for p in outside):
             raise AssertionError("level sweep residual escaped its bracket level")
         for pair in current.pairs - deeper.pairs:
             coefficients[pair] = g.coefficient(*pair) - running.coefficient(*pair)

@@ -8,6 +8,12 @@ routes is meaningful evidence rather than a tautology.
   are exactly the upper unitriangular m-by-m matrices over Z/p, so plain
   matrix arithmetic (with a Gauss-Jordan inverse) predicts products,
   inverses, and commutators.
+* Cut matrices: for a pruned order Δ that is not an order, with T its
+  transitive closure, T∖Δ is normal in T, so deleting the coefficients
+  at T∖Δ maps G(T) onto G(Δ). Multiplying or inverting unitriangular
+  matrices over a linear extension of T and then deleting the entries
+  of T∖Δ predicts products, inverses and ordered products in G(Δ)
+  (``tests/test_pruned_order_oracle.py``).
 * Recursive route: an ordered factorization can be found one coefficient
   at a time by peeling a pair from the deepest bracket level, which is
   central, then recursing in the quotient without it.
