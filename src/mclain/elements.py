@@ -5,10 +5,13 @@ on the pairs of a valid relation. Basis elements multiply by splicing:
 e(i,j) e(k,l) is e(i,l) when j = k and (i,l) is a pair of the relation,
 and zero otherwise. Every coefficient map x is nilpotent: a nonzero
 product of basis elements walks through distinct nodes, so x^m vanishes
-once m reaches the number of touched nodes. That makes 1 + x invertible
-by repeated squaring, (1+x)^-1 = (1-x)(1+x^2)(1+x^4)..., which stops
-after about log2 m products and is exact over noncommutative rings,
-since every factor is a polynomial in x.
+once m reaches the number of touched nodes. The inverse 1 + y of 1 + x
+solves (1+x)(1+y) = 1 one pair at a time: a composite (i,l) = (i,j)∘(j,l)
+lies deeper in the bracket series than (j,l), so walking the pairs level
+by level, shallow first, is a triangular back-substitution at about the
+cost of one product. It keeps x on the left of every coefficient product,
+so it is exact over noncommutative rings. A commutator takes one inverse,
+(g h)(h g)^-1.
 
 Elements are immutable and normalized: zero coefficients are never
 stored, so equality of elements is equality of coefficient maps. The
@@ -105,8 +108,8 @@ class McLainGroup:
     """The group of units 1 + x over a valid relation and coefficient ring.
 
     Construction validates the relation's labels and axioms once;
-    everything else leans on that validity (most of all the inverse
-    power bound).
+    everything else leans on that validity (most of all the level order
+    of the inverse and the nilpotency power bound).
     """
 
     relation: Relation
@@ -333,28 +336,54 @@ class GroupElement:
         )
 
     def inverse(self) -> "GroupElement":
-        """(1+x)^-1 = (1-x)(1+x^2)(1+x^4)..., by repeated squaring.
+        """(1+x)^-1 = 1 + y, solved from (1+x)(1+y) = 1 pair by pair.
 
-        The product telescopes to 1 - x^(2^k) once x^(2^k) vanishes. A
-        nonzero x^(2^k) with 2^k past the node bound, as in
-        ``nilpotency_index``, means a corrupted relation.
+        y[i,l] = -(x[i,l] + the sum of x[i,j] y[j,l]), and each such
+        (i,l) = (i,j)∘(j,l) lies at a deeper level of the bracket series
+        than (j,l). So the pairs are solved level by level, shallow first,
+        as in a triangular back-substitution: once y[j,l] is final and
+        nonzero, x[i,j] y[j,l] goes into the running sum of (i,l) for each
+        i in column j of x. x stays on the left, so the solve is exact over
+        noncommutative rings. Only a corrupted relation has a cycle of
+        decompositions and so no levels; it raises the same AssertionError
+        as the power loop of ``nilpotency_index``.
         """
         group, x = self.group, self._coeffs
-        neg = group.ring._neg
-        bound = self._node_bound()
-        out = {pair: neg(c) for pair, c in x.items()}
-        square, exponent = _splice(group, x, x), 2
-        while square:
-            if exponent > bound:
-                raise AssertionError(_BOUND_MESSAGE)
-            out = _product(group, out, square)
-            square, exponent = _splice(group, square, square), 2 * exponent
+        ring, pairs = group.ring, group.relation.pairs
+        mul, add, neg, is_zero = ring._mul, ring._add, ring._neg, ring._is_zero
+        try:
+            levels = group.relation._levels
+        except AssertionError:
+            raise AssertionError(_BOUND_MESSAGE) from None
+        cols: dict[str, list[tuple[str, object]]] = {}
+        for (i, j), a in x.items():
+            cols.setdefault(j, []).append((i, a))
+        sums: Coeffs = {}
+        out: Coeffs = {}
+        unread = len(x)  # with all of x met and no sum pending, the rest of y is 0
+        for level in levels:
+            if not unread and not sums:
+                break
+            for p in level:
+                c, s = x.get(p), sums.pop(p, None)
+                if c is not None:
+                    unread -= 1
+                    s = c if s is None else add(c, s)
+                if s is None or is_zero(s):
+                    continue
+                y = out[p] = neg(s)
+                l = p[1]
+                for i, a in cols.get(p[0], ()):
+                    q = (i, l)
+                    if q in pairs:
+                        prior = sums.get(q)
+                        sums[q] = mul(a, y) if prior is None else add(prior, mul(a, y))
         return GroupElement(group, out)
 
     def commutator(self, other: "GroupElement") -> "GroupElement":
-        """g h g^-1 h^-1, computed by composition."""
+        """g h g^-1 h^-1, computed as (g h)(h g)^-1 with one inverse."""
         other = self._mate(other)
-        return self * other * self.inverse() * other.inverse()
+        return self * other * (other * self).inverse()
 
     def nilpotency_index(self) -> int:
         """Least m >= 1 with (g - 1)^m = 0; the identity gives 1.
@@ -364,7 +393,7 @@ class GroupElement:
         non-nilpotent map, which a valid relation cannot produce.
         """
         x = self._coeffs
-        bound = self._node_bound()
+        bound = len(spanned_nodes(self.support()))
         power, exponent = x, 1
         while power:
             power = _splice(self.group, power, x)
@@ -372,9 +401,6 @@ class GroupElement:
             if power and exponent > bound:
                 raise AssertionError(_BOUND_MESSAGE)
         return exponent
-
-    def _node_bound(self) -> int:
-        return len(spanned_nodes(self.support()))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GroupElement):

@@ -24,6 +24,7 @@ import random
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import pairwise
 from typing import Collection, Iterable, Iterator
 
 Pair = tuple[str, str]
@@ -123,6 +124,20 @@ class Relation:
                     present, absent = ((i, k), (j, l)) if has_ik else ((j, l), (i, k))
                     violations.append(ExchangeViolation((i, j, k, l), present, absent))
         return AxiomReport(not violations, tuple(violations))
+
+    @cached_property
+    def _levels(self) -> tuple[tuple[Pair, ...], ...]:
+        """The pairs by exact bracket depth, shallow first, each level sorted.
+
+        Level k is gamma_k less gamma_(k+1) of the relation with itself, by
+        the descent ``gamma_series`` runs. A composite p = q∘r lies at a
+        strictly deeper level than q and than r. A decomposition cycle, which
+        only an axiom breaker has, raises the descent's ``AssertionError``.
+        """
+        terms = _descend(
+            self.pairs, _decompositions(self, self), "bracket series failed to terminate"
+        )
+        return tuple(tuple(sorted(a - b)) for a, b in pairwise(terms))
 
     def subset(self, pairs: Iterable[Pair]) -> "Relation":
         """A sub-relation over the same node set."""

@@ -1,8 +1,8 @@
 """Round trips through the text surfaces, as properties in all three rings.
 
 Anything the library computes it can print and parse back: the word of
-``word_factorization`` through the expression grammar, and an element
-through its printed normal form.
+``word_factorization`` through the expression grammar, an element
+through its printed normal form, and a relation through its text format.
 """
 
 from __future__ import annotations
@@ -18,9 +18,12 @@ from mclain import (  # noqa: E402
     IntegersMod,
     Matrices2x2Mod,
     McLainGroup,
+    format_relation,
     format_word,
+    from_pairs,
     parse_element_expression,
     parse_normal_form,
+    parse_relation_text,
     random_pruned_order,
     word_factorization,
 )
@@ -70,3 +73,29 @@ def test_normal_form_print_and_parse_round_trip(ring, data):
     parsed = parse_normal_form(text, g.group)
     assert parsed == g
     assert str(parsed) == text
+
+
+# The label rule: nonempty, not "node", no whitespace and none of the
+# punctuation the text surfaces delimit labels with.
+label_chars = st.characters(blacklist_categories=("Cs",)).filter(
+    lambda c: not c.isspace() and c not in "*(),;[]+#"
+)
+labels = st.text(label_chars, min_size=1, max_size=4).filter(lambda s: s != "node")
+
+
+@st.composite
+def labelled_relations(draw):
+    """from_pairs over drawn labels, reflexive pairs and bare nodes included."""
+    names = draw(st.lists(labels, min_size=1, max_size=8, unique=True))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names))))
+    bare = draw(st.lists(labels, max_size=3))
+    return from_pairs(pairs, names + bare)
+
+
+@PROFILE
+@given(delta=labelled_relations())
+def test_relation_text_round_trip(delta):
+    text = format_relation(delta)
+    parsed = parse_relation_text(text)
+    assert parsed == delta
+    assert format_relation(parsed) == text
