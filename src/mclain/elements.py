@@ -17,7 +17,10 @@ Elements are immutable and normalized: zero coefficients are never
 stored, so equality of elements is equality of coefficient maps. The
 map holds raw ring payloads (an int, or a 4-tuple for M2(Z/n)) and the
 arithmetic calls the group ring's payload hooks directly; coefficients
-become RingValues again only where they leave an element.
+become RingValues again only where they leave an element. Values are
+validated once, on entry (``_payloads``, from ``McLainGroup.element``,
+``McLainGroup.eval_word`` and ``OrderedForm.product``); the kernels
+below take validated payloads.
 
 Products with a run of single generators 1 + c e(p,q) skip the general
 splice, which scans every term of both maps. Two kernels do the
@@ -135,7 +138,7 @@ class McLainGroup:
         out = self.identity()
         for is_gen, run in groupby(word.tokens, key=lambda t: isinstance(t, Gen)):
             if is_gen:
-                factors = (((t.source, t.target), t.value) for t in run)
+                factors = _payloads(self, (((t.source, t.target), t.value) for t in run))
                 out = GroupElement(self, _times_generators(self, out._coeffs, factors))
             else:
                 for token in run:
@@ -226,15 +229,15 @@ def _times_generators(
 
     The running map P is kept by column. A factor 1 + c e(p,q) adds
     P[i,p] c to P[i,q] for each i in column p with (i,q) in the
-    relation, then c to P[p,q]; nothing else changes. Each factor is
-    validated as ``McLainGroup.element`` validates a coefficient.
+    relation, then c to P[p,q]; nothing else changes. The factors are
+    payloads the caller has validated.
     """
     ring, pairs = group.ring, group.relation.pairs
     mul, add, is_zero = ring._mul, ring._add, ring._is_zero
     cols: dict[str, dict[str, object]] = {}
     for (i, j), a in x.items():
         cols.setdefault(j, {})[i] = a
-    for (p, q), c in _payloads(group, factors):
+    for (p, q), c in factors:
         col_q = cols.setdefault(q, {})
         # With p == q the two columns are one dict; only existing keys
         # are then reassigned, so iterating it stays safe.
@@ -265,7 +268,7 @@ def _generators_times(
     rows: dict[str, dict[str, object]] = {}
     for (i, j), a in x.items():
         rows.setdefault(i, {})[j] = a
-    for (p, q), c in _payloads(group, factors):
+    for (p, q), c in factors:
         row_p = rows.setdefault(p, {})
         for l, b in rows.get(q, {}).items():
             if (p, l) in pairs:
@@ -308,9 +311,8 @@ class GroupElement:
         self._coeffs = coeffs
 
     def coefficient(self, source: str, target: str) -> RingValue:
-        payload = self._coeffs.get((source, target))
         ring = self.group.ring
-        return ring.zero if payload is None else RingValue(ring, payload)
+        return RingValue(ring, self._coeffs.get((source, target), ring.zero.payload))
 
     def coefficients(self) -> dict[Pair, RingValue]:
         ring = self.group.ring

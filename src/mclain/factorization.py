@@ -18,7 +18,11 @@ order, and no residual P^-1 g is ever formed.
 
 Every ordered product, the sweep's included, goes through the column
 kernel ``elements._times_generators``: the factor 1 + c e(p,q) costs
-O(|column p|), not the O(|support|) of a general product.
+O(|column p|), not the O(|support|) of a general product. The kernels
+take validated payloads: values are checked where they enter
+(``McLainGroup.element``, ``McLainGroup.eval_word``,
+``OrderedForm.product``), and both sweeps work on payloads, building
+ring values only for the forms and words they return.
 
 The n-gon demonstration shows why the order must be allowed to roam
 over the closure rather than just the support: around an n-cycle with
@@ -39,6 +43,7 @@ from .elements import (
     GroupElement,
     McLainGroup,
     _generators_times,
+    _payloads,
     _times_generators,
 )
 from .relations import (
@@ -73,17 +78,16 @@ def word_factorization(g: GroupElement) -> GeneratorWord:
     read off the residual as it stood at the start of the pass.
     """
     tokens: list[Gen] = []
-    residual = g
-    group = g.group
-    while not residual.is_identity():
-        deeper = _decompositions(minimal_closed_support(residual), group.relation)
-        peel = [p for p in sorted(residual.support().pairs) if p not in deeper]
+    group, ring, residual = g.group, g.group.ring, g._coeffs
+    while residual:
+        support = Relation(group.relation.nodes, frozenset(residual))
+        deeper = _decompositions(closure(support, group.relation), group.relation)
+        peel = [p for p in sorted(residual) if p not in deeper]
         if not peel:
             raise AssertionError("support closure has no top level to peel")
-        peeled = [(pair, residual.coefficient(*pair)) for pair in peel]
-        tokens.extend(Gen(*pair, value) for pair, value in peeled)
-        undos = ((pair, -value) for pair, value in peeled)
-        residual = GroupElement(group, _generators_times(group, undos, residual._coeffs))
+        tokens.extend(Gen(*pair, RingValue(ring, residual[pair])) for pair in peel)
+        undos = [(pair, ring._neg(residual[pair])) for pair in peel]
+        residual = _generators_times(group, undos, residual)
     return GeneratorWord(tuple(tokens))
 
 
@@ -104,22 +108,20 @@ class OrderedForm:
     coefficients: dict[Pair, RingValue]
 
     def product(self) -> GroupElement:
-        factors = ((pair, self.coefficients[pair]) for pair in self.order)
+        factors = _payloads(self.group, ((p, self.coefficients[p]) for p in self.order))
         return GroupElement(self.group, _times_generators(self.group, {}, factors))
 
     def lines(self) -> list[str]:
-        return [
-            f"({i},{j}) ; {self.coefficients[(i, j)]}" for i, j in self.order
-        ]
+        return [f"({i},{j}) ; {self.coefficients[(i, j)]}" for i, j in self.order]
 
 
 def ordered_factorization(g: GroupElement, order: tuple[Pair, ...]) -> OrderedForm:
     """The unique coefficients reproducing g as an ordered product.
 
     The order must list each pair of a closed subset exactly once, and
-    that subset must contain the support of g. The returned form is
-    filled in place: each level's coefficients are g's minus those of
-    the form's own ordered product of the coefficients found so far.
+    that subset must contain the support of g. Each level's coefficients
+    are g's minus those of the ordered product of the coefficients found
+    so far; the form is built from them once the sweep is done.
     """
     group = g.group
     order = tuple(order)
@@ -129,19 +131,22 @@ def ordered_factorization(g: GroupElement, order: tuple[Pair, ...]) -> OrderedFo
         gamma = group.relation.subset(order)
     except ValueError as exc:
         raise ValueError(f"order contains pairs outside the relation: {exc}") from exc
-    if not (g.support().pairs <= gamma.pairs):
-        missing = sorted(g.support().pairs - gamma.pairs)
+    if missing := sorted(g._coeffs.keys() - gamma.pairs):
         raise ValueError(f"order does not cover the support: missing {missing}")
     chain = gamma_series(gamma, group.relation)  # also rejects a non-closed order
-    coefficients = {pair: group.ring.zero for pair in order}
-    form = OrderedForm(group, order, coefficients)
+    ring, target, zero = group.ring, g._coeffs, group.ring.zero.payload
+    found: dict[Pair, object] = {}  # the nonzero coefficients so far, as payloads
     for current, deeper in zip(chain.terms, chain.terms[1:]):
-        running = form.product()
+        running = _times_generators(group, {}, ((p, found[p]) for p in order if p in found))
         outside = (pair for pair in order if pair not in current.pairs)
-        if any(running._coeffs.get(p) != g._coeffs.get(p) for p in outside):
+        if any(running.get(p) != target.get(p) for p in outside):
             raise AssertionError("level sweep residual escaped its bracket level")
         for pair in current.pairs - deeper.pairs:
-            coefficients[pair] = g.coefficient(*pair) - running.coefficient(*pair)
+            c = ring._add(target.get(pair, zero), ring._neg(running.get(pair, zero)))
+            if not ring._is_zero(c):
+                found[pair] = c
+    coefficients = {p: RingValue(ring, found.get(p, zero)) for p in order}
+    form = OrderedForm(group, order, coefficients)
     if form.product() != g:
         raise AssertionError("level sweep did not converge to the target")
     return form
@@ -191,15 +196,15 @@ def demonstrate_ngon_obstruction(n: int, ring: Ring | None = None) -> NgonReport
     # Edge coefficients of an ordered edge product are exactly the inputs:
     # matching the all-unit target therefore forces unit coefficients.
     rng = random.Random(20240 + n)
+    zero = ring.zero.payload
     forced = True
     for _ in range(20):
         values = {edge: ring.sample(rng) for edge in edges}
         shuffled = list(edges)
         rng.shuffle(shuffled)
         product = OrderedForm(group, tuple(shuffled), values).product()
-        for edge in edges:
-            if product.coefficient(*edge) != values[edge]:
-                forced = False
+        if any(product._coeffs.get(e, zero) != values[e].payload for e in edges):
+            forced = False
 
     checked = 0
     successes = 0
@@ -210,7 +215,7 @@ def demonstrate_ngon_obstruction(n: int, ring: Ring | None = None) -> NgonReport
         checked += 1
         if product == target:
             successes += 1
-        elif not any(product.coefficient(*pair) for pair in step_two):
+        elif step_two.isdisjoint(product._coeffs):
             all_have_step_two = False
 
     mixed = word_factorization(target)

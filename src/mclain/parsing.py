@@ -172,5 +172,5 @@ def parse_order_text(text: str) -> tuple[Pair, ...]:
 
 
 def parse_order_file(path: str) -> tuple[Pair, ...]:
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         return parse_order_text(handle.read())

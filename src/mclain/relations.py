@@ -600,7 +600,7 @@ def parse_relation_text(text: str) -> Relation:
 
 
 def parse_relation_file(path: str) -> Relation:
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         return parse_relation_text(handle.read())
 
 

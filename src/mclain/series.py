@@ -93,15 +93,9 @@ def quotient_project(g: GroupElement, gamma: Relation) -> GroupElement:
     is a surjective homomorphism whose kernel is exactly the elements
     supported inside gamma.
     """
-    ambient = g.group.relation
-    smaller = difference(ambient, gamma)
-    target = McLainGroup(smaller, g.group.ring)
-    kept = {
-        pair: value
-        for pair, value in g.coefficients().items()
-        if pair not in gamma.pairs
-    }
-    return target.element(kept)
+    target = McLainGroup(difference(g.group.relation, gamma), g.group.ring)
+    kept = {pair: c for pair, c in g._coeffs.items() if pair not in gamma.pairs}
+    return GroupElement(target, kept)
 
 
 def coset_representative(g: GroupElement, gamma: Relation) -> GroupElement:
@@ -117,8 +111,7 @@ def coset_representative(g: GroupElement, gamma: Relation) -> GroupElement:
     from .factorization import OrderedForm, minimal_closed_support, ordered_factorization
 
     projected = quotient_project(g, gamma)
-    closed = minimal_closed_support(projected)
-    order = tuple(sorted(closed.pairs))
+    order = tuple(sorted(minimal_closed_support(projected).pairs))
     form = ordered_factorization(projected, order)
     representative = OrderedForm(g.group, order, form.coefficients).product()
     leftover = representative.inverse() * g

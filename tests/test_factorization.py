@@ -209,6 +209,27 @@ SWEEP_FAULTS = [
 ]
 
 
+def test_ordered_factorization_coerces_each_coefficient_once():
+    # The sweep works on payloads; only the final check of the form's
+    # product validates, one coerce per position of the order.
+    calls = []
+
+    class CountingMod(IntegersMod):
+        def coerce(self, value):
+            calls.append(value)
+            return super().coerce(value)
+
+    ring = CountingMod(7)
+    group = McLainGroup(chain(6), ring)
+    order = tuple(sorted(group.relation.pairs))
+    rng = random.Random(61)
+    g = group.element({pair: ring.sample(rng) for pair in order})
+    calls.clear()
+    form = ordered_factorization(g, order)
+    assert len(calls) == len(order) == 15
+    assert form.product() == g
+
+
 @pytest.mark.parametrize("m, message", SWEEP_FAULTS)
 def test_level_sweep_checks_catch_a_corrupted_ring(m, message):
     group = McLainGroup(chain(m), NegationFreeMod(5))

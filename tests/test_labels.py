@@ -18,7 +18,9 @@ from mclain import (
     from_pairs,
     parse_element_expression,
     parse_normal_form,
+    parse_order_file,
     parse_order_text,
+    parse_relation_file,
     parse_relation_text,
 )
 from mclain.cli import main
@@ -58,6 +60,28 @@ def test_cli_names_the_line_of_a_bad_label(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: line 2: label 'a+b' contains '+'")
+
+
+def test_a_byte_order_mark_is_not_part_of_the_first_label(tmp_path, capsys):
+    # Editors on some systems start UTF-8 files with U+FEFF; read as text
+    # it would glue onto the first label and make a node "\ufeff1".
+    text = "1 2\n2 3\n1 3\n"
+    runs = []
+    for mark in ("", "\ufeff"):
+        rel, order = tmp_path / f"rel{len(mark)}.txt", tmp_path / f"order{len(mark)}.txt"
+        rel.write_text(mark + text, encoding="utf-8")
+        order.write_text(mark + text, encoding="utf-8")
+        assert parse_relation_file(str(rel)) == parse_relation_text(text)
+        assert parse_order_file(str(order)) == parse_order_text(text)
+        for argv in (
+            ["series", str(rel), "--lower"],
+            ["factor", "--relation", str(rel), "--order", str(order), "x(1,2;1)"],
+        ):
+            code = main(argv)
+            captured = capsys.readouterr()
+            runs.append((argv[0], code, captured.out, captured.err))
+    assert runs[:2] == runs[2:]
+    assert runs[0][2].count("gamma") == 3
 
 
 @pytest.mark.parametrize("label", ["a+b", "p,q", "e(x)", "a b", "a\tb", ""])
