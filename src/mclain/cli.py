@@ -22,7 +22,7 @@ from .parsing import parse_element_expression, parse_order_file
 from .relations import ParseError, check_axioms, parse_relation_file
 from .rings import RingError, parse_ring_spec
 from .series import (
-    coset_representative,
+    _lift,
     format_chain_lines,
     lower_central_series,
     quotient_project,
@@ -84,7 +84,7 @@ def _cmd_quotient(args: argparse.Namespace) -> int:
     gamma_input = parse_relation_file(args.gamma)
     gamma = element.group.relation.subset(gamma_input.pairs)
     projected = quotient_project(element, gamma)
-    representative = coset_representative(element, gamma)
+    representative = _lift(element, gamma, projected)
     print(f"projection: {projected}")
     print(f"representative: {representative}")
     return 0
@@ -177,7 +177,7 @@ def main(argv: list[str] | None = None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.handler(args)
-    except (ParseError, FileNotFoundError, RingError) as exc:
+    except (ParseError, OSError, RingError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

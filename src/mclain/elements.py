@@ -5,13 +5,14 @@ on the pairs of a valid relation. Basis elements multiply by splicing:
 e(i,j) e(k,l) is e(i,l) when j = k and (i,l) is a pair of the relation,
 and zero otherwise. Every coefficient map x is nilpotent: a nonzero
 product of basis elements walks through distinct nodes, so x^m vanishes
-once m reaches the number of touched nodes. The inverse 1 + y of 1 + x
-solves (1+x)(1+y) = 1 one pair at a time: a composite (i,l) = (i,j)∘(j,l)
-lies deeper in the bracket series than (j,l), so walking the pairs level
+once m reaches the number of touched nodes. One right division gives
+both the inverse and the commutator: 1 + z = (1+u)(1+w)^-1 solves
+(1+z)(1+w) = 1+u one pair at a time, and a composite (i,l) = (i,j)∘(j,l)
+lies deeper in the bracket series than (i,j), so walking the pairs level
 by level, shallow first, is a triangular back-substitution at about the
-cost of one product. It keeps x on the left of every coefficient product,
-so it is exact over noncommutative rings. A commutator takes one inverse,
-(g h)(h g)^-1.
+cost of one product. It keeps w on the right of every coefficient
+product, so it is exact over noncommutative rings. The inverse divides 1
+by g, and the commutator (g h)(h g)^-1 takes two products and no inverse.
 
 Elements are immutable and normalized: zero coefficients are never
 stored, so equality of elements is equality of coefficient maps. The
@@ -170,7 +171,7 @@ def _splice(
     zeros in one pass at the end.
     """
     ring, pairs = group.ring, group.relation.pairs
-    mul, add, is_zero = ring._mul, ring._add, ring._is_zero
+    mul, fma, add, is_zero = ring._mul, ring._fma, ring._add, ring._is_zero
     # Index only the terms that can meet: x at (i,j) and y at (j,l).
     firsts = {j for j, _ in y}
     rows: dict[str, list[tuple[str, object]]] = {}
@@ -191,7 +192,7 @@ def _splice(
         for j, a in row:
             for l, b in by_first.get(j, ()):
                 prior = sums.get(l)
-                sums[l] = mul(a, b) if prior is None else add(prior, mul(a, b))
+                sums[l] = mul(a, b) if prior is None else fma(prior, a, b)
         for l, c in sums.items():
             pair = (i, l)
             if pair in pairs:
@@ -233,7 +234,7 @@ def _times_generators(
     payloads the caller has validated.
     """
     ring, pairs = group.ring, group.relation.pairs
-    mul, add, is_zero = ring._mul, ring._add, ring._is_zero
+    mul, fma, add, is_zero = ring._mul, ring._fma, ring._add, ring._is_zero
     cols: dict[str, dict[str, object]] = {}
     for (i, j), a in x.items():
         cols.setdefault(j, {})[i] = a
@@ -244,7 +245,7 @@ def _times_generators(
         for i, a in cols.get(p, {}).items():
             if (i, q) in pairs:
                 prior = col_q.get(i)
-                col_q[i] = mul(a, c) if prior is None else add(prior, mul(a, c))
+                col_q[i] = mul(a, c) if prior is None else fma(prior, a, c)
         prior = col_q.get(p)
         col_q[p] = c if prior is None else add(prior, c)
     return {
@@ -264,7 +265,7 @@ def _generators_times(
     then c to R[p,q].
     """
     ring, pairs = group.ring, group.relation.pairs
-    mul, add, is_zero = ring._mul, ring._add, ring._is_zero
+    mul, fma, add, is_zero = ring._mul, ring._fma, ring._add, ring._is_zero
     rows: dict[str, dict[str, object]] = {}
     for (i, j), a in x.items():
         rows.setdefault(i, {})[j] = a
@@ -273,7 +274,7 @@ def _generators_times(
         for l, b in rows.get(q, {}).items():
             if (p, l) in pairs:
                 prior = row_p.get(l)
-                row_p[l] = mul(c, b) if prior is None else add(prior, mul(c, b))
+                row_p[l] = mul(c, b) if prior is None else fma(prior, c, b)
         prior = row_p.get(q)
         row_p[q] = c if prior is None else add(prior, c)
     return {
@@ -299,6 +300,51 @@ def _product(group: McLainGroup, x: Coeffs, y: Coeffs) -> Coeffs:
 _BOUND_MESSAGE = (
     "power series exceeded the nilpotency bound; the ambient relation is corrupted"
 )
+
+
+def _divide(group: McLainGroup, u: Coeffs, w: Coeffs) -> Coeffs:
+    """The map z with 1+z = (1+u)(1+w)^-1, solved from (1+z)(1+w) = 1+u.
+
+    z[i,l] = u[i,l] - w[i,l] - the sum of z[i,j] w[j,l], and each such
+    (i,l) = (i,j)∘(j,l) lies at a deeper level of the bracket series than
+    (i,j). So the pairs are solved level by level, shallow first, as in a
+    triangular back-substitution: the running sums start at u - w, and
+    once z[i,j] is final and nonzero, z[i,j] (-w[j,l]) goes into the sum
+    of (i,l) for each l in row j of w. w stays on the right, so the solve
+    is exact over noncommutative rings; with every sum spent, the rest of
+    z is 0. Only a corrupted relation has a cycle of decompositions and
+    so no levels; it raises the same AssertionError as the power loop of
+    ``nilpotency_index``.
+    """
+    ring, pairs = group.ring, group.relation.pairs
+    mul, fma, add, neg, is_zero = ring._mul, ring._fma, ring._add, ring._neg, ring._is_zero
+    try:
+        levels = group.relation._levels
+    except AssertionError:
+        raise AssertionError(_BOUND_MESSAGE) from None
+    sums: Coeffs = dict(u)
+    rows: dict[str, list[tuple[str, object]]] = {}
+    for (j, l), c in w.items():
+        c = neg(c)
+        rows.setdefault(j, []).append((l, c))
+        prior = sums.get((j, l))
+        sums[j, l] = c if prior is None else add(prior, c)
+    out: Coeffs = {}
+    for level in levels:
+        if not sums:
+            break
+        for p in level:
+            z = sums.pop(p, None)
+            if z is None or is_zero(z):
+                continue
+            out[p] = z
+            i = p[0]
+            for l, c in rows.get(p[1], ()):
+                q = (i, l)
+                if q in pairs:
+                    prior = sums.get(q)
+                    sums[q] = mul(z, c) if prior is None else fma(prior, z, c)
+    return out
 
 
 class GroupElement:
@@ -338,54 +384,15 @@ class GroupElement:
         )
 
     def inverse(self) -> "GroupElement":
-        """(1+x)^-1 = 1 + y, solved from (1+x)(1+y) = 1 pair by pair.
-
-        y[i,l] = -(x[i,l] + the sum of x[i,j] y[j,l]), and each such
-        (i,l) = (i,j)∘(j,l) lies at a deeper level of the bracket series
-        than (j,l). So the pairs are solved level by level, shallow first,
-        as in a triangular back-substitution: once y[j,l] is final and
-        nonzero, x[i,j] y[j,l] goes into the running sum of (i,l) for each
-        i in column j of x. x stays on the left, so the solve is exact over
-        noncommutative rings. Only a corrupted relation has a cycle of
-        decompositions and so no levels; it raises the same AssertionError
-        as the power loop of ``nilpotency_index``.
-        """
-        group, x = self.group, self._coeffs
-        ring, pairs = group.ring, group.relation.pairs
-        mul, add, neg, is_zero = ring._mul, ring._add, ring._neg, ring._is_zero
-        try:
-            levels = group.relation._levels
-        except AssertionError:
-            raise AssertionError(_BOUND_MESSAGE) from None
-        cols: dict[str, list[tuple[str, object]]] = {}
-        for (i, j), a in x.items():
-            cols.setdefault(j, []).append((i, a))
-        sums: Coeffs = {}
-        out: Coeffs = {}
-        unread = len(x)  # with all of x met and no sum pending, the rest of y is 0
-        for level in levels:
-            if not unread and not sums:
-                break
-            for p in level:
-                c, s = x.get(p), sums.pop(p, None)
-                if c is not None:
-                    unread -= 1
-                    s = c if s is None else add(c, s)
-                if s is None or is_zero(s):
-                    continue
-                y = out[p] = neg(s)
-                l = p[1]
-                for i, a in cols.get(p[0], ()):
-                    q = (i, l)
-                    if q in pairs:
-                        prior = sums.get(q)
-                        sums[q] = mul(a, y) if prior is None else add(prior, mul(a, y))
-        return GroupElement(group, out)
+        """(1+x)^-1, the right division of 1 by 1 + x (``_divide``)."""
+        return GroupElement(self.group, _divide(self.group, {}, self._coeffs))
 
     def commutator(self, other: "GroupElement") -> "GroupElement":
-        """g h g^-1 h^-1, computed as (g h)(h g)^-1 with one inverse."""
-        other = self._mate(other)
-        return self * other * (other * self).inverse()
+        """g h g^-1 h^-1, computed as the right division (g h)(h g)^-1:
+        two products and no inverse."""
+        group, x, y = self.group, self._coeffs, self._mate(other)._coeffs
+        u, w = _product(group, x, y), _product(group, y, x)
+        return GroupElement(group, _divide(group, u, w))
 
     def nilpotency_index(self) -> int:
         """Least m >= 1 with (g - 1)^m = 0; the identity gives 1.

@@ -122,6 +122,10 @@ class Ring:
     def _mul(self, a: object, b: object) -> object:
         raise NotImplementedError
 
+    def _fma(self, s: object, a: object, b: object) -> object:
+        """s + ab in one call, a on the left; the product kernels' inner step."""
+        return self._add(s, self._mul(a, b))
+
     def _is_zero(self, a: object) -> bool:
         raise NotImplementedError
 
@@ -164,6 +168,9 @@ class Integers(Ring):
 
     def _mul(self, a: int, b: int) -> int:
         return a * b
+
+    def _fma(self, s: int, a: int, b: int) -> int:
+        return s + a * b
 
     def _is_zero(self, a: int) -> bool:
         return a == 0
@@ -211,6 +218,9 @@ class IntegersMod(Ring):
 
     def _mul(self, a: int, b: int) -> int:
         return (a * b) % self.n
+
+    def _fma(self, s: int, a: int, b: int) -> int:
+        return (s + a * b) % self.n
 
     def _is_zero(self, a: int) -> bool:
         return a == 0
@@ -282,6 +292,16 @@ class Matrices2x2Mod(Ring):
             (a11 * b12 + a12 * b22) % self.n,
             (a21 * b11 + a22 * b21) % self.n,
             (a21 * b12 + a22 * b22) % self.n,
+        )
+
+    def _fma(self, s, a, b):
+        a11, a12, a21, a22 = a
+        b11, b12, b21, b22 = b
+        return (
+            (s[0] + a11 * b11 + a12 * b21) % self.n,
+            (s[1] + a11 * b12 + a12 * b22) % self.n,
+            (s[2] + a21 * b11 + a22 * b21) % self.n,
+            (s[3] + a21 * b12 + a22 * b22) % self.n,
         )
 
     def _is_zero(self, a) -> bool:

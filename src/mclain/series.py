@@ -108,9 +108,13 @@ def coset_representative(g: GroupElement, gamma: Relation) -> GroupElement:
     membership inverse(r) * g in the subgroup is checked on every call
     rather than trusted.
     """
+    return _lift(g, gamma, quotient_project(g, gamma))
+
+
+def _lift(g: GroupElement, gamma: Relation, projected: GroupElement) -> GroupElement:
+    """``coset_representative`` of g from its projection, already taken."""
     from .factorization import OrderedForm, minimal_closed_support, ordered_factorization
 
-    projected = quotient_project(g, gamma)
     order = tuple(sorted(minimal_closed_support(projected).pairs))
     form = ordered_factorization(projected, order)
     representative = OrderedForm(g.group, order, form.coefficients).product()

@@ -64,3 +64,23 @@ def random_element(group: McLainGroup, rng: random.Random, max_terms: int = 6):
     rng.shuffle(pairs)
     take = rng.randint(0, min(len(pairs), max_terms))
     return group.element({p: group.ring.sample(rng) for p in pairs[:take]})
+
+
+def dense_element(group: McLainGroup, rng: random.Random):
+    """An element with a sampled value, zero allowed, at every pair."""
+    pairs = sorted(group.relation.pairs)
+    return group.element({pair: group.ring.sample(rng) for pair in pairs})
+
+
+def sparse_element(group: McLainGroup, rng: random.Random):
+    """An element on one to three pairs, each with a nonzero value."""
+    pairs = sorted(group.relation.pairs)
+    chosen = rng.sample(pairs, rng.randint(1, min(3, len(pairs))))
+    ring = group.ring
+    values = {}
+    for pair in chosen:
+        value = ring.sample(rng)
+        while value == ring.zero:
+            value = ring.sample(rng)
+        values[pair] = value
+    return group.element(values)

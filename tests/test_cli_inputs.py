@@ -1,0 +1,73 @@
+"""Input files the CLI cannot read, and the work of one ``quotient`` run.
+
+A relation, order or gamma file that is not UTF-8, or that names a
+directory, is a usage error: one ``error:`` line on stderr and exit 2.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+import mclain.cli
+import mclain.series
+from mclain import McLainGroup, chain, format_relation
+from mclain.cli import main
+
+NOT_UTF8 = b"1 2\n\xff\xfe 4\n"
+
+
+def argv_reading(kind, path, rel):
+    """A command whose file of the given kind is path; the others are valid."""
+    if kind == "relation":
+        return ["series", str(path), "--upper"]
+    if kind == "order":
+        return ["factor", "--relation", str(rel), "--order", str(path), "x(1,2;1)"]
+    return ["quotient", "--relation", str(rel), "--gamma", str(path), "x(1,2;1)"]
+
+
+@pytest.mark.parametrize("kind", ["relation", "order", "gamma"])
+@pytest.mark.parametrize("bad", ["not_utf8", "directory"])
+def test_unreadable_input_file_is_a_usage_error(tmp_path, capsys, kind, bad):
+    rel = tmp_path / "rel.txt"
+    rel.write_text(format_relation(chain(3)))
+    path = tmp_path / "input"
+    if bad == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(NOT_UTF8)
+    code = main(argv_reading(kind, path, rel))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_quotient_projects_once_and_validates_each_group_once(
+    tmp_path, capsys, monkeypatch
+):
+    rel, gamma = tmp_path / "rel.txt", tmp_path / "gamma.txt"
+    rel.write_text(format_relation(chain(3)))
+    gamma.write_text("1 3\n")
+    calls = {"project": 0, "validate": 0}
+    project, validate = mclain.series.quotient_project, McLainGroup.__post_init__
+
+    def counted_project(*args):
+        calls["project"] += 1
+        return project(*args)
+
+    def counted_validate(self):
+        calls["validate"] += 1
+        return validate(self)
+
+    for module in (mclain.series, mclain.cli):
+        monkeypatch.setattr(module, "quotient_project", counted_project)
+    monkeypatch.setattr(McLainGroup, "__post_init__", counted_validate)
+    argv = ["quotient", "--relation", str(rel), "--gamma", str(gamma)]
+    assert main(argv + ["x(1,2;2)*x(2,3;3)*x(1,3;5)"]) == 0
+    assert capsys.readouterr().out == (
+        "projection: 1 + 2*e(1,2) + 3*e(2,3)\n"
+        "representative: 1 + 2*e(1,2) + 6*e(1,3) + 3*e(2,3)\n"
+    )
+    # One ambient group and one quotient group over chain(3) less (1,3).
+    assert calls == {"project": 1, "validate": 2}

@@ -1,7 +1,8 @@
-"""The level-ordered inverse and the one-inverse commutator.
+"""The level-ordered inverse and the inverse-free commutator.
 
-``GroupElement.inverse`` solves (1+x)(1+y) = 1 pair by pair over the
-relation's cached levels, shallow first. The oracle is the alternating
+``GroupElement.inverse`` and ``GroupElement.commutator`` are right
+divisions, solved pair by pair over the relation's cached levels,
+shallow first. The oracle is the alternating
 series 1 - x + x^2 - ..., spliced term by term in ``tests/oracles.py``.
 """
 
@@ -10,7 +11,13 @@ from __future__ import annotations
 import random
 
 import mclain.elements
-from helpers import random_element, relation_zoo, ring_instances
+from helpers import (
+    dense_element,
+    random_element,
+    relation_zoo,
+    ring_instances,
+    sparse_element,
+)
 from oracles import alternating_series_inverse
 from mclain import (
     GroupElement,
@@ -24,24 +31,6 @@ from mclain import (
     random_relation,
 )
 from mclain.relations import _decompositions
-
-
-def dense_element(group, rng):
-    return group.element({pair: group.ring.sample(rng) for pair in group.relation.pairs})
-
-
-def sparse_element(group, rng):
-    """An element on one to three pairs, each with a nonzero value."""
-    pairs = sorted(group.relation.pairs)
-    chosen = rng.sample(pairs, rng.randint(1, min(3, len(pairs))))
-    ring = group.ring
-    values = {}
-    for pair in chosen:
-        value = ring.sample(rng)
-        while value == ring.zero:
-            value = ring.sample(rng)
-        values[pair] = value
-    return group.element(values)
 
 
 def non_order_relations():
@@ -107,19 +96,24 @@ def test_inverse_never_reaches_the_general_splice(monkeypatch):
             assert g.inverse() == expected
 
 
-def test_commutator_takes_exactly_one_inverse(monkeypatch):
+def test_commutator_is_one_division_of_two_products(monkeypatch):
     rng = random.Random(913)
     group = McLainGroup(chain(6), IntegersMod(7))
     g, h = dense_element(group, rng), dense_element(group, rng)
     expected = g * h * alternating_series_inverse(g) * alternating_series_inverse(h)
-    calls = []
-    inverse = GroupElement.inverse
+    calls = {"inverse": 0, "_divide": 0, "_product": 0}
 
-    def counted(self):
-        calls.append(self)
-        return inverse(self)
+    def counted(name, call):
+        def wrapper(*args):
+            calls[name] += 1
+            return call(*args)
+
+        return wrapper
 
     with monkeypatch.context() as patch:
-        patch.setattr(GroupElement, "inverse", counted)
-        assert g.commutator(h) == expected
-    assert len(calls) == 1
+        patch.setattr(GroupElement, "inverse", counted("inverse", GroupElement.inverse))
+        for name in ("_divide", "_product"):
+            patch.setattr(mclain.elements, name, counted(name, getattr(mclain.elements, name)))
+        result = g.commutator(h)
+    assert calls == {"inverse": 0, "_divide": 1, "_product": 2}
+    assert result == expected
