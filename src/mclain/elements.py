@@ -12,7 +12,8 @@ lies deeper in the bracket series than (i,j), so walking the pairs level
 by level, shallow first, is a triangular back-substitution at about the
 cost of one product. It keeps w on the right of every coefficient
 product, so it is exact over noncommutative rings. The inverse divides 1
-by g, and the commutator (g h)(h g)^-1 takes two products and no inverse.
+by g, the commutator (g h)(h g)^-1 takes two products and no inverse,
+and a word divides by each of its inv(w) factors.
 
 Elements are immutable and normalized: zero coefficients are never
 stored, so equality of elements is equality of coefficient maps. The
@@ -134,26 +135,22 @@ class McLainGroup:
         return self.element({(source, target): value})
 
     def eval_word(self, word: GeneratorWord) -> "GroupElement":
-        """The left-to-right product of the tokens; each run of Gen tokens
-        goes through one call of the right kernel."""
-        out = self.identity()
+        """The left-to-right product of the tokens, kept as one raw map: each
+        run of Gen tokens is one call of the right kernel, and each inv(w) is
+        one right division by w."""
+        out: Coeffs = {}
         for is_gen, run in groupby(word.tokens, key=lambda t: isinstance(t, Gen)):
             if is_gen:
                 factors = _payloads(self, (((t.source, t.target), t.value) for t in run))
-                out = GroupElement(self, _times_generators(self, out._coeffs, factors))
-            else:
-                for token in run:
-                    out = out * self._eval_token(token)
-        return out
-
-    def _eval_token(self, token: Token) -> "GroupElement":
-        if isinstance(token, Inv):
-            return self.eval_word(token.word).inverse()
-        if isinstance(token, Comm):
-            return self.eval_word(token.left).commutator(self.eval_word(token.right))
-        if isinstance(token, One):
-            return self.identity()
-        raise ValueError(f"bad word token: {token!r}")
+                out = _times_generators(self, out, factors)
+                continue
+            for token in run:
+                if isinstance(token, Inv):
+                    out = _divide(self, out, self.eval_word(token.word)._coeffs)
+                elif isinstance(token, Comm):
+                    left, right = self.eval_word(token.left), self.eval_word(token.right)
+                    out = _product(self, out, left.commutator(right)._coeffs)
+        return GroupElement(self, out)
 
 
 # A coefficient map: each pair to a nonzero raw payload of the group's ring.

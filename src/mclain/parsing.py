@@ -6,11 +6,11 @@ Expression grammar (products evaluate left to right):
     term := "1" | gen | "inv(" expr ")" | "comm(" expr "," expr ")" | "(" expr ")"
     gen  := "x(" label "," label ";" ringliteral ")"
 
-Labels follow the rule of relation files: no whitespace and none of
-``* ( ) , ; [ ] + #``. Ring
-literals follow the coefficient ring: signed decimal for the scalar
-rings, ``[a,b;c,d]`` for the matrix rings. A parenthesized expr splices
-its tokens into the surrounding product.
+Labels follow the rule of relation files: printable, no whitespace and
+none of ``* ( ) , ; [ ] + #``. Ring literals follow the coefficient ring:
+signed decimal for the scalar rings, ``[a,b;c,d]`` for the matrix rings. A
+parenthesized expr splices its tokens into the surrounding product. Brackets
+nest at most _MAX_NESTING deep, to keep parsing off the recursion limit.
 
 Normal forms, as printed by elements, are also parseable here:
 
@@ -28,12 +28,14 @@ from .relations import _LABEL_PUNCTUATION, Pair, ParseError, _pair_lines
 from .rings import Ring, RingError
 
 _LABEL_STOP = set(_LABEL_PUNCTUATION + " \t\r\n")
+_MAX_NESTING = 256
 
 
 class _Scanner:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0  # the "(", "inv(" and "comm(" around the current expr
 
     def skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -99,9 +101,13 @@ def parse_element_expression(text: str, ring: Ring) -> GeneratorWord:
 
 
 def _parse_expr(scanner: _Scanner, ring: Ring) -> GeneratorWord:
+    if scanner.depth > _MAX_NESTING:
+        raise ParseError(f"nesting deeper than {_MAX_NESTING} at position {scanner.pos}")
+    scanner.depth += 1
     tokens = list(_parse_term(scanner, ring).tokens)
     while scanner.try_take("*"):
         tokens.extend(_parse_term(scanner, ring).tokens)
+    scanner.depth -= 1
     return GeneratorWord(tuple(tokens))
 
 

@@ -191,9 +191,10 @@ def _require_subset(sub: Relation, delta: Relation, name: str) -> None:
 
 
 def is_closed(sub: Relation, delta: Relation) -> bool:
-    """Does sub contain every composite of its own pairs that delta admits?"""
+    """Does sub contain every composite of its own pairs that delta admits?
+    Absorption with sub as the partners, so only delta is ever indexed."""
     _require_subset(sub, delta, "subset")
-    return _decompositions(sub, delta).keys() <= sub.pairs
+    return _absorbs(sub.pairs, sub.pairs, delta, sub.pairs)
 
 
 def is_normal(sub: Relation, delta: Relation) -> bool:
@@ -204,18 +205,19 @@ def is_normal(sub: Relation, delta: Relation) -> bool:
     (k,j) ambient forces (k,j) into sub. Normality implies closedness.
     """
     _require_subset(sub, delta, "subset")
-    return _absorbs(sub.pairs, sub.pairs, delta)
+    return _absorbs(sub.pairs, sub.pairs, delta, delta.pairs)
 
 
-def _absorbs(pairs: Iterable[Pair], sub: frozenset, delta: Relation) -> bool:
+def _absorbs(pairs: Iterable, sub: frozenset, delta: Relation, partners: frozenset) -> bool:
     """Does sub hold each composite in delta of these pairs with a pair of
-    delta, on either side? With sub empty, the pairs are isolated."""
+    partners, on either side? With sub empty, the pairs are isolated. The
+    partner is tested last, so with delta as partners a yes tests none."""
     for i, j in pairs:
         for _, k in delta.by_first.get(j, ()):
-            if (i, k) in delta.pairs and (i, k) not in sub:
+            if (i, k) in delta.pairs and (i, k) not in sub and (j, k) in partners:
                 return False
         for k, _ in delta.by_second.get(i, ()):
-            if (k, j) in delta.pairs and (k, j) not in sub:
+            if (k, j) in delta.pairs and (k, j) not in sub and (k, i) in partners:
                 return False
     return True
 
@@ -363,7 +365,7 @@ def _upper_remainders(delta: Relation) -> Iterator[frozenset]:
 def isolated(delta: Relation) -> Relation:
     """Pairs that compose with nothing: no right extension (j,k) with
     (i,k) present, and no left extension (l,i) with (l,j) present."""
-    alone = (p for p in delta.pairs if _absorbs((p,), frozenset(), delta))
+    alone = (p for p in delta.pairs if _absorbs((p,), frozenset(), delta, delta.pairs))
     return Relation(delta.nodes, frozenset(alone))
 
 
@@ -530,11 +532,11 @@ def random_pruned_order(seed: int, node_count: int, density: float) -> Relation:
 # Serialization lists bare nodes first, then pairs, each sorted, so the
 # format round-trips byte for byte.
 #
-# The label rule: a label is nonempty, is not the reserved word "node",
-# and contains no whitespace and none of _LABEL_PUNCTUATION, which the
-# expression grammar, printed normal forms and comments use to delimit
-# labels. Both text parsers, from_pairs and McLainGroup apply it, so every
-# label a group is built on prints and parses back.
+# The label rule: a label is nonempty, is not the reserved word "node", is
+# printable (a stray U+FEFF is not) and contains no whitespace and none of
+# _LABEL_PUNCTUATION, which the expression grammar, printed normal forms and
+# comments use to delimit labels. Both text parsers, from_pairs and McLainGroup
+# apply it, so every label a group is built on prints and parses back.
 
 _LABEL_PUNCTUATION = "*(),;[]+#"
 _LABEL_BREAK = re.compile(r"[\s" + re.escape(_LABEL_PUNCTUATION) + "]")
@@ -554,13 +556,17 @@ def _label_fault(label: object) -> str | None:
             f"label {label!r} contains {''.join(sorted(set(bad)))!r}; labels "
             f"may not contain whitespace or any of {_LABEL_PUNCTUATION!r}"
         )
+    if not label.isprintable():
+        return f"label {label!r} contains a character that does not print"
     return None
 
 
 def _require_label_rule(labels: Collection[str]) -> None:
     """Raise a ValueError naming a label that breaks the rule."""
     try:  # one scan over all labels; a label is looked at alone only on failure
-        if {"", "node"}.isdisjoint(labels) and not _LABEL_BREAK.search("".join(labels)):
+        joined = "".join(labels)
+        clean = joined.isprintable() and not _LABEL_BREAK.search(joined)
+        if clean and {"", "node"}.isdisjoint(labels):
             return
     except TypeError:  # a label that is not a string
         pass

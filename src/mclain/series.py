@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .elements import GroupElement, McLainGroup
+from .elements import GroupElement, McLainGroup, _divide
 from .relations import (
     Relation,
     SubsetChain,
@@ -79,7 +79,7 @@ def upper_central_series(delta: Relation) -> SubsetChain:
     for rest in _upper_remainders(delta):
         step = left - rest
         zeta = zeta | step
-        if not _absorbs(step, zeta, delta):
+        if not _absorbs(step, zeta, delta, delta.pairs):
             raise AssertionError("upper central series term failed the normality check")
         terms.append(Relation(delta.nodes, zeta))
         left = rest
@@ -105,21 +105,22 @@ def coset_representative(g: GroupElement, gamma: Relation) -> GroupElement:
     there in increasing pair order, then take the ordered product
     (OrderedForm.product) of those same generators inside the ambient
     group. The result depends only on the coset of g, and the defining
-    membership inverse(r) * g in the subgroup is checked on every call
-    rather than trusted.
+    membership of g r^-1 in the subgroup is checked on every call rather
+    than trusted.
     """
     return _lift(g, gamma, quotient_project(g, gamma))
 
 
 def _lift(g: GroupElement, gamma: Relation, projected: GroupElement) -> GroupElement:
-    """``coset_representative`` of g from its projection, already taken."""
+    """``coset_representative`` of g from its projection, already taken. As gamma
+    is normal, g r^-1 lies over gamma exactly when r^-1 g does: one division."""
     from .factorization import OrderedForm, minimal_closed_support, ordered_factorization
 
     order = tuple(sorted(minimal_closed_support(projected).pairs))
     form = ordered_factorization(projected, order)
     representative = OrderedForm(g.group, order, form.coefficients).product()
-    leftover = representative.inverse() * g
-    if not (leftover.support().pairs <= gamma.pairs):
+    leftover = _divide(g.group, g._coeffs, representative._coeffs)
+    if not leftover.keys() <= gamma.pairs:
         raise AssertionError("coset representative failed the membership check")
     return representative
 

@@ -1,0 +1,74 @@
+"""How deep an expression may nest.
+
+The parser admits 256 levels of "(", "inv(" and "comm(" and refuses the
+next one with a ParseError that names its position, so a deep input is a
+usage error (exit 2) and never a RecursionError traceback.
+"""
+
+from __future__ import annotations
+
+import subprocess
+import sys
+
+import pytest
+
+from mclain import (
+    IntegersMod,
+    McLainGroup,
+    ParseError,
+    chain,
+    format_relation,
+    parse_element_expression,
+)
+from mclain.cli import main
+
+GEN = "x(1,2;3)"
+
+
+def nested(kind, depth):
+    """GEN inside depth levels of one kind of bracket."""
+    if kind == "paren":
+        return "(" * depth + GEN + ")" * depth
+    if kind == "inv":
+        return "inv(" * depth + GEN + ")" * depth
+    return "comm(" * depth + GEN + ",1)" * depth
+
+
+@pytest.fixture
+def group():
+    return McLainGroup(chain(3), IntegersMod(7))
+
+
+@pytest.mark.parametrize("kind", ["paren", "inv", "comm"])
+def test_256_levels_parse_and_evaluate(group, tmp_path, capsys, kind):
+    # 256 inverses cancel in pairs, and a commutator with 1 is the identity.
+    expected = group.identity() if kind == "comm" else group.generator("1", "2", 3)
+    word = parse_element_expression(nested(kind, 256), group.ring)
+    assert group.eval_word(word) == expected
+    rel = tmp_path / "rel.txt"
+    rel.write_text(format_relation(group.relation))
+    code = main(["eval", "--relation", str(rel), "--ring", "Z/7", nested(kind, 256)])
+    assert code == 0
+    assert capsys.readouterr().out == f"{expected}\n"
+
+
+@pytest.mark.parametrize("kind", ["paren", "inv", "comm"])
+def test_257_levels_are_a_parse_error_that_names_the_position(group, kind):
+    text = nested(kind, 257)
+    position = text.index(GEN)
+    with pytest.raises(ParseError, match=f"deeper than 256 at position {position}$"):
+        parse_element_expression(text, group.ring)
+
+
+def test_cli_refuses_1200_parentheses_with_one_error_line(group, tmp_path):
+    rel = tmp_path / "rel.txt"
+    rel.write_text(format_relation(group.relation))
+    argv = ["eval", "--relation", str(rel), nested("paren", 1200)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "mclain", *argv], capture_output=True, text=True
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr

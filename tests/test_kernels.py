@@ -44,6 +44,11 @@ def reference_product(group, factors, start=None):
     return out
 
 
+def gen_word(factors):
+    """The word of Gen tokens for these (pair, value) factors, in order."""
+    return GeneratorWord(tuple(Gen(*pair, c) for pair, c in factors))
+
+
 def kernel_relations():
     """The zoo, which holds ngon(5), and five more seeded pruned orders."""
     pruned = [
@@ -130,6 +135,16 @@ def test_eval_word_with_other_tokens_between_generator_runs():
                     else:
                         tokens.append(One())
                 assert group.eval_word(GeneratorWord(tuple(tokens))) == expected
+            # x * inv(y * comm(a, b) * z): a division by a word that holds a
+            # commutator, after a nonempty generator run.
+            x, y, z, a, b = (random_factors(group, rng, 2) for _ in range(5))
+            inner = GeneratorWord(
+                (*gen_word(y), Comm(gen_word(a), gen_word(b)), *gen_word(z))
+            )
+            value = reference_product(group, a).commutator(reference_product(group, b))
+            value = reference_product(group, y) * value * reference_product(group, z)
+            expected = reference_product(group, x) * value.inverse()
+            assert group.eval_word(GeneratorWord((*gen_word(x), Inv(inner)))) == expected
 
 
 def test_both_kernels_multiply_onto_a_nonzero_start():

@@ -126,3 +126,32 @@ def test_group_refuses_a_hand_built_relation_with_labels_that_are_not_strings():
     mixed = Relation(frozenset({"a", 3}), frozenset({("a", 3)}))
     with pytest.raises(ValueError, match=re.escape("label 3 is not a string")):
         McLainGroup(mixed, Integers())
+
+
+# Labels with a character that does not print: a byte-order mark inside a
+# file (as left by concatenating two files), a zero-width space, a soft
+# hyphen, an escape that a terminal would act on, and NUL.
+UNPRINTABLE_LABELS = ["\ufeff2", "3\u200b", "a\u00adb", "2\x1b3", "x\x00"]
+
+
+@pytest.mark.parametrize("label", UNPRINTABLE_LABELS)
+def test_labels_that_do_not_print_are_refused_everywhere(tmp_path, capsys, label):
+    with pytest.raises(ValueError, match=re.escape(f"label {label!r}")):
+        from_pairs([(label, "c")])
+    bare = Relation(frozenset({"1", "2", label}), frozenset({("1", "2")}))
+    with pytest.raises(ValueError, match=re.escape(f"label {label!r}")):
+        McLainGroup(bare, Integers())
+    text = f"1 2\n{label} 3\n"
+    with pytest.raises(ParseError, match=re.escape(f"line 2: label {label!r}")):
+        parse_relation_text(text)
+    with pytest.raises(ParseError, match=re.escape(f"line 2: label {label!r}")):
+        parse_order_text(text)
+    path = tmp_path / "rel.txt"
+    path.write_text(text, encoding="utf-8")
+    for argv in (["check", str(path)], ["series", str(path), "--lower"]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: line 2: label ")
+        assert captured.err.count("\n") == 1

@@ -75,10 +75,10 @@ def test_normal_form_print_and_parse_round_trip(ring, data):
     assert str(parsed) == text
 
 
-# The label rule: nonempty, not "node", no whitespace and none of the
-# punctuation the text surfaces delimit labels with.
+# The label rule: nonempty, not "node", printable, no whitespace and none
+# of the punctuation the text surfaces delimit labels with.
 label_chars = st.characters(blacklist_categories=("Cs",)).filter(
-    lambda c: not c.isspace() and c not in "*(),;[]+#"
+    lambda c: c.isprintable() and not c.isspace() and c not in "*(),;[]+#"
 )
 labels = st.text(label_chars, min_size=1, max_size=4).filter(lambda s: s != "node")
 

@@ -209,3 +209,7 @@ def test_series_index_only_the_relations_they_are_given(data):
     with index_builds() as built:
         upper_central_series(delta)
     assert all(r is delta for r in built)
+    delta, gamma = fresh(delta), fresh(closed)
+    with index_builds() as built:
+        is_closed(gamma, delta)
+    assert all(r is delta for r in built)
