@@ -25,12 +25,12 @@ validated once, on entry (``_payloads``, from ``McLainGroup.element``,
 below take validated payloads.
 
 Products with a run of single generators 1 + c e(p,q) skip the general
-splice, which scans every term of both maps. Two kernels do the
-one-pair step of collection instead. ``_times_generators`` multiplies
-on the right and keeps the running map indexed by column: a factor
-adds P[i,p] c to P[i,q] for each i in column p, so it costs O(|column
-p|). ``_generators_times`` is its mirror on the left, indexed by row:
-a factor adds c R[q,l] to R[p,l] for each l in row q, at O(|row q|).
+splice, which scans every term of both maps. One kernel does the
+one-pair step of collection instead: ``_generators_times`` multiplies
+on the left and keeps the running map by row, so a factor adds
+c R[q,l] to R[p,l] for each l in row q, at O(|row q|). An ordered
+product is built from its right end, feeding the factors last-first
+(``eval_word``, ``OrderedForm.product``, ``ordered_factorization``).
 """
 
 from __future__ import annotations
@@ -136,13 +136,14 @@ class McLainGroup:
 
     def eval_word(self, word: GeneratorWord) -> "GroupElement":
         """The left-to-right product of the tokens, kept as one raw map: each
-        run of Gen tokens is one call of the right kernel, and each inv(w) is
-        one right division by w."""
+        run of Gen tokens is built last-first by the row kernel and joined to
+        the map so far, and each inv(w) is one right division by w."""
         out: Coeffs = {}
         for is_gen, run in groupby(word.tokens, key=lambda t: isinstance(t, Gen)):
             if is_gen:
                 factors = _payloads(self, (((t.source, t.target), t.value) for t in run))
-                out = _times_generators(self, out, factors)
+                run_map = _generators_times(self, reversed(list(factors)), {})
+                out = _product(self, out, run_map) if out else run_map
                 continue
             for token in run:
                 if isinstance(token, Inv):
@@ -220,46 +221,16 @@ def _payloads(
             yield pair, payload
 
 
-def _times_generators(
-    group: McLainGroup, x: Coeffs, factors: Iterable[tuple[Pair, object]]
-) -> Coeffs:
-    """The map of (1+x)(1 + c1 e(p1,q1))(1 + c2 e(p2,q2))..., zeros pruned.
-
-    The running map P is kept by column. A factor 1 + c e(p,q) adds
-    P[i,p] c to P[i,q] for each i in column p with (i,q) in the
-    relation, then c to P[p,q]; nothing else changes. The factors are
-    payloads the caller has validated.
-    """
-    ring, pairs = group.ring, group.relation.pairs
-    mul, fma, add, is_zero = ring._mul, ring._fma, ring._add, ring._is_zero
-    cols: dict[str, dict[str, object]] = {}
-    for (i, j), a in x.items():
-        cols.setdefault(j, {})[i] = a
-    for (p, q), c in factors:
-        col_q = cols.setdefault(q, {})
-        # With p == q the two columns are one dict; only existing keys
-        # are then reassigned, so iterating it stays safe.
-        for i, a in cols.get(p, {}).items():
-            if (i, q) in pairs:
-                prior = col_q.get(i)
-                col_q[i] = mul(a, c) if prior is None else fma(prior, a, c)
-        prior = col_q.get(p)
-        col_q[p] = c if prior is None else add(prior, c)
-    return {
-        (i, j): a for j, col in cols.items() for i, a in col.items() if not is_zero(a)
-    }
-
-
 def _generators_times(
     group: McLainGroup, factors: Iterable[tuple[Pair, object]], x: Coeffs
 ) -> Coeffs:
-    """The mirror of ``_times_generators``: each factor in turn multiplies
-    on the left, so the result is the map of ...(1 + c2 e(p2,q2))(1 + c1
-    e(p1,q1))(1+x).
+    """The map of ...(1 + c2 e(p2,q2))(1 + c1 e(p1,q1))(1+x), zeros pruned:
+    each factor in turn multiplies on the left.
 
     The running map R is kept by row. A factor 1 + c e(p,q) adds
     c R[q,l] to R[p,l] for each l in row q with (p,l) in the relation,
-    then c to R[p,q].
+    then c to R[p,q]; nothing else changes. The factors are payloads the
+    caller has validated.
     """
     ring, pairs = group.ring, group.relation.pairs
     mul, fma, add, is_zero = ring._mul, ring._fma, ring._add, ring._is_zero

@@ -16,10 +16,11 @@ g = P (P^-1 g) every cross term lands at level k + 1 or deeper: at a
 level-k pair the coefficient is g's minus P's, in any position of the
 order, and no residual P^-1 g is ever formed.
 
-Every ordered product, the sweep's included, goes through the column
-kernel ``elements._times_generators``: the factor 1 + c e(p,q) costs
-O(|column p|), not the O(|support|) of a general product. The kernels
-take validated payloads: values are checked where they enter
+Every generator product here, the sweep's included, goes through the
+row kernel ``elements._generators_times``: the factor 1 + c e(p,q) costs
+O(|row q|), not the O(|support|) of a general product. Ordered products
+feed it their factors last-first, building from the right end. The
+kernel takes validated payloads: values are checked where they enter
 (``McLainGroup.element``, ``McLainGroup.eval_word``,
 ``OrderedForm.product``), and both sweeps work on payloads, building
 ring values only for the forms and words they return.
@@ -44,7 +45,6 @@ from .elements import (
     McLainGroup,
     _generators_times,
     _payloads,
-    _times_generators,
 )
 from .relations import (
     Pair,
@@ -99,17 +99,23 @@ class OrderedForm:
     pair of the order to its coefficient, and the ordered product of
     the corresponding generators reproduces the factored element.
 
-    ``product`` multiplies out with the column kernel: the product so
-    far is kept by column, and the factor at (p,q) costs O(|column p|).
+    ``product`` multiplies out with the row kernel from the right end of
+    the order: the product so far is kept by row, and the factor at (p,q)
+    costs O(|row q|).
     """
 
     group: McLainGroup
     order: tuple[Pair, ...]
     coefficients: dict[Pair, RingValue]
 
+    def __post_init__(self) -> None:
+        if missing := next((p for p in self.order if p not in self.coefficients), None):
+            raise ValueError(f"order pair ({missing[0]},{missing[1]}) has no coefficient")
+
     def product(self) -> GroupElement:
-        factors = _payloads(self.group, ((p, self.coefficients[p]) for p in self.order))
-        return GroupElement(self.group, _times_generators(self.group, {}, factors))
+        group = self.group
+        factors = list(_payloads(group, ((p, self.coefficients[p]) for p in self.order)))
+        return GroupElement(group, _generators_times(group, reversed(factors), {}))
 
     def lines(self) -> list[str]:
         return [f"({i},{j}) ; {self.coefficients[(i, j)]}" for i, j in self.order]
@@ -137,7 +143,8 @@ def ordered_factorization(g: GroupElement, order: tuple[Pair, ...]) -> OrderedFo
     ring, target, zero = group.ring, g._coeffs, group.ring.zero.payload
     found: dict[Pair, object] = {}  # the nonzero coefficients so far, as payloads
     for current, deeper in zip(chain.terms, chain.terms[1:]):
-        running = _times_generators(group, {}, ((p, found[p]) for p in order if p in found))
+        factors = ((p, found[p]) for p in reversed(order) if p in found)
+        running = _generators_times(group, factors, {})
         outside = (pair for pair in order if pair not in current.pairs)
         if any(running.get(p) != target.get(p) for p in outside):
             raise AssertionError("level sweep residual escaped its bracket level")

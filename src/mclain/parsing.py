@@ -10,7 +10,8 @@ Labels follow the rule of relation files: printable, no whitespace and
 none of ``* ( ) , ; [ ] + #``. Ring literals follow the coefficient ring:
 signed decimal for the scalar rings, ``[a,b;c,d]`` for the matrix rings. A
 parenthesized expr splices its tokens into the surrounding product. Brackets
-nest at most _MAX_NESTING deep, to keep parsing off the recursion limit.
+nest at most _MAX_NESTING deep, to keep parsing, and the printing, comparing
+and hashing of the parsed word, off the recursion limit.
 
 Normal forms, as printed by elements, are also parseable here:
 
@@ -28,7 +29,7 @@ from .relations import _LABEL_PUNCTUATION, Pair, ParseError, _pair_lines
 from .rings import Ring, RingError
 
 _LABEL_STOP = set(_LABEL_PUNCTUATION + " \t\r\n")
-_MAX_NESTING = 256
+_MAX_NESTING = 100
 
 
 class _Scanner:

@@ -19,6 +19,7 @@ from mclain import (
     Integers,
     IntegersMod,
     McLainGroup,
+    OrderedForm,
     chain,
     closure,
     demonstrate_ngon_obstruction,
@@ -126,6 +127,12 @@ def test_ordered_factorization_argument_errors():
         ordered_factorization(g, (("1", "2"), ("1", "3")))
     with pytest.raises(ValueError, match="closed"):
         ordered_factorization(g, (("1", "2"), ("2", "3")))
+
+
+def test_ordered_form_refuses_an_order_pair_without_a_coefficient():
+    group = McLainGroup(chain(3), IntegersMod(7))
+    with pytest.raises(ValueError, match=r"^order pair \(2,3\) has no coefficient$"):
+        OrderedForm(group, (("1", "2"), ("2", "3")), {("1", "2"): 1})
 
 
 def test_ordered_factorization_round_trips_random():
