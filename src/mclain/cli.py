@@ -2,9 +2,10 @@
 
 Commands operate on a group built from a relation file and a ring
 spec. Exit status is 0 for success, 1 for a domain failure such as
-an invalid relation or a non-normal subset, and 2 for usage or parse
-errors. All output is deterministic: pairs are sorted and ring literals
-are canonical.
+an invalid relation or a non-normal subset, 2 for usage or parse
+errors, and 3 when one of the library's self-checks fails (an internal
+fault, reported as one ``error: self-check failed:`` line). All output
+is deterministic: pairs are sorted and ring literals are canonical.
 """
 
 from __future__ import annotations
@@ -50,8 +51,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_series(args: argparse.Namespace) -> int:
     relation = parse_relation_file(args.file)
+    ring = parse_ring_spec(args.ring)
     if args.lower:
-        ring = parse_ring_spec(args.ring)
         chain, reports = lower_central_series(relation, ring)
         lines = format_chain_lines(chain, reports)
     else:
@@ -183,6 +184,10 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except AssertionError as exc:
+        # src/ holds no assert statements, so this is a failed self-check.
+        print(f"error: self-check failed: {exc}", file=sys.stderr)
+        return 3
 
 
 def entrypoint() -> None:

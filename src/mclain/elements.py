@@ -24,6 +24,11 @@ validated once, on entry (``_payloads``, from ``McLainGroup.element``,
 ``McLainGroup.eval_word`` and ``OrderedForm.product``); the kernels
 below take validated payloads.
 
+Every kernel (``_splice``, ``_product``, ``_generators_times`` and
+``_divide``) adds up the same way: each sum starts at the ring's zero
+payload and takes every term through one ``Ring._fma`` or ``Ring._add``,
+and the zeros that leaves are pruned once, at the end.
+
 Products with a run of single generators 1 + c e(p,q) skip the general
 splice, which scans every term of both maps. One kernel does the
 one-pair step of collection instead: ``_generators_times`` multiplies
@@ -158,49 +163,33 @@ class McLainGroup:
 Coeffs = dict[Pair, object]
 
 
-def _splice(
-    group: McLainGroup, x: Coeffs, y: Coeffs, base: Coeffs | None = None
-) -> Coeffs:
+def _splice(group: McLainGroup, x: Coeffs, y: Coeffs, base: Coeffs) -> Coeffs:
     """base + xy for coefficient maps, zeros pruned.
 
-    base is zero when omitted; a given base must hold no zeros, and it
-    is added into in place. The ring's payload hooks are bound once, the
-    products are added up raw, and the entries they reach are pruned of
-    zeros in one pass at the end.
+    base must hold no zeros, and it is added into in place. Each row sum
+    of xy starts at the ring's zero and takes every term through one
+    fused ``_fma``; each admitted sum joins base through one ``_add``.
+    The zeros that leaves are pruned in one pass at the end.
     """
     ring, pairs = group.ring, group.relation.pairs
-    mul, fma, add, is_zero = ring._mul, ring._fma, ring._add, ring._is_zero
-    # Index only the terms that can meet: x at (i,j) and y at (j,l).
-    firsts = {j for j, _ in y}
+    fma, add, is_zero, zero = ring._fma, ring._add, ring._is_zero, ring.zero.payload
     rows: dict[str, list[tuple[str, object]]] = {}
     for (i, j), a in x.items():
-        if j in firsts:
-            rows.setdefault(i, []).append((j, a))
-    middles = {j for row in rows.values() for j, _ in row}
+        rows.setdefault(i, []).append((j, a))
     by_first: dict[str, list[tuple[str, object]]] = {}
     for (j, l), b in y.items():
-        if j in middles:
-            by_first.setdefault(j, []).append((l, b))
-    out: Coeffs = {} if base is None else base
-    touched: list[Pair] = []
+        by_first.setdefault(j, []).append((l, b))
     for i, row in rows.items():
         # Sum row i of xy by target, then keep the targets the relation
         # admits: every other product of basis elements is zero.
         sums: dict[str, object] = {}
         for j, a in row:
             for l, b in by_first.get(j, ()):
-                prior = sums.get(l)
-                sums[l] = mul(a, b) if prior is None else fma(prior, a, b)
+                sums[l] = fma(sums.get(l, zero), a, b)
         for l, c in sums.items():
-            pair = (i, l)
-            if pair in pairs:
-                prior = out.get(pair)
-                out[pair] = c if prior is None else add(prior, c)
-                touched.append(pair)
-    for pair in touched:
-        if is_zero(out[pair]):
-            del out[pair]
-    return out
+            if (i, l) in pairs:
+                base[i, l] = add(base.get((i, l), zero), c)
+    return {p: c for p, c in base.items() if not is_zero(c)}
 
 
 def _payloads(
@@ -233,7 +222,7 @@ def _generators_times(
     caller has validated.
     """
     ring, pairs = group.ring, group.relation.pairs
-    mul, fma, add, is_zero = ring._mul, ring._fma, ring._add, ring._is_zero
+    fma, add, is_zero, zero = ring._fma, ring._add, ring._is_zero, ring.zero.payload
     rows: dict[str, dict[str, object]] = {}
     for (i, j), a in x.items():
         rows.setdefault(i, {})[j] = a
@@ -241,28 +230,21 @@ def _generators_times(
         row_p = rows.setdefault(p, {})
         for l, b in rows.get(q, {}).items():
             if (p, l) in pairs:
-                prior = row_p.get(l)
-                row_p[l] = mul(c, b) if prior is None else fma(prior, c, b)
-        prior = row_p.get(q)
-        row_p[q] = c if prior is None else add(prior, c)
+                row_p[l] = fma(row_p.get(l, zero), c, b)
+        row_p[q] = add(row_p.get(q, zero), c)
     return {
         (i, j): a for i, row in rows.items() for j, a in row.items() if not is_zero(a)
     }
 
 
 def _product(group: McLainGroup, x: Coeffs, y: Coeffs) -> Coeffs:
-    """The map of (1+x)(1+y) = 1 + (x + y + xy)."""
-    add, is_zero = group.ring._add, group.ring._is_zero
-    out = dict(x)
+    """The map of (1+x)(1+y) = 1 + (x + y + xy): x + y, added from zero,
+    is the base that ``_splice`` adds xy into and prunes."""
+    add, zero = group.ring._add, group.ring.zero.payload
+    base = dict(x)
     for pair, c in y.items():
-        prior = out.get(pair)
-        if prior is None:
-            out[pair] = c
-        elif is_zero(total := add(prior, c)):
-            del out[pair]
-        else:
-            out[pair] = total
-    return _splice(group, x, y, out)
+        base[pair] = add(base.get(pair, zero), c)
+    return _splice(group, x, y, base)
 
 
 _BOUND_MESSAGE = (
@@ -276,16 +258,20 @@ def _divide(group: McLainGroup, u: Coeffs, w: Coeffs) -> Coeffs:
     z[i,l] = u[i,l] - w[i,l] - the sum of z[i,j] w[j,l], and each such
     (i,l) = (i,j)∘(j,l) lies at a deeper level of the bracket series than
     (i,j). So the pairs are solved level by level, shallow first, as in a
-    triangular back-substitution: the running sums start at u - w, and
-    once z[i,j] is final and nonzero, z[i,j] (-w[j,l]) goes into the sum
-    of (i,l) for each l in row j of w. w stays on the right, so the solve
-    is exact over noncommutative rings; with every sum spent, the rest of
-    z is 0. Only a corrupted relation has a cycle of decompositions and
+    triangular back-substitution: the running sums start at u - w, each
+    term added from the ring's zero, and once z[i,j] is final and nonzero,
+    z[i,j] (-w[j,l]) goes into the sum of (i,l) for each l in row j of w
+    through one ``_fma``. A pair is popped from the sums when its level
+    comes, with zero for a pair no term reached, and kept only if nonzero:
+    that is the one prune. w stays on the right, so the solve is exact
+    over noncommutative rings; with every sum spent, the rest of z is 0.
+    Only a corrupted relation has a cycle of decompositions and
     so no levels; it raises the same AssertionError as the power loop of
     ``nilpotency_index``.
     """
     ring, pairs = group.ring, group.relation.pairs
-    mul, fma, add, neg, is_zero = ring._mul, ring._fma, ring._add, ring._neg, ring._is_zero
+    fma, add, neg, is_zero = ring._fma, ring._add, ring._neg, ring._is_zero
+    zero = ring.zero.payload
     try:
         levels = group.relation._levels
     except AssertionError:
@@ -295,23 +281,21 @@ def _divide(group: McLainGroup, u: Coeffs, w: Coeffs) -> Coeffs:
     for (j, l), c in w.items():
         c = neg(c)
         rows.setdefault(j, []).append((l, c))
-        prior = sums.get((j, l))
-        sums[j, l] = c if prior is None else add(prior, c)
+        sums[j, l] = add(sums.get((j, l), zero), c)
     out: Coeffs = {}
     for level in levels:
         if not sums:
             break
         for p in level:
-            z = sums.pop(p, None)
-            if z is None or is_zero(z):
+            z = sums.pop(p, zero)
+            if is_zero(z):
                 continue
             out[p] = z
             i = p[0]
             for l, c in rows.get(p[1], ()):
                 q = (i, l)
                 if q in pairs:
-                    prior = sums.get(q)
-                    sums[q] = mul(z, c) if prior is None else fma(prior, z, c)
+                    sums[q] = fma(sums.get(q, zero), z, c)
     return out
 
 
@@ -373,7 +357,7 @@ class GroupElement:
         bound = len(spanned_nodes(self.support()))
         power, exponent = x, 1
         while power:
-            power = _splice(self.group, power, x)
+            power = _splice(self.group, power, x, {})
             exponent += 1
             if power and exponent > bound:
                 raise AssertionError(_BOUND_MESSAGE)

@@ -6,6 +6,8 @@ from __future__ import annotations
 import random
 
 from mclain import (
+    Gen,
+    GeneratorWord,
     Integers,
     IntegersMod,
     Matrices2x2Mod,
@@ -84,3 +86,19 @@ def sparse_element(group: McLainGroup, rng: random.Random):
             value = ring.sample(rng)
         values[pair] = value
     return group.element(values)
+
+
+def some_zero(ring, rng):
+    """A sampled value, or the zero of the ring about a third of the time."""
+    return ring.zero if rng.random() < 0.3 else ring.sample(rng)
+
+
+def random_factors(group: McLainGroup, rng: random.Random, length: int):
+    """Generator factors at random pairs, repeats allowed, some values zero."""
+    pairs = sorted(group.relation.pairs)
+    return [(rng.choice(pairs), some_zero(group.ring, rng)) for _ in range(length)]
+
+
+def gen_word(factors):
+    """The word of Gen tokens for these (pair, value) factors, in order."""
+    return GeneratorWord(tuple(Gen(*pair, c) for pair, c in factors))

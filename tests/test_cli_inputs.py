@@ -1,7 +1,11 @@
-"""Input files the CLI cannot read, and the work of one ``quotient`` run.
+"""Input files and ring specs the CLI refuses, a failed self-check, and
+the work of one ``quotient`` run.
 
 A relation, order or gamma file that is not UTF-8, or that names a
-directory, is a usage error: one ``error:`` line on stderr and exit 2.
+directory, is a usage error: one ``error:`` line on stderr and exit 2, and
+so is a ring spec the parser does not know, whichever command reads it. A
+self-check that fails inside the library is one ``error: self-check
+failed:`` line and exit 3, never a traceback.
 """
 
 from __future__ import annotations
@@ -41,6 +45,36 @@ def test_unreadable_input_file_is_a_usage_error(tmp_path, capsys, kind, bad):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("direction", ["--lower", "--upper"])
+def test_series_refuses_an_unknown_ring_in_either_direction(tmp_path, capsys, direction):
+    rel = tmp_path / "rel.txt"
+    rel.write_text(format_relation(chain(3)))
+    code = main(["series", str(rel), direction, "--ring", "bogus"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: unrecognized ring spec: 'bogus'\n"
+
+
+def test_a_failed_self_check_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
+    # The faulty remainder chain of the upper series' normality check test.
+    def wrong(delta):
+        return iter([delta.pairs, delta.pairs - {("1", "2")}, frozenset()])
+
+    monkeypatch.setattr(mclain.series, "_upper_remainders", wrong)
+    rel = tmp_path / "rel.txt"
+    rel.write_text(format_relation(chain(3)))
+    code = main(["series", str(rel), "--upper"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == (
+        "error: self-check failed: "
+        "upper central series term failed the normality check\n"
+    )
+    assert "Traceback" not in captured.err
 
 
 def test_quotient_projects_once_and_validates_each_group_once(

@@ -13,7 +13,14 @@ import random
 import pytest
 
 import mclain.elements
-from helpers import random_element, relation_zoo, ring_instances
+from helpers import (
+    gen_word,
+    random_element,
+    random_factors,
+    relation_zoo,
+    ring_instances,
+    some_zero,
+)
 from mclain import (
     Comm,
     Gen,
@@ -44,28 +51,12 @@ def reference_product(group, factors, start=None):
     return out
 
 
-def gen_word(factors):
-    """The word of Gen tokens for these (pair, value) factors, in order."""
-    return GeneratorWord(tuple(Gen(*pair, c) for pair, c in factors))
-
-
 def kernel_relations():
     """The zoo, which holds ngon(5), and five more seeded pruned orders."""
     pruned = [
         (f"pruned{seed}", random_pruned_order(seed, 7, 0.5)) for seed in range(300, 305)
     ]
     return relation_zoo() + pruned
-
-
-def some_zero(ring, rng):
-    """A sampled value, or the zero of the ring about a third of the time."""
-    return ring.zero if rng.random() < 0.3 else ring.sample(rng)
-
-
-def random_factors(group, rng, length):
-    """Generator factors at random pairs, repeats allowed, some values zero."""
-    pairs = sorted(group.relation.pairs)
-    return [(rng.choice(pairs), some_zero(group.ring, rng)) for _ in range(length)]
 
 
 # ---------------------------------------------------------------------------
