@@ -25,9 +25,9 @@ validated once, on entry (``_payloads``, from ``McLainGroup.element``,
 below take validated payloads.
 
 Every kernel (``_splice``, ``_product``, ``_generators_times`` and
-``_divide``) adds up the same way: each sum starts at the ring's zero
-payload and takes every term through one ``Ring._fma`` or ``Ring._add``,
-and the zeros that leaves are pruned once, at the end.
+``_divide``) adds up the same way: each sum starts at ``Ring._zero`` and
+takes every term through one ``Ring._fma`` or ``Ring._add``, and the zeros
+that leaves are pruned once, at the end, by ``!=`` against ``_zero``.
 
 Products with a run of single generators 1 + c e(p,q) skip the general
 splice, which scans every term of both maps. One kernel does the
@@ -172,7 +172,7 @@ def _splice(group: McLainGroup, x: Coeffs, y: Coeffs, base: Coeffs) -> Coeffs:
     The zeros that leaves are pruned in one pass at the end.
     """
     ring, pairs = group.ring, group.relation.pairs
-    fma, add, is_zero, zero = ring._fma, ring._add, ring._is_zero, ring.zero.payload
+    fma, add, zero = ring._fma, ring._add, ring._zero
     rows: dict[str, list[tuple[str, object]]] = {}
     for (i, j), a in x.items():
         rows.setdefault(i, []).append((j, a))
@@ -189,7 +189,7 @@ def _splice(group: McLainGroup, x: Coeffs, y: Coeffs, base: Coeffs) -> Coeffs:
         for l, c in sums.items():
             if (i, l) in pairs:
                 base[i, l] = add(base.get((i, l), zero), c)
-    return {p: c for p, c in base.items() if not is_zero(c)}
+    return {p: c for p, c in base.items() if c != zero}
 
 
 def _payloads(
@@ -201,12 +201,12 @@ def _payloads(
     cannot coerce raises RingError, zero values included: they are
     checked before they are dropped.
     """
-    pairs, coerce, is_zero = group.relation.pairs, group.ring.coerce, group.ring._is_zero
+    pairs, coerce, zero = group.relation.pairs, group.ring.coerce, group.ring._zero
     for pair, raw in items:
         if pair not in pairs:
             raise ValueError(f"pair ({pair[0]},{pair[1]}) is not in the relation")
         payload = coerce(raw).payload
-        if not is_zero(payload):
+        if payload != zero:
             yield pair, payload
 
 
@@ -222,7 +222,7 @@ def _generators_times(
     caller has validated.
     """
     ring, pairs = group.ring, group.relation.pairs
-    fma, add, is_zero, zero = ring._fma, ring._add, ring._is_zero, ring.zero.payload
+    fma, add, zero = ring._fma, ring._add, ring._zero
     rows: dict[str, dict[str, object]] = {}
     for (i, j), a in x.items():
         rows.setdefault(i, {})[j] = a
@@ -233,14 +233,14 @@ def _generators_times(
                 row_p[l] = fma(row_p.get(l, zero), c, b)
         row_p[q] = add(row_p.get(q, zero), c)
     return {
-        (i, j): a for i, row in rows.items() for j, a in row.items() if not is_zero(a)
+        (i, j): a for i, row in rows.items() for j, a in row.items() if a != zero
     }
 
 
 def _product(group: McLainGroup, x: Coeffs, y: Coeffs) -> Coeffs:
     """The map of (1+x)(1+y) = 1 + (x + y + xy): x + y, added from zero,
     is the base that ``_splice`` adds xy into and prunes."""
-    add, zero = group.ring._add, group.ring.zero.payload
+    add, zero = group.ring._add, group.ring._zero
     base = dict(x)
     for pair, c in y.items():
         base[pair] = add(base.get(pair, zero), c)
@@ -270,8 +270,7 @@ def _divide(group: McLainGroup, u: Coeffs, w: Coeffs) -> Coeffs:
     ``nilpotency_index``.
     """
     ring, pairs = group.ring, group.relation.pairs
-    fma, add, neg, is_zero = ring._fma, ring._add, ring._neg, ring._is_zero
-    zero = ring.zero.payload
+    fma, add, neg, zero = ring._fma, ring._add, ring._neg, ring._zero
     try:
         levels = group.relation._levels
     except AssertionError:
@@ -288,7 +287,7 @@ def _divide(group: McLainGroup, u: Coeffs, w: Coeffs) -> Coeffs:
             break
         for p in level:
             z = sums.pop(p, zero)
-            if is_zero(z):
+            if z == zero:
                 continue
             out[p] = z
             i = p[0]
@@ -310,7 +309,7 @@ class GroupElement:
 
     def coefficient(self, source: str, target: str) -> RingValue:
         ring = self.group.ring
-        return RingValue(ring, self._coeffs.get((source, target), ring.zero.payload))
+        return RingValue(ring, self._coeffs.get((source, target), ring._zero))
 
     def coefficients(self) -> dict[Pair, RingValue]:
         ring = self.group.ring

@@ -140,7 +140,7 @@ def ordered_factorization(g: GroupElement, order: tuple[Pair, ...]) -> OrderedFo
     if missing := sorted(g._coeffs.keys() - gamma.pairs):
         raise ValueError(f"order does not cover the support: missing {missing}")
     chain = gamma_series(gamma, group.relation)  # also rejects a non-closed order
-    ring, target, zero = group.ring, g._coeffs, group.ring.zero.payload
+    ring, target, zero = group.ring, g._coeffs, group.ring._zero
     found: dict[Pair, object] = {}  # the nonzero coefficients so far, as payloads
     for current, deeper in zip(chain.terms, chain.terms[1:]):
         factors = ((p, found[p]) for p in reversed(order) if p in found)
@@ -150,7 +150,7 @@ def ordered_factorization(g: GroupElement, order: tuple[Pair, ...]) -> OrderedFo
             raise AssertionError("level sweep residual escaped its bracket level")
         for pair in current.pairs - deeper.pairs:
             c = ring._add(target.get(pair, zero), ring._neg(running.get(pair, zero)))
-            if not ring._is_zero(c):
+            if c != zero:
                 found[pair] = c
     coefficients = {p: RingValue(ring, found.get(p, zero)) for p in order}
     form = OrderedForm(group, order, coefficients)
@@ -203,7 +203,7 @@ def demonstrate_ngon_obstruction(n: int, ring: Ring | None = None) -> NgonReport
     # Edge coefficients of an ordered edge product are exactly the inputs:
     # matching the all-unit target therefore forces unit coefficients.
     rng = random.Random(20240 + n)
-    zero = ring.zero.payload
+    zero = ring._zero
     forced = True
     for _ in range(20):
         values = {edge: ring.sample(rng) for edge in edges}

@@ -5,6 +5,12 @@ immutable, carry the ring they belong to, and refuse to mix with values
 from any other ring. The matrix instance is noncommutative on purpose:
 coefficient products inside commutator identities have a definite order,
 and a commutative-only test diet cannot tell ab from ba.
+
+A value wraps a canonical raw payload (an int, or a row-major 4-tuple
+for the matrices), so values are equal exactly when payloads are ``==``.
+A ring supplies what the group law needs: its zero payload ``_zero`` (a
+class attribute, not a field), ``_add``, ``_neg`` and the multiply-add
+``_fma``, its only product; ``_normalize`` and ``_format`` serve the edges.
 """
 
 from __future__ import annotations
@@ -45,11 +51,11 @@ class RingValue:
         return RingValue(self.ring, self.ring._neg(self.payload))
 
     def __mul__(self, other: "RingValue") -> "RingValue":
-        other = self._mate(other)
-        return RingValue(self.ring, self.ring._mul(self.payload, other.payload))
+        other, ring = self._mate(other), self.ring
+        return RingValue(ring, ring._fma(ring._zero, self.payload, other.payload))
 
     def __bool__(self) -> bool:
-        return not self.ring._is_zero(self.payload)
+        return self.payload != self.ring._zero
 
     def __str__(self) -> str:
         return self.ring._format(self.payload)
@@ -82,7 +88,7 @@ class Ring:
 
     @property
     def zero(self) -> RingValue:
-        return self.from_int(0)
+        return RingValue(self, self._zero)
 
     @property
     def one(self) -> RingValue:
@@ -109,7 +115,8 @@ class Ring:
     def elements(self) -> Iterator[RingValue]:
         raise RingError(f"{self} is not finite")
 
-    # payload hooks
+    # payload hooks. Subclasses also set _zero, the zero payload; the base
+    # has none, so a ring that forgets it fails on first use.
     def _normalize(self, payload: object) -> object:
         raise NotImplementedError
 
@@ -119,14 +126,8 @@ class Ring:
     def _neg(self, a: object) -> object:
         raise NotImplementedError
 
-    def _mul(self, a: object, b: object) -> object:
-        raise NotImplementedError
-
     def _fma(self, s: object, a: object, b: object) -> object:
-        """s + ab in one call, a on the left; the product kernels' inner step."""
-        return self._add(s, self._mul(a, b))
-
-    def _is_zero(self, a: object) -> bool:
+        """s + ab in one call, a on the left: the ring's only product."""
         raise NotImplementedError
 
     def _format(self, a: object) -> str:
@@ -145,6 +146,8 @@ def _parse_scalar(text: str, where: str) -> int:
 @dataclass(frozen=True)
 class Integers(Ring):
     """The ring of integers, at arbitrary precision."""
+
+    _zero = 0
 
     def from_int(self, k: int) -> RingValue:
         return RingValue(self, int(k))
@@ -166,14 +169,8 @@ class Integers(Ring):
     def _neg(self, a: int) -> int:
         return -a
 
-    def _mul(self, a: int, b: int) -> int:
-        return a * b
-
     def _fma(self, s: int, a: int, b: int) -> int:
         return s + a * b
-
-    def _is_zero(self, a: int) -> bool:
-        return a == 0
 
     def _format(self, a: int) -> str:
         return str(a)
@@ -187,6 +184,7 @@ class IntegersMod(Ring):
     """Integers modulo n, with residues kept in [0, n)."""
 
     n: int
+    _zero = 0
 
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or self.n < 2:
@@ -216,14 +214,8 @@ class IntegersMod(Ring):
     def _neg(self, a: int) -> int:
         return (-a) % self.n
 
-    def _mul(self, a: int, b: int) -> int:
-        return (a * b) % self.n
-
     def _fma(self, s: int, a: int, b: int) -> int:
         return (s + a * b) % self.n
-
-    def _is_zero(self, a: int) -> bool:
-        return a == 0
 
     def _format(self, a: int) -> str:
         return str(a)
@@ -241,6 +233,7 @@ class Matrices2x2Mod(Ring):
     """
 
     n: int
+    _zero = (0, 0, 0, 0)
 
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or self.n < 2:
@@ -284,16 +277,6 @@ class Matrices2x2Mod(Ring):
         a11, a12, a21, a22 = a
         return (-a11 % n, -a12 % n, -a21 % n, -a22 % n)
 
-    def _mul(self, a, b):
-        a11, a12, a21, a22 = a
-        b11, b12, b21, b22 = b
-        return (
-            (a11 * b11 + a12 * b21) % self.n,
-            (a11 * b12 + a12 * b22) % self.n,
-            (a21 * b11 + a22 * b21) % self.n,
-            (a21 * b12 + a22 * b22) % self.n,
-        )
-
     def _fma(self, s, a, b):
         a11, a12, a21, a22 = a
         b11, b12, b21, b22 = b
@@ -303,9 +286,6 @@ class Matrices2x2Mod(Ring):
             (s[2] + a21 * b11 + a22 * b21) % self.n,
             (s[3] + a21 * b12 + a22 * b22) % self.n,
         )
-
-    def _is_zero(self, a) -> bool:
-        return a == (0, 0, 0, 0)
 
     def _format(self, a) -> str:
         return f"[{a[0]},{a[1]};{a[2]},{a[3]}]"

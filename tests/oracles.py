@@ -31,6 +31,9 @@ routes is meaningful evidence rather than a tautology.
   every couple of pairs, with no index.
 * Quadruple scan: exchange violations found by testing every quadruple
   of nodes, with no index and no successor set.
+* Payload formula: s + ab on raw ring payloads, the residue formula for
+  Z and Z/n and ``mat_mul`` for M2(Z/n), against the rings' ``_fma``
+  and ``RingValue`` multiplication.
 * Series route: the inverse of 1 + x as the alternating power series
   1 - x + x^2 - ..., summed one power at a time in RingValue arithmetic,
   against the library's inverse by repeated squaring on raw payloads.
@@ -41,7 +44,15 @@ from __future__ import annotations
 import itertools
 import random
 
-from mclain import GroupElement, McLainGroup, gamma_series, is_closed, quotient_project
+from mclain import (
+    GroupElement,
+    IntegersMod,
+    Matrices2x2Mod,
+    McLainGroup,
+    gamma_series,
+    is_closed,
+    quotient_project,
+)
 
 
 def mat_identity(m: int) -> list[list[int]]:
@@ -54,6 +65,18 @@ def mat_mul(a: list[list[int]], b: list[list[int]], p: int) -> list[list[int]]:
         [sum(a[i][k] * b[k][j] for k in range(m)) % p for j in range(m)]
         for i in range(m)
     ]
+
+
+def payload_fma(ring, s, a, b):
+    """s + ab on raw payloads of Z, Z/n or M2(Z/n), a on the left, by the
+    textbook formula and without the ring's hooks."""
+    if isinstance(ring, Matrices2x2Mod):
+        n = ring.n
+        (p, q), (r, t) = mat_mul([a[:2], a[2:]], [b[:2], b[2:]], n)
+        return tuple((x + y) % n for x, y in zip(s, (p, q, r, t)))
+    if isinstance(ring, IntegersMod):
+        return (s + a * b) % ring.n
+    return s + a * b
 
 
 def mat_inv(a: list[list[int]], p: int) -> list[list[int]]:

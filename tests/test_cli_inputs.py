@@ -1,14 +1,17 @@
-"""Input files and ring specs the CLI refuses, a failed self-check, and
-the work of one ``quotient`` run.
+"""Input files and ring specs the CLI refuses, a failed self-check, a
+failed n-gon demonstration, and the work of one ``quotient`` run.
 
 A relation, order or gamma file that is not UTF-8, or that names a
 directory, is a usage error: one ``error:`` line on stderr and exit 2, and
 so is a ring spec the parser does not know, whichever command reads it. A
 self-check that fails inside the library is one ``error: self-check
-failed:`` line and exit 3, never a traceback.
+failed:`` line and exit 3, never a traceback. A demonstration that finds
+an ordering reproducing its target is one ``error:`` line and exit 1.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import pytest
 
@@ -75,6 +78,20 @@ def test_a_failed_self_check_exits_3_with_one_line(tmp_path, capsys, monkeypatch
         "upper central series term failed the normality check\n"
     )
     assert "Traceback" not in captured.err
+
+
+def test_a_failed_ngon_demonstration_exits_1_with_one_line(capsys, monkeypatch):
+    real = mclain.cli.demonstrate_ngon_obstruction
+
+    def one_success(n, ring):
+        return dataclasses.replace(real(n, ring), successes=1)
+
+    monkeypatch.setattr(mclain.cli, "demonstrate_ngon_obstruction", one_success)
+    code = main(["demo-ngon", "4"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: obstruction demonstration failed\n"
 
 
 def test_quotient_projects_once_and_validates_each_group_once(

@@ -8,7 +8,13 @@ import sys
 
 import pytest
 
-from helpers import acceptance_relations, random_element, relation_zoo, ring_instances
+from helpers import (
+    acceptance_relations,
+    dense_element,
+    random_element,
+    relation_zoo,
+    ring_instances,
+)
 from oracles import alternating_series_inverse
 from mclain import (
     Comm,
@@ -290,6 +296,11 @@ def test_format_word_round_trips_through_the_parser():
         text = format_word(word)
         reparsed = parse_element_expression(text, group.ring)
         assert group.eval_word(reparsed) == group.eval_word(word)
+    two, three = group.ring.from_int(2), group.ring.from_int(3)
+    word = GeneratorWord((Gen("1", "2", two), One(), Gen("2", "3", three)))
+    assert format_word(word) == "x(1,2;2)*1*x(2,3;3)"
+    reparsed = parse_element_expression(format_word(word), group.ring)
+    assert group.eval_word(reparsed) == group.eval_word(word)
 
 
 # ---------------------------------------------------------------------------
@@ -384,12 +395,35 @@ def test_normal_form_round_trip_random():
                 assert parse_normal_form(str(g), group) == g
 
 
+def test_equal_elements_share_one_hash_and_repr_is_str():
+    # A product, its reparsed normal form and element() fed its items in
+    # reverse build the same element with differently ordered maps.
+    rng = random.Random(48)
+    for ring in ring_instances():
+        group = McLainGroup(chain(4), ring)
+        g = dense_element(group, rng) * dense_element(group, rng)
+        assert len(g.coefficients()) > 1
+        reverse = dict(reversed(list(g.coefficients().items())))
+        routes = [g, parse_normal_form(str(g), group), group.element(reverse)]
+        assert len(set(routes)) == 1
+        assert len({hash(route) for route in routes}) == 1
+        assert repr(g) == str(g)
+
+
 def test_parse_normal_form_rejects_bad_text():
     group = _group()
     with pytest.raises(ParseError):
         parse_normal_form("2 + 1*e(1,2)", group)
     with pytest.raises(ParseError):
         parse_normal_form("1 + 1*e(1,2) + 2*e(1,2)", group)
+    with pytest.raises(ParseError, match="bad normal-form term"):
+        parse_normal_form("1 + 3*e(1,2", group)
+    with pytest.raises(ParseError, match="bad pair in normal-form term"):
+        parse_normal_form("1 + 3*e(1)", group)
+    with pytest.raises(ParseError, match="bad coefficient in normal form"):
+        parse_normal_form("1 + q*e(1,2)", group)
+    with pytest.raises(ParseError, match="unterminated matrix literal"):
+        parse_element_expression("x(1,2;[1,0;0,1)", Matrices2x2Mod(2))
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 
 import pytest
 
 from mclain import Integers, IntegersMod, Matrices2x2Mod, RingError, parse_ring_spec
+from oracles import payload_fma
 
 
 def test_ring_spec_strings_round_trip():
@@ -169,3 +171,24 @@ def test_truthiness_tracks_zero():
     assert not ring.zero
     assert ring.one
     assert not ring.from_int(4)
+
+
+@pytest.mark.parametrize(
+    "ring", [IntegersMod(4), IntegersMod(7), Matrices2x2Mod(2), Integers()], ids=str
+)
+def test_payload_contract(ring):
+    """Zero is one constant payload compared with ==, and a product is the
+    ring's _fma from that zero. _zero is a class constant, not a field, so
+    ring equality, hash and repr still see only the modulus."""
+    assert ring._zero == ring.from_int(0).payload
+    assert ring.zero == ring.from_int(0)
+    names = [field.name for field in dataclasses.fields(ring)]
+    assert names == ([] if isinstance(ring, Integers) else ["n"])
+    if isinstance(ring, Integers):
+        values = [ring.from_int(k) for k in (-(10**20), -3, -1, 0, 1, 2, 10**20)]
+    else:
+        values = list(ring.elements())
+    for v in values:
+        assert bool(v) == (v.payload != ring._zero)
+    for a, b in itertools.product(values, repeat=2):
+        assert (a * b).payload == payload_fma(ring, ring._zero, a.payload, b.payload)
