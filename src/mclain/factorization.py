@@ -49,7 +49,7 @@ from .elements import (
 from .relations import (
     Pair,
     Relation,
-    _decompositions,
+    _saturate,
     closure,
     gamma_series,
     ngon,
@@ -68,9 +68,11 @@ def word_factorization(g: GroupElement) -> GeneratorWord:
     """A flat product of generators evaluating back to g.
 
     Each pass peels the support pairs lying outside the bracket of the
-    current closed support, recording one generator per peeled pair;
+    current closed support C, recording one generator per peeled pair;
     what remains is supported strictly deeper, so the passes terminate.
-    Evaluating the recorded word left to right reconstructs g exactly.
+    Evaluating the recorded word left to right reconstructs g exactly. A
+    pair (a,c) lies outside [C, C] when C_row[a] & C_col[c] is 0, with C's
+    masks in the relation's index, as the closure's saturation leaves them.
 
     A pass removes its peeled generators with one call of the row
     kernel. Those undos change coefficients only in the bracket of the
@@ -79,10 +81,12 @@ def word_factorization(g: GroupElement) -> GeneratorWord:
     """
     tokens: list[Gen] = []
     group, ring, residual = g.group, g.group.ring, g._coeffs
+    number = group.relation._index.number
     while residual:
-        support = Relation(group.relation.nodes, frozenset(residual))
-        deeper = _decompositions(closure(support, group.relation), group.relation)
-        peel = [p for p in sorted(residual) if p not in deeper]
+        _, rows, cols = _saturate(residual, group.relation, closed=True)
+        peel = [
+            (a, c) for a, c in sorted(residual) if not rows[number[a]] & cols[number[c]]
+        ]
         if not peel:
             raise AssertionError("support closure has no top level to peel")
         tokens.extend(Gen(*pair, RingValue(ring, residual[pair])) for pair in peel)

@@ -16,6 +16,12 @@ contains every composite (i,k) of its own pairs that the ambient
 relation admits; closed subsets index subgroups. It is normal when it
 additionally absorbs composition with ambient pairs on either side;
 normal subsets index normal subgroups and quotients.
+
+The axiom scan, the closures, the absorption tests and both series
+descents run on one cached index per relation, ``Relation._index``: each
+node's successor row and predecessor column as an int mask, so a step is
+a few ``&`` tests instead of lookups of label pairs. A subset is scanned
+as masks in the numbering of the relation it is tested against.
 """
 
 from __future__ import annotations
@@ -24,8 +30,8 @@ import random
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import pairwise
-from typing import Collection, Iterable, Iterator
+from itertools import compress
+from typing import Collection, Iterable, Iterator, NamedTuple
 
 Pair = tuple[str, str]
 
@@ -71,12 +77,55 @@ class AxiomReport:
     violations: tuple[object, ...]
 
 
+class _Index(NamedTuple):
+    """A relation's nodes numbered in sorted label order, with each node's
+    successor row and predecessor column as one int mask: bit y of rows[x]
+    and bit x of cols[y] are set when (labels[x], labels[y]) is a pair.
+
+    Because the numbers follow sorted labels, reading bits from low to high
+    visits nodes, and so pairs, in sorted label order: scans on the masks
+    report in the same order as scans over sorted label pairs. The masks
+    are shared by every caller; a scan that clears bits copies them first.
+    """
+
+    labels: tuple[str, ...]
+    number: dict[str, int]
+    rows: list[int]
+    cols: list[int]
+
+
+def _bits(mask: int) -> list[int]:
+    """The set bits of a mask, low to high."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _masks(
+    pairs: Iterable[Pair],
+    number: dict[str, int],
+    masks: tuple[list[int], list[int]] | None = None,
+) -> tuple[list[int], list[int]]:
+    """The row and column masks of these pairs in a numbering, or ``masks``
+    with the pairs' bits added in place."""
+    rows, cols = masks or ([0] * len(number), [0] * len(number))
+    for a, b in pairs:
+        x, y = number[a], number[b]
+        rows[x] |= 1 << y
+        cols[y] |= 1 << x
+    return rows, cols
+
+
 @dataclass(frozen=True)
 class Relation:
     """An immutable finite relation with an explicit node set.
 
     The node set may strictly contain the nodes touched by pairs; keeping
-    it explicit lets set difference preserve isolated nodes.
+    it explicit lets set difference preserve isolated nodes. The relation
+    calculus runs on its one cached ``_index`` of row and column masks.
     """
 
     nodes: frozenset[str]
@@ -86,6 +135,12 @@ class Relation:
         for i, j in self.pairs:
             if i not in self.nodes or j not in self.nodes:
                 raise ValueError(f"pair ({i},{j}) uses a node outside the node set")
+
+    @cached_property
+    def _index(self) -> _Index:
+        labels = tuple(sorted(self.nodes))
+        number = {label: x for x, label in enumerate(labels)}
+        return _Index(labels, number, *_masks(self.pairs, number))
 
     @cached_property
     def by_first(self) -> dict[str, tuple[Pair, ...]]:
@@ -106,38 +161,48 @@ class Relation:
         """Both axioms diagnosed once, every violation reported in a fixed order.
 
         The exchange scan walks composable couples (i,j), (j,k) in sorted
-        order. Of the l in succ(k) & succ(i), those outside succ(j) break the
-        axiom when (i,k) is present, and those inside it when (i,k) is absent.
+        order on the index. With S the successor rows, the l in
+        common = S[i] & S[k] break the axiom when they lie outside S[j] and
+        (i,k) is present, or inside S[j] and (i,k) is absent.
         """
-        loops = sorted(pair for pair in self.pairs if pair[0] == pair[1])
-        violations: list[object] = [ReflexiveViolation(pair) for pair in loops]
-        by_first, empty = self.by_first, frozenset()
-        succ = {i: frozenset([k for _, k in out]) for i, out in by_first.items()}
-        for i, j in (pair for out in by_first.values() for pair in out):  # sorted
-            after_i = succ[i]
-            for _, k in by_first.get(j, ()):
-                common = after_i & succ.get(k, empty)
-                if not common:
-                    continue
-                has_ik, after_j = k in after_i, succ[j]
-                for l in sorted(common - after_j if has_ik else common & after_j):
-                    present, absent = ((i, k), (j, l)) if has_ik else ((j, l), (i, k))
-                    violations.append(ExchangeViolation((i, j, k, l), present, absent))
+        labels, _, rows, _ = self._index
+        violations: list[object] = [
+            ReflexiveViolation((label, label))
+            for x, label in enumerate(labels)
+            if rows[x] >> x & 1
+        ]
+        succ = [_bits(row) for row in rows]
+        for x, after_x in enumerate(rows):
+            for y in succ[x]:
+                after_y = rows[y]
+                for z in succ[y]:
+                    common = after_x & rows[z]
+                    if not common:
+                        continue
+                    has_xz = after_x >> z & 1
+                    bad = common & ~after_y if has_xz else common & after_y
+                    if not bad:
+                        continue
+                    i, j, k = labels[x], labels[y], labels[z]
+                    for w in _bits(bad):
+                        l = labels[w]
+                        present, absent = ((i, k), (j, l)) if has_xz else ((j, l), (i, k))
+                        violations.append(ExchangeViolation((i, j, k, l), present, absent))
         return AxiomReport(not violations, tuple(violations))
 
     @cached_property
     def _levels(self) -> tuple[tuple[Pair, ...], ...]:
         """The pairs by exact bracket depth, shallow first, each level sorted.
 
-        Level k is gamma_k less gamma_(k+1) of the relation with itself, by
-        the descent ``gamma_series`` runs. A composite p = q∘r lies at a
-        strictly deeper level than q and than r. A decomposition cycle, which
-        only an axiom breaker has, raises the descent's ``AssertionError``.
+        Level k is gamma_k less gamma_(k+1) of the relation with itself: the
+        pairs ``gamma_series`` sheds in its k-th round of the mask descent. A
+        composite p = q∘r lies at a strictly deeper level than q and than r.
+        A decomposition cycle, which only an axiom breaker has, raises the
+        descent's ``AssertionError``.
         """
-        terms = _descend(
-            self.pairs, _decompositions(self, self), "bracket series failed to terminate"
-        )
-        return tuple(tuple(sorted(a - b)) for a, b in pairwise(terms))
+        labels, _, rows, cols = self._index
+        rounds = _shed(rows, cols, cols, rows, labels, "bracket series failed to terminate")
+        return tuple(map(tuple, rounds))
 
     def subset(self, pairs: Iterable[Pair]) -> "Relation":
         """A sub-relation over the same node set."""
@@ -192,9 +257,9 @@ def _require_subset(sub: Relation, delta: Relation, name: str) -> None:
 
 def is_closed(sub: Relation, delta: Relation) -> bool:
     """Does sub contain every composite of its own pairs that delta admits?
-    Absorption with sub as the partners, so only delta is ever indexed."""
+    Absorption with sub as the partners, on sub's masks in delta's index."""
     _require_subset(sub, delta, "subset")
-    return _absorbs(sub.pairs, sub.pairs, delta, sub.pairs)
+    return _absorbs(sub.pairs, delta, _masks(sub.pairs, delta._index.number), normal=False)
 
 
 def is_normal(sub: Relation, delta: Relation) -> bool:
@@ -205,20 +270,25 @@ def is_normal(sub: Relation, delta: Relation) -> bool:
     (k,j) ambient forces (k,j) into sub. Normality implies closedness.
     """
     _require_subset(sub, delta, "subset")
-    return _absorbs(sub.pairs, sub.pairs, delta, delta.pairs)
+    return _absorbs(sub.pairs, delta, _masks(sub.pairs, delta._index.number), normal=True)
 
 
-def _absorbs(pairs: Iterable, sub: frozenset, delta: Relation, partners: frozenset) -> bool:
-    """Does sub hold each composite in delta of these pairs with a pair of
-    partners, on either side? With sub empty, the pairs are isolated. The
-    partner is tested last, so with delta as partners a yes tests none."""
-    for i, j in pairs:
-        for _, k in delta.by_first.get(j, ()):
-            if (i, k) in delta.pairs and (i, k) not in sub and (j, k) in partners:
-                return False
-        for k, _ in delta.by_second.get(i, ()):
-            if (k, j) in delta.pairs and (k, j) not in sub and (k, i) in partners:
-                return False
+def _absorbs(
+    pairs: Iterable[Pair], delta: Relation, sub: tuple[list[int], list[int]], normal: bool
+) -> bool:
+    """Does sub hold each composite in delta of these pairs with a partner,
+    on either side? sub is a (rows, cols) mask pair in delta's numbering, and
+    the partners are delta's pairs when ``normal``, else sub's. One mask test
+    per pair: (x,y) leaks when P_row[y] & D_row[x] or P_col[x] & D_col[y]
+    has a bit outside sub's row x or column y. With sub empty and delta as
+    partners, the pairs that pass are the isolated ones."""
+    _, number, d_rows, d_cols = delta._index
+    s_rows, s_cols = sub
+    p_rows, p_cols = (d_rows, d_cols) if normal else sub
+    for a, b in pairs:
+        x, y = number[a], number[b]
+        if p_rows[y] & d_rows[x] & ~s_rows[x] or p_cols[x] & d_cols[y] & ~s_cols[y]:
+            return False
     return True
 
 
@@ -231,7 +301,7 @@ def closure(omega: Relation, delta: Relation) -> Relation:
     those nodes.
     """
     _require_subset(omega, delta, "subset")
-    return _saturate(omega, delta, closed=True)
+    return Relation(delta.nodes, frozenset(_saturate(omega.pairs, delta, closed=True)[0]))
 
 
 def normal_closure(omega: Relation, delta: Relation) -> Relation:
@@ -240,32 +310,45 @@ def normal_closure(omega: Relation, delta: Relation) -> Relation:
     Saturation under composition with any pair of delta, on either side.
     """
     _require_subset(omega, delta, "subset")
-    return _saturate(omega, delta, closed=False)
+    return Relation(delta.nodes, frozenset(_saturate(omega.pairs, delta, closed=False)[0]))
 
 
-def _saturate(omega: Relation, delta: Relation, closed: bool) -> Relation:
-    """Worklist saturation of omega under the composites delta admits.
+def _saturate(
+    pairs: Iterable[Pair], delta: Relation, closed: bool
+) -> tuple[set[Pair], list[int], list[int]]:
+    """Worklist saturation of pairs of delta under the composites delta admits:
+    the saturated pairs with their row and column masks in delta's numbering.
 
-    Each popped pair (i,j) meets its partners on both sides, (j,k) on
-    the right and (k,i) on the left, found through delta's cached
-    indexes. For the closure the partners are the pairs collected so
-    far; a partner collected later meets (i,j) when it is popped in
-    turn. For the normal closure every pair of delta is a partner.
+    A popped (a,b) meets its partners on both sides. Its new right
+    composites (a,k) are the bits of P_row[b] & D_row[a] less the current
+    row a, and its new left composites (k,b) those of P_col[a] & D_col[b]
+    less the current column b, where D is delta and P the partners. For the
+    closure the partners are the pairs collected so far; a partner collected
+    later meets (a,b) when it is popped in turn. For the normal closure
+    every pair of delta is a partner.
     """
-    pairs: set[Pair] = set(omega.pairs)
-    partners = pairs if closed else delta.pairs
-    work: list[Pair] = sorted(pairs)
+    labels, number, d_rows, d_cols = delta._index
+    found = set(pairs)
+    rows, cols = _masks(found, number)
+    p_rows, p_cols = (rows, cols) if closed else (d_rows, d_cols)
+    work = [(number[a], number[b]) for a, b in found]
     while work:
-        i, j = work.pop()
-        for _, k in delta.by_first.get(j, ()):
-            if (i, k) in delta.pairs and (i, k) not in pairs and (j, k) in partners:
-                pairs.add((i, k))
-                work.append((i, k))
-        for k, _ in delta.by_second.get(i, ()):
-            if (k, j) in delta.pairs and (k, j) not in pairs and (k, i) in partners:
-                pairs.add((k, j))
-                work.append((k, j))
-    return Relation(delta.nodes, frozenset(pairs))
+        x, y = work.pop()
+        right = p_rows[y] & d_rows[x] & ~rows[x]
+        if right:
+            rows[x] |= right
+            for z in _bits(right):
+                cols[z] |= 1 << x
+                found.add((labels[x], labels[z]))
+                work.append((x, z))
+        left = p_cols[x] & d_cols[y] & ~cols[y]
+        if left:
+            cols[y] |= left
+            for z in _bits(left):
+                rows[z] |= 1 << y
+                found.add((labels[z], labels[y]))
+                work.append((z, y))
+    return found, rows, cols
 
 
 def bracket(sub1: Relation, sub2: Relation, delta: Relation) -> Relation:
@@ -303,69 +386,99 @@ class SubsetChain:
         return len(self.terms)
 
 
-def _decompositions(gamma: Relation, delta: Relation) -> dict[Pair, list[Pair]]:
-    """The factors q, r in gamma of each pair p = q∘r of delta, by one walk of
-    gamma's ``by_first``. The keys lie in gamma exactly when gamma is closed,
-    and are then [gamma, gamma]."""
-    out: dict[Pair, list[Pair]] = {}
-    for q in gamma.pairs:
-        for r in gamma.by_first.get(q[1], ()):
-            p = (q[0], r[1])
-            if p in delta.pairs:
-                out.setdefault(p, []).extend((q, r))
-    return out
+def _shed(
+    rows: list[int],
+    cols: list[int],
+    right: list[int],
+    left: list[int],
+    labels: tuple[str, ...],
+    stall: str,
+) -> list[list[Pair]]:
+    """The pairs of a descent from the term with these masks, by the round
+    that sheds them, each round in sorted order.
 
-
-def _descend(
-    start: frozenset, links: dict[Pair, list[Pair]], stall: str
-) -> Iterator[frozenset]:
-    """start, then after each term the pairs of that term that link to a pair
-    of that term, down to the empty set. A nonempty term that is its own
-    successor would repeat forever; only an axiom breaker has one, and it
-    raises ``AssertionError(stall)``."""
-    term = start
-    yield term
-    while term:
-        kept = frozenset(p for p in term if not term.isdisjoint(links.get(p, ())))
-        if kept == term:
+    A live (x,y) stays for the next round while T_row[x] & right[y] or
+    T_col[y] & left[x], where T is the live term. T starts as a copy of
+    rows and cols, and each round's shed bits are cleared from it in place.
+    Only the live pairs are tested. A nonempty round that sheds nothing
+    would repeat forever; only an axiom breaker has one, and it raises
+    ``AssertionError(stall)``.
+    """
+    live = [
+        (x, y, (labels[x], labels[y]))
+        for x in compress(range(len(rows)), rows)
+        for y in _bits(rows[x])
+    ]
+    rows, cols = list(rows), list(cols)
+    rounds = []
+    while live:
+        kept, shed = [], []
+        for entry in live:
+            x, y, _ = entry
+            if rows[x] & right[y] or cols[y] & left[x]:
+                kept.append(entry)
+            else:
+                shed.append(entry)
+        if not shed:
             raise AssertionError(stall)
-        term = kept
-        yield term
+        for x, y, _ in shed:
+            rows[x] ^= 1 << y
+            cols[y] ^= 1 << x
+        rounds.append([p for _, _, p in shed])
+        live = kept
+    return rounds
 
 
 def gamma_series(gamma: Relation, delta: Relation) -> SubsetChain:
     """Iterated bracket with gamma, down to the first empty subset.
 
     Terms are gamma, [gamma, gamma], [[gamma, gamma], gamma], ...; each
-    term contains the next because gamma is closed, so a pair stays in the
-    next term while one of its factors in gamma lies in the current one.
-    Only an axiom breaker, with a cycle of decompositions, has a series
-    that never ends.
+    term contains the next because gamma is closed, so a pair (a,c) of the
+    term T stays in the next one while T_row[a] & G_col[c] or
+    G_row[a] & T_col[c], with G gamma's masks in delta's index: one of its
+    factors in gamma lies in T. Only an axiom breaker, with a cycle of
+    decompositions, has a series that never ends.
     """
     _require_subset(gamma, delta, "subset")
-    below = _decompositions(gamma, delta)
-    if not below.keys() <= gamma.pairs:  # is_closed, read off the same walk
-        raise ValueError("gamma series needs a closed subset")
-    _, *rest = _descend(gamma.pairs, below, "bracket series failed to terminate")
-    return SubsetChain("descending", (gamma, *(Relation(delta.nodes, t) for t in rest)))
+    labels, number, d_rows, d_cols = delta._index
+    if len(gamma.pairs) == len(delta.pairs):  # gamma is delta: share its masks
+        masks = d_rows, d_cols
+    else:
+        masks = _masks(gamma.pairs, number)
+        if not _absorbs(gamma.pairs, delta, masks, normal=False):
+            raise ValueError("gamma series needs a closed subset")
+    g_rows, g_cols = masks
+    stall = "bracket series failed to terminate"
+    rounds = _shed(g_rows, g_cols, g_cols, g_rows, labels, stall)
+    terms, term = [gamma], gamma.pairs
+    for shed in rounds:
+        term = term.difference(shed)
+        terms.append(Relation(delta.nodes, term))
+    return SubsetChain("descending", tuple(terms))
 
 
 def _upper_remainders(delta: Relation) -> Iterator[frozenset]:
     """delta less each term of its upper central series, from the empty term
-    up: a pair stays while it is a factor of a composite that also stays."""
-    above: dict[Pair, list[Pair]] = {}
-    for p, factors in _decompositions(delta, delta).items():
-        for f in factors:
-            above.setdefault(f, []).append(p)
-    return _descend(
-        delta.pairs, above, "upper central series stalled before exhausting the relation"
+    up: a pair (a,b) of the remainder R stays while R_row[a] & D_row[b] or
+    R_col[b] & D_col[a], with D delta's masks: it is a factor of a composite
+    that also stays."""
+    labels, _, rows, cols = delta._index
+    rounds = _shed(
+        rows, cols, rows, cols, labels,
+        "upper central series stalled before exhausting the relation",
     )
+    rest = delta.pairs
+    yield rest
+    for shed in rounds:
+        rest = rest.difference(shed)
+        yield rest
 
 
 def isolated(delta: Relation) -> Relation:
     """Pairs that compose with nothing: no right extension (j,k) with
     (i,k) present, and no left extension (l,i) with (l,j) present."""
-    alone = (p for p in delta.pairs if _absorbs((p,), frozenset(), delta, delta.pairs))
+    none = _masks((), delta._index.number)
+    alone = (p for p in delta.pairs if _absorbs((p,), delta, none, normal=True))
     return Relation(delta.nodes, frozenset(alone))
 
 

@@ -16,6 +16,7 @@ from .relations import (
     Relation,
     SubsetChain,
     _absorbs,
+    _masks,
     _upper_remainders,
     difference,
     gamma_series,
@@ -67,19 +68,23 @@ def center_support(delta: Relation) -> Relation:
 def upper_central_series(delta: Relation) -> SubsetChain:
     """Ascending chain from the empty subset up to the whole relation.
 
-    Term k is delta less its k-th remainder (``relations._upper_remainders``):
-    each step adjoins the pairs of what is left that are a factor of no
-    composite left, the isolated pairs of the quotient by the last term. The
-    quotient isomorphism is what lets the accumulated union stand in for
-    centers of successive quotient groups. Each term is checked to be normal
-    at its new pairs; the previous term already was at the others.
+    Term k is delta less its k-th remainder (``relations._upper_remainders``,
+    a descent on delta's masks): each step adjoins the pairs of what is left
+    that are a factor of no composite left, the isolated pairs of the
+    quotient by the last term. The quotient isomorphism is what lets the
+    accumulated union stand in for centers of successive quotient groups.
+    Each term is checked to be normal at its new pairs, against masks of the
+    term that grow by each step's bits; the previous term already was normal
+    at the others.
     """
     require_valid(delta)
     zeta, left, terms = frozenset(), delta.pairs, []
+    number = delta._index.number
+    masks = _masks((), number)
     for rest in _upper_remainders(delta):
         step = left - rest
         zeta = zeta | step
-        if not _absorbs(step, zeta, delta, delta.pairs):
+        if not _absorbs(step, delta, _masks(step, number, masks), normal=True):
             raise AssertionError("upper central series term failed the normality check")
         terms.append(Relation(delta.nodes, zeta))
         left = rest

@@ -31,6 +31,10 @@ routes is meaningful evidence rather than a tautology.
   every couple of pairs, with no index.
 * Quadruple scan: exchange violations found by testing every quadruple
   of nodes, with no index and no successor set.
+* Pair-walk calculus: the exchange scan, saturations, absorption tests
+  and both series descents as they ran before the mask index, walking
+  label pairs through ``by_first``/``by_second``, successor sets and the
+  table of decompositions p = q∘r (``tests/test_mask_calculus.py``).
 * Payload formula: s + ab on raw ring payloads, the residue formula for
   Z and Z/n and ``mat_mul`` for M2(Z/n), against the rings' ``_fma``
   and ``RingValue`` multiplication.
@@ -45,14 +49,22 @@ import itertools
 import random
 
 from mclain import (
+    ExchangeViolation,
+    Gen,
+    GeneratorWord,
     GroupElement,
     IntegersMod,
     Matrices2x2Mod,
     McLainGroup,
+    Pair,
+    ReflexiveViolation,
+    Relation,
+    RingValue,
     gamma_series,
     is_closed,
     quotient_project,
 )
+from mclain.elements import _generators_times
 
 
 def mat_identity(m: int) -> list[list[int]]:
@@ -328,3 +340,160 @@ def alternating_series_inverse(g: GroupElement) -> GroupElement:
         for pair, value in power.items():
             total[pair] = total.get(pair, group.ring.zero) + value
     return group.element(total)
+
+
+# ---------------------------------------------------------------------------
+# Pair-walk calculus: the relation calculus as it ran before the mask index,
+# walking label pairs through ``by_first``/``by_second`` and successor sets.
+# The tests compare the library's mask scans against it, in order.
+
+
+def decompositions(gamma: Relation, delta: Relation) -> dict[Pair, list[Pair]]:
+    """The factors q, r in gamma of each pair p = q∘r of delta, by one walk of
+    gamma's ``by_first``. The keys lie in gamma exactly when gamma is closed,
+    and are then [gamma, gamma]."""
+    out: dict[Pair, list[Pair]] = {}
+    for q in gamma.pairs:
+        for r in gamma.by_first.get(q[1], ()):
+            p = (q[0], r[1])
+            if p in delta.pairs:
+                out.setdefault(p, []).extend((q, r))
+    return out
+
+
+def descend(start: frozenset, links: dict[Pair, list[Pair]], stall: str):
+    """start, then after each term the pairs of that term that link to a pair
+    of that term, down to the empty set. A nonempty term that is its own
+    successor would repeat forever; only an axiom breaker has one, and it
+    raises ``AssertionError(stall)``."""
+    term = start
+    yield term
+    while term:
+        kept = frozenset(p for p in term if not term.isdisjoint(links.get(p, ())))
+        if kept == term:
+            raise AssertionError(stall)
+        term = kept
+        yield term
+
+
+def pairwalk_violations(delta: Relation) -> list:
+    """Both axioms diagnosed by the successor-set exchange scan: composable
+    couples (i,j), (j,k) in sorted order; of the l in succ(k) & succ(i),
+    those outside succ(j) break the axiom when (i,k) is present, and those
+    inside it when (i,k) is absent."""
+    loops = sorted(pair for pair in delta.pairs if pair[0] == pair[1])
+    violations: list[object] = [ReflexiveViolation(pair) for pair in loops]
+    by_first, empty = delta.by_first, frozenset()
+    succ = {i: frozenset([k for _, k in out]) for i, out in by_first.items()}
+    for i, j in (pair for out in by_first.values() for pair in out):  # sorted
+        after_i = succ[i]
+        for _, k in by_first.get(j, ()):
+            common = after_i & succ.get(k, empty)
+            if not common:
+                continue
+            has_ik, after_j = k in after_i, succ[j]
+            for l in sorted(common - after_j if has_ik else common & after_j):
+                present, absent = ((i, k), (j, l)) if has_ik else ((j, l), (i, k))
+                violations.append(ExchangeViolation((i, j, k, l), present, absent))
+    return violations
+
+
+def pairwalk_absorbs(pairs, sub: frozenset, delta: Relation, partners: frozenset) -> bool:
+    """Does sub hold each composite in delta of these pairs with a pair of
+    partners, on either side? With sub empty, the pairs are isolated. The
+    partner is tested last, so with delta as partners a yes tests none."""
+    for i, j in pairs:
+        for _, k in delta.by_first.get(j, ()):
+            if (i, k) in delta.pairs and (i, k) not in sub and (j, k) in partners:
+                return False
+        for k, _ in delta.by_second.get(i, ()):
+            if (k, j) in delta.pairs and (k, j) not in sub and (k, i) in partners:
+                return False
+    return True
+
+
+def pairwalk_saturate(omega: Relation, delta: Relation, closed: bool) -> Relation:
+    """Worklist saturation of omega under the composites delta admits.
+
+    Each popped pair (i,j) meets its partners on both sides, (j,k) on
+    the right and (k,i) on the left, found through delta's cached
+    indexes. For the closure the partners are the pairs collected so
+    far; a partner collected later meets (i,j) when it is popped in
+    turn. For the normal closure every pair of delta is a partner.
+    """
+    pairs: set[Pair] = set(omega.pairs)
+    partners = pairs if closed else delta.pairs
+    work: list[Pair] = sorted(pairs)
+    while work:
+        i, j = work.pop()
+        for _, k in delta.by_first.get(j, ()):
+            if (i, k) in delta.pairs and (i, k) not in pairs and (j, k) in partners:
+                pairs.add((i, k))
+                work.append((i, k))
+        for k, _ in delta.by_second.get(i, ()):
+            if (k, j) in delta.pairs and (k, j) not in pairs and (k, i) in partners:
+                pairs.add((k, j))
+                work.append((k, j))
+    return Relation(delta.nodes, frozenset(pairs))
+
+
+def pairwalk_isolated(delta: Relation) -> frozenset:
+    return frozenset(
+        p for p in delta.pairs if pairwalk_absorbs((p,), frozenset(), delta, delta.pairs)
+    )
+
+
+def pairwalk_gamma_series(gamma: Relation, delta: Relation) -> list[frozenset]:
+    """The pair sets of the terms of ``gamma_series``, by one descent over
+    the table of decompositions."""
+    below = decompositions(gamma, delta)
+    if not below.keys() <= gamma.pairs:
+        raise ValueError("gamma series needs a closed subset")
+    return list(descend(gamma.pairs, below, "bracket series failed to terminate"))
+
+
+def pairwalk_levels(delta: Relation) -> tuple[tuple[Pair, ...], ...]:
+    terms = descend(
+        delta.pairs, decompositions(delta, delta), "bracket series failed to terminate"
+    )
+    return tuple(tuple(sorted(a - b)) for a, b in itertools.pairwise(terms))
+
+
+def pairwalk_upper_series(delta: Relation) -> list[frozenset]:
+    """The pair sets of the terms of ``upper_central_series``, without the
+    validity check: each remainder keeps the pairs that are a factor of a
+    composite that also stays."""
+    above: dict[Pair, list[Pair]] = {}
+    for p, factors in decompositions(delta, delta).items():
+        for f in factors:
+            above.setdefault(f, []).append(p)
+    remainders = descend(
+        delta.pairs, above, "upper central series stalled before exhausting the relation"
+    )
+    zeta, left, terms = frozenset(), delta.pairs, []
+    for rest in remainders:
+        step = left - rest
+        zeta = zeta | step
+        if not pairwalk_absorbs(step, zeta, delta, delta.pairs):
+            raise AssertionError("upper central series term failed the normality check")
+        terms.append(zeta)
+        left = rest
+    return terms
+
+
+def pairwalk_word_factorization(g: GroupElement) -> GeneratorWord:
+    """``word_factorization`` with the peel read off the table of
+    decompositions of the support closure."""
+    tokens: list[Gen] = []
+    group, ring, residual = g.group, g.group.ring, g._coeffs
+    while residual:
+        support = Relation(group.relation.nodes, frozenset(residual))
+        closed = pairwalk_saturate(support, group.relation, closed=True)
+        deeper = decompositions(closed, group.relation)
+        peel = [p for p in sorted(residual) if p not in deeper]
+        if not peel:
+            raise AssertionError("support closure has no top level to peel")
+        tokens.extend(Gen(*pair, RingValue(ring, residual[pair])) for pair in peel)
+        undos = [(pair, ring._neg(residual[pair])) for pair in peel]
+        residual = _generators_times(group, undos, residual)
+    return GeneratorWord(tuple(tokens))

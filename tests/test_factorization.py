@@ -407,6 +407,10 @@ def test_ngon_demonstration_n5():
     assert report.every_failure_has_step_two_term
 
 
+def test_ngon_demonstration_n6_is_the_largest_allowed():
+    assert demonstrate_ngon_obstruction(6).summary() == "720 orderings checked, 0 succeed"
+
+
 def test_ngon_demonstration_range():
     with pytest.raises(ValueError):
         demonstrate_ngon_obstruction(3)

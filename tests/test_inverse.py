@@ -18,7 +18,7 @@ from helpers import (
     ring_instances,
     sparse_element,
 )
-from oracles import alternating_series_inverse
+from oracles import alternating_series_inverse, decompositions
 from mclain import (
     GroupElement,
     IntegersMod,
@@ -30,7 +30,6 @@ from mclain import (
     random_pruned_order,
     random_relation,
 )
-from mclain.relations import _decompositions
 
 
 def non_order_relations():
@@ -52,7 +51,7 @@ def test_levels_partition_the_relation_by_bracket_depth():
         assert sum(len(level) for level in levels) == len(delta.pairs), name
         depth = {pair: k for k, level in enumerate(levels, 1) for pair in level}
         assert depth.keys() == delta.pairs, name
-        for p, factors in _decompositions(delta, delta).items():
+        for p, factors in decompositions(delta, delta).items():
             for q in factors:
                 assert depth[p] > depth[q], (name, p, q)
         _, reports = lower_central_series(delta, IntegersMod(5))

@@ -175,9 +175,9 @@ def test_check_axioms_returns_the_cached_report(delta):
 
 @contextmanager
 def index_builds():
-    """The relations whose by_first or by_second index is built inside."""
+    """The relations whose by_first, by_second or _index is built inside."""
     built: list[Relation] = []
-    props = [Relation.__dict__["by_first"], Relation.__dict__["by_second"]]
+    props = [Relation.__dict__[name] for name in ("by_first", "by_second", "_index")]
     originals = [prop.func for prop in props]
 
     def recording(func):
