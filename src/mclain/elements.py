@@ -24,6 +24,18 @@ validated once, on entry (``_payloads``, from ``McLainGroup.element``,
 ``McLainGroup.eval_word`` and ``OrderedForm.product``); the kernels
 below take validated payloads.
 
+The map is keyed by int pair codes, not label pairs: the pair (i,j) is
+number(i)*N + number(j) in the numbering of the relation's index
+(``relations._Index``, nodes in sorted label order, N of them). The
+kernels split a code with ``divmod`` and admit a composite (i,l) by one
+bit test on node i's successor row, so no label tuple is built or hashed
+per term. Labels appear only at the edges: ``_payloads`` and
+``coefficient`` encode through the relation's ``_codes``, and
+``coefficients``, ``support`` and ``__str__`` decode through
+``_Index.pair``. Sorted codes are sorted label pairs, and the numbering
+depends only on the node set, so equal groups, subgroups and quotients
+over the same nodes read a code alike.
+
 Every kernel (``_splice``, ``_product``, ``_generators_times`` and
 ``_divide``) adds up the same way: each sum starts at ``Ring._zero`` and
 takes every term through one ``Ring._fma`` or ``Ring._add``, and the zeros
@@ -159,8 +171,9 @@ class McLainGroup:
         return GroupElement(self, out)
 
 
-# A coefficient map: each pair to a nonzero raw payload of the group's ring.
-Coeffs = dict[Pair, object]
+# A coefficient map: each pair, by its code, to a nonzero raw payload of
+# the group's ring.
+Coeffs = dict[int, object]
 
 
 def _splice(group: McLainGroup, x: Coeffs, y: Coeffs, base: Coeffs) -> Coeffs:
@@ -171,69 +184,78 @@ def _splice(group: McLainGroup, x: Coeffs, y: Coeffs, base: Coeffs) -> Coeffs:
     fused ``_fma``; each admitted sum joins base through one ``_add``.
     The zeros that leaves are pruned in one pass at the end.
     """
-    ring, pairs = group.ring, group.relation.pairs
+    index, ring = group.relation._index, group.ring
+    n, admits = len(index.labels), index.rows
     fma, add, zero = ring._fma, ring._add, ring._zero
-    rows: dict[str, list[tuple[str, object]]] = {}
-    for (i, j), a in x.items():
+    rows: dict[int, list[tuple[int, object]]] = {}
+    for code, a in x.items():
+        i, j = divmod(code, n)
         rows.setdefault(i, []).append((j, a))
-    by_first: dict[str, list[tuple[str, object]]] = {}
-    for (j, l), b in y.items():
+    by_first: dict[int, list[tuple[int, object]]] = {}
+    for code, b in y.items():
+        j, l = divmod(code, n)
         by_first.setdefault(j, []).append((l, b))
     for i, row in rows.items():
         # Sum row i of xy by target, then keep the targets the relation
         # admits: every other product of basis elements is zero.
-        sums: dict[str, object] = {}
+        sums: dict[int, object] = {}
         for j, a in row:
             for l, b in by_first.get(j, ()):
                 sums[l] = fma(sums.get(l, zero), a, b)
+        admitted, start = admits[i], i * n
         for l, c in sums.items():
-            if (i, l) in pairs:
-                base[i, l] = add(base.get((i, l), zero), c)
-    return {p: c for p, c in base.items() if c != zero}
+            if admitted >> l & 1:
+                code = start + l
+                base[code] = add(base.get(code, zero), c)
+    return {code: c for code, c in base.items() if c != zero}
 
 
 def _payloads(
     group: McLainGroup, items: Iterable[tuple[Pair, object]]
-) -> Iterator[tuple[Pair, object]]:
-    """Each (pair, value) as (pair, raw payload), zeros dropped.
+) -> Iterator[tuple[int, object]]:
+    """Each (pair, value) as (pair code, raw payload), zeros dropped.
 
     A pair outside the relation raises ValueError and a value the ring
     cannot coerce raises RingError, zero values included: they are
     checked before they are dropped.
     """
-    pairs, coerce, zero = group.relation.pairs, group.ring.coerce, group.ring._zero
+    codes, coerce, zero = group.relation._codes, group.ring.coerce, group.ring._zero
     for pair, raw in items:
-        if pair not in pairs:
+        code = codes.get(pair)
+        if code is None:
             raise ValueError(f"pair ({pair[0]},{pair[1]}) is not in the relation")
         payload = coerce(raw).payload
         if payload != zero:
-            yield pair, payload
+            yield code, payload
 
 
 def _generators_times(
-    group: McLainGroup, factors: Iterable[tuple[Pair, object]], x: Coeffs
+    group: McLainGroup, factors: Iterable[tuple[int, object]], x: Coeffs
 ) -> Coeffs:
     """The map of ...(1 + c2 e(p2,q2))(1 + c1 e(p1,q1))(1+x), zeros pruned:
     each factor in turn multiplies on the left.
 
-    The running map R is kept by row. A factor 1 + c e(p,q) adds
-    c R[q,l] to R[p,l] for each l in row q with (p,l) in the relation,
-    then c to R[p,q]; nothing else changes. The factors are payloads the
-    caller has validated.
+    The running map R is kept by row. A factor 1 + c e(p,q), given as the
+    code of (p,q) and c, adds c R[q,l] to R[p,l] for each l in row q with
+    (p,l) in the relation, then c to R[p,q]; nothing else changes. The
+    factors are payloads the caller has validated.
     """
-    ring, pairs = group.ring, group.relation.pairs
+    index, ring = group.relation._index, group.ring
+    n, admits = len(index.labels), index.rows
     fma, add, zero = ring._fma, ring._add, ring._zero
-    rows: dict[str, dict[str, object]] = {}
-    for (i, j), a in x.items():
+    rows: dict[int, dict[int, object]] = {}
+    for code, a in x.items():
+        i, j = divmod(code, n)
         rows.setdefault(i, {})[j] = a
-    for (p, q), c in factors:
-        row_p = rows.setdefault(p, {})
+    for code, c in factors:
+        p, q = divmod(code, n)
+        row_p, admitted = rows.setdefault(p, {}), admits[p]
         for l, b in rows.get(q, {}).items():
-            if (p, l) in pairs:
+            if admitted >> l & 1:
                 row_p[l] = fma(row_p.get(l, zero), c, b)
         row_p[q] = add(row_p.get(q, zero), c)
     return {
-        (i, j): a for i, row in rows.items() for j, a in row.items() if a != zero
+        i * n + j: a for i, row in rows.items() for j, a in row.items() if a != zero
     }
 
 
@@ -242,8 +264,8 @@ def _product(group: McLainGroup, x: Coeffs, y: Coeffs) -> Coeffs:
     is the base that ``_splice`` adds xy into and prunes."""
     add, zero = group.ring._add, group.ring._zero
     base = dict(x)
-    for pair, c in y.items():
-        base[pair] = add(base.get(pair, zero), c)
+    for code, c in y.items():
+        base[code] = add(base.get(code, zero), c)
     return _splice(group, x, y, base)
 
 
@@ -261,39 +283,43 @@ def _divide(group: McLainGroup, u: Coeffs, w: Coeffs) -> Coeffs:
     triangular back-substitution: the running sums start at u - w, each
     term added from the ring's zero, and once z[i,j] is final and nonzero,
     z[i,j] (-w[j,l]) goes into the sum of (i,l) for each l in row j of w
-    through one ``_fma``. A pair is popped from the sums when its level
-    comes, with zero for a pair no term reached, and kept only if nonzero:
-    that is the one prune. w stays on the right, so the solve is exact
-    over noncommutative rings; with every sum spent, the rest of z is 0.
-    Only a corrupted relation has a cycle of decompositions and
+    that row i of the relation admits, through one ``_fma``. A pair is
+    popped from the sums when its level (``Relation._levels``, held as
+    codes) comes, with zero for a pair no term reached, and kept only if
+    nonzero: that is the one prune. w stays on the right, so the solve is
+    exact over noncommutative rings; with every sum spent, the rest of z
+    is 0. Only a corrupted relation has a cycle of decompositions and
     so no levels; it raises the same AssertionError as the power loop of
     ``nilpotency_index``.
     """
-    ring, pairs = group.ring, group.relation.pairs
+    index, ring = group.relation._index, group.ring
+    n, admits = len(index.labels), index.rows
     fma, add, neg, zero = ring._fma, ring._add, ring._neg, ring._zero
     try:
         levels = group.relation._levels
     except AssertionError:
         raise AssertionError(_BOUND_MESSAGE) from None
     sums: Coeffs = dict(u)
-    rows: dict[str, list[tuple[str, object]]] = {}
-    for (j, l), c in w.items():
+    rows: dict[int, list[tuple[int, object]]] = {}
+    for code, c in w.items():
         c = neg(c)
+        j, l = divmod(code, n)
         rows.setdefault(j, []).append((l, c))
-        sums[j, l] = add(sums.get((j, l), zero), c)
+        sums[code] = add(sums.get(code, zero), c)
     out: Coeffs = {}
     for level in levels:
         if not sums:
             break
-        for p in level:
-            z = sums.pop(p, zero)
+        for code in level:
+            z = sums.pop(code, zero)
             if z == zero:
                 continue
-            out[p] = z
-            i = p[0]
-            for l, c in rows.get(p[1], ()):
-                q = (i, l)
-                if q in pairs:
+            out[code] = z
+            i, j = divmod(code, n)
+            admitted, start = admits[i], code - j
+            for l, c in rows.get(j, ()):
+                if admitted >> l & 1:
+                    q = start + l
                     sums[q] = fma(sums.get(q, zero), z, c)
     return out
 
@@ -308,15 +334,19 @@ class GroupElement:
         self._coeffs = coeffs
 
     def coefficient(self, source: str, target: str) -> RingValue:
+        """The coefficient at (source, target): zero off the support, also
+        for a pair outside the relation or a label outside the node set."""
         ring = self.group.ring
-        return RingValue(ring, self._coeffs.get((source, target), ring._zero))
+        code = self.group.relation._codes.get((source, target))
+        return RingValue(ring, self._coeffs.get(code, ring._zero))
 
     def coefficients(self) -> dict[Pair, RingValue]:
-        ring = self.group.ring
-        return {pair: RingValue(ring, c) for pair, c in self._coeffs.items()}
+        ring, decode = self.group.ring, self.group.relation._index.pair
+        return {decode(code): RingValue(ring, c) for code, c in self._coeffs.items()}
 
     def support(self) -> Relation:
-        return Relation(self.group.relation.nodes, frozenset(self._coeffs))
+        relation = self.group.relation
+        return Relation(relation.nodes, frozenset(map(relation._index.pair, self._coeffs)))
 
     def is_identity(self) -> bool:
         return not self._coeffs
@@ -373,11 +403,11 @@ class GroupElement:
     def __str__(self) -> str:
         if not self._coeffs:
             return "1"
-        fmt = self.group.ring._format
-        parts = [
-            f"{fmt(self._coeffs[pair])}*e({pair[0]},{pair[1]})"
-            for pair in sorted(self._coeffs)
-        ]
+        fmt, decode = self.group.ring._format, self.group.relation._index.pair
+        parts = []
+        for code in sorted(self._coeffs):  # sorted codes are sorted pairs
+            i, j = decode(code)
+            parts.append(f"{fmt(self._coeffs[code])}*e({i},{j})")
         return "1 + " + " + ".join(parts)
 
     def __repr__(self) -> str:

@@ -81,16 +81,20 @@ def word_factorization(g: GroupElement) -> GeneratorWord:
     """
     tokens: list[Gen] = []
     group, ring, residual = g.group, g.group.ring, g._coeffs
-    number = group.relation._index.number
+    index = group.relation._index
+    n = len(index.labels)
     while residual:
-        _, rows, cols = _saturate(residual, group.relation, closed=True)
+        support = map(index.pair, residual)
+        _, rows, cols = _saturate(support, group.relation, closed=True)
         peel = [
-            (a, c) for a, c in sorted(residual) if not rows[number[a]] & cols[number[c]]
+            code for code in sorted(residual) if not rows[code // n] & cols[code % n]
         ]
         if not peel:
             raise AssertionError("support closure has no top level to peel")
-        tokens.extend(Gen(*pair, RingValue(ring, residual[pair])) for pair in peel)
-        undos = [(pair, ring._neg(residual[pair])) for pair in peel]
+        tokens.extend(
+            Gen(*index.pair(code), RingValue(ring, residual[code])) for code in peel
+        )
+        undos = [(code, ring._neg(residual[code])) for code in peel]
         residual = _generators_times(group, undos, residual)
     return GeneratorWord(tuple(tokens))
 
@@ -141,22 +145,23 @@ def ordered_factorization(g: GroupElement, order: tuple[Pair, ...]) -> OrderedFo
         gamma = group.relation.subset(order)
     except ValueError as exc:
         raise ValueError(f"order contains pairs outside the relation: {exc}") from exc
-    if missing := sorted(g._coeffs.keys() - gamma.pairs):
+    if missing := sorted(g.support().pairs - gamma.pairs):
         raise ValueError(f"order does not cover the support: missing {missing}")
     chain = gamma_series(gamma, group.relation)  # also rejects a non-closed order
     ring, target, zero = group.ring, g._coeffs, group.ring._zero
-    found: dict[Pair, object] = {}  # the nonzero coefficients so far, as payloads
+    codes = group.relation._codes
+    found: dict[int, object] = {}  # the nonzero coefficients so far, by code
     for current, deeper in zip(chain.terms, chain.terms[1:]):
-        factors = ((p, found[p]) for p in reversed(order) if p in found)
+        factors = ((c, found[c]) for c in map(codes.get, reversed(order)) if c in found)
         running = _generators_times(group, factors, {})
-        outside = (pair for pair in order if pair not in current.pairs)
-        if any(running.get(p) != target.get(p) for p in outside):
+        outside = (codes[pair] for pair in order if pair not in current.pairs)
+        if any(running.get(c) != target.get(c) for c in outside):
             raise AssertionError("level sweep residual escaped its bracket level")
-        for pair in current.pairs - deeper.pairs:
-            c = ring._add(target.get(pair, zero), ring._neg(running.get(pair, zero)))
+        for code in map(codes.get, current.pairs - deeper.pairs):
+            c = ring._add(target.get(code, zero), ring._neg(running.get(code, zero)))
             if c != zero:
-                found[pair] = c
-    coefficients = {p: RingValue(ring, found.get(p, zero)) for p in order}
+                found[code] = c
+    coefficients = {p: RingValue(ring, found.get(codes[p], zero)) for p in order}
     form = OrderedForm(group, order, coefficients)
     if form.product() != g:
         raise AssertionError("level sweep did not converge to the target")
@@ -207,26 +212,26 @@ def demonstrate_ngon_obstruction(n: int, ring: Ring | None = None) -> NgonReport
     # Edge coefficients of an ordered edge product are exactly the inputs:
     # matching the all-unit target therefore forces unit coefficients.
     rng = random.Random(20240 + n)
-    zero = ring._zero
     forced = True
     for _ in range(20):
         values = {edge: ring.sample(rng) for edge in edges}
         shuffled = list(edges)
         rng.shuffle(shuffled)
         product = OrderedForm(group, tuple(shuffled), values).product()
-        if any(product._coeffs.get(e, zero) != values[e].payload for e in edges):
+        if any(product.coefficient(*e) != values[e] for e in edges):
             forced = False
 
     checked = 0
     successes = 0
     all_have_step_two = True
     units = {edge: ring.one for edge in edges}
+    step_two_codes = {delta._codes[pair] for pair in step_two}
     for ordering in itertools.permutations(edges):
         product = OrderedForm(group, ordering, units).product()
         checked += 1
         if product == target:
             successes += 1
-        elif step_two.isdisjoint(product._coeffs):
+        elif step_two_codes.isdisjoint(product._coeffs):
             all_have_step_two = False
 
     mixed = word_factorization(target)

@@ -17,11 +17,13 @@ relation admits; closed subsets index subgroups. It is normal when it
 additionally absorbs composition with ambient pairs on either side;
 normal subsets index normal subgroups and quotients.
 
-The axiom scan, the closures, the absorption tests and both series
-descents run on one cached index per relation, ``Relation._index``: each
-node's successor row and predecessor column as an int mask, so a step is
-a few ``&`` tests instead of lookups of label pairs. A subset is scanned
-as masks in the numbering of the relation it is tested against.
+The axiom scan, the closures, the absorption tests, ``bracket``, the
+maximal and minimal tests and both series descents run on one cached
+index per relation, ``Relation._index``: each node's successor row and
+predecessor column as an int mask, so a step is a few ``&`` tests instead
+of lookups of label pairs. A subset is scanned as masks in the numbering
+of the relation it is tested against. The same numbering gives the int
+pair codes that key the coefficient maps of group elements.
 """
 
 from __future__ import annotations
@@ -86,12 +88,24 @@ class _Index(NamedTuple):
     visits nodes, and so pairs, in sorted label order: scans on the masks
     report in the same order as scans over sorted label pairs. The masks
     are shared by every caller; a scan that clears bits copies them first.
+
+    The coefficient maps of group elements key a pair by its code
+    x*N + y, with x and y the numbers of its labels and N the node count:
+    ``Relation._codes`` encodes and ``pair`` decodes, and sorted codes are
+    sorted pairs. The numbering depends only on the node set, so a code
+    means the same pair in every relation over the same nodes.
     """
 
     labels: tuple[str, ...]
     number: dict[str, int]
     rows: list[int]
     cols: list[int]
+
+    def pair(self, code: int) -> Pair:
+        """The label pair of a code."""
+        labels = self.labels
+        n = len(labels)
+        return labels[code // n], labels[code % n]
 
 
 def _bits(mask: int) -> list[int]:
@@ -143,18 +157,13 @@ class Relation:
         return _Index(labels, number, *_masks(self.pairs, number))
 
     @cached_property
-    def by_first(self) -> dict[str, tuple[Pair, ...]]:
-        index: dict[str, list[Pair]] = {}
-        for pair in sorted(self.pairs):
-            index.setdefault(pair[0], []).append(pair)
-        return {k: tuple(v) for k, v in index.items()}
-
-    @cached_property
-    def by_second(self) -> dict[str, tuple[Pair, ...]]:
-        index: dict[str, list[Pair]] = {}
-        for pair in sorted(self.pairs):
-            index.setdefault(pair[1], []).append(pair)
-        return {k: tuple(v) for k, v in index.items()}
+    def _codes(self) -> dict[Pair, int]:
+        """Each pair's code in the index numbering (see ``_Index``), built
+        when the first group element over the relation needs it. Elements
+        built from labels share these int keys."""
+        labels, number, _, _ = self._index
+        n = len(labels)
+        return {pair: number[pair[0]] * n + number[pair[1]] for pair in self.pairs}
 
     @cached_property
     def axiom_report(self) -> AxiomReport:
@@ -191,18 +200,21 @@ class Relation:
         return AxiomReport(not violations, tuple(violations))
 
     @cached_property
-    def _levels(self) -> tuple[tuple[Pair, ...], ...]:
-        """The pairs by exact bracket depth, shallow first, each level sorted.
+    def _levels(self) -> tuple[tuple[int, ...], ...]:
+        """The pair codes (``_codes``) by exact bracket depth, shallow
+        first, each level sorted.
 
         Level k is gamma_k less gamma_(k+1) of the relation with itself: the
         pairs ``gamma_series`` sheds in its k-th round of the mask descent. A
         composite p = q∘r lies at a strictly deeper level than q and than r.
         A decomposition cycle, which only an axiom breaker has, raises the
-        descent's ``AssertionError``.
+        descent's ``AssertionError``. Only the right division of elements
+        reads the levels, so they are built when it first needs them.
         """
         labels, _, rows, cols = self._index
-        rounds = _shed(rows, cols, cols, rows, labels, "bracket series failed to terminate")
-        return tuple(map(tuple, rounds))
+        n = len(labels)
+        rounds = _shed(rows, cols, cols, rows, "bracket series failed to terminate")
+        return tuple(tuple(x * n + y for x, y in shed) for shed in rounds)
 
     def subset(self, pairs: Iterable[Pair]) -> "Relation":
         """A sub-relation over the same node set."""
@@ -356,18 +368,19 @@ def bracket(sub1: Relation, sub2: Relation, delta: Relation) -> Relation:
 
     Symmetric in its two arguments: (i,k) belongs to the bracket when
     some middle node j gives (i,j) in one subset and (j,k) in the other.
-    Only sub2 is indexed, so pass the smaller or throwaway subset as sub1.
+    For each (i,j) of sub1, the bits of S_row[j] & D_row[i] are the (i,k)
+    and those of S_col[i] & D_col[j] the (k,j), with S sub2's masks in
+    delta's index, built for this call, and D delta's.
     """
     _require_subset(sub1, delta, "first subset")
     _require_subset(sub2, delta, "second subset")
+    labels, number, d_rows, d_cols = delta._index
+    s_rows, s_cols = _masks(sub2.pairs, number)
     out: set[Pair] = set()
     for i, j in sub1.pairs:
-        for _, k in sub2.by_first.get(j, ()):
-            if (i, k) in delta.pairs:
-                out.add((i, k))
-        for k, _ in sub2.by_second.get(i, ()):
-            if (k, j) in delta.pairs:
-                out.add((k, j))
+        x, y = number[i], number[j]
+        out.update((i, labels[z]) for z in _bits(s_rows[y] & d_rows[x]))
+        out.update((labels[z], j) for z in _bits(s_cols[x] & d_cols[y]))
     return Relation(delta.nodes, frozenset(out))
 
 
@@ -391,11 +404,10 @@ def _shed(
     cols: list[int],
     right: list[int],
     left: list[int],
-    labels: tuple[str, ...],
     stall: str,
-) -> list[list[Pair]]:
-    """The pairs of a descent from the term with these masks, by the round
-    that sheds them, each round in sorted order.
+) -> list[list[tuple[int, int]]]:
+    """The pairs (x,y), by node number, of a descent from the term with these
+    masks, by the round that sheds them, each round in sorted order.
 
     A live (x,y) stays for the next round while T_row[x] & right[y] or
     T_col[y] & left[x], where T is the live term. T starts as a copy of
@@ -404,27 +416,23 @@ def _shed(
     would repeat forever; only an axiom breaker has one, and it raises
     ``AssertionError(stall)``.
     """
-    live = [
-        (x, y, (labels[x], labels[y]))
-        for x in compress(range(len(rows)), rows)
-        for y in _bits(rows[x])
-    ]
+    live = [(x, y) for x in compress(range(len(rows)), rows) for y in _bits(rows[x])]
     rows, cols = list(rows), list(cols)
     rounds = []
     while live:
         kept, shed = [], []
         for entry in live:
-            x, y, _ = entry
+            x, y = entry
             if rows[x] & right[y] or cols[y] & left[x]:
                 kept.append(entry)
             else:
                 shed.append(entry)
         if not shed:
             raise AssertionError(stall)
-        for x, y, _ in shed:
+        for x, y in shed:
             rows[x] ^= 1 << y
             cols[y] ^= 1 << x
-        rounds.append([p for _, _, p in shed])
+        rounds.append(shed)
         live = kept
     return rounds
 
@@ -449,10 +457,10 @@ def gamma_series(gamma: Relation, delta: Relation) -> SubsetChain:
             raise ValueError("gamma series needs a closed subset")
     g_rows, g_cols = masks
     stall = "bracket series failed to terminate"
-    rounds = _shed(g_rows, g_cols, g_cols, g_rows, labels, stall)
+    rounds = _shed(g_rows, g_cols, g_cols, g_rows, stall)
     terms, term = [gamma], gamma.pairs
     for shed in rounds:
-        term = term.difference(shed)
+        term = term.difference([(labels[x], labels[y]) for x, y in shed])
         terms.append(Relation(delta.nodes, term))
     return SubsetChain("descending", tuple(terms))
 
@@ -464,13 +472,12 @@ def _upper_remainders(delta: Relation) -> Iterator[frozenset]:
     that also stays."""
     labels, _, rows, cols = delta._index
     rounds = _shed(
-        rows, cols, rows, cols, labels,
-        "upper central series stalled before exhausting the relation",
+        rows, cols, rows, cols, "upper central series stalled before exhausting the relation"
     )
     rest = delta.pairs
     yield rest
     for shed in rounds:
-        rest = rest.difference(shed)
+        rest = rest.difference([(labels[x], labels[y]) for x, y in shed])
         yield rest
 
 
@@ -507,17 +514,18 @@ def has_minimal(omega: Relation, delta: Relation) -> bool:
 
 def _has_unextended(omega: Relation, delta: Relation, maximal: bool) -> bool:
     """Is some pair of omega without a composite in delta with a pair of
-    omega on its right (maximal) or on its left (not maximal)?"""
+    omega on its right (maximal) or on its left (not maximal)? With O
+    omega's masks in delta's index and D delta's, (i,j) has none when
+    O_row[j] & D_row[i] is 0, or O_col[i] & D_col[j] for minimality."""
     _require_subset(omega, delta, "subset")
     if not omega.pairs:
         kind = "maximality" if maximal else "minimality"
         raise ValueError(f"{kind} is about nonempty subsets")
+    _, number, d_rows, d_cols = delta._index
+    o_rows, o_cols = _masks(omega.pairs, number)
     for i, j in omega.pairs:
-        if maximal:
-            walk = (((j, k), (i, k)) for _, k in delta.by_first.get(j, ()))
-        else:
-            walk = (((k, i), (k, j)) for k, _ in delta.by_second.get(i, ()))
-        if not any(p in omega.pairs and c in delta.pairs for p, c in walk):
+        x, y = number[i], number[j]
+        if not (o_rows[y] & d_rows[x] if maximal else o_cols[x] & d_cols[y]):
             return True
     return False
 

@@ -96,10 +96,13 @@ def quotient_project(g: GroupElement, gamma: Relation) -> GroupElement:
 
     The result lives in the group over the smaller relation; deletion
     is a surjective homomorphism whose kernel is exactly the elements
-    supported inside gamma.
+    supported inside gamma. Both relations have the same nodes, so the
+    kept pair codes carry over as they are.
     """
-    target = McLainGroup(difference(g.group.relation, gamma), g.group.ring)
-    kept = {pair: c for pair, c in g._coeffs.items() if pair not in gamma.pairs}
+    relation = g.group.relation
+    target = McLainGroup(difference(relation, gamma), g.group.ring)
+    doomed = {relation._codes[pair] for pair in gamma.pairs}
+    kept = {code: c for code, c in g._coeffs.items() if code not in doomed}
     return GroupElement(target, kept)
 
 
@@ -125,7 +128,8 @@ def _lift(g: GroupElement, gamma: Relation, projected: GroupElement) -> GroupEle
     form = ordered_factorization(projected, order)
     representative = OrderedForm(g.group, order, form.coefficients).product()
     leftover = _divide(g.group, g._coeffs, representative._coeffs)
-    if not leftover.keys() <= gamma.pairs:
+    decode = g.group.relation._index.pair
+    if not all(decode(code) in gamma.pairs for code in leftover):
         raise AssertionError("coset representative failed the membership check")
     return representative
 

@@ -1,17 +1,21 @@
-"""Shared fixtures for the test suite: a zoo of small valid relations
-and deterministic random element sampling."""
+"""Shared fixtures for the test suite: a zoo of small valid relations,
+deterministic random element sampling, and the translation between the
+pair codes that key coefficient maps and label pairs."""
 
 from __future__ import annotations
 
 import random
 
 from mclain import (
+    Comm,
     Gen,
     GeneratorWord,
     Integers,
     IntegersMod,
+    Inv,
     Matrices2x2Mod,
     McLainGroup,
+    Relation,
     chain,
     from_pairs,
     ngon,
@@ -102,3 +106,38 @@ def random_factors(group: McLainGroup, rng: random.Random, length: int):
 def gen_word(factors):
     """The word of Gen tokens for these (pair, value) factors, in order."""
     return GeneratorWord(tuple(Gen(*pair, c) for pair, c in factors))
+
+
+def mixed_word(group, rng):
+    """x runs with inv(...) and comm(...) tokens between them."""
+    tokens = []
+    for _ in range(rng.randint(1, 3)):
+        tokens.extend(gen_word(random_factors(group, rng, rng.randint(0, 4))))
+        inner = gen_word(random_factors(group, rng, 2))
+        if rng.random() < 0.5:
+            tokens.append(Inv(inner))
+        else:
+            tokens.append(Comm(inner, gen_word(random_factors(group, rng, 2))))
+    tokens.extend(gen_word(random_factors(group, rng, rng.randint(0, 3))))
+    return GeneratorWord(tuple(tokens))
+
+
+def recode(relation: Relation, coeffs: dict) -> dict:
+    """A coefficient map over the relation with its keys translated, values
+    kept: an int pair code to its label pair, and a label pair to its code.
+
+    The code of (i, j) is number(i) * N + number(j), where the N nodes of
+    the relation are numbered in sorted label order. It is worked out here
+    from the node set, without the library's index, so a test that
+    translates with it also checks the library's encoding.
+    """
+    labels = sorted(relation.nodes)
+    number = {label: x for x, label in enumerate(labels)}
+    n = len(labels)
+
+    def translate(key):
+        if isinstance(key, int):
+            return labels[key // n], labels[key % n]
+        return number[key[0]] * n + number[key[1]]
+
+    return {translate(key): value for key, value in coeffs.items()}

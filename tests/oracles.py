@@ -35,6 +35,10 @@ routes is meaningful evidence rather than a tautology.
   and both series descents as they ran before the mask index, walking
   label pairs through ``by_first``/``by_second``, successor sets and the
   table of decompositions p = q∘r (``tests/test_mask_calculus.py``).
+* Label-pair kernels: the coefficient kernels, word evaluation and the
+  commutator as they ran before pair codes, on maps keyed by label pairs
+  with each composite admitted by a lookup in the pair set
+  (``tests/test_code_kernels.py``).
 * Payload formula: s + ab on raw ring payloads, the residue formula for
   Z and Z/n and ``mat_mul`` for M2(Z/n), against the rings' ``_fma``
   and ``RingValue`` multiplication.
@@ -47,13 +51,16 @@ from __future__ import annotations
 
 import itertools
 import random
+from typing import Iterable, Iterator
 
 from mclain import (
+    Comm,
     ExchangeViolation,
     Gen,
     GeneratorWord,
     GroupElement,
     IntegersMod,
+    Inv,
     Matrices2x2Mod,
     McLainGroup,
     Pair,
@@ -64,7 +71,9 @@ from mclain import (
     is_closed,
     quotient_project,
 )
-from mclain.elements import _generators_times
+from mclain.elements import _BOUND_MESSAGE
+
+from helpers import recode
 
 
 def mat_identity(m: int) -> list[list[int]]:
@@ -186,11 +195,10 @@ def greedy_peel_factorization(g: GroupElement):
     out = []
     while not residual.is_identity():
         omega = residual.support()
+        after = by_first(omega)
         pick = None
         for i, j in sorted(omega.pairs):
-            extends = any(
-                (i, k) in group.relation.pairs for _, k in omega.by_first.get(j, ())
-            )
+            extends = any((i, k) in group.relation.pairs for _, k in after.get(j, ()))
             if not extends:
                 pick = (i, j)
                 break
@@ -348,13 +356,30 @@ def alternating_series_inverse(g: GroupElement) -> GroupElement:
 # The tests compare the library's mask scans against it, in order.
 
 
+def by_first(relation: Relation) -> dict[str, tuple[Pair, ...]]:
+    """The relation's pairs grouped by source label, each group sorted."""
+    index: dict[str, list[Pair]] = {}
+    for pair in sorted(relation.pairs):
+        index.setdefault(pair[0], []).append(pair)
+    return {k: tuple(v) for k, v in index.items()}
+
+
+def by_second(relation: Relation) -> dict[str, tuple[Pair, ...]]:
+    """The relation's pairs grouped by target label, each group sorted."""
+    index: dict[str, list[Pair]] = {}
+    for pair in sorted(relation.pairs):
+        index.setdefault(pair[1], []).append(pair)
+    return {k: tuple(v) for k, v in index.items()}
+
+
 def decompositions(gamma: Relation, delta: Relation) -> dict[Pair, list[Pair]]:
     """The factors q, r in gamma of each pair p = q∘r of delta, by one walk of
     gamma's ``by_first``. The keys lie in gamma exactly when gamma is closed,
     and are then [gamma, gamma]."""
     out: dict[Pair, list[Pair]] = {}
+    after = by_first(gamma)
     for q in gamma.pairs:
-        for r in gamma.by_first.get(q[1], ()):
+        for r in after.get(q[1], ()):
             p = (q[0], r[1])
             if p in delta.pairs:
                 out.setdefault(p, []).extend((q, r))
@@ -383,11 +408,11 @@ def pairwalk_violations(delta: Relation) -> list:
     inside it when (i,k) is absent."""
     loops = sorted(pair for pair in delta.pairs if pair[0] == pair[1])
     violations: list[object] = [ReflexiveViolation(pair) for pair in loops]
-    by_first, empty = delta.by_first, frozenset()
-    succ = {i: frozenset([k for _, k in out]) for i, out in by_first.items()}
-    for i, j in (pair for out in by_first.values() for pair in out):  # sorted
+    after, empty = by_first(delta), frozenset()
+    succ = {i: frozenset([k for _, k in out]) for i, out in after.items()}
+    for i, j in (pair for out in after.values() for pair in out):  # sorted
         after_i = succ[i]
-        for _, k in by_first.get(j, ()):
+        for _, k in after.get(j, ()):
             common = after_i & succ.get(k, empty)
             if not common:
                 continue
@@ -402,11 +427,12 @@ def pairwalk_absorbs(pairs, sub: frozenset, delta: Relation, partners: frozenset
     """Does sub hold each composite in delta of these pairs with a pair of
     partners, on either side? With sub empty, the pairs are isolated. The
     partner is tested last, so with delta as partners a yes tests none."""
+    after, before = by_first(delta), by_second(delta)
     for i, j in pairs:
-        for _, k in delta.by_first.get(j, ()):
+        for _, k in after.get(j, ()):
             if (i, k) in delta.pairs and (i, k) not in sub and (j, k) in partners:
                 return False
-        for k, _ in delta.by_second.get(i, ()):
+        for k, _ in before.get(i, ()):
             if (k, j) in delta.pairs and (k, j) not in sub and (k, i) in partners:
                 return False
     return True
@@ -424,13 +450,14 @@ def pairwalk_saturate(omega: Relation, delta: Relation, closed: bool) -> Relatio
     pairs: set[Pair] = set(omega.pairs)
     partners = pairs if closed else delta.pairs
     work: list[Pair] = sorted(pairs)
+    after, before = by_first(delta), by_second(delta)
     while work:
         i, j = work.pop()
-        for _, k in delta.by_first.get(j, ()):
+        for _, k in after.get(j, ()):
             if (i, k) in delta.pairs and (i, k) not in pairs and (j, k) in partners:
                 pairs.add((i, k))
                 work.append((i, k))
-        for k, _ in delta.by_second.get(i, ()):
+        for k, _ in before.get(i, ()):
             if (k, j) in delta.pairs and (k, j) not in pairs and (k, i) in partners:
                 pairs.add((k, j))
                 work.append((k, j))
@@ -485,7 +512,7 @@ def pairwalk_word_factorization(g: GroupElement) -> GeneratorWord:
     """``word_factorization`` with the peel read off the table of
     decompositions of the support closure."""
     tokens: list[Gen] = []
-    group, ring, residual = g.group, g.group.ring, g._coeffs
+    group, ring, residual = g.group, g.group.ring, recode(g.group.relation, g._coeffs)
     while residual:
         support = Relation(group.relation.nodes, frozenset(residual))
         closed = pairwalk_saturate(support, group.relation, closed=True)
@@ -495,5 +522,173 @@ def pairwalk_word_factorization(g: GroupElement) -> GeneratorWord:
             raise AssertionError("support closure has no top level to peel")
         tokens.extend(Gen(*pair, RingValue(ring, residual[pair])) for pair in peel)
         undos = [(pair, ring._neg(residual[pair])) for pair in peel]
-        residual = _generators_times(group, undos, residual)
+        residual = label_generators_times(group, undos, residual)
     return GeneratorWord(tuple(tokens))
+
+
+# ---------------------------------------------------------------------------
+# Label-pair kernels: the coefficient kernels of ``mclain.elements`` as they
+# ran before pair codes, with maps keyed by label pairs and each composite
+# admitted by a lookup in the relation's pair set. The bodies are kept as
+# they were; only ``label_divide`` reads its levels from ``pairwalk_levels``.
+# ``tests/test_code_kernels.py`` compares the library's code kernels against
+# them, translated with ``helpers.recode``.
+
+# A coefficient map: each label pair to a nonzero raw payload of the ring.
+LabelCoeffs = dict[Pair, object]
+
+
+def label_splice(
+    group: McLainGroup, x: LabelCoeffs, y: LabelCoeffs, base: LabelCoeffs
+) -> LabelCoeffs:
+    """base + xy for coefficient maps, zeros pruned.
+
+    base must hold no zeros, and it is added into in place. Each row sum
+    of xy starts at the ring's zero and takes every term through one
+    fused ``_fma``; each admitted sum joins base through one ``_add``.
+    The zeros that leaves are pruned in one pass at the end.
+    """
+    ring, pairs = group.ring, group.relation.pairs
+    fma, add, zero = ring._fma, ring._add, ring._zero
+    rows: dict[str, list[tuple[str, object]]] = {}
+    for (i, j), a in x.items():
+        rows.setdefault(i, []).append((j, a))
+    by_first: dict[str, list[tuple[str, object]]] = {}
+    for (j, l), b in y.items():
+        by_first.setdefault(j, []).append((l, b))
+    for i, row in rows.items():
+        # Sum row i of xy by target, then keep the targets the relation
+        # admits: every other product of basis elements is zero.
+        sums: dict[str, object] = {}
+        for j, a in row:
+            for l, b in by_first.get(j, ()):
+                sums[l] = fma(sums.get(l, zero), a, b)
+        for l, c in sums.items():
+            if (i, l) in pairs:
+                base[i, l] = add(base.get((i, l), zero), c)
+    return {p: c for p, c in base.items() if c != zero}
+
+
+def label_payloads(
+    group: McLainGroup, items: Iterable[tuple[Pair, object]]
+) -> Iterator[tuple[Pair, object]]:
+    """Each (pair, value) as (pair, raw payload), zeros dropped.
+
+    A pair outside the relation raises ValueError and a value the ring
+    cannot coerce raises RingError, zero values included: they are
+    checked before they are dropped.
+    """
+    pairs, coerce, zero = group.relation.pairs, group.ring.coerce, group.ring._zero
+    for pair, raw in items:
+        if pair not in pairs:
+            raise ValueError(f"pair ({pair[0]},{pair[1]}) is not in the relation")
+        payload = coerce(raw).payload
+        if payload != zero:
+            yield pair, payload
+
+
+def label_generators_times(
+    group: McLainGroup, factors: Iterable[tuple[Pair, object]], x: LabelCoeffs
+) -> LabelCoeffs:
+    """The map of ...(1 + c2 e(p2,q2))(1 + c1 e(p1,q1))(1+x), zeros pruned:
+    each factor in turn multiplies on the left.
+
+    The running map R is kept by row. A factor 1 + c e(p,q) adds
+    c R[q,l] to R[p,l] for each l in row q with (p,l) in the relation,
+    then c to R[p,q]; nothing else changes. The factors are payloads the
+    caller has validated.
+    """
+    ring, pairs = group.ring, group.relation.pairs
+    fma, add, zero = ring._fma, ring._add, ring._zero
+    rows: dict[str, dict[str, object]] = {}
+    for (i, j), a in x.items():
+        rows.setdefault(i, {})[j] = a
+    for (p, q), c in factors:
+        row_p = rows.setdefault(p, {})
+        for l, b in rows.get(q, {}).items():
+            if (p, l) in pairs:
+                row_p[l] = fma(row_p.get(l, zero), c, b)
+        row_p[q] = add(row_p.get(q, zero), c)
+    return {
+        (i, j): a for i, row in rows.items() for j, a in row.items() if a != zero
+    }
+
+
+def label_product(group: McLainGroup, x: LabelCoeffs, y: LabelCoeffs) -> LabelCoeffs:
+    """The map of (1+x)(1+y) = 1 + (x + y + xy): x + y, added from zero,
+    is the base that ``_splice`` adds xy into and prunes."""
+    add, zero = group.ring._add, group.ring._zero
+    base = dict(x)
+    for pair, c in y.items():
+        base[pair] = add(base.get(pair, zero), c)
+    return label_splice(group, x, y, base)
+
+
+def label_divide(group: McLainGroup, u: LabelCoeffs, w: LabelCoeffs) -> LabelCoeffs:
+    """The map z with 1+z = (1+u)(1+w)^-1, solved from (1+z)(1+w) = 1+u.
+
+    z[i,l] = u[i,l] - w[i,l] - the sum of z[i,j] w[j,l], and each such
+    (i,l) = (i,j)∘(j,l) lies at a deeper level of the bracket series than
+    (i,j). So the pairs are solved level by level, shallow first, as in a
+    triangular back-substitution: the running sums start at u - w, each
+    term added from the ring's zero, and once z[i,j] is final and nonzero,
+    z[i,j] (-w[j,l]) goes into the sum of (i,l) for each l in row j of w
+    through one ``_fma``. A pair is popped from the sums when its level
+    comes, with zero for a pair no term reached, and kept only if nonzero:
+    that is the one prune. w stays on the right, so the solve is exact
+    over noncommutative rings; with every sum spent, the rest of z is 0.
+    Only a corrupted relation has a cycle of decompositions and
+    so no levels; it raises the same AssertionError as the power loop of
+    ``nilpotency_index``.
+    """
+    ring, pairs = group.ring, group.relation.pairs
+    fma, add, neg, zero = ring._fma, ring._add, ring._neg, ring._zero
+    try:
+        levels = pairwalk_levels(group.relation)
+    except AssertionError:
+        raise AssertionError(_BOUND_MESSAGE) from None
+    sums: LabelCoeffs = dict(u)
+    rows: dict[str, list[tuple[str, object]]] = {}
+    for (j, l), c in w.items():
+        c = neg(c)
+        rows.setdefault(j, []).append((l, c))
+        sums[j, l] = add(sums.get((j, l), zero), c)
+    out: LabelCoeffs = {}
+    for level in levels:
+        if not sums:
+            break
+        for p in level:
+            z = sums.pop(p, zero)
+            if z == zero:
+                continue
+            out[p] = z
+            i = p[0]
+            for l, c in rows.get(p[1], ()):
+                q = (i, l)
+                if q in pairs:
+                    sums[q] = fma(sums.get(q, zero), z, c)
+    return out
+
+
+def label_eval_word(group: McLainGroup, word: GeneratorWord) -> LabelCoeffs:
+    """``McLainGroup.eval_word`` on the label-pair kernels."""
+    out: LabelCoeffs = {}
+    for is_gen, run in itertools.groupby(word.tokens, key=lambda t: isinstance(t, Gen)):
+        if is_gen:
+            factors = label_payloads(group, (((t.source, t.target), t.value) for t in run))
+            run_map = label_generators_times(group, reversed(list(factors)), {})
+            out = label_product(group, out, run_map) if out else run_map
+            continue
+        for token in run:
+            if isinstance(token, Inv):
+                out = label_divide(group, out, label_eval_word(group, token.word))
+            elif isinstance(token, Comm):
+                left = label_eval_word(group, token.left)
+                right = label_eval_word(group, token.right)
+                out = label_product(group, out, label_commutator(group, left, right))
+    return out
+
+
+def label_commutator(group: McLainGroup, x: LabelCoeffs, y: LabelCoeffs) -> LabelCoeffs:
+    """``GroupElement.commutator`` on the label-pair kernels: (g h)(h g)^-1."""
+    return label_divide(group, label_product(group, x, y), label_product(group, y, x))

@@ -19,6 +19,8 @@ from helpers import (
     ring_instances,
 )
 from oracles import (
+    by_first,
+    by_second,
     element_to_matrix,
     mat_comm,
     mat_inv,
@@ -323,15 +325,16 @@ def _body_center_characterization() -> None:
                 g = random_element(group, rng)
                 assert z.commutator(g) == group.identity()
                 assert g.commutator(z) == group.identity()
+        after, before = by_first(delta), by_second(delta)
         for i, j in sorted(delta.pairs - central):
             probe = group.generator(i, j, ring.one)
             witnesses = [
                 group.generator(j, k, ring.one)
-                for _, k in delta.by_first.get(j, ())
+                for _, k in after.get(j, ())
                 if (i, k) in delta.pairs
             ] + [
                 group.generator(l, i, ring.one)
-                for l, _ in delta.by_second.get(i, ())
+                for l, _ in before.get(i, ())
                 if (l, j) in delta.pairs
             ]
             assert witnesses, (i, j)
@@ -394,6 +397,7 @@ def _body_distinct_node_walks() -> None:
     for name, delta in relations:
         assert len(delta.nodes) <= 8, name
         stack = [[i, j] for i, j in sorted(delta.pairs)]
+        after = by_first(delta)
         walks = 0
         while stack:
             walk = stack.pop()
@@ -402,7 +406,7 @@ def _body_distinct_node_walks() -> None:
             if len(walk) > 5:
                 continue
             first, last = walk[0], walk[-1]
-            for _, nxt in delta.by_first.get(last, ()):
+            for _, nxt in after.get(last, ()):
                 if (first, nxt) in delta.pairs:
                     stack.append(walk + [nxt])
         assert walks >= len(delta.pairs)

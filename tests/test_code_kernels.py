@@ -1,0 +1,245 @@
+"""The pair-code kernels against the label-pair kernels they replaced, and
+the label contract at the edges of an element.
+
+Coefficient maps are keyed by int pair codes in the relation's node
+numbering, and a composite is admitted by a bit test on a successor row.
+``tests/oracles.py`` keeps the kernels as they ran on label pairs, with
+admission by a lookup in the pair set. Every result here is translated
+back to label pairs with ``helpers.recode``, which works the codes out
+from the node set on its own, and must equal the oracle's: products,
+right divisions, generator runs, inverses, commutators and ``eval_word``,
+in all three rings. Relations are valid pruned orders over labels where
+sorted order is not numeric order ("10" < "9"), with isolated nodes.
+"""
+
+from __future__ import annotations
+
+import random
+import re
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from helpers import mixed_word, random_factors, recode, some_zero  # noqa: E402
+from mclain import (  # noqa: E402
+    Gen,
+    GeneratorWord,
+    GroupElement,
+    Integers,
+    IntegersMod,
+    Matrices2x2Mod,
+    McLainGroup,
+    OrderedForm,
+    Relation,
+    coset_representative,
+    from_pairs,
+    normal_closure,
+    quotient_project,
+)
+from mclain.elements import (  # noqa: E402
+    _divide,
+    _generators_times,
+    _payloads,
+    _product,
+    _splice,
+)
+from oracles import (  # noqa: E402
+    label_commutator,
+    label_divide,
+    label_eval_word,
+    label_generators_times,
+    label_payloads,
+    label_product,
+    label_splice,
+    naive_normal_closure,
+    naive_transitive_closure,
+)
+from test_mask_calculus import LABELS, extra_nodes, relabelled  # noqa: E402
+
+PROFILE = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+RINGS = (Integers(), IntegersMod(4), Matrices2x2Mod(2))
+
+
+@st.composite
+def pruned_orders(draw):
+    """A strict order on three or more shuffled labels, less the normal
+    closure of one of its composites (i,k) and maybe of one more pair: a
+    valid relation whose numbering is not the order's ranking and which
+    keeps the (i,j), (j,k) that compose to the missing (i,k)."""
+    ranked = draw(st.permutations(LABELS))[: draw(st.integers(3, len(LABELS)))]
+    forward = [(a, b) for n, a in enumerate(ranked) for b in ranked[n + 1 :]]
+    order = naive_transitive_closure(draw(st.sets(st.sampled_from(forward), min_size=2)))
+    composites = sorted({(i, l) for i, j in order for k, l in order if j == k})
+    seeds = draw(st.sets(st.sampled_from(sorted(order)), max_size=1))
+    if composites:
+        seeds.add(draw(st.sampled_from(composites)))
+    pairs = order - naive_normal_closure(frozenset(seeds), frozenset(order))
+    return from_pairs(pairs, set(ranked) | draw(extra_nodes))
+
+
+@st.composite
+def groups(draw):
+    """A group over a drawn valid relation and one of the three rings, with a
+    seeded generator for its elements. The generator is a ``random.Random``
+    from a drawn seed: hypothesis's own randoms shrink towards the first
+    choice every time, which would draw the same pair again and again."""
+    delta = draw(st.one_of(pruned_orders(), relabelled))
+    ring = draw(st.sampled_from(RINGS))
+    return McLainGroup(delta, ring), random.Random(draw(st.integers(0, 2**32)))
+
+
+def drawn_items(group: McLainGroup, rng) -> list:
+    """(pair, value) items on a random share of the pairs, some values zero."""
+    pairs = sorted(group.relation.pairs)
+    return [(p, some_zero(group.ring, rng)) for p in pairs if rng.random() < 0.6]
+
+
+def both_maps(group: McLainGroup, rng) -> tuple[dict, dict]:
+    """One drawn element as a code map and as a label map, each built by its
+    own side's ``_payloads``; the two must name the same coefficients."""
+    items = drawn_items(group, rng)
+    coded = dict(_payloads(group, items))
+    labelled = dict(label_payloads(group, items))
+    assert recode(group.relation, coded) == labelled
+    return coded, labelled
+
+
+def factors_of(group: McLainGroup, rng, length: int) -> list:
+    return random_factors(group, rng, length) if group.relation.pairs else []
+
+
+@PROFILE
+@given(groups())
+def test_products_splices_and_divisions_match(case):
+    group, rng = case
+    relation = group.relation
+    (x, lx), (y, ly) = both_maps(group, rng), both_maps(group, rng)
+    assert recode(relation, _product(group, x, y)) == label_product(group, lx, ly)
+    assert recode(relation, _splice(group, x, y, {})) == label_splice(group, lx, ly, {})
+    assert recode(relation, _divide(group, x, y)) == label_divide(group, lx, ly)
+    assert recode(relation, _divide(group, {}, x)) == label_divide(group, {}, lx)
+
+
+@PROFILE
+@given(groups())
+def test_inverses_and_commutators_match(case):
+    group, rng = case
+    (x, lx), (y, ly) = both_maps(group, rng), both_maps(group, rng)
+    g, h = GroupElement(group, x), GroupElement(group, y)
+    relation = group.relation
+    assert recode(relation, g.inverse()._coeffs) == label_divide(group, {}, lx)
+    assert recode(relation, g.commutator(h)._coeffs) == label_commutator(group, lx, ly)
+    assert recode(relation, (g * h)._coeffs) == label_product(group, lx, ly)
+
+
+@PROFILE
+@given(groups(), st.integers(0, 12))
+def test_generator_runs_match(case, length):
+    group, rng = case
+    x, lx = both_maps(group, rng)
+    factors = factors_of(group, rng, length)
+    payloads = list(_payloads(group, factors))
+    label_factors = list(label_payloads(group, factors))
+    assert [recode(group.relation, {code: c}).popitem() for code, c in payloads] == (
+        label_factors
+    )
+    got = _generators_times(group, payloads, x)
+    assert recode(group.relation, got) == label_generators_times(group, label_factors, lx)
+
+
+@PROFILE
+@given(groups())
+def test_eval_word_matches(case):
+    group, rng = case
+    word = mixed_word(group, rng) if group.relation.pairs else GeneratorWord(())
+    got = group.eval_word(word)._coeffs
+    assert recode(group.relation, got) == label_eval_word(group, word)
+
+
+# ---------------------------------------------------------------------------
+# the label contract at the edges
+
+
+ISOLATED = from_pairs(
+    [("9", "10"), ("10", "11"), ("9", "11"), ("11", "2"), ("a", "b")], ["1", "5", "c"]
+)
+
+
+def test_pairs_outside_the_relation_raise_value_error_naming_the_pair():
+    group = McLainGroup(ISOLATED, IntegersMod(5))
+    # a pair over known labels that the relation lacks, and pairs with a
+    # label outside the node set, on every route that validates values
+    for i, j in (("10", "9"), ("9", "2"), ("1", "5"), ("9", "zz"), ("zz", "10")):
+        message = re.escape(f"pair ({i},{j}) is not in the relation")
+        with pytest.raises(ValueError, match=message):
+            group.element({(i, j): 1})
+        with pytest.raises(ValueError, match=message):
+            group.generator(i, j, 0)
+        with pytest.raises(ValueError, match=message):
+            group.eval_word(GeneratorWord((Gen(i, j, 1),)))
+        with pytest.raises(ValueError, match=message):
+            OrderedForm(group, ((i, j),), {(i, j): group.ring.one}).product()
+
+
+def test_coefficient_of_an_unknown_label_or_pair_is_zero():
+    group = McLainGroup(ISOLATED, IntegersMod(5))
+    g = group.element({("9", "10"): 2, ("a", "b"): 3})
+    zero = group.ring.zero
+    assert g.coefficient("9", "10") == group.ring.from_int(2)
+    for i, j in (("zz", "9"), ("9", "zz"), ("zz", "zz"), ("10", "9"), ("1", "5")):
+        assert g.coefficient(i, j) == zero
+    assert g.coefficients() == {
+        ("9", "10"): group.ring.from_int(2),
+        ("a", "b"): group.ring.from_int(3),
+    }
+    assert str(g) == "1 + 2*e(9,10) + 3*e(a,b)"
+
+
+def test_elements_of_equal_distinct_groups_are_equal_and_hash_alike():
+    pairs = sorted(ISOLATED.pairs)
+    twin = from_pairs(reversed(pairs), sorted(ISOLATED.nodes, reverse=True))
+    assert twin == ISOLATED and twin is not ISOLATED
+    for ring in RINGS:
+        one, other = McLainGroup(ISOLATED, ring), McLainGroup(twin, ring)
+        values = {pair: ring.from_int(k + 1) for k, pair in enumerate(pairs)}
+        g = one.element(values)
+        h = other.element(dict(reversed(list(values.items()))))
+        assert g == h and hash(g) == hash(h) and len({g, h}) == 1
+        assert str(g) == str(h)
+        assert g * h == g * g and (g * h.inverse()).is_identity()
+
+
+@PROFILE
+@given(groups())
+def test_quotients_cosets_and_nilpotency_match_the_oracle(case):
+    group, rng = case
+    delta = group.relation
+    # The drawn relations carry isolated nodes; add more so that every
+    # example has some.
+    delta = Relation(delta.nodes | {"iso", "9"}, delta.pairs)
+    group = McLainGroup(delta, group.ring)
+    if not delta.pairs:
+        return
+    x, lx = both_maps(group, rng)
+    g = GroupElement(group, x)
+    gamma = normal_closure(delta.subset([rng.choice(sorted(delta.pairs))]), delta)
+
+    projected = quotient_project(g, gamma)
+    kept = {p: c for p, c in lx.items() if p not in gamma.pairs}
+    assert projected.group.relation.pairs == delta.pairs - gamma.pairs
+    assert projected.group.relation.nodes == delta.nodes
+    assert recode(delta, projected._coeffs) == kept
+
+    r = coset_representative(g, gamma)
+    lr = recode(delta, r._coeffs)
+    # r lies in g's coset: r agrees with g off gamma, and g r^-1 lies over gamma
+    assert {p: c for p, c in lr.items() if p not in gamma.pairs} == kept
+    assert label_divide(group, lx, lr).keys() <= gamma.pairs
+
+    power, index = lx, 1
+    while power:
+        power = label_splice(group, power, lx, {})
+        index += 1
+    assert g.nilpotency_index() == index

@@ -8,7 +8,7 @@ import random
 import pytest
 
 from helpers import relation_zoo
-from oracles import fixed_point_pruned_order, naive_closure, naive_normal_closure
+from oracles import by_first, fixed_point_pruned_order, naive_closure, naive_normal_closure
 from mclain import (
     ExchangeViolation,
     ParseError,
@@ -431,13 +431,14 @@ def test_basis_product_walks_have_distinct_nodes():
     for name, delta in relation_zoo():
         assert len(delta.nodes) <= 8, name
         stack = [[i, j] for i, j in sorted(delta.pairs)]
+        after = by_first(delta)
         while stack:
             walk = stack.pop()
             assert len(set(walk)) == len(walk), (name, walk)
             if len(walk) > 5:
                 continue
             first, last = walk[0], walk[-1]
-            for _, nxt in delta.by_first.get(last, ()):
+            for _, nxt in after.get(last, ()):
                 if (first, nxt) in delta.pairs:
                     stack.append(walk + [nxt])
 

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from helpers import random_element, relation_zoo, ring_instances
+from oracles import by_first, by_second
 import mclain.factorization
 import mclain.series
 from mclain import (
@@ -143,15 +144,16 @@ def test_noncentral_pairs_have_a_failing_witness():
     for name, delta in relation_zoo():
         group = McLainGroup(delta, Z)
         central = center_support(delta).pairs
+        after, before = by_first(delta), by_second(delta)
         for i, j in sorted(delta.pairs - central):
             probe = group.generator(i, j, 1)
             witnesses = [
                 group.generator(j, k, 1)
-                for _, k in delta.by_first.get(j, ())
+                for _, k in after.get(j, ())
                 if (i, k) in delta.pairs
             ] + [
                 group.generator(l, i, 1)
-                for l, _ in delta.by_second.get(i, ())
+                for l, _ in before.get(i, ())
                 if (l, j) in delta.pairs
             ]
             assert witnesses, (name, i, j)

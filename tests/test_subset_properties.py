@@ -20,10 +20,13 @@ from mclain import (  # noqa: E402
     ExchangeViolation,
     Relation,
     bracket,
+    chain,
     check_axioms,
     closure,
     from_pairs,
     gamma_series,
+    has_maximal,
+    has_minimal,
     is_closed,
     is_normal,
     isolated,
@@ -175,25 +178,20 @@ def test_check_axioms_returns_the_cached_report(delta):
 
 @contextmanager
 def index_builds():
-    """The relations whose by_first, by_second or _index is built inside."""
+    """The relations whose _index is built inside."""
     built: list[Relation] = []
-    props = [Relation.__dict__[name] for name in ("by_first", "by_second", "_index")]
-    originals = [prop.func for prop in props]
+    prop = Relation.__dict__["_index"]
+    original = prop.func
 
-    def recording(func):
-        def build(relation):
-            built.append(relation)
-            return func(relation)
+    def build(relation):
+        built.append(relation)
+        return original(relation)
 
-        return build
-
-    for prop, func in zip(props, originals):
-        prop.func = recording(func)
+    prop.func = build
     try:
         yield built
     finally:
-        for prop, func in zip(props, originals):
-            prop.func = func
+        prop.func = original
 
 
 @PROFILE
@@ -213,3 +211,13 @@ def test_series_index_only_the_relations_they_are_given(data):
     with index_builds() as built:
         is_closed(gamma, delta)
     assert all(r is delta for r in built)
+
+
+def test_bracket_and_extremal_tests_index_only_the_ambient_relation():
+    delta = from_pairs(chain(60).pairs)
+    sub = delta.subset([("1", "2"), ("2", "3")])
+    with index_builds() as built:
+        assert bracket(sub, sub, delta).pairs == {("1", "3")}
+        assert has_maximal(sub, delta) and has_minimal(sub, delta)
+    assert built == [delta]
+    assert set(vars(sub)) == {"nodes", "pairs"}  # nothing cached on the subset
