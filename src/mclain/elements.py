@@ -52,15 +52,15 @@ product is built from its right end, feeding the factors last-first
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import groupby
 from typing import Iterable, Iterator, Mapping
 
+from ._record import record
 from .relations import Pair, Relation, _require_label_rule, require_valid, spanned_nodes
 from .rings import Ring, RingValue
 
 
-@dataclass(frozen=True)
+@record
 class Gen:
     """One generator factor: unit plus value at the pair (source, target)."""
 
@@ -68,19 +68,25 @@ class Gen:
     target: str
     value: RingValue
 
+    def __init__(self, source: str, target: str, value: RingValue) -> None:
+        # Written out, like RingValue's, because one is built per token.
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "value", value)
 
-@dataclass(frozen=True)
+
+@record
 class Inv:
     word: "GeneratorWord"
 
 
-@dataclass(frozen=True)
+@record
 class Comm:
     left: "GeneratorWord"
     right: "GeneratorWord"
 
 
-@dataclass(frozen=True)
+@record
 class One:
     pass
 
@@ -88,7 +94,7 @@ class One:
 Token = object
 
 
-@dataclass(frozen=True)
+@record
 class GeneratorWord:
     """A product of tokens, evaluated left to right."""
 
@@ -125,7 +131,7 @@ def _format_token(token: Token) -> str:
     raise ValueError(f"bad word token: {token!r}")
 
 
-@dataclass(frozen=True)
+@record
 class McLainGroup:
     """The group of units 1 + x over a valid relation and coefficient ring.
 

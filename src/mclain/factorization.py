@@ -36,8 +36,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 
+from ._record import record
 from .elements import (
     Gen,
     GeneratorWord,
@@ -99,7 +99,7 @@ def word_factorization(g: GroupElement) -> GeneratorWord:
     return GeneratorWord(tuple(tokens))
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class OrderedForm:
     """Coefficients for an ordered generator product, zeros included.
 
@@ -168,7 +168,7 @@ def ordered_factorization(g: GroupElement, order: tuple[Pair, ...]) -> OrderedFo
     return form
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class NgonReport:
     """Outcome of the n-gon obstruction demonstration."""
 

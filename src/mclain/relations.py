@@ -30,10 +30,11 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
 from typing import Collection, Iterable, Iterator, NamedTuple
+
+from ._record import record
 
 Pair = tuple[str, str]
 
@@ -42,7 +43,7 @@ class ParseError(ValueError):
     """A text surface failed to parse; the message carries a line number."""
 
 
-@dataclass(frozen=True)
+@record
 class ReflexiveViolation:
     pair: Pair
 
@@ -50,7 +51,7 @@ class ReflexiveViolation:
         return f"reflexive pair ({self.pair[0]},{self.pair[1]})"
 
 
-@dataclass(frozen=True)
+@record
 class ExchangeViolation:
     """A quadruple i,j,k,l witnessing failure of the exchange axiom.
 
@@ -73,7 +74,7 @@ class ExchangeViolation:
         )
 
 
-@dataclass(frozen=True)
+@record
 class AxiomReport:
     valid: bool
     violations: tuple[object, ...]
@@ -133,7 +134,7 @@ def _masks(
     return rows, cols
 
 
-@dataclass(frozen=True)
+@record
 class Relation:
     """An immutable finite relation with an explicit node set.
 
@@ -384,7 +385,7 @@ def bracket(sub1: Relation, sub2: Relation, delta: Relation) -> Relation:
     return Relation(delta.nodes, frozenset(out))
 
 
-@dataclass(frozen=True)
+@record
 class SubsetChain:
     """A descending or ascending sequence of subsets of one relation."""
 

@@ -18,20 +18,27 @@ from __future__ import annotations
 import itertools
 import random
 import re
-from dataclasses import dataclass
 from typing import Iterator
+
+from ._record import record
 
 
 class RingError(ValueError):
     """Bad ring spec, malformed literal, or mixed-ring arithmetic."""
 
 
-@dataclass(frozen=True)
+@record
 class RingValue:
     """An element of a concrete ring, tagged with that ring."""
 
     ring: "Ring"
     payload: object
+
+    def __init__(self, ring: "Ring", payload: object) -> None:
+        # Written out because a value is built per coefficient that leaves
+        # an element; the record's generic __init__ binds its arguments.
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "payload", payload)
 
     def _mate(self, other: "RingValue") -> "RingValue":
         if not isinstance(other, RingValue):
@@ -75,7 +82,7 @@ def _clean_literal(text: str) -> str:
     return text.replace("−", "-").replace(" ", "").strip()
 
 
-@dataclass(frozen=True)
+@record
 class Ring:
     """Base for the concrete rings. Subclasses define payload arithmetic."""
 
@@ -143,7 +150,7 @@ def _parse_scalar(text: str, where: str) -> int:
     raise RingError(f"malformed {where} literal: {text!r}")
 
 
-@dataclass(frozen=True)
+@record
 class Integers(Ring):
     """The ring of integers, at arbitrary precision."""
 
@@ -179,7 +186,7 @@ class Integers(Ring):
         return "Z"
 
 
-@dataclass(frozen=True)
+@record
 class IntegersMod(Ring):
     """Integers modulo n, with residues kept in [0, n)."""
 
@@ -224,7 +231,7 @@ class IntegersMod(Ring):
         return f"Z/{self.n}"
 
 
-@dataclass(frozen=True)
+@record
 class Matrices2x2Mod(Ring):
     """2x2 matrices over the integers mod n, stored row major.
 

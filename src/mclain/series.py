@@ -9,8 +9,7 @@ coefficient deletion, which normality makes into a homomorphism.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import record
 from .elements import GroupElement, McLainGroup, _divide
 from .relations import (
     Relation,
@@ -26,7 +25,7 @@ from .relations import (
 from .rings import Ring
 
 
-@dataclass(frozen=True)
+@record
 class FactorReport:
     """One lower-central factor: free over the ring on the level's pairs.
 
