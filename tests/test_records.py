@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+import mclain.relations
 from mclain import (
     AxiomReport,
     Comm,
@@ -63,10 +64,19 @@ CASES = [
     (ReflexiveViolation, lambda: {"pair": ("a", "a")}, "ReflexiveViolation(pair=('a', 'a'))"),
     (
         ExchangeViolation,
-        lambda: {"quadruple": ("1", "2", "3", "4"), "present": ("1", "3"), "absent": ("2", "4")},
-        "ExchangeViolation(quadruple=('1', '2', '3', '4'), present=('1', '3'), absent=('2', '4'))",
+        lambda: {
+            "quadruple": ("1", "2", "3", "4"),
+            "present": ("1", "3"),
+            "absent": ("2", "4"),
+        },
+        "ExchangeViolation(quadruple=('1', '2', '3', '4'), "
+        "present=('1', '3'), absent=('2', '4'))",
     ),
-    (AxiomReport, lambda: {"valid": True, "violations": ()}, "AxiomReport(valid=True, violations=())"),
+    (
+        AxiomReport,
+        lambda: {"valid": True, "violations": ()},
+        "AxiomReport(valid=True, violations=())",
+    ),
     (Relation, lambda: {"nodes": rel().nodes, "pairs": rel().pairs}, REL),
     (
         SubsetChain,
@@ -79,7 +89,11 @@ CASES = [
         "Gen(source='1', target='2', value=<Z/7 value 3>)",
     ),
     (Inv, lambda: {"word": word()}, f"Inv(word={WORD})"),
-    (Comm, lambda: {"left": word(), "right": GeneratorWord()}, f"Comm(left={WORD}, right=GeneratorWord(tokens=()))"),
+    (
+        Comm,
+        lambda: {"left": word(), "right": GeneratorWord()},
+        f"Comm(left={WORD}, right=GeneratorWord(tokens=()))",
+    ),
     (One, dict, "One()"),
     (GeneratorWord, lambda: {"tokens": (One(),)}, WORD),
     (
@@ -205,8 +219,6 @@ def test_post_init_validation_still_fires():
 
 
 def test_relation_index_is_built_once_and_cached(monkeypatch):
-    import mclain.relations
-
     built = []
     real = mclain.relations._masks
 
