@@ -352,7 +352,8 @@ class GroupElement:
 
     def support(self) -> Relation:
         relation = self.group.relation
-        return Relation(relation.nodes, frozenset(map(relation._index.pair, self._coeffs)))
+        pairs = frozenset(map(relation._index.pair, self._coeffs))
+        return Relation._within(relation.nodes, pairs)
 
     def is_identity(self) -> bool:
         return not self._coeffs

@@ -23,7 +23,14 @@ index per relation, ``Relation._index``: each node's successor row and
 predecessor column as an int mask, so a step is a few ``&`` tests instead
 of lookups of label pairs. A subset is scanned as masks in the numbering
 of the relation it is tested against. The same numbering gives the int
-pair codes that key the coefficient maps of group elements.
+pair codes that key the coefficient maps of group elements. The axiom scan
+and the descents over a whole relation read its rows expanded once into
+successor numbers, ``Relation._succ``.
+
+Every relation the calculus builds from pairs of a relation it already
+holds (subsets, closures, brackets, series terms, differences) is made by
+the private ``Relation._within``, which skips the endpoint check that
+public construction runs: those pairs cannot leave the node set.
 """
 
 from __future__ import annotations
@@ -31,7 +38,6 @@ from __future__ import annotations
 import random
 import re
 from functools import cached_property
-from itertools import compress
 from typing import Collection, Iterable, Iterator, NamedTuple
 
 from ._record import record
@@ -140,7 +146,13 @@ class Relation:
 
     The node set may strictly contain the nodes touched by pairs; keeping
     it explicit lets set difference preserve isolated nodes. The relation
-    calculus runs on its one cached ``_index`` of row and column masks.
+    calculus runs on its one cached ``_index`` of row and column masks, and
+    on ``_succ``, the rows expanded once.
+
+    ``Relation(nodes, pairs)`` rejects a pair with an endpoint outside the
+    node set. ``Relation._within`` makes a relation from pairs that already
+    lie inside the nodes without that check, as
+    ``fractions.Fraction._from_coprime_ints`` skips normalizing.
     """
 
     nodes: frozenset[str]
@@ -151,11 +163,27 @@ class Relation:
             if i not in self.nodes or j not in self.nodes:
                 raise ValueError(f"pair ({i},{j}) uses a node outside the node set")
 
+    @classmethod
+    def _within(cls, nodes: frozenset[str], pairs: frozenset[Pair]) -> "Relation":
+        """The relation on frozensets whose pairs the caller knows to lie
+        inside the nodes, made without the endpoint check."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "pairs", pairs)
+        return self
+
     @cached_property
     def _index(self) -> _Index:
         labels = tuple(sorted(self.nodes))
         number = {label: x for x, label in enumerate(labels)}
         return _Index(labels, number, *_masks(self.pairs, number))
+
+    @cached_property
+    def _succ(self) -> list[list[int]]:
+        """Each node's successor numbers, low to high: the set bits of its
+        row in ``_index``, one ``_bits`` per nonzero row. Shared by the axiom
+        scan and the descents; a caller does not change the lists."""
+        return [_bits(row) if row else [] for row in self._index.rows]
 
     @cached_property
     def _codes(self) -> dict[Pair, int]:
@@ -181,7 +209,7 @@ class Relation:
             for x, label in enumerate(labels)
             if rows[x] >> x & 1
         ]
-        succ = [_bits(row) for row in rows]
+        succ = self._succ
         for x, after_x in enumerate(rows):
             for y in succ[x]:
                 after_y = rows[y]
@@ -214,7 +242,8 @@ class Relation:
         """
         labels, _, rows, cols = self._index
         n = len(labels)
-        rounds = _shed(rows, cols, cols, rows, "bracket series failed to terminate")
+        live = _numbered(self._succ)
+        rounds = _shed(live, rows, cols, cols, rows, "bracket series failed to terminate")
         return tuple(tuple(x * n + y for x, y in shed) for shed in rounds)
 
     def subset(self, pairs: Iterable[Pair]) -> "Relation":
@@ -223,7 +252,7 @@ class Relation:
         stray = chosen - self.pairs
         if stray:
             raise ValueError(f"pairs not in the relation: {sorted(stray)}")
-        return Relation(self.nodes, chosen)
+        return Relation._within(self.nodes, chosen)
 
     def __contains__(self, pair: Pair) -> bool:
         return pair in self.pairs
@@ -314,7 +343,9 @@ def closure(omega: Relation, delta: Relation) -> Relation:
     those nodes.
     """
     _require_subset(omega, delta, "subset")
-    return Relation(delta.nodes, frozenset(_saturate(omega.pairs, delta, closed=True)[0]))
+    return Relation._within(
+        delta.nodes, frozenset(_saturate(omega.pairs, delta, closed=True)[0])
+    )
 
 
 def normal_closure(omega: Relation, delta: Relation) -> Relation:
@@ -323,7 +354,9 @@ def normal_closure(omega: Relation, delta: Relation) -> Relation:
     Saturation under composition with any pair of delta, on either side.
     """
     _require_subset(omega, delta, "subset")
-    return Relation(delta.nodes, frozenset(_saturate(omega.pairs, delta, closed=False)[0]))
+    return Relation._within(
+        delta.nodes, frozenset(_saturate(omega.pairs, delta, closed=False)[0])
+    )
 
 
 def _saturate(
@@ -382,7 +415,7 @@ def bracket(sub1: Relation, sub2: Relation, delta: Relation) -> Relation:
         x, y = number[i], number[j]
         out.update((i, labels[z]) for z in _bits(s_rows[y] & d_rows[x]))
         out.update((labels[z], j) for z in _bits(s_cols[x] & d_cols[y]))
-    return Relation(delta.nodes, frozenset(out))
+    return Relation._within(delta.nodes, frozenset(out))
 
 
 @record
@@ -400,7 +433,13 @@ class SubsetChain:
         return len(self.terms)
 
 
+def _numbered(succ: list[list[int]]) -> list[tuple[int, int]]:
+    """The pairs (x,y) of successor lists (``Relation._succ``), in sorted order."""
+    return [(x, y) for x, after in enumerate(succ) for y in after]
+
+
 def _shed(
+    live: list[tuple[int, int]],
     rows: list[int],
     cols: list[int],
     right: list[int],
@@ -410,14 +449,15 @@ def _shed(
     """The pairs (x,y), by node number, of a descent from the term with these
     masks, by the round that sheds them, each round in sorted order.
 
-    A live (x,y) stays for the next round while T_row[x] & right[y] or
-    T_col[y] & left[x], where T is the live term. T starts as a copy of
+    The caller passes the term's pairs as ``live``, in sorted order: from
+    ``Relation._succ`` for a whole relation, so its rows are not expanded
+    again. A live (x,y) stays for the next round while T_row[x] & right[y]
+    or T_col[y] & left[x], where T is the live term. T starts as a copy of
     rows and cols, and each round's shed bits are cleared from it in place.
     Only the live pairs are tested. A nonempty round that sheds nothing
     would repeat forever; only an axiom breaker has one, and it raises
     ``AssertionError(stall)``.
     """
-    live = [(x, y) for x in compress(range(len(rows)), rows) for y in _bits(rows[x])]
     rows, cols = list(rows), list(cols)
     rounds = []
     while live:
@@ -446,23 +486,28 @@ def gamma_series(gamma: Relation, delta: Relation) -> SubsetChain:
     term T stays in the next one while T_row[a] & G_col[c] or
     G_row[a] & T_col[c], with G gamma's masks in delta's index: one of its
     factors in gamma lies in T. Only an axiom breaker, with a cycle of
-    decompositions, has a series that never ends.
+    decompositions, has a series that never ends. When gamma is delta the
+    descent reads delta's masks and ``_succ``; a proper subset gets masks
+    of its own and passes its pairs, numbered and sorted. The terms are
+    made by ``Relation._within``.
     """
     _require_subset(gamma, delta, "subset")
     labels, number, d_rows, d_cols = delta._index
     if len(gamma.pairs) == len(delta.pairs):  # gamma is delta: share its masks
         masks = d_rows, d_cols
+        live = _numbered(delta._succ)
     else:
         masks = _masks(gamma.pairs, number)
         if not _absorbs(gamma.pairs, delta, masks, normal=False):
             raise ValueError("gamma series needs a closed subset")
+        live = sorted((number[a], number[b]) for a, b in gamma.pairs)
     g_rows, g_cols = masks
     stall = "bracket series failed to terminate"
-    rounds = _shed(g_rows, g_cols, g_cols, g_rows, stall)
+    rounds = _shed(live, g_rows, g_cols, g_cols, g_rows, stall)
     terms, term = [gamma], gamma.pairs
     for shed in rounds:
         term = term.difference([(labels[x], labels[y]) for x, y in shed])
-        terms.append(Relation(delta.nodes, term))
+        terms.append(Relation._within(delta.nodes, term))
     return SubsetChain("descending", tuple(terms))
 
 
@@ -472,9 +517,8 @@ def _upper_remainders(delta: Relation) -> Iterator[frozenset]:
     R_col[b] & D_col[a], with D delta's masks: it is a factor of a composite
     that also stays."""
     labels, _, rows, cols = delta._index
-    rounds = _shed(
-        rows, cols, rows, cols, "upper central series stalled before exhausting the relation"
-    )
+    stall = "upper central series stalled before exhausting the relation"
+    rounds = _shed(_numbered(delta._succ), rows, cols, rows, cols, stall)
     rest = delta.pairs
     yield rest
     for shed in rounds:
@@ -487,7 +531,7 @@ def isolated(delta: Relation) -> Relation:
     (i,k) present, and no left extension (l,i) with (l,j) present."""
     none = _masks((), delta._index.number)
     alone = (p for p in delta.pairs if _absorbs((p,), delta, none, normal=True))
-    return Relation(delta.nodes, frozenset(alone))
+    return Relation._within(delta.nodes, frozenset(alone))
 
 
 def difference(delta: Relation, gamma: Relation) -> Relation:
@@ -498,7 +542,7 @@ def difference(delta: Relation, gamma: Relation) -> Relation:
     """
     if not is_normal(gamma, delta):
         raise ValueError("can only remove a normal subset")
-    return Relation(delta.nodes, delta.pairs - gamma.pairs)
+    return Relation._within(delta.nodes, delta.pairs - gamma.pairs)
 
 
 def has_maximal(omega: Relation, delta: Relation) -> bool:
@@ -547,7 +591,7 @@ def from_pairs(pairs: Iterable[Pair], nodes: Iterable[str] = ()) -> Relation:
         node_set.add(i)
         node_set.add(j)
     _require_label_rule(node_set)
-    return Relation(frozenset(node_set), pair_set)
+    return Relation._within(frozenset(node_set), pair_set)
 
 
 def chain(m: int) -> Relation:
@@ -724,7 +768,7 @@ def parse_relation_text(text: str) -> Relation:
         nodes.update(labels)
         if len(labels) == 2:
             pairs.add((labels[0], labels[1]))
-    return Relation(frozenset(nodes), frozenset(pairs))
+    return Relation._within(frozenset(nodes), frozenset(pairs))
 
 
 def parse_relation_file(path: str) -> Relation:

@@ -48,7 +48,7 @@ def lower_central_series(
     chain = gamma_series(delta, delta)
     reports = []
     for level, (current, nxt) in enumerate(zip(chain.terms, chain.terms[1:]), 1):
-        support = Relation(delta.nodes, current.pairs - nxt.pairs)
+        support = Relation._within(delta.nodes, current.pairs - nxt.pairs)
         reports.append(FactorReport(level, support, len(support.pairs), ring))
     return chain, reports
 
@@ -85,7 +85,7 @@ def upper_central_series(delta: Relation) -> SubsetChain:
         zeta = zeta | step
         if not _absorbs(step, delta, _masks(step, number, masks), normal=True):
             raise AssertionError("upper central series term failed the normality check")
-        terms.append(Relation(delta.nodes, zeta))
+        terms.append(Relation._within(delta.nodes, zeta))
         left = rest
     return SubsetChain("ascending", tuple(terms))
 
