@@ -9,7 +9,8 @@ every closed set's bracket is strictly smaller.
 The ordered one is canonical: given any total order on a closed set
 covering the element's support, there is exactly one choice of one
 coefficient per pair whose ordered generator product reproduces the
-element. It is computed by a level sweep. Before level k the running
+element. It is computed by a level sweep over the rounds of the bracket
+descent of the closed set, read as pair codes. Before level k the running
 product P agrees with the target g outside the k-th bracket term. That
 term is normal, so P^-1 g lies in the subgroup over it, and in
 g = P (P^-1 g) every cross term lands at level k + 1 or deeper: at a
@@ -49,9 +50,9 @@ from .elements import (
 from .relations import (
     Pair,
     Relation,
+    _bracket_rounds,
     _saturate,
     closure,
-    gamma_series,
     ngon,
     ngon_diagonals,
     ngon_edges,
@@ -133,35 +134,39 @@ def ordered_factorization(g: GroupElement, order: tuple[Pair, ...]) -> OrderedFo
     """The unique coefficients reproducing g as an ordered product.
 
     The order must list each pair of a closed subset exactly once, and
-    that subset must contain the support of g. Each level's coefficients
-    are g's minus those of the ordered product of the coefficients found
-    so far; the form is built from them once the sweep is done.
+    that subset must contain the support of g. The sweep walks the rounds of
+    its bracket descent (``relations._bracket_rounds``) as pair codes: each
+    round's coefficients are g's minus those of the ordered product of the
+    coefficients found so far. The form is built once the sweep is done.
     """
-    group = g.group
+    group, relation = g.group, g.group.relation
     order = tuple(order)
     if len(set(order)) != len(order):
         raise ValueError("order lists a pair twice, so it is not a total order")
     try:
-        gamma = group.relation.subset(order)
+        gamma = relation.subset(order)
     except ValueError as exc:
         raise ValueError(f"order contains pairs outside the relation: {exc}") from exc
-    if missing := sorted(g.support().pairs - gamma.pairs):
-        raise ValueError(f"order does not cover the support: missing {missing}")
-    chain = gamma_series(gamma, group.relation)  # also rejects a non-closed order
     ring, target, zero = group.ring, g._coeffs, group.ring._zero
-    codes = group.relation._codes
+    codes = [relation._codes[pair] for pair in order]
+    if missing := sorted(map(relation._index.pair, target.keys() - set(codes))):
+        raise ValueError(f"order does not cover the support: missing {missing}")
+    rounds = _bracket_rounds(gamma, relation)  # also rejects a non-closed order
+    n, backward = len(relation._index.labels), codes[::-1]
     found: dict[int, object] = {}  # the nonzero coefficients so far, by code
-    for current, deeper in zip(chain.terms, chain.terms[1:]):
-        factors = ((c, found[c]) for c in map(codes.get, reversed(order)) if c in found)
+    swept: list[int] = []  # the codes outside the current bracket term
+    for shed in rounds:
+        factors = ((c, found[c]) for c in backward if c in found)
         running = _generators_times(group, factors, {})
-        outside = (codes[pair] for pair in order if pair not in current.pairs)
-        if any(running.get(c) != target.get(c) for c in outside):
+        if any(running.get(c) != target.get(c) for c in swept):
             raise AssertionError("level sweep residual escaped its bracket level")
-        for code in map(codes.get, current.pairs - deeper.pairs):
+        for x, y in shed:
+            code = x * n + y
             c = ring._add(target.get(code, zero), ring._neg(running.get(code, zero)))
             if c != zero:
                 found[code] = c
-    coefficients = {p: RingValue(ring, found.get(codes[p], zero)) for p in order}
+            swept.append(code)
+    coefficients = {p: RingValue(ring, found.get(c, zero)) for p, c in zip(order, codes)}
     form = OrderedForm(group, order, coefficients)
     if form.product() != g:
         raise AssertionError("level sweep did not converge to the target")

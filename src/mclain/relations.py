@@ -25,7 +25,9 @@ of lookups of label pairs. A subset is scanned as masks in the numbering
 of the relation it is tested against. The same numbering gives the int
 pair codes that key the coefficient maps of group elements. The axiom scan
 and the descents over a whole relation read its rows expanded once into
-successor numbers, ``Relation._succ``.
+successor numbers, ``Relation._succ``. A descent hands back its rounds as
+node-number pairs: ``_bracket_rounds`` is the one bracket descent that
+``_levels``, ``gamma_series`` and the ordered sweep read.
 
 Every relation the calculus builds from pairs of a relation it already
 holds (subsets, closures, brackets, series terms, differences) is made by
@@ -149,16 +151,18 @@ class Relation:
     calculus runs on its one cached ``_index`` of row and column masks, and
     on ``_succ``, the rows expanded once.
 
-    ``Relation(nodes, pairs)`` rejects a pair with an endpoint outside the
-    node set. ``Relation._within`` makes a relation from pairs that already
-    lie inside the nodes without that check, as
-    ``fractions.Fraction._from_coprime_ints`` skips normalizing.
+    ``Relation(nodes, pairs)`` freezes both collections and rejects a pair
+    with an endpoint outside the node set. ``Relation._within`` makes a
+    relation from frozensets whose pairs already lie inside the nodes without
+    that check, as ``fractions.Fraction._from_coprime_ints`` skips normalizing.
     """
 
     nodes: frozenset[str]
     pairs: frozenset[Pair]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "nodes", frozenset(self.nodes))
+        object.__setattr__(self, "pairs", frozenset(self.pairs))
         for i, j in self.pairs:
             if i not in self.nodes or j not in self.nodes:
                 raise ValueError(f"pair ({i},{j}) uses a node outside the node set")
@@ -234,16 +238,14 @@ class Relation:
         first, each level sorted.
 
         Level k is gamma_k less gamma_(k+1) of the relation with itself: the
-        pairs ``gamma_series`` sheds in its k-th round of the mask descent. A
+        k-th round of ``_bracket_rounds``, which ``gamma_series`` reads too. A
         composite p = q∘r lies at a strictly deeper level than q and than r.
         A decomposition cycle, which only an axiom breaker has, raises the
         descent's ``AssertionError``. Only the right division of elements
         reads the levels, so they are built when it first needs them.
         """
-        labels, _, rows, cols = self._index
-        n = len(labels)
-        live = _numbered(self._succ)
-        rounds = _shed(live, rows, cols, cols, rows, "bracket series failed to terminate")
+        n = len(self._index.labels)
+        rounds = _bracket_rounds(self, self)
         return tuple(tuple(x * n + y for x, y in shed) for shed in rounds)
 
     def subset(self, pairs: Iterable[Pair]) -> "Relation":
@@ -478,52 +480,38 @@ def _shed(
     return rounds
 
 
+def _bracket_rounds(gamma: Relation, delta: Relation) -> list[list[tuple[int, int]]]:
+    """The pairs (x,y) of closed gamma, numbered in delta's index, by the round
+    of the bracket descent (``gamma_series``) that sheds them, each in sorted
+    order: a pair (a,c) of the term T stays while T_row[a] & G_col[c] or
+    G_row[a] & T_col[c], with G gamma's masks. Gamma as delta shares delta's
+    masks and ``_succ``; a proper subset gets masks of its own. Only an axiom
+    breaker, with a cycle of decompositions, has a descent that never ends."""
+    _require_subset(gamma, delta, "subset")
+    _, number, rows, cols = delta._index
+    if len(gamma.pairs) == len(delta.pairs):  # gamma is delta: share its masks
+        live = _numbered(delta._succ)
+    else:
+        rows, cols = _masks(gamma.pairs, number)
+        if not _absorbs(gamma.pairs, delta, (rows, cols), normal=False):
+            raise ValueError("gamma series needs a closed subset")
+        live = sorted((number[a], number[b]) for a, b in gamma.pairs)
+    return _shed(live, rows, cols, cols, rows, "bracket series failed to terminate")
+
+
 def gamma_series(gamma: Relation, delta: Relation) -> SubsetChain:
     """Iterated bracket with gamma, down to the first empty subset.
 
     Terms are gamma, [gamma, gamma], [[gamma, gamma], gamma], ...; each
-    term contains the next because gamma is closed, so a pair (a,c) of the
-    term T stays in the next one while T_row[a] & G_col[c] or
-    G_row[a] & T_col[c], with G gamma's masks in delta's index: one of its
-    factors in gamma lies in T. Only an axiom breaker, with a cycle of
-    decompositions, has a series that never ends. When gamma is delta the
-    descent reads delta's masks and ``_succ``; a proper subset gets masks
-    of its own and passes its pairs, numbered and sorted. The terms are
-    made by ``Relation._within``.
+    term contains the next because gamma is closed. Each term is the last
+    less a round of ``_bracket_rounds``, made by ``Relation._within``.
     """
-    _require_subset(gamma, delta, "subset")
-    labels, number, d_rows, d_cols = delta._index
-    if len(gamma.pairs) == len(delta.pairs):  # gamma is delta: share its masks
-        masks = d_rows, d_cols
-        live = _numbered(delta._succ)
-    else:
-        masks = _masks(gamma.pairs, number)
-        if not _absorbs(gamma.pairs, delta, masks, normal=False):
-            raise ValueError("gamma series needs a closed subset")
-        live = sorted((number[a], number[b]) for a, b in gamma.pairs)
-    g_rows, g_cols = masks
-    stall = "bracket series failed to terminate"
-    rounds = _shed(live, g_rows, g_cols, g_cols, g_rows, stall)
+    labels = delta._index.labels
     terms, term = [gamma], gamma.pairs
-    for shed in rounds:
+    for shed in _bracket_rounds(gamma, delta):
         term = term.difference([(labels[x], labels[y]) for x, y in shed])
         terms.append(Relation._within(delta.nodes, term))
     return SubsetChain("descending", tuple(terms))
-
-
-def _upper_remainders(delta: Relation) -> Iterator[frozenset]:
-    """delta less each term of its upper central series, from the empty term
-    up: a pair (a,b) of the remainder R stays while R_row[a] & D_row[b] or
-    R_col[b] & D_col[a], with D delta's masks: it is a factor of a composite
-    that also stays."""
-    labels, _, rows, cols = delta._index
-    stall = "upper central series stalled before exhausting the relation"
-    rounds = _shed(_numbered(delta._succ), rows, cols, rows, cols, stall)
-    rest = delta.pairs
-    yield rest
-    for shed in rounds:
-        rest = rest.difference([(labels[x], labels[y]) for x, y in shed])
-        yield rest
 
 
 def isolated(delta: Relation) -> Relation:

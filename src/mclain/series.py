@@ -16,7 +16,8 @@ from .relations import (
     SubsetChain,
     _absorbs,
     _masks,
-    _upper_remainders,
+    _numbered,
+    _shed,
     difference,
     gamma_series,
     isolated,
@@ -67,26 +68,28 @@ def center_support(delta: Relation) -> Relation:
 def upper_central_series(delta: Relation) -> SubsetChain:
     """Ascending chain from the empty subset up to the whole relation.
 
-    Term k is delta less its k-th remainder (``relations._upper_remainders``,
-    a descent on delta's masks): each step adjoins the pairs of what is left
-    that are a factor of no composite left, the isolated pairs of the
-    quotient by the last term. The quotient isomorphism is what lets the
-    accumulated union stand in for centers of successive quotient groups.
-    Each term is checked to be normal at its new pairs, against masks of the
-    term that grow by each step's bits; the previous term already was normal
-    at the others.
+    Each round of one descent on delta's masks (``relations._shed``) is a
+    step: it adjoins the pairs of what is left, R, that are a factor of no
+    composite left (R_row[a] & D_row[b] and R_col[b] & D_col[a] are 0, with
+    D delta's masks), the isolated pairs of the quotient by the last term.
+    The quotient isomorphism is what lets the accumulated union stand in for
+    centers of successive quotient groups. A step is taken from R by set
+    difference, so the terms hold delta's own pairs. Each term is checked to
+    be normal at its new pairs, against masks of the term that grow by each
+    step's bits; the previous term already was normal at the others.
     """
     require_valid(delta)
-    zeta, left, terms = frozenset(), delta.pairs, []
-    number = delta._index.number
-    masks = _masks((), number)
-    for rest in _upper_remainders(delta):
-        step = left - rest
+    labels, number, rows, cols = delta._index
+    stall = "upper central series stalled before exhausting the relation"
+    zeta, left, masks = frozenset(), delta.pairs, _masks((), number)
+    terms = [Relation._within(delta.nodes, zeta)]
+    for shed in _shed(_numbered(delta._succ), rows, cols, rows, cols, stall):
+        rest = left.difference([(labels[x], labels[y]) for x, y in shed])
+        step, left = left - rest, rest
         zeta = zeta | step
         if not _absorbs(step, delta, _masks(step, number, masks), normal=True):
             raise AssertionError("upper central series term failed the normality check")
         terms.append(Relation._within(delta.nodes, zeta))
-        left = rest
     return SubsetChain("ascending", tuple(terms))
 
 

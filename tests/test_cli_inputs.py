@@ -60,11 +60,12 @@ def test_series_refuses_an_unknown_ring_in_either_direction(tmp_path, capsys, di
 
 
 def test_a_failed_self_check_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
-    # The faulty remainder chain of the upper series' normality check test.
-    def wrong(delta):
-        return iter([delta.pairs, delta.pairs - {("1", "2")}, frozenset()])
+    # The faulty descent of the upper series' normality check test: on
+    # chain(3), node numbers 0, 1, 2, it adjoins (1,2) alone first.
+    def wrong(*args):
+        return [[(0, 1)], [(0, 2), (1, 2)]]
 
-    monkeypatch.setattr(mclain.series, "_upper_remainders", wrong)
+    monkeypatch.setattr(mclain.series, "_shed", wrong)
     rel = tmp_path / "rel.txt"
     rel.write_text(format_relation(chain(3)))
     code = main(["series", str(rel), "--upper"])

@@ -20,6 +20,7 @@ from mclain import (
     IntegersMod,
     McLainGroup,
     OrderedForm,
+    Relation,
     chain,
     closure,
     demonstrate_ngon_obstruction,
@@ -31,6 +32,7 @@ from mclain import (
     ngon_diagonals,
     ngon_edges,
     ordered_factorization,
+    random_pruned_order,
     word_factorization,
 )
 
@@ -330,6 +332,51 @@ def test_ordered_factorization_matches_recursive_oracle():
                 assert form.coefficients == recursive_ordered_oracle(g, order), name
                 compared += 1
     assert compared >= 60
+
+
+def test_ordered_factorization_matches_the_oracle_off_numeric_order():
+    # Labels i + 7 sort as "10" < "11" < ... < "8" < "9", and the isolated
+    # nodes "1" and "85" sit among them, so node numbers, and the n of the
+    # sweep's pair codes, differ from those of the unrelabelled relation.
+    rng = random.Random(67)
+    compared = 0
+    for delta in (chain(5), ngon(5), random_pruned_order(3, 6, 0.6)):
+        delta = from_pairs(
+            [(str(int(i) + 7), str(int(j) + 7)) for i, j in delta.pairs], ["1", "85"]
+        )
+        assert sorted(delta.nodes, key=int) != sorted(delta.nodes)
+        for ring in ring_instances():
+            group = McLainGroup(delta, ring)
+            for _ in range(12):
+                seeds = rng.sample(sorted(delta.pairs), rng.randint(2, 4))
+                gamma = closure(delta.subset(seeds), delta)
+                if not 2 < len(gamma.pairs) <= 6 or gamma.pairs == delta.pairs:
+                    continue
+                order = sorted(gamma.pairs)
+                rng.shuffle(order)
+                g = group.element({p: ring.sample(rng) for p in order})
+                form = ordered_factorization(g, tuple(order))
+                assert form.coefficients == recursive_ordered_oracle(g, order)
+                compared += 1
+    assert compared >= 60
+
+
+def test_the_sweep_makes_no_relation_but_the_orders_subset(monkeypatch):
+    # The sweep reads the rounds of the bracket descent as pair codes; it
+    # builds no series term, one relation per level, and no support.
+    group = McLainGroup(chain(8), IntegersMod(7))
+    order = tuple(sorted(group.relation.pairs))
+    g = group.element({pair: 1 + n % 6 for n, pair in enumerate(order)})
+    made = []
+    within = Relation._within.__func__
+
+    def counting(cls, nodes, pairs):
+        made.append(pairs)
+        return within(cls, nodes, pairs)
+
+    monkeypatch.setattr(Relation, "_within", classmethod(counting))
+    assert ordered_factorization(g, order).product() == g
+    assert made == [frozenset(order)]
 
 
 def test_ordered_factorization_matches_brute_force():

@@ -5,6 +5,8 @@ with ``Relation._within``, which skips the endpoint check of public
 construction; the first test runs that check on every such relation. The
 axiom scan and the descents over a whole relation share its successor
 lists, ``Relation._succ``; the second test counts the row expansions.
+Public construction freezes the node and pair collections it is given;
+the last test builds relations from lists and sets.
 """
 
 from __future__ import annotations
@@ -27,10 +29,12 @@ from mclain import (  # noqa: E402
     format_relation,
     from_pairs,
     gamma_series,
+    is_normal,
     isolated,
     lower_central_series,
     normal_closure,
     parse_relation_text,
+    quotient_project,
     upper_central_series,
 )
 from test_mask_calculus import valid_relations  # noqa: E402
@@ -92,3 +96,22 @@ def test_the_rows_are_expanded_once(monkeypatch):
     assert delta._levels
     assert expanded == [row for row in delta._index.rows if row]
     assert len(expanded) == 11
+
+
+@pytest.mark.parametrize("make", [list, set])
+def test_public_construction_freezes_lists_and_sets(make):
+    pairs = [("1", "2"), ("2", "3"), ("1", "3")]
+    delta = checked(Relation(make(["1", "2", "3"]), make(pairs)))
+    expected = from_pairs(pairs)
+    assert delta == expected and hash(delta) == hash(expected)
+    assert [t.pairs for t in upper_central_series(delta).terms] == [
+        t.pairs for t in upper_central_series(expected).terms
+    ]
+    gamma = checked(Relation(make(["1", "2", "3"]), make([("1", "3")])))
+    assert is_normal(gamma, delta)
+    group = McLainGroup(delta, IntegersMod(5))
+    g = group.element({("1", "2"): 1, ("1", "3"): 2})
+    assert hash(g) == hash(McLainGroup(expected, IntegersMod(5)).element(g.coefficients()))
+    assert quotient_project(g, gamma).support().pairs == {("1", "2")}
+    with pytest.raises(ValueError, match=r"^pair \(1,2\) uses a node outside"):
+        Relation(make(["1"]), make([("1", "2")]))

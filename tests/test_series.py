@@ -273,11 +273,11 @@ gamma_series(delta, delta)
 def test_upper_central_series_normality_check_catches_a_wrong_step(monkeypatch):
     # No relation reaches this check: a pair that is a factor of no composite
     # left cannot compose, within the relation, into a pair still left. A
-    # faulty remainder chain must still trip it.
-    def wrong(delta):
-        return iter([delta.pairs, delta.pairs - {("1", "2")}, frozenset()])
+    # faulty descent, adjoining (1,2) alone first, must still trip it.
+    def wrong(*args):
+        return [[(0, 1)], [(0, 2), (1, 2)]]
 
-    monkeypatch.setattr(mclain.series, "_upper_remainders", wrong)
+    monkeypatch.setattr(mclain.series, "_shed", wrong)
     with pytest.raises(
         AssertionError, match="upper central series term failed the normality check"
     ):
