@@ -56,7 +56,7 @@ from itertools import groupby
 from typing import Iterable, Iterator, Mapping
 
 from ._record import record
-from .relations import Pair, Relation, _require_label_rule, require_valid, spanned_nodes
+from .relations import Pair, Relation, require_valid, spanned_nodes
 from .rings import Ring, RingValue
 
 
@@ -135,16 +135,15 @@ def _format_token(token: Token) -> str:
 class McLainGroup:
     """The group of units 1 + x over a valid relation and coefficient ring.
 
-    Construction validates the relation's labels and axioms once;
-    everything else leans on that validity (most of all the level order
-    of the inverse and the nilpotency power bound).
+    Construction validates the relation's axioms once; its labels were
+    checked when it was made. Everything else leans on that validity (most
+    of all the level order of the inverse and the nilpotency power bound).
     """
 
     relation: Relation
     ring: Ring
 
     def __post_init__(self) -> None:
-        _require_label_rule(self.relation.nodes)
         require_valid(self.relation)
 
     def identity(self) -> "GroupElement":

@@ -51,6 +51,7 @@ from .relations import (
     Pair,
     Relation,
     _bracket_rounds,
+    _masks,
     _saturate,
     closure,
     ngon,
@@ -73,7 +74,8 @@ def word_factorization(g: GroupElement) -> GeneratorWord:
     what remains is supported strictly deeper, so the passes terminate.
     Evaluating the recorded word left to right reconstructs g exactly. A
     pair (a,c) lies outside [C, C] when C_row[a] & C_col[c] is 0, with C's
-    masks in the relation's index, as the closure's saturation leaves them.
+    masks as saturating the support's codes, split into node numbers, leaves
+    them: only the peeled pairs are decoded.
 
     A pass removes its peeled generators with one call of the row
     kernel. Those undos change coefficients only in the bracket of the
@@ -85,8 +87,9 @@ def word_factorization(g: GroupElement) -> GeneratorWord:
     index = group.relation._index
     n = len(index.labels)
     while residual:
-        support = map(index.pair, residual)
-        _, rows, cols = _saturate(support, group.relation, closed=True)
+        support = [divmod(code, n) for code in residual]
+        rows, cols = _masks(support, n)
+        _saturate(support, group.relation, (rows, cols), closed=True)
         peel = [
             code for code in sorted(residual) if not rows[code // n] & cols[code % n]
         ]

@@ -21,12 +21,14 @@ The axiom scan, the closures, the absorption tests, ``bracket``, the
 maximal and minimal tests and both series descents run on one cached
 index per relation, ``Relation._index``: each node's successor row and
 predecessor column as an int mask, so a step is a few ``&`` tests instead
-of lookups of label pairs. A subset is scanned as masks in the numbering
-of the relation it is tested against. The same numbering gives the int
-pair codes that key the coefficient maps of group elements. The axiom scan
-and the descents over a whole relation read its rows expanded once into
-successor numbers, ``Relation._succ``. A descent hands back its rounds as
-node-number pairs: ``_bracket_rounds`` is the one bracket descent that
+of lookups of label pairs. The same numbering gives the int pair codes
+that key the coefficient maps of group elements. The axiom scan and the
+descents over a whole relation read its rows expanded once into successor
+numbers, ``Relation._succ``. Below the public functions the calculus works
+in node-number pairs only; labels cross on the index of the relation that a
+subset is tested against, where ``_Index.encode`` refuses pairs outside it
+and numbers and masks the rest, and ``_Index.decode`` turns the pairs a call
+found back into labels. ``_bracket_rounds`` is the one bracket descent that
 ``_levels``, ``gamma_series`` and the ordered sweep read.
 
 Every relation the calculus builds from pairs of a relation it already
@@ -45,6 +47,8 @@ from typing import Collection, Iterable, Iterator, NamedTuple
 from ._record import record
 
 Pair = tuple[str, str]
+Arc = tuple[int, int]  # a pair by the node numbers of a relation's index
+Masks = tuple[list[int], list[int]]  # rows and columns, as in ``_Index``
 
 
 class ParseError(ValueError):
@@ -116,6 +120,23 @@ class _Index(NamedTuple):
         n = len(labels)
         return labels[code // n], labels[code % n]
 
+    def encode(
+        self, pairs: frozenset[Pair], ambient: frozenset[Pair], name: str
+    ) -> tuple[list[Arc], Masks]:
+        """The node-number pairs and masks of a subset of ``ambient``, the
+        indexed relation's pairs; stray pairs are refused, naming ``name``."""
+        stray = pairs - ambient
+        if stray:
+            raise ValueError(f"{name} is not a subset of the relation: {sorted(stray)}")
+        number = self.number
+        numbered = [(number[a], number[b]) for a, b in pairs]
+        return numbered, _masks(numbered, len(number))
+
+    def decode(self, numbered: Iterable[Arc]) -> list[Pair]:
+        """The label pairs of node-number pairs."""
+        labels = self.labels
+        return [(labels[x], labels[y]) for x, y in numbered]
+
 
 def _bits(mask: int) -> list[int]:
     """The set bits of a mask, low to high."""
@@ -127,16 +148,11 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def _masks(
-    pairs: Iterable[Pair],
-    number: dict[str, int],
-    masks: tuple[list[int], list[int]] | None = None,
-) -> tuple[list[int], list[int]]:
-    """The row and column masks of these pairs in a numbering, or ``masks``
-    with the pairs' bits added in place."""
-    rows, cols = masks or ([0] * len(number), [0] * len(number))
-    for a, b in pairs:
-        x, y = number[a], number[b]
+def _masks(pairs: Iterable[Arc], n: int, masks: Masks | None = None) -> Masks:
+    """The row and column masks of these node-number pairs over n nodes, or
+    ``masks`` with the pairs' bits added in place."""
+    rows, cols = masks or ([0] * n, [0] * n)
+    for x, y in pairs:
         rows[x] |= 1 << y
         cols[y] |= 1 << x
     return rows, cols
@@ -151,10 +167,10 @@ class Relation:
     calculus runs on its one cached ``_index`` of row and column masks, and
     on ``_succ``, the rows expanded once.
 
-    ``Relation(nodes, pairs)`` freezes both collections and rejects a pair
-    with an endpoint outside the node set. ``Relation._within`` makes a
-    relation from frozensets whose pairs already lie inside the nodes without
-    that check, as ``fractions.Fraction._from_coprime_ints`` skips normalizing.
+    ``Relation(nodes, pairs)`` freezes both collections, rejects a pair with
+    an endpoint outside the node set and applies the label rule. The private
+    ``_within`` skips both checks for frozensets that passed them, as
+    ``fractions.Fraction._from_coprime_ints`` skips normalizing.
     """
 
     nodes: frozenset[str]
@@ -166,6 +182,7 @@ class Relation:
         for i, j in self.pairs:
             if i not in self.nodes or j not in self.nodes:
                 raise ValueError(f"pair ({i},{j}) uses a node outside the node set")
+        _require_label_rule(self.nodes)
 
     @classmethod
     def _within(cls, nodes: frozenset[str], pairs: frozenset[Pair]) -> "Relation":
@@ -180,7 +197,8 @@ class Relation:
     def _index(self) -> _Index:
         labels = tuple(sorted(self.nodes))
         number = {label: x for x, label in enumerate(labels)}
-        return _Index(labels, number, *_masks(self.pairs, number))
+        numbered = ((number[a], number[b]) for a, b in self.pairs)
+        return _Index(labels, number, *_masks(numbered, len(labels)))
 
     @cached_property
     def _succ(self) -> list[list[int]]:
@@ -293,17 +311,11 @@ def require_valid(delta: Relation) -> None:
         raise ValueError(f"relation violates the structural axioms: {head}")
 
 
-def _require_subset(sub: Relation, delta: Relation, name: str) -> None:
-    stray = sub.pairs - delta.pairs
-    if stray:
-        raise ValueError(f"{name} is not a subset of the relation: {sorted(stray)}")
-
-
 def is_closed(sub: Relation, delta: Relation) -> bool:
     """Does sub contain every composite of its own pairs that delta admits?
     Absorption with sub as the partners, on sub's masks in delta's index."""
-    _require_subset(sub, delta, "subset")
-    return _absorbs(sub.pairs, delta, _masks(sub.pairs, delta._index.number), normal=False)
+    pairs, masks = delta._index.encode(sub.pairs, delta.pairs, "subset")
+    return _absorbs(pairs, delta, masks, normal=False)
 
 
 def is_normal(sub: Relation, delta: Relation) -> bool:
@@ -313,24 +325,20 @@ def is_normal(sub: Relation, delta: Relation) -> bool:
     (i,k) ambient forces (i,k) into sub, and any ambient (k,i) with
     (k,j) ambient forces (k,j) into sub. Normality implies closedness.
     """
-    _require_subset(sub, delta, "subset")
-    return _absorbs(sub.pairs, delta, _masks(sub.pairs, delta._index.number), normal=True)
+    pairs, masks = delta._index.encode(sub.pairs, delta.pairs, "subset")
+    return _absorbs(pairs, delta, masks, normal=True)
 
 
-def _absorbs(
-    pairs: Iterable[Pair], delta: Relation, sub: tuple[list[int], list[int]], normal: bool
-) -> bool:
-    """Does sub hold each composite in delta of these pairs with a partner,
-    on either side? sub is a (rows, cols) mask pair in delta's numbering, and
-    the partners are delta's pairs when ``normal``, else sub's. One mask test
-    per pair: (x,y) leaks when P_row[y] & D_row[x] or P_col[x] & D_col[y]
-    has a bit outside sub's row x or column y. With sub empty and delta as
-    partners, the pairs that pass are the isolated ones."""
-    _, number, d_rows, d_cols = delta._index
+def _absorbs(pairs: Iterable[Arc], delta: Relation, sub: Masks, normal: bool) -> bool:
+    """Does sub hold each composite in delta of these node-number pairs with a
+    partner, on either side? sub is a (rows, cols) mask pair in delta's
+    numbering, and the partners are delta's pairs when ``normal``, else sub's.
+    One mask test per pair: (x,y) leaks when P_row[y] & D_row[x] or
+    P_col[x] & D_col[y] has a bit outside sub's row x or column y."""
+    _, _, d_rows, d_cols = delta._index
     s_rows, s_cols = sub
     p_rows, p_cols = (d_rows, d_cols) if normal else sub
-    for a, b in pairs:
-        x, y = number[a], number[b]
+    for x, y in pairs:
         if p_rows[y] & d_rows[x] & ~s_rows[x] or p_cols[x] & d_cols[y] & ~s_cols[y]:
             return False
     return True
@@ -344,10 +352,10 @@ def closure(omega: Relation, delta: Relation) -> Relation:
     touches, so the result stays finite and inside delta restricted to
     those nodes.
     """
-    _require_subset(omega, delta, "subset")
-    return Relation._within(
-        delta.nodes, frozenset(_saturate(omega.pairs, delta, closed=True)[0])
-    )
+    index = delta._index
+    pairs, masks = index.encode(omega.pairs, delta.pairs, "subset")
+    _saturate(pairs, delta, masks, closed=True)
+    return Relation._within(delta.nodes, frozenset(index.decode(pairs)))
 
 
 def normal_closure(omega: Relation, delta: Relation) -> Relation:
@@ -355,48 +363,40 @@ def normal_closure(omega: Relation, delta: Relation) -> Relation:
 
     Saturation under composition with any pair of delta, on either side.
     """
-    _require_subset(omega, delta, "subset")
-    return Relation._within(
-        delta.nodes, frozenset(_saturate(omega.pairs, delta, closed=False)[0])
-    )
+    index = delta._index
+    pairs, masks = index.encode(omega.pairs, delta.pairs, "subset")
+    _saturate(pairs, delta, masks, closed=False)
+    return Relation._within(delta.nodes, frozenset(index.decode(pairs)))
 
 
-def _saturate(
-    pairs: Iterable[Pair], delta: Relation, closed: bool
-) -> tuple[set[Pair], list[int], list[int]]:
-    """Worklist saturation of pairs of delta under the composites delta admits:
-    the saturated pairs with their row and column masks in delta's numbering.
+def _saturate(pairs: list[Arc], delta: Relation, masks: Masks, closed: bool) -> None:
+    """Worklist saturation in place of distinct node-number pairs of delta and
+    their masks in delta's numbering, under the composites delta admits.
 
-    A popped (a,b) meets its partners on both sides. Its new right
+    A visited (a,b) meets its partners on both sides. Its new right
     composites (a,k) are the bits of P_row[b] & D_row[a] less the current
     row a, and its new left composites (k,b) those of P_col[a] & D_col[b]
     less the current column b, where D is delta and P the partners. For the
     closure the partners are the pairs collected so far; a partner collected
-    later meets (a,b) when it is popped in turn. For the normal closure
+    later meets (a,b) when it is visited in turn. For the normal closure
     every pair of delta is a partner.
     """
-    labels, number, d_rows, d_cols = delta._index
-    found = set(pairs)
-    rows, cols = _masks(found, number)
-    p_rows, p_cols = (rows, cols) if closed else (d_rows, d_cols)
-    work = [(number[a], number[b]) for a, b in found]
-    while work:
-        x, y = work.pop()
+    _, _, d_rows, d_cols = delta._index
+    rows, cols = masks
+    p_rows, p_cols = masks if closed else (d_rows, d_cols)
+    for x, y in pairs:  # also visits the pairs appended on the way
         right = p_rows[y] & d_rows[x] & ~rows[x]
         if right:
             rows[x] |= right
             for z in _bits(right):
                 cols[z] |= 1 << x
-                found.add((labels[x], labels[z]))
-                work.append((x, z))
+                pairs.append((x, z))
         left = p_cols[x] & d_cols[y] & ~cols[y]
         if left:
             cols[y] |= left
             for z in _bits(left):
                 rows[z] |= 1 << y
-                found.add((labels[z], labels[y]))
-                work.append((z, y))
-    return found, rows, cols
+                pairs.append((z, y))
 
 
 def bracket(sub1: Relation, sub2: Relation, delta: Relation) -> Relation:
@@ -408,16 +408,15 @@ def bracket(sub1: Relation, sub2: Relation, delta: Relation) -> Relation:
     and those of S_col[i] & D_col[j] the (k,j), with S sub2's masks in
     delta's index, built for this call, and D delta's.
     """
-    _require_subset(sub1, delta, "first subset")
-    _require_subset(sub2, delta, "second subset")
-    labels, number, d_rows, d_cols = delta._index
-    s_rows, s_cols = _masks(sub2.pairs, number)
-    out: set[Pair] = set()
-    for i, j in sub1.pairs:
-        x, y = number[i], number[j]
-        out.update((i, labels[z]) for z in _bits(s_rows[y] & d_rows[x]))
-        out.update((labels[z], j) for z in _bits(s_cols[x] & d_cols[y]))
-    return Relation._within(delta.nodes, frozenset(out))
+    index = delta._index
+    pairs, _ = index.encode(sub1.pairs, delta.pairs, "first subset")
+    _, (s_rows, s_cols) = index.encode(sub2.pairs, delta.pairs, "second subset")
+    d_rows, d_cols = index.rows, index.cols
+    out: set[Arc] = set()
+    for x, y in pairs:
+        out.update((x, z) for z in _bits(s_rows[y] & d_rows[x]))
+        out.update((z, y) for z in _bits(s_cols[x] & d_cols[y]))
+    return Relation._within(delta.nodes, frozenset(index.decode(out)))
 
 
 @record
@@ -435,19 +434,19 @@ class SubsetChain:
         return len(self.terms)
 
 
-def _numbered(succ: list[list[int]]) -> list[tuple[int, int]]:
+def _numbered(succ: list[list[int]]) -> list[Arc]:
     """The pairs (x,y) of successor lists (``Relation._succ``), in sorted order."""
     return [(x, y) for x, after in enumerate(succ) for y in after]
 
 
 def _shed(
-    live: list[tuple[int, int]],
+    live: list[Arc],
     rows: list[int],
     cols: list[int],
     right: list[int],
     left: list[int],
     stall: str,
-) -> list[list[tuple[int, int]]]:
+) -> list[list[Arc]]:
     """The pairs (x,y), by node number, of a descent from the term with these
     masks, by the round that sheds them, each round in sorted order.
 
@@ -480,22 +479,21 @@ def _shed(
     return rounds
 
 
-def _bracket_rounds(gamma: Relation, delta: Relation) -> list[list[tuple[int, int]]]:
+def _bracket_rounds(gamma: Relation, delta: Relation) -> list[list[Arc]]:
     """The pairs (x,y) of closed gamma, numbered in delta's index, by the round
     of the bracket descent (``gamma_series``) that sheds them, each in sorted
     order: a pair (a,c) of the term T stays while T_row[a] & G_col[c] or
     G_row[a] & T_col[c], with G gamma's masks. Gamma as delta shares delta's
     masks and ``_succ``; a proper subset gets masks of its own. Only an axiom
     breaker, with a cycle of decompositions, has a descent that never ends."""
-    _require_subset(gamma, delta, "subset")
-    _, number, rows, cols = delta._index
-    if len(gamma.pairs) == len(delta.pairs):  # gamma is delta: share its masks
+    _, _, rows, cols = delta._index
+    if gamma.pairs == delta.pairs:  # gamma is delta: share its masks
         live = _numbered(delta._succ)
     else:
-        rows, cols = _masks(gamma.pairs, number)
-        if not _absorbs(gamma.pairs, delta, (rows, cols), normal=False):
+        live, (rows, cols) = delta._index.encode(gamma.pairs, delta.pairs, "subset")
+        if not _absorbs(live, delta, (rows, cols), normal=False):
             raise ValueError("gamma series needs a closed subset")
-        live = sorted((number[a], number[b]) for a, b in gamma.pairs)
+        live.sort()
     return _shed(live, rows, cols, cols, rows, "bracket series failed to terminate")
 
 
@@ -506,20 +504,22 @@ def gamma_series(gamma: Relation, delta: Relation) -> SubsetChain:
     term contains the next because gamma is closed. Each term is the last
     less a round of ``_bracket_rounds``, made by ``Relation._within``.
     """
-    labels = delta._index.labels
+    decode = delta._index.decode
     terms, term = [gamma], gamma.pairs
     for shed in _bracket_rounds(gamma, delta):
-        term = term.difference([(labels[x], labels[y]) for x, y in shed])
+        term = term.difference(decode(shed))
         terms.append(Relation._within(delta.nodes, term))
     return SubsetChain("descending", tuple(terms))
 
 
 def isolated(delta: Relation) -> Relation:
     """Pairs that compose with nothing: no right extension (j,k) with
-    (i,k) present, and no left extension (l,i) with (l,j) present."""
-    none = _masks((), delta._index.number)
-    alone = (p for p in delta.pairs if _absorbs((p,), delta, none, normal=True))
-    return Relation._within(delta.nodes, frozenset(alone))
+    (i,k) present, and no left extension (l,i) with (l,j) present: with D
+    delta's masks, D_row[x] & D_row[y] and D_col[x] & D_col[y] are 0."""
+    _, _, rows, cols = delta._index
+    pairs = _numbered(delta._succ)
+    alone = [(x, y) for x, y in pairs if not rows[x] & rows[y] | cols[x] & cols[y]]
+    return Relation._within(delta.nodes, frozenset(delta._index.decode(alone)))
 
 
 def difference(delta: Relation, gamma: Relation) -> Relation:
@@ -550,14 +550,12 @@ def _has_unextended(omega: Relation, delta: Relation, maximal: bool) -> bool:
     omega on its right (maximal) or on its left (not maximal)? With O
     omega's masks in delta's index and D delta's, (i,j) has none when
     O_row[j] & D_row[i] is 0, or O_col[i] & D_col[j] for minimality."""
-    _require_subset(omega, delta, "subset")
-    if not omega.pairs:
+    pairs, (o_rows, o_cols) = delta._index.encode(omega.pairs, delta.pairs, "subset")
+    if not pairs:
         kind = "maximality" if maximal else "minimality"
         raise ValueError(f"{kind} is about nonempty subsets")
-    _, number, d_rows, d_cols = delta._index
-    o_rows, o_cols = _masks(omega.pairs, number)
-    for i, j in omega.pairs:
-        x, y = number[i], number[j]
+    _, _, d_rows, d_cols = delta._index
+    for x, y in pairs:
         if not (o_rows[y] & d_rows[x] if maximal else o_cols[x] & d_cols[y]):
             return True
     return False
@@ -689,8 +687,8 @@ def random_pruned_order(seed: int, node_count: int, density: float) -> Relation:
 # The label rule: a label is nonempty, is not the reserved word "node", is
 # printable (a stray U+FEFF is not) and contains no whitespace and none of
 # _LABEL_PUNCTUATION, which the expression grammar, printed normal forms and
-# comments use to delimit labels. Both text parsers, from_pairs and McLainGroup
-# apply it, so every label a group is built on prints and parses back.
+# comments use to delimit labels. The text parsers, from_pairs and Relation
+# apply it, so every label a relation holds prints and parses back.
 
 _LABEL_PUNCTUATION = "*(),;[]+#"
 _LABEL_BREAK = re.compile(r"[\s" + re.escape(_LABEL_PUNCTUATION) + "]")

@@ -75,19 +75,19 @@ def upper_central_series(delta: Relation) -> SubsetChain:
     The quotient isomorphism is what lets the accumulated union stand in for
     centers of successive quotient groups. A step is taken from R by set
     difference, so the terms hold delta's own pairs. Each term is checked to
-    be normal at its new pairs, against masks of the term that grow by each
-    step's bits; the previous term already was normal at the others.
+    be normal at the round's node numbers, against masks of the term that
+    grow by each round's bits; the previous term was normal at the others.
     """
     require_valid(delta)
-    labels, number, rows, cols = delta._index
+    labels, _, rows, cols = delta._index
     stall = "upper central series stalled before exhausting the relation"
-    zeta, left, masks = frozenset(), delta.pairs, _masks((), number)
+    zeta, left, masks = frozenset(), delta.pairs, _masks((), len(labels))
     terms = [Relation._within(delta.nodes, zeta)]
     for shed in _shed(_numbered(delta._succ), rows, cols, rows, cols, stall):
-        rest = left.difference([(labels[x], labels[y]) for x, y in shed])
+        rest = left.difference(delta._index.decode(shed))
         step, left = left - rest, rest
         zeta = zeta | step
-        if not _absorbs(step, delta, _masks(step, number, masks), normal=True):
+        if not _absorbs(shed, delta, _masks(shed, len(labels), masks), normal=True):
             raise AssertionError("upper central series term failed the normality check")
         terms.append(Relation._within(delta.nodes, zeta))
     return SubsetChain("ascending", tuple(terms))

@@ -35,6 +35,7 @@ from mclain import (
     random_pruned_order,
     word_factorization,
 )
+from mclain.relations import _Index
 
 Z = Integers()
 
@@ -84,6 +85,28 @@ def test_word_factorization_round_trips():
                 word = word_factorization(g)
                 assert group.eval_word(word) == g, name
                 assert all(isinstance(t, Gen) for t in word.tokens)
+
+
+def test_word_factorization_decodes_only_the_pairs_it_returns(monkeypatch):
+    # Each pass saturates the residual's codes as node numbers; a code is
+    # turned into labels only for the generator that peels it.
+    group = McLainGroup(chain(8), IntegersMod(7))
+    g = group.element({pair: 1 + n % 6 for n, pair in enumerate(sorted(group.relation))})
+    decoded = []
+    real = _Index.pair
+
+    def counting(index, code):
+        decoded.append(code)
+        return real(index, code)
+
+    monkeypatch.setattr(_Index, "pair", counting)
+    word = word_factorization(g)
+    index = group.relation._index
+    assert [real(index, code) for code in decoded] == [
+        (token.source, token.target) for token in word.tokens
+    ]
+    monkeypatch.undo()
+    assert group.eval_word(word) == g
 
 
 def test_word_factorization_round_trips_at_volume():

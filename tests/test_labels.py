@@ -108,24 +108,21 @@ def test_node_is_a_reserved_label_everywhere():
 
 @pytest.mark.parametrize("label", ["a+b", "p,q", "a b", "", "node"])
 def test_group_refuses_a_hand_built_relation_that_breaks_the_rule(label):
-    # Relation itself does not check labels, so that its construction stays
-    # cheap; the group built over it does, before any element can print.
-    delta = Relation(frozenset({label, "c"}), frozenset({(label, "c")}))
+    # Public construction applies the rule, so no relation, and no group over
+    # one, holds a label that would print as text that does not parse back:
+    # a relation on "a b" would print the line "a b c".
     with pytest.raises(ValueError, match=re.escape(f"label {label!r}")):
-        McLainGroup(delta, Integers())
-    bare = Relation(frozenset({"1", "2", label}), frozenset({("1", "2")}))
+        Relation(frozenset({label, "c"}), frozenset({(label, "c")}))
     with pytest.raises(ValueError, match=re.escape(f"label {label!r}")):
-        McLainGroup(bare, Integers())
+        Relation(frozenset({"1", "2", label}), frozenset({("1", "2")}))
 
 
 def test_group_refuses_a_hand_built_relation_with_labels_that_are_not_strings():
     # The joined-label scan cannot join an int; the refusal still names it.
-    delta = Relation(frozenset({1, 2}), frozenset({(1, 2)}))
     with pytest.raises(ValueError, match=re.escape("label 1 is not a string")):
-        McLainGroup(delta, Integers())
-    mixed = Relation(frozenset({"a", 3}), frozenset({("a", 3)}))
+        Relation(frozenset({1, 2}), frozenset({(1, 2)}))
     with pytest.raises(ValueError, match=re.escape("label 3 is not a string")):
-        McLainGroup(mixed, Integers())
+        Relation(frozenset({"a", 3}), frozenset({("a", 3)}))
 
 
 # Labels with a character that does not print: a byte-order mark inside a
@@ -138,9 +135,8 @@ UNPRINTABLE_LABELS = ["\ufeff2", "3\u200b", "a\u00adb", "2\x1b3", "x\x00"]
 def test_labels_that_do_not_print_are_refused_everywhere(tmp_path, capsys, label):
     with pytest.raises(ValueError, match=re.escape(f"label {label!r}")):
         from_pairs([(label, "c")])
-    bare = Relation(frozenset({"1", "2", label}), frozenset({("1", "2")}))
     with pytest.raises(ValueError, match=re.escape(f"label {label!r}")):
-        McLainGroup(bare, Integers())
+        Relation(frozenset({"1", "2", label}), frozenset({("1", "2")}))
     text = f"1 2\n{label} 3\n"
     with pytest.raises(ParseError, match=re.escape(f"line 2: label {label!r}")):
         parse_relation_text(text)

@@ -165,6 +165,31 @@ def test_subset_checks_demand_containment():
         is_normal(_rel(("9", "8")), chain(3))
 
 
+def refusal(call, *args) -> str:
+    with pytest.raises(ValueError) as excinfo:
+        call(*args)
+    return str(excinfo.value)
+
+
+def test_every_subset_entry_point_names_the_stray_pairs():
+    delta = chain(3)
+    outside = _rel(("9", "8"))
+    # As many pairs as delta on delta's nodes, one of them stray: not delta,
+    # though the bracket descent shares delta's masks when handed delta.
+    swapped = _rel(("1", "2"), ("2", "3"), ("3", "1"))
+    calls = (is_closed, is_normal, closure, normal_closure, gamma_series)
+    for call in calls + (has_maximal, has_minimal):
+        for sub, stray in ((outside, "('9', '8')"), (swapped, "('3', '1')")):
+            expected = f"subset is not a subset of the relation: [{stray}]"
+            assert refusal(call, sub, delta) == expected, call.__name__
+    assert refusal(bracket, outside, swapped, delta) == (
+        "first subset is not a subset of the relation: [('9', '8')]"
+    )
+    assert refusal(bracket, delta, swapped, delta) == (
+        "second subset is not a subset of the relation: [('3', '1')]"
+    )
+
+
 def test_closure_examples():
     delta = chain(3)
     got = closure(delta.subset([("1", "2"), ("2", "3")]), delta)

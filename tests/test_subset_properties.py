@@ -15,14 +15,19 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
+import mclain.relations  # noqa: E402
+import mclain.series  # noqa: E402
+from helpers import relation_zoo  # noqa: E402
 from mclain import (  # noqa: E402
     AxiomReport,
     ExchangeViolation,
+    Integers,
     Relation,
     bracket,
     chain,
     check_axioms,
     closure,
+    difference,
     from_pairs,
     gamma_series,
     has_maximal,
@@ -30,6 +35,8 @@ from mclain import (  # noqa: E402
     is_closed,
     is_normal,
     isolated,
+    lower_central_series,
+    normal_closure,
     random_pruned_order,
     upper_central_series,
 )
@@ -211,6 +218,36 @@ def test_series_index_only_the_relations_they_are_given(data):
     with index_builds() as built:
         is_closed(gamma, delta)
     assert all(r is delta for r in built)
+
+
+def test_the_calculus_builds_masks_of_node_numbers_only(monkeypatch):
+    # Labels cross into node numbers only where a subset is encoded, so
+    # every mask builder call, the series' included, gets pairs of ints.
+    received = []
+    real = mclain.relations._masks
+
+    def recording(pairs, *rest):
+        pairs = list(pairs)
+        received.extend(pairs)
+        return real(pairs, *rest)
+
+    monkeypatch.setattr(mclain.relations, "_masks", recording)
+    monkeypatch.setattr(mclain.series, "_masks", recording)
+    for _, zoo in relation_zoo():
+        delta = fresh(zoo)
+        sub = delta.subset(sorted(delta.pairs)[::2])
+        closed, normal = closure(sub, delta), normal_closure(sub, delta)
+        assert is_closed(closed, delta) and is_normal(normal, delta)
+        bracket(sub, closed, delta)
+        gamma_series(closed, delta)
+        isolated(delta)
+        difference(delta, normal)
+        has_maximal(closed, delta)
+        has_minimal(closed, delta)
+        lower_central_series(delta, Integers())
+        upper_central_series(delta)
+    assert received
+    assert all(type(x) is int and type(y) is int for x, y in received)
 
 
 def test_bracket_and_extremal_tests_index_only_the_ambient_relation():
