@@ -47,7 +47,8 @@ one-pair step of collection instead: ``_generators_times`` multiplies
 on the left and keeps the running map by row, so a factor adds
 c R[q,l] to R[p,l] for each l in row q, at O(|row q|). An ordered
 product is built from its right end, feeding the factors last-first
-(``eval_word``, ``OrderedForm.product``, ``ordered_factorization``).
+(``eval_word``, and ``OrderedForm.product``, whose one call is the
+self-check of ``ordered_factorization``).
 """
 
 from __future__ import annotations

@@ -9,22 +9,30 @@ every closed set's bracket is strictly smaller.
 The ordered one is canonical: given any total order on a closed set
 covering the element's support, there is exactly one choice of one
 coefficient per pair whose ordered generator product reproduces the
-element. It is computed by a level sweep over the rounds of the bracket
-descent of the closed set, read as pair codes. Before level k the running
-product P agrees with the target g outside the k-th bracket term. That
-term is normal, so P^-1 g lies in the subgroup over it, and in
-g = P (P^-1 g) every cross term lands at level k + 1 or deeper: at a
-level-k pair the coefficient is g's minus P's, in any position of the
-order, and no residual P^-1 g is ever formed.
+element. It is solved in one pass, a triangular back-substitution like
+the right division ``elements._divide``. With Q_t the product of the
+factors after position t, the row kernel's rule makes Q_t[v,l] the sum of
+c(v,w) Q_s[w,l] over the factors (v,w) at positions s > t, with Q_s[l,l]
+= 1: a step function of t, kept as the pair's tail, its terms sorted by
+position with their suffix sums. The rounds of the bracket descent of the
+closed set, read as pair codes, shed (v,l) after every (v,w) and (w,l) it
+sums over, so when its round comes each term is one ``_fma`` of a found
+coefficient by a suffix sum read off a finished tail with ``bisect_right``,
+and c(v,l) is g's coefficient less their sum. The coefficient stays on the
+left, so the pass is exact over noncommutative rings, and it forms no
+product. Both self-checks read the one product of the finished form: a
+mismatch with g at a pair shed before the last round means a residual
+escaped its bracket level, and one in the last round alone that the
+sweep did not converge.
 
-Every generator product here, the sweep's included, goes through the
-row kernel ``elements._generators_times``: the factor 1 + c e(p,q) costs
+Every generator product here goes through the row kernel
+``elements._generators_times``: the factor 1 + c e(p,q) costs
 O(|row q|), not the O(|support|) of a general product. Ordered products
 feed it their factors last-first, building from the right end. The
 kernel takes validated payloads: values are checked where they enter
 (``McLainGroup.element``, ``McLainGroup.eval_word``,
-``OrderedForm.product``), and both sweeps work on payloads, building
-ring values only for the forms and words they return.
+``OrderedForm.product``), and both factorizations work on payloads,
+building ring values only for the forms and words they return.
 
 The n-gon demonstration shows why the order must be allowed to roam
 over the closure rather than just the support: around an n-cycle with
@@ -37,6 +45,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_right
 
 from ._record import record
 from .elements import (
@@ -50,6 +59,7 @@ from .elements import (
 from .relations import (
     Pair,
     Relation,
+    _bits,
     _bracket_rounds,
     _masks,
     _saturate,
@@ -137,10 +147,11 @@ def ordered_factorization(g: GroupElement, order: tuple[Pair, ...]) -> OrderedFo
     """The unique coefficients reproducing g as an ordered product.
 
     The order must list each pair of a closed subset exactly once, and
-    that subset must contain the support of g. The sweep walks the rounds of
-    its bracket descent (``relations._bracket_rounds``) as pair codes: each
-    round's coefficients are g's minus those of the ordered product of the
-    coefficients found so far. The form is built once the sweep is done.
+    that subset must contain the support of g. One pass over the rounds of
+    its bracket descent (``relations._bracket_rounds``) solves each pair
+    (v,l) from the finished tails of the shallower pairs (module docstring),
+    with w over the bits of row v of the nonzero coefficients and column l
+    of the tails. The form's product is taken once, for the self-checks.
     """
     group, relation = g.group, g.group.relation
     order = tuple(order)
@@ -150,28 +161,48 @@ def ordered_factorization(g: GroupElement, order: tuple[Pair, ...]) -> OrderedFo
         gamma = relation.subset(order)
     except ValueError as exc:
         raise ValueError(f"order contains pairs outside the relation: {exc}") from exc
-    ring, target, zero = group.ring, g._coeffs, group.ring._zero
+    ring, target = group.ring, g._coeffs
+    add, neg, fma, zero = ring._add, ring._neg, ring._fma, ring._zero
     codes = [relation._codes[pair] for pair in order]
     if missing := sorted(map(relation._index.pair, target.keys() - set(codes))):
         raise ValueError(f"order does not cover the support: missing {missing}")
     rounds = _bracket_rounds(gamma, relation)  # also rejects a non-closed order
-    n, backward = len(relation._index.labels), codes[::-1]
-    found: dict[int, object] = {}  # the nonzero coefficients so far, by code
-    swept: list[int] = []  # the codes outside the current bracket term
+    n, at = len(relation._index.labels), {code: t for t, code in enumerate(codes)}
+    found: dict[int, object] = {}  # the nonzero coefficients, by code
+    tails: dict[int, tuple[list[int], list[object]]] = {}  # positions, suffix sums
+    found_rows, tail_cols = [0] * n, [0] * n  # their codes' bits, by row and column
     for shed in rounds:
-        factors = ((c, found[c]) for c in backward if c in found)
-        running = _generators_times(group, factors, {})
-        if any(running.get(c) != target.get(c) for c in swept):
-            raise AssertionError("level sweep residual escaped its bracket level")
-        for x, y in shed:
-            code = x * n + y
-            c = ring._add(target.get(code, zero), ring._neg(running.get(code, zero)))
+        for v, l in shed:
+            start, terms, total = v * n, [], zero
+            for w in _bits(found_rows[v] & tail_cols[l]):
+                where, sums = tails[w * n + l]
+                s = at[start + w]
+                k = bisect_right(where, s)
+                if k < len(where):
+                    term = fma(zero, found[start + w], sums[k])
+                    terms.append((s, term))
+                    total = add(total, term)
+            code = start + l
+            c = add(target.get(code, zero), neg(total))
             if c != zero:
                 found[code] = c
-            swept.append(code)
+                found_rows[v] |= 1 << l
+                terms.append((at[code], c))
+            if terms:
+                tail_cols[l] |= 1 << v
+                terms.sort()
+                suffix, total = [], zero
+                for _, term in reversed(terms):
+                    total = add(total, term)
+                    suffix.append(total)
+                tails[code] = ([s for s, _ in terms], suffix[::-1])
     coefficients = {p: RingValue(ring, found.get(c, zero)) for p, c in zip(order, codes)}
     form = OrderedForm(group, order, coefficients)
-    if form.product() != g:
+    product = form.product()._coeffs
+    if product != target:
+        last = {x * n + y for x, y in rounds[-1]}
+        if any(product.get(c) != target.get(c) for c in at.keys() - last):
+            raise AssertionError("level sweep residual escaped its bracket level")
         raise AssertionError("level sweep did not converge to the target")
     return form
 

@@ -2,13 +2,21 @@
 
 from __future__ import annotations
 
+import math
 import random
 import subprocess
 import sys
 
 import pytest
 
-from helpers import acceptance_relations, random_element, relation_zoo, ring_instances
+import mclain.factorization
+from helpers import (
+    acceptance_relations,
+    dense_element,
+    random_element,
+    relation_zoo,
+    ring_instances,
+)
 from oracles import (
     brute_force_matches,
     greedy_peel_factorization,
@@ -232,13 +240,43 @@ class NegationFreeMod(IntegersMod):
 
 # chain(m) in a ring whose subtraction is wrong for n > 2, in sorted order,
 # with the sum of the step-one generators as target. Its level-2
-# coefficients come out as 1 instead of -1: chain(3) has no level below to
-# see it, so only the final check can; chain(4) has, so the agreement check
-# before level 3 does.
+# coefficients come out as 1 instead of -1, so the form's product misses g
+# at level 2: on chain(3) that is the last round of the descent, and on
+# chain(4) and chain(5) it is not.
 SWEEP_FAULTS = [
     (3, "level sweep did not converge to the target"),
     (4, "level sweep residual escaped its bracket level"),
+    (5, "level sweep residual escaped its bracket level"),
 ]
+
+
+def test_the_sweep_makes_one_fma_per_composable_triple_at_most(monkeypatch):
+    # Each term c(v,w) Q[w,l] of a pair (v,l) is one _fma, read off a suffix
+    # sum, so however many levels chain(20) has, the sweep beyond its
+    # self-check makes at most one per triple v < w < l, and the self-check's
+    # product is its one call of the row kernel.
+    fmas = []
+
+    class CountingMod(IntegersMod):
+        def _fma(self, s, a, b):
+            fmas.append(1)
+            return super()._fma(s, a, b)
+
+    kernel, products = mclain.factorization._generators_times, []
+
+    def counting(*args):
+        products.append(1)
+        return kernel(*args)
+
+    group = McLainGroup(chain(20), CountingMod(7))
+    order = tuple(sorted(group.relation.pairs))
+    g = dense_element(group, random.Random(62))
+    monkeypatch.setattr(mclain.factorization, "_generators_times", counting)
+    form = ordered_factorization(g, order)
+    swept, fmas[:] = len(fmas), []
+    assert products == [1]
+    assert form.product() == g
+    assert swept - len(fmas) <= math.comb(20, 3)
 
 
 def test_ordered_factorization_coerces_each_coefficient_once():
