@@ -85,7 +85,7 @@ def _cmd_quotient(args: argparse.Namespace) -> int:
     gamma_input = parse_relation_file(args.gamma)
     gamma = element.group.relation.subset(gamma_input.pairs)
     projected = quotient_project(element, gamma)
-    representative = _lift(element, gamma, projected)
+    representative = _lift(element, projected)
     print(f"projection: {projected}")
     print(f"representative: {representative}")
     return 0

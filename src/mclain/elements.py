@@ -21,8 +21,8 @@ map holds raw ring payloads (an int, or a 4-tuple for M2(Z/n)) and the
 arithmetic calls the group ring's payload hooks directly; coefficients
 become RingValues again only where they leave an element. Values are
 validated once, on entry (``_payloads``, from ``McLainGroup.element``,
-``McLainGroup.eval_word`` and ``OrderedForm.product``); the kernels
-below take validated payloads.
+``McLainGroup.eval_word`` and ``OrderedForm.product``). The kernels below,
+and the factorizations that feed them payloads they solved, check nothing.
 
 The map is keyed by int pair codes, not label pairs: the pair (i,j) is
 number(i)*N + number(j) in the numbering of the relation's index
@@ -47,8 +47,8 @@ one-pair step of collection instead: ``_generators_times`` multiplies
 on the left and keeps the running map by row, so a factor adds
 c R[q,l] to R[p,l] for each l in row q, at O(|row q|). An ordered
 product is built from its right end, feeding the factors last-first
-(``eval_word``, and ``OrderedForm.product``, whose one call is the
-self-check of ``ordered_factorization``).
+(``eval_word`` and ``OrderedForm.product``; on payloads alone, the ordered
+sweep's self-check, the coset lift and the n-gon demonstration).
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from itertools import groupby
 from typing import Iterable, Iterator, Mapping
 
 from ._record import record
-from .relations import Pair, Relation, require_valid, spanned_nodes
+from .relations import Pair, Relation, require_valid
 from .rings import Ring, RingValue
 
 
@@ -389,8 +389,8 @@ class GroupElement:
         m + 1 distinct nodes, so running past the node bound would mean a
         non-nilpotent map, which a valid relation cannot produce.
         """
-        x = self._coeffs
-        bound = len(spanned_nodes(self.support()))
+        x, n = self._coeffs, len(self.group.relation._index.labels)
+        bound = len({node for code in x for node in divmod(code, n)})
         power, exponent = x, 1
         while power:
             power = _splice(self.group, power, x, {})

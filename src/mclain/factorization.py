@@ -19,20 +19,19 @@ closed set, read as pair codes, shed (v,l) after every (v,w) and (w,l) it
 sums over, so when its round comes each term is one ``_fma`` of a found
 coefficient by a suffix sum read off a finished tail with ``bisect_right``,
 and c(v,l) is g's coefficient less their sum. The coefficient stays on the
-left, so the pass is exact over noncommutative rings, and it forms no
-product. Both self-checks read the one product of the finished form: a
-mismatch with g at a pair shed before the last round means a residual
-escaped its bracket level, and one in the last round alone that the
-sweep did not converge.
+left, so the pass is exact over noncommutative rings. Both self-checks
+read one product of the solved payloads: a mismatch with g at a pair shed
+before the last round means a residual escaped its bracket level, and one
+in the last round alone that the sweep did not converge.
 
 Every generator product here goes through the row kernel
 ``elements._generators_times``: the factor 1 + c e(p,q) costs
 O(|row q|), not the O(|support|) of a general product. Ordered products
-feed it their factors last-first, building from the right end. The
-kernel takes validated payloads: values are checked where they enter
-(``McLainGroup.element``, ``McLainGroup.eval_word``,
-``OrderedForm.product``), and both factorizations work on payloads,
-building ring values only for the forms and words they return.
+feed it their factors last-first, building from the right end. The layer
+works on pair codes, node-number pairs and payloads from entry to return,
+closing a support once on codes (``_closed_support``): values are checked
+where they enter the group, and nothing it solved is checked again. Labels
+and ring values are built only for the relations, forms and words returned.
 
 The n-gon demonstration shows why the order must be allowed to roam
 over the closure rather than just the support: around an n-cycle with
@@ -61,9 +60,7 @@ from .relations import (
     Relation,
     _bits,
     _bracket_rounds,
-    _masks,
-    _saturate,
-    closure,
+    _closed_support,
     ngon,
     ngon_diagonals,
     ngon_edges,
@@ -73,7 +70,9 @@ from .rings import IntegersMod, Ring, RingValue
 
 def minimal_closed_support(g: GroupElement) -> Relation:
     """The smallest closed subset containing the support of g."""
-    return closure(g.support(), g.group.relation)
+    relation = g.group.relation
+    pairs = relation._index.decode(_closed_support(relation, g._coeffs)[0])
+    return Relation._within(relation.nodes, frozenset(pairs))
 
 
 def word_factorization(g: GroupElement) -> GeneratorWord:
@@ -84,8 +83,7 @@ def word_factorization(g: GroupElement) -> GeneratorWord:
     what remains is supported strictly deeper, so the passes terminate.
     Evaluating the recorded word left to right reconstructs g exactly. A
     pair (a,c) lies outside [C, C] when C_row[a] & C_col[c] is 0, with C's
-    masks as saturating the support's codes, split into node numbers, leaves
-    them: only the peeled pairs are decoded.
+    masks from ``_closed_support``: only the peeled pairs are decoded.
 
     A pass removes its peeled generators with one call of the row
     kernel. Those undos change coefficients only in the bracket of the
@@ -97,9 +95,7 @@ def word_factorization(g: GroupElement) -> GeneratorWord:
     index = group.relation._index
     n = len(index.labels)
     while residual:
-        support = [divmod(code, n) for code in residual]
-        rows, cols = _masks(support, n)
-        _saturate(support, group.relation, (rows, cols), closed=True)
+        rows, cols = _closed_support(group.relation, residual)[1]
         peel = [
             code for code in sorted(residual) if not rows[code // n] & cols[code % n]
         ]
@@ -151,23 +147,22 @@ def ordered_factorization(g: GroupElement, order: tuple[Pair, ...]) -> OrderedFo
     its bracket descent (``relations._bracket_rounds``) solves each pair
     (v,l) from the finished tails of the shallower pairs (module docstring),
     with w over the bits of row v of the nonzero coefficients and column l
-    of the tails. The form's product is taken once, for the self-checks.
+    of the tails. The self-checks multiply the solved payloads, once.
     """
     group, relation = g.group, g.group.relation
     order = tuple(order)
-    if len(set(order)) != len(order):
+    if len(pairs := frozenset(order)) != len(order):
         raise ValueError("order lists a pair twice, so it is not a total order")
-    try:
-        gamma = relation.subset(order)
-    except ValueError as exc:
-        raise ValueError(f"order contains pairs outside the relation: {exc}") from exc
+    if stray := sorted(pairs - relation.pairs):
+        stray_text = f"pairs not in the relation: {stray}"
+        raise ValueError(f"order contains pairs outside the relation: {stray_text}")
     ring, target = group.ring, g._coeffs
     add, neg, fma, zero = ring._add, ring._neg, ring._fma, ring._zero
     codes = [relation._codes[pair] for pair in order]
-    if missing := sorted(map(relation._index.pair, target.keys() - set(codes))):
-        raise ValueError(f"order does not cover the support: missing {missing}")
-    rounds = _bracket_rounds(gamma, relation)  # also rejects a non-closed order
     n, at = len(relation._index.labels), {code: t for t, code in enumerate(codes)}
+    if missing := sorted(map(relation._index.pair, target.keys() - at.keys())):
+        raise ValueError(f"order does not cover the support: missing {missing}")
+    rounds = _bracket_rounds(pairs, relation)  # also rejects a non-closed order
     found: dict[int, object] = {}  # the nonzero coefficients, by code
     tails: dict[int, tuple[list[int], list[object]]] = {}  # positions, suffix sums
     found_rows, tail_cols = [0] * n, [0] * n  # their codes' bits, by row and column
@@ -196,15 +191,15 @@ def ordered_factorization(g: GroupElement, order: tuple[Pair, ...]) -> OrderedFo
                     total = add(total, term)
                     suffix.append(total)
                 tails[code] = ([s for s, _ in terms], suffix[::-1])
-    coefficients = {p: RingValue(ring, found.get(c, zero)) for p, c in zip(order, codes)}
-    form = OrderedForm(group, order, coefficients)
-    product = form.product()._coeffs
+    factors = [(code, found[code]) for code in reversed(codes) if code in found]
+    product = _generators_times(group, factors, {})
     if product != target:
         last = {x * n + y for x, y in rounds[-1]}
         if any(product.get(c) != target.get(c) for c in at.keys() - last):
             raise AssertionError("level sweep residual escaped its bracket level")
         raise AssertionError("level sweep did not converge to the target")
-    return form
+    coefficients = {p: RingValue(ring, found.get(c, zero)) for p, c in zip(order, codes)}
+    return OrderedForm(group, order, coefficients)
 
 
 @record(eq=False)
@@ -263,14 +258,14 @@ def demonstrate_ngon_obstruction(n: int, ring: Ring | None = None) -> NgonReport
     checked = 0
     successes = 0
     all_have_step_two = True
-    units = {edge: ring.one for edge in edges}
+    one, edge_codes = ring.one.payload, [delta._codes[edge] for edge in edges]
     step_two_codes = {delta._codes[pair] for pair in step_two}
-    for ordering in itertools.permutations(edges):
-        product = OrderedForm(group, ordering, units).product()
+    for ordering in itertools.permutations(edge_codes):
+        product = _generators_times(group, ((c, one) for c in reversed(ordering)), {})
         checked += 1
-        if product == target:
+        if product == target._coeffs:
             successes += 1
-        elif step_two_codes.isdisjoint(product._coeffs):
+        elif step_two_codes.isdisjoint(product):
             all_have_step_two = False
 
     mixed = word_factorization(target)

@@ -263,7 +263,7 @@ class Relation:
         reads the levels, so they are built when it first needs them.
         """
         n = len(self._index.labels)
-        rounds = _bracket_rounds(self, self)
+        rounds = _bracket_rounds(self.pairs, self)
         return tuple(tuple(x * n + y for x, y in shed) for shed in rounds)
 
     def subset(self, pairs: Iterable[Pair]) -> "Relation":
@@ -399,6 +399,15 @@ def _saturate(pairs: list[Arc], delta: Relation, masks: Masks, closed: bool) -> 
                 pairs.append((z, y))
 
 
+def _closed_support(delta: Relation, codes: Iterable[int]) -> tuple[list[Arc], Masks]:
+    """The node-number pairs and masks of the least closed subset with these codes."""
+    n = len(delta._index.labels)
+    pairs = [divmod(code, n) for code in codes]
+    masks = _masks(pairs, n)
+    _saturate(pairs, delta, masks, closed=True)
+    return pairs, masks
+
+
 def bracket(sub1: Relation, sub2: Relation, delta: Relation) -> Relation:
     """All delta pairs obtained by composing one pair from each subset.
 
@@ -479,18 +488,18 @@ def _shed(
     return rounds
 
 
-def _bracket_rounds(gamma: Relation, delta: Relation) -> list[list[Arc]]:
-    """The pairs (x,y) of closed gamma, numbered in delta's index, by the round
-    of the bracket descent (``gamma_series``) that sheds them, each in sorted
-    order: a pair (a,c) of the term T stays while T_row[a] & G_col[c] or
-    G_row[a] & T_col[c], with G gamma's masks. Gamma as delta shares delta's
-    masks and ``_succ``; a proper subset gets masks of its own. Only an axiom
-    breaker, with a cycle of decompositions, has a descent that never ends."""
+def _bracket_rounds(gamma: frozenset[Pair], delta: Relation) -> list[list[Arc]]:
+    """The pairs (x,y) of closed gamma, a frozenset of delta's pairs, numbered in
+    delta's index, by the round of the bracket descent (``gamma_series``) that
+    sheds them, each sorted: (a,c) of the term T stays while T_row[a] & G_col[c]
+    or G_row[a] & T_col[c], with G gamma's masks. Gamma equal to delta's pairs
+    shares delta's masks and ``_succ``, a proper subset gets its own. Only an
+    axiom breaker, with a cycle of decompositions, has a descent that never ends."""
     _, _, rows, cols = delta._index
-    if gamma.pairs == delta.pairs:  # gamma is delta: share its masks
+    if gamma == delta.pairs:  # gamma is delta: share its masks
         live = _numbered(delta._succ)
     else:
-        live, (rows, cols) = delta._index.encode(gamma.pairs, delta.pairs, "subset")
+        live, (rows, cols) = delta._index.encode(gamma, delta.pairs, "subset")
         if not _absorbs(live, delta, (rows, cols), normal=False):
             raise ValueError("gamma series needs a closed subset")
         live.sort()
@@ -506,7 +515,7 @@ def gamma_series(gamma: Relation, delta: Relation) -> SubsetChain:
     """
     decode = delta._index.decode
     terms, term = [gamma], gamma.pairs
-    for shed in _bracket_rounds(gamma, delta):
+    for shed in _bracket_rounds(gamma.pairs, delta):
         term = term.difference(decode(shed))
         terms.append(Relation._within(delta.nodes, term))
     return SubsetChain("descending", tuple(terms))

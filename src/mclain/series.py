@@ -10,11 +10,12 @@ coefficient deletion, which normality makes into a homomorphism.
 from __future__ import annotations
 
 from ._record import record
-from .elements import GroupElement, McLainGroup, _divide
+from .elements import GroupElement, McLainGroup, _divide, _generators_times
 from .relations import (
     Relation,
     SubsetChain,
     _absorbs,
+    _closed_support,
     _masks,
     _numbered,
     _shed,
@@ -112,28 +113,31 @@ def coset_representative(g: GroupElement, gamma: Relation) -> GroupElement:
     """The canonical representative of g modulo the subgroup over gamma.
 
     Project g into the quotient group, factor the image into generators
-    there in increasing pair order, then take the ordered product
-    (OrderedForm.product) of those same generators inside the ambient
-    group. The result depends only on the coset of g, and the defining
-    membership of g r^-1 in the subgroup is checked on every call rather
-    than trusted.
+    there in increasing pair order, then take the ordered product of those
+    same generators inside the ambient group (``_lift``). The result depends
+    only on the coset of g, and the defining membership of g r^-1 in the
+    subgroup is checked on every call rather than trusted.
     """
-    return _lift(g, gamma, quotient_project(g, gamma))
+    return _lift(g, quotient_project(g, gamma))
 
 
-def _lift(g: GroupElement, gamma: Relation, projected: GroupElement) -> GroupElement:
-    """``coset_representative`` of g from its projection, already taken. As gamma
-    is normal, g r^-1 lies over gamma exactly when r^-1 g does: one division."""
-    from .factorization import OrderedForm, minimal_closed_support, ordered_factorization
+def _lift(g: GroupElement, projected: GroupElement) -> GroupElement:
+    """``coset_representative`` of g from its projection, already taken: the
+    quotient form's payloads, in its closure's sorted order, multiplied in g's
+    group, where the codes carry over. As gamma is normal, g r^-1 lies over
+    gamma exactly when r^-1 g does: when it keeps no pair of the quotient."""
+    from .factorization import ordered_factorization
 
-    order = tuple(sorted(minimal_closed_support(projected).pairs))
+    group, quotient = g.group, projected.group.relation
+    arcs = sorted(_closed_support(quotient, projected._coeffs)[0])
+    order = tuple(quotient._index.decode(arcs))
     form = ordered_factorization(projected, order)
-    representative = OrderedForm(g.group, order, form.coefficients).product()
-    leftover = _divide(g.group, g._coeffs, representative._coeffs)
-    decode = g.group.relation._index.pair
-    if not all(decode(code) in gamma.pairs for code in leftover):
+    n, rows = len(quotient._index.labels), quotient._index.rows
+    solved = [(x * n + y, form.coefficients[p].payload) for (x, y), p in zip(arcs, order)]
+    lifted = _generators_times(group, reversed(solved), {})
+    if any(rows[c // n] >> c % n & 1 for c in _divide(group, g._coeffs, lifted)):
         raise AssertionError("coset representative failed the membership check")
-    return representative
+    return GroupElement(group, lifted)
 
 
 def format_chain_lines(

@@ -45,6 +45,13 @@ routes is meaningful evidence rather than a tautology.
 * Series route: the inverse of 1 + x as the alternating power series
   1 - x + x^2 - ..., summed one power at a time in RingValue arithmetic,
   against the library's inverse by repeated squaring on raw payloads.
+* Group-level series: over a finite ring Z/n, every element of G(Δ) is
+  enumerated and the lower and upper central series are computed from
+  their group definitions: subgroups grow by right multiplication and
+  normal closures by conjugating each new generator. This route does use
+  the library's products, inverses and commutators, and no relation
+  calculus at all, so it checks the series and quotients computed on the
+  relation against the group they describe (``tests/test_series.py``).
 """
 
 from __future__ import annotations
@@ -692,3 +699,78 @@ def label_eval_word(group: McLainGroup, word: GeneratorWord) -> LabelCoeffs:
 def label_commutator(group: McLainGroup, x: LabelCoeffs, y: LabelCoeffs) -> LabelCoeffs:
     """``GroupElement.commutator`` on the label-pair kernels: (g h)(h g)^-1."""
     return label_divide(group, label_product(group, x, y), label_product(group, y, x))
+
+
+# ---------------------------------------------------------------------------
+# group-level series
+
+
+def all_elements(group: McLainGroup) -> list[GroupElement]:
+    """Every element of G(Δ) over a finite ring, one per coefficient tuple."""
+    pairs = sorted(group.relation.pairs)
+    values = list(group.ring.elements())
+    return [
+        group.element(dict(zip(pairs, combo)))
+        for combo in itertools.product(values, repeat=len(pairs))
+    ]
+
+
+def unit_generators(group: McLainGroup) -> list[GroupElement]:
+    """The x_p(1), one per pair; they generate G(Δ) over Z/n."""
+    one = group.ring.one
+    return [group.generator(i, j, one) for i, j in sorted(group.relation.pairs)]
+
+
+def _grow(members: set, gens: list, new: GroupElement) -> None:
+    """Extend the finite subgroup ``members`` = <gens> in place to <gens, new>:
+    old elements times old generators are members already, so only the old
+    elements times ``new`` and the new elements times every generator are
+    taken; a finite set closed under right multiplication is a subgroup."""
+    gens.append(new)
+    todo = [h * new for h in members]
+    while todo:
+        h = todo.pop()
+        if h not in members:
+            members.add(h)
+            todo.extend(h * t for t in gens)
+
+
+def normal_closure_of(seeds: Iterable[GroupElement], generators, identity) -> frozenset:
+    """The least normal subgroup holding the seeds. Each element that joins
+    as a generator has its conjugates x t x^-1 by the group's generators
+    queued; a subgroup holding those for every generator t is normal."""
+    members, gens = {identity}, []
+    pending = list(seeds)
+    while pending:
+        t = pending.pop()
+        if t not in members:
+            _grow(members, gens, t)
+            pending.extend(x * t * x.inverse() for x in generators)
+    return frozenset(members)
+
+
+def group_lower_central_series(group: McLainGroup) -> list[frozenset] | None:
+    """gamma_1 = G and gamma_(k+1) the normal closure of the [a, x] with a in
+    gamma_k and x a unit generator, down to the trivial group; None when a
+    term repeats, so the group is not nilpotent."""
+    xs, identity = unit_generators(group), group.identity()
+    terms = [frozenset(all_elements(group))]
+    while len(terms[-1]) > 1:
+        seeds = (a.commutator(x) for a in terms[-1] for x in xs)
+        terms.append(normal_closure_of(seeds, xs, identity))
+        if terms[-1] == terms[-2]:
+            return None
+    return terms
+
+
+def group_upper_central_series(group: McLainGroup) -> list[frozenset] | None:
+    """Z_0 = 1 and Z_(k+1) the g with [g, x] in Z_k for every unit generator
+    x, up to G; None when a term repeats."""
+    everything, xs = all_elements(group), unit_generators(group)
+    terms = [frozenset({group.identity()})]
+    while len(terms[-1]) < len(everything):
+        last = terms[-1]
+        terms.append(frozenset(g for g in everything if all(g.commutator(x) in last for x in xs)))
+        if terms[-1] == last:
+            return None
+    return terms

@@ -31,6 +31,7 @@ from mclain import (
     Relation,
     chain,
     closure,
+    coset_representative,
     demonstrate_ngon_obstruction,
     format_word,
     from_pairs,
@@ -40,6 +41,7 @@ from mclain import (
     ngon_diagonals,
     ngon_edges,
     ordered_factorization,
+    quotient_project,
     random_pruned_order,
     word_factorization,
 )
@@ -279,9 +281,10 @@ def test_the_sweep_makes_one_fma_per_composable_triple_at_most(monkeypatch):
     assert swept - len(fmas) <= math.comb(20, 3)
 
 
-def test_ordered_factorization_coerces_each_coefficient_once():
-    # The sweep works on payloads; only the final check of the form's
-    # product validates, one coerce per position of the order.
+def test_ordered_factorization_coerces_nothing():
+    # The sweep and its self-check work on the payloads of g and on those
+    # they solved, which were never outside the ring: nothing is validated
+    # again, and only the returned form holds RingValues.
     calls = []
 
     class CountingMod(IntegersMod):
@@ -296,7 +299,7 @@ def test_ordered_factorization_coerces_each_coefficient_once():
     g = group.element({pair: ring.sample(rng) for pair in order})
     calls.clear()
     form = ordered_factorization(g, order)
-    assert len(calls) == len(order) == 15
+    assert calls == []
     assert form.product() == g
 
 
@@ -422,9 +425,10 @@ def test_ordered_factorization_matches_the_oracle_off_numeric_order():
     assert compared >= 60
 
 
-def test_the_sweep_makes_no_relation_but_the_orders_subset(monkeypatch):
+def test_the_sweep_makes_no_relation(monkeypatch):
     # The sweep reads the rounds of the bracket descent as pair codes; it
-    # builds no series term, one relation per level, and no support.
+    # builds no series term, no relation per level, no support and no
+    # relation for the order, whose stray pairs one set difference refuses.
     group = McLainGroup(chain(8), IntegersMod(7))
     order = tuple(sorted(group.relation.pairs))
     g = group.element({pair: 1 + n % 6 for n, pair in enumerate(order)})
@@ -437,7 +441,52 @@ def test_the_sweep_makes_no_relation_but_the_orders_subset(monkeypatch):
 
     monkeypatch.setattr(Relation, "_within", classmethod(counting))
     assert ordered_factorization(g, order).product() == g
-    assert made == [frozenset(order)]
+    assert made == []
+
+
+def test_the_factorization_layer_crosses_no_edge_it_holds(monkeypatch):
+    # Values enter through group.element and labels through gamma; from there
+    # the coset lift, the support closure and the node bound of the power
+    # loop work on codes and payloads, and the n-gon demonstration multiplies
+    # its unit orderings as payload codes: only its 20 sampled forms coerce.
+    calls = {"coerce": 0, "relation": 0, "encode": 0}
+
+    def counting(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    class CountingMod(IntegersMod):
+        def coerce(self, value):
+            calls["coerce"] += 1
+            return super().coerce(value)
+
+    group = McLainGroup(chain(6), CountingMod(7))
+    far = (p for p in group.relation.pairs if int(p[1]) - int(p[0]) >= 3)
+    gamma = group.relation.subset(far)  # normal in a chain
+    g = dense_element(group, random.Random(1202))
+    within = Relation._within.__func__
+    monkeypatch.setattr(Relation, "_within", classmethod(counting("relation", within)))
+    monkeypatch.setattr(_Index, "encode", counting("encode", _Index.encode))
+
+    def taken(call):
+        before = dict(calls)
+        result = call()
+        return result, {name: calls[name] - before[name] for name in calls}
+
+    representative, used = taken(lambda: coset_representative(g, gamma))
+    assert used["coerce"] == 0 and used["relation"] == 1
+    support, used = taken(lambda: minimal_closed_support(g))
+    assert used["encode"] == 0 and support == closure(g.support(), group.relation)
+    index, used = taken(g.nilpotency_index)
+    assert used["relation"] == 0 and index == 6
+    report, used = taken(lambda: demonstrate_ngon_obstruction(5, CountingMod(2)))
+    assert used["coerce"] <= 114 and report.orderings_checked == 120
+    monkeypatch.undo()
+    assert quotient_project(representative, gamma) == quotient_project(g, gamma)
+    assert (representative.inverse() * g).support().pairs <= gamma.pairs
 
 
 def test_ordered_factorization_matches_brute_force():

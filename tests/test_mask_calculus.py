@@ -66,13 +66,16 @@ digraphs = st.builds(
 
 @st.composite
 def pruned_orders(draw):
-    """A strict order on at least three shuffled labels, whose steps include
-    the first two of the ranking, with the normal closure of at most one of
-    its pairs removed: a valid relation, mostly with composable pairs, whose
-    numbering is not the order's ranking."""
-    ranked = draw(st.permutations(LABELS))[: draw(st.integers(3, len(LABELS)))]
+    """A strict order on three, six, seven or eight shuffled labels, whose
+    steps include the first two of the ranking and at least as many more as
+    there are labels, with the normal closure of at most one of its pairs
+    removed: a valid relation, mostly with more than six pairs and many
+    composable ones, whose numbering is not the order's ranking. The orders
+    on three labels keep relations of three pairs or fewer in the draw."""
+    ranked = draw(st.permutations(LABELS))[: draw(st.sampled_from([3, 6, 7, 8]))]
     forward = [(a, b) for n, a in enumerate(ranked) for b in ranked[n + 1 :]]
-    steps = {*zip(ranked, ranked[1:3]), *draw(st.sets(st.sampled_from(forward)))}
+    more = draw(st.sets(st.sampled_from(forward), min_size=len(ranked)))
+    steps = {*zip(ranked, ranked[1:3]), *more}
     order = frozenset(naive_transitive_closure(steps))
     seeds = draw(st.sets(st.sampled_from(sorted(order)), max_size=1))
     pairs = order - naive_normal_closure(frozenset(seeds), order)
@@ -85,7 +88,7 @@ relabelled = st.builds(
         [str(int(n) + shift) for n in delta.nodes],
     ),
     st.builds(
-        random_pruned_order, st.integers(0, 10**6), st.integers(4, 8), st.floats(0.4, 1)
+        random_pruned_order, st.integers(0, 10**6), st.integers(7, 8), st.floats(0.4, 1)
     ),
     st.sampled_from([0, 5]),
 )

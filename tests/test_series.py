@@ -9,7 +9,15 @@ import sys
 import pytest
 
 from helpers import random_element, relation_zoo, ring_instances
-from oracles import by_first, by_second
+from oracles import (
+    all_elements,
+    by_first,
+    by_second,
+    group_lower_central_series,
+    group_upper_central_series,
+    naive_normal_closure,
+    unit_generators,
+)
 import mclain.factorization
 import mclain.series
 from mclain import (
@@ -32,6 +40,7 @@ from mclain import (
     nilpotency_class,
     normal_closure,
     quotient_project,
+    random_pruned_order,
     upper_central_series,
 )
 
@@ -478,3 +487,54 @@ def test_format_chain_lines_ascending():
         "zeta 1: {(1,3)}",
         "zeta 2: {(1,2),(1,3),(2,3)}",
     ]
+
+
+# ---------------------------------------------------------------------------
+# the structure theorems at group level
+
+
+@pytest.mark.parametrize(
+    "delta, n",
+    [(chain(3), 3), (chain(4), 2), (ngon(4), 2), (random_pruned_order(203, 5, 0.5), 2)],
+    ids=["chain3-Z3", "chain4-Z2", "ngon4-Z2", "pruned203-Z2"],
+)
+def test_series_and_quotients_match_the_group_level_oracle(delta, n):
+    # The oracle computes both central series of the enumerated group from
+    # their definitions, by products and commutators alone; the library
+    # computes them on the relation. Each group term must be exactly the
+    # elements supported on the matching relation term, and the factor
+    # orders must be the |R|^rank of the reports.
+    ring = IntegersMod(n)
+    group = McLainGroup(delta, ring)
+    everything, xs = all_elements(group), unit_generators(group)
+
+    def supported_on(term):
+        return frozenset(g for g in everything if set(g.coefficients()) <= term.pairs)
+
+    series, reports = lower_central_series(delta, ring)
+    lower = group_lower_central_series(group)
+    assert lower == [supported_on(term) for term in series.terms]
+    assert [len(lower[r.level - 1]) // len(lower[r.level]) for r in reports] == [
+        n**r.rank for r in reports
+    ]
+    upper = group_upper_central_series(group)
+    assert upper == [supported_on(term) for term in upper_central_series(delta).terms]
+
+    # Quotients by up to six nonempty proper normal subsets, each the normal
+    # closure of one pair, found without the relation calculus: deletion
+    # respects the product with every generator, is onto with a kernel of
+    # order |R|^|gamma|, and the coset representatives are one per coset.
+    closures = {naive_normal_closure(frozenset({p}), delta.pairs) for p in delta.pairs}
+    normals = sorted((c for c in closures if c != delta.pairs), key=sorted)[:6]
+    assert normals
+    for pairs in normals:
+        gamma = delta.subset(pairs)
+        projected = {g: quotient_project(g, gamma) for g in everything}
+        for g in everything:
+            assert all(projected[g * x] == projected[g] * projected[x] for x in xs)
+        images = set(projected.values())
+        assert len(images) == n ** len(delta.pairs - pairs)
+        assert sum(1 for h in projected.values() if h.is_identity()) == n ** len(pairs)
+        representatives = {g: coset_representative(g, gamma) for g in everything}
+        assert len(set(representatives.values())) == len(images)
+        assert all(projected[r] == projected[g] for g, r in representatives.items())
