@@ -457,10 +457,10 @@ def _shed(
     stall: str,
 ) -> list[list[Arc]]:
     """The pairs (x,y), by node number, of a descent from the term with these
-    masks, by the round that sheds them, each round in sorted order.
+    masks, by the round that sheds them, each round in the order of ``live``.
 
-    The caller passes the term's pairs as ``live``, in sorted order: from
-    ``Relation._succ`` for a whole relation, so its rows are not expanded
+    The caller passes the term's pairs as ``live``: for a whole relation in
+    sorted order from ``Relation._succ``, so its rows are not expanded
     again. A live (x,y) stays for the next round while T_row[x] & right[y]
     or T_col[y] & left[x], where T is the live term. T starts as a copy of
     rows and cols, and each round's shed bits are cleared from it in place.
@@ -491,10 +491,11 @@ def _shed(
 def _bracket_rounds(gamma: frozenset[Pair], delta: Relation) -> list[list[Arc]]:
     """The pairs (x,y) of closed gamma, a frozenset of delta's pairs, numbered in
     delta's index, by the round of the bracket descent (``gamma_series``) that
-    sheds them, each sorted: (a,c) of the term T stays while T_row[a] & G_col[c]
-    or G_row[a] & T_col[c], with G gamma's masks. Gamma equal to delta's pairs
-    shares delta's masks and ``_succ``, a proper subset gets its own. Only an
-    axiom breaker, with a cycle of decompositions, has a descent that never ends."""
+    sheds them: (a,c) of the term T stays while T_row[a] & G_col[c] or
+    G_row[a] & T_col[c], with G gamma's masks. Gamma equal to delta's pairs
+    shares delta's masks and ``_succ`` and sheds in sorted order; a proper
+    subset gets its own masks, and no caller reads its order within a round.
+    Only an axiom breaker's descent, on a cycle of decompositions, never ends."""
     _, _, rows, cols = delta._index
     if gamma == delta.pairs:  # gamma is delta: share its masks
         live = _numbered(delta._succ)
@@ -502,7 +503,6 @@ def _bracket_rounds(gamma: frozenset[Pair], delta: Relation) -> list[list[Arc]]:
         live, (rows, cols) = delta._index.encode(gamma, delta.pairs, "subset")
         if not _absorbs(live, delta, (rows, cols), normal=False):
             raise ValueError("gamma series needs a closed subset")
-        live.sort()
     return _shed(live, rows, cols, cols, rows, "bracket series failed to terminate")
 
 

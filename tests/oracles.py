@@ -31,20 +31,20 @@ routes is meaningful evidence rather than a tautology.
   every couple of pairs, with no index.
 * Quadruple scan: exchange violations found by testing every quadruple
   of nodes, with no index and no successor set.
-* Pair-walk calculus: the exchange scan, saturations, absorption tests
-  and both series descents as they ran before the mask index, walking
-  label pairs through ``by_first``/``by_second``, successor sets and the
-  table of decompositions p = q∘r (``tests/test_mask_calculus.py``).
-* Label-pair kernels: the coefficient kernels, word evaluation and the
-  commutator as they ran before pair codes, on maps keyed by label pairs
-  with each composite admitted by a lookup in the pair set
-  (``tests/test_code_kernels.py``).
+* Definition wrappers: the violation records, the series terms with the
+  library's error texts, the bracket levels and the word peel, built from
+  the naive scans above; the peel undoes its generators with the public
+  group product, which the couple-scan kernels below check
+  (``tests/test_mask_calculus.py``).
+* Couple-scan kernels: one product on payload maps keyed by label pairs,
+  x + y + xy with each term x[i,j] y[j,l] admitted by a lookup of (i,l)
+  in the pair set. The inverse is the alternating series 1 - x + x^2 -
+  ... on it, and division, generator runs, the commutator and words are
+  folds of those (``tests/test_code_kernels.py``, and through
+  ``alternating_series_inverse`` the inverse tests).
 * Payload formula: s + ab on raw ring payloads, the residue formula for
   Z and Z/n and ``mat_mul`` for M2(Z/n), against the rings' ``_fma``
   and ``RingValue`` multiplication.
-* Series route: the inverse of 1 + x as the alternating power series
-  1 - x + x^2 - ..., summed one power at a time in RingValue arithmetic,
-  against the library's inverse by repeated squaring on raw payloads.
 * Group-level series: over a finite ring Z/n, every element of G(Δ) is
   enumerated and the lower and upper central series are computed from
   their group definitions: subgroups grow by right multiplication and
@@ -58,7 +58,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from mclain import (
     Comm,
@@ -78,9 +78,6 @@ from mclain import (
     is_closed,
     quotient_project,
 )
-from mclain.elements import _BOUND_MESSAGE
-
-from helpers import recode
 
 
 def mat_identity(m: int) -> list[list[int]]:
@@ -304,6 +301,77 @@ def naive_upper_central_series(delta: frozenset):
     return terms
 
 
+def naive_violations(delta: Relation) -> list:
+    """Both axioms as the library's records: the reflexive loops in sorted
+    node order, then the exchange violations of the quadruple scan."""
+    loops = [(i, i) for i in sorted(delta.nodes) if (i, i) in delta.pairs]
+    scan = naive_exchange_violations(delta.nodes, delta.pairs)
+    return [*map(ReflexiveViolation, loops), *(ExchangeViolation(*v) for v in scan)]
+
+
+def naive_gamma_terms(gamma: frozenset, delta: frozenset) -> list:
+    """``naive_gamma_series`` with the library's errors: a gamma that is not
+    its own closure raises ValueError, and a chain that does not die out
+    within |gamma| brackets raises AssertionError."""
+    if naive_closure(gamma, delta) != gamma:
+        raise ValueError("gamma series needs a closed subset")
+    terms = naive_gamma_series(gamma, delta)
+    if terms is None:
+        raise AssertionError("bracket series failed to terminate")
+    return terms
+
+
+def naive_levels(delta: frozenset) -> tuple:
+    """The pairs of each bracket level of delta with itself, each sorted:
+    the differences of consecutive terms of its gamma series."""
+    terms = naive_gamma_terms(delta, delta)
+    return tuple(tuple(sorted(a - b)) for a, b in itertools.pairwise(terms))
+
+
+def naive_upper_terms(delta: frozenset) -> list:
+    """``naive_upper_central_series`` with the library's stall error."""
+    terms = naive_upper_central_series(delta)
+    if terms is None:
+        stall = "upper central series stalled before exhausting the relation"
+        raise AssertionError(stall)
+    return terms
+
+
+def naive_word_factorization(g: GroupElement) -> GeneratorWord:
+    """Peel, in sorted order, the support pairs outside the bracket of the
+    support's closure, one generator each, and undo each peel by a left
+    product with its inverse generator, until nothing is left."""
+    group, delta = g.group, g.group.relation.pairs
+    tokens, residual = [], g
+    while not residual.is_identity():
+        support = residual.support().pairs
+        closed = naive_closure(support, delta)
+        peel = sorted(support - naive_bracket(closed, closed, delta))
+        if not peel:
+            raise AssertionError("support closure has no top level to peel")
+        values = [residual.coefficient(*pair) for pair in peel]
+        tokens += [Gen(*pair, value) for pair, value in zip(peel, values)]
+        for pair, value in zip(peel, values):
+            residual = group.generator(*pair, -value) * residual
+    return GeneratorWord(tuple(tokens))
+
+
+def by_first(relation: Relation) -> dict[str, tuple[Pair, ...]]:
+    """The relation's pairs grouped by source label, each group sorted."""
+    index: dict[str, list[Pair]] = {}
+    for pair in sorted(relation.pairs):
+        index.setdefault(pair[0], []).append(pair)
+    return {k: tuple(v) for k, v in index.items()}
+
+
+def by_second(relation: Relation) -> dict[str, tuple[Pair, ...]]:
+    """The relation's pairs grouped by target label, each group sorted."""
+    index: dict[str, list[Pair]] = {}
+    for pair in sorted(relation.pairs):
+        index.setdefault(pair[1], []).append(pair)
+    return {k: tuple(v) for k, v in index.items()}
+
+
 def naive_transitive_closure(pairs) -> set:
     out = set(pairs)
     changed = True
@@ -335,370 +403,93 @@ def fixed_point_pruned_order(seed: int, node_count: int, density: float):
     return frozenset(nodes), order - naive_normal_closure(seeds, order)
 
 
-def alternating_series_inverse(g: GroupElement) -> GroupElement:
-    """(1+x)^-1 = 1 - x + x^2 - ..., term by term: each power of -x is
-    spliced from the last over every couple of pairs and added in. A
-    nonzero power of x walks through distinct nodes, so the powers from
-    the node count on vanish."""
-    group = g.group
-    minus_x = {pair: -value for pair, value in g.coefficients().items()}
-    total, power = dict(minus_x), minus_x
-    for _ in range(len(group.relation.nodes)):
-        spliced = {}
-        for ((i, j), a), ((k, l), b) in itertools.product(
-            power.items(), minus_x.items()
-        ):
-            if j == k and (i, l) in group.relation.pairs:
-                prior = spliced.get((i, l), group.ring.zero)
-                spliced[(i, l)] = prior + a * b
-        power = spliced
-        for pair, value in power.items():
-            total[pair] = total.get(pair, group.ring.zero) + value
-    return group.element(total)
-
-
 # ---------------------------------------------------------------------------
-# Pair-walk calculus: the relation calculus as it ran before the mask index,
-# walking label pairs through ``by_first``/``by_second`` and successor sets.
-# The tests compare the library's mask scans against it, in order.
+# Couple-scan kernels: coefficient maps keyed by label pairs, each to a
+# nonzero raw payload of the group's ring.
 
 
-def by_first(relation: Relation) -> dict[str, tuple[Pair, ...]]:
-    """The relation's pairs grouped by source label, each group sorted."""
-    index: dict[str, list[Pair]] = {}
-    for pair in sorted(relation.pairs):
-        index.setdefault(pair[0], []).append(pair)
-    return {k: tuple(v) for k, v in index.items()}
+def scan_payloads(ring, items) -> list[tuple[Pair, object]]:
+    """Each (pair, value) as (pair, raw payload), zeros dropped."""
+    payloads = [(pair, ring.coerce(value).payload) for pair, value in items]
+    return [(pair, c) for pair, c in payloads if c != ring._zero]
 
 
-def by_second(relation: Relation) -> dict[str, tuple[Pair, ...]]:
-    """The relation's pairs grouped by target label, each group sorted."""
-    index: dict[str, list[Pair]] = {}
-    for pair in sorted(relation.pairs):
-        index.setdefault(pair[1], []).append(pair)
-    return {k: tuple(v) for k, v in index.items()}
-
-
-def decompositions(gamma: Relation, delta: Relation) -> dict[Pair, list[Pair]]:
-    """The factors q, r in gamma of each pair p = q∘r of delta, by one walk of
-    gamma's ``by_first``. The keys lie in gamma exactly when gamma is closed,
-    and are then [gamma, gamma]."""
-    out: dict[Pair, list[Pair]] = {}
-    after = by_first(gamma)
-    for q in gamma.pairs:
-        for r in after.get(q[1], ()):
-            p = (q[0], r[1])
-            if p in delta.pairs:
-                out.setdefault(p, []).extend((q, r))
-    return out
-
-
-def descend(start: frozenset, links: dict[Pair, list[Pair]], stall: str):
-    """start, then after each term the pairs of that term that link to a pair
-    of that term, down to the empty set. A nonempty term that is its own
-    successor would repeat forever; only an axiom breaker has one, and it
-    raises ``AssertionError(stall)``."""
-    term = start
-    yield term
-    while term:
-        kept = frozenset(p for p in term if not term.isdisjoint(links.get(p, ())))
-        if kept == term:
-            raise AssertionError(stall)
-        term = kept
-        yield term
-
-
-def pairwalk_violations(delta: Relation) -> list:
-    """Both axioms diagnosed by the successor-set exchange scan: composable
-    couples (i,j), (j,k) in sorted order; of the l in succ(k) & succ(i),
-    those outside succ(j) break the axiom when (i,k) is present, and those
-    inside it when (i,k) is absent."""
-    loops = sorted(pair for pair in delta.pairs if pair[0] == pair[1])
-    violations: list[object] = [ReflexiveViolation(pair) for pair in loops]
-    after, empty = by_first(delta), frozenset()
-    succ = {i: frozenset([k for _, k in out]) for i, out in after.items()}
-    for i, j in (pair for out in after.values() for pair in out):  # sorted
-        after_i = succ[i]
-        for _, k in after.get(j, ()):
-            common = after_i & succ.get(k, empty)
-            if not common:
-                continue
-            has_ik, after_j = k in after_i, succ[j]
-            for l in sorted(common - after_j if has_ik else common & after_j):
-                present, absent = ((i, k), (j, l)) if has_ik else ((j, l), (i, k))
-                violations.append(ExchangeViolation((i, j, k, l), present, absent))
-    return violations
-
-
-def pairwalk_absorbs(pairs, sub: frozenset, delta: Relation, partners: frozenset) -> bool:
-    """Does sub hold each composite in delta of these pairs with a pair of
-    partners, on either side? With sub empty, the pairs are isolated. The
-    partner is tested last, so with delta as partners a yes tests none."""
-    after, before = by_first(delta), by_second(delta)
-    for i, j in pairs:
-        for _, k in after.get(j, ()):
-            if (i, k) in delta.pairs and (i, k) not in sub and (j, k) in partners:
-                return False
-        for k, _ in before.get(i, ()):
-            if (k, j) in delta.pairs and (k, j) not in sub and (k, i) in partners:
-                return False
-    return True
-
-
-def pairwalk_saturate(omega: Relation, delta: Relation, closed: bool) -> Relation:
-    """Worklist saturation of omega under the composites delta admits.
-
-    Each popped pair (i,j) meets its partners on both sides, (j,k) on
-    the right and (k,i) on the left, found through delta's cached
-    indexes. For the closure the partners are the pairs collected so
-    far; a partner collected later meets (i,j) when it is popped in
-    turn. For the normal closure every pair of delta is a partner.
-    """
-    pairs: set[Pair] = set(omega.pairs)
-    partners = pairs if closed else delta.pairs
-    work: list[Pair] = sorted(pairs)
-    after, before = by_first(delta), by_second(delta)
-    while work:
-        i, j = work.pop()
-        for _, k in after.get(j, ()):
-            if (i, k) in delta.pairs and (i, k) not in pairs and (j, k) in partners:
-                pairs.add((i, k))
-                work.append((i, k))
-        for k, _ in before.get(i, ()):
-            if (k, j) in delta.pairs and (k, j) not in pairs and (k, i) in partners:
-                pairs.add((k, j))
-                work.append((k, j))
-    return Relation(delta.nodes, frozenset(pairs))
-
-
-def pairwalk_isolated(delta: Relation) -> frozenset:
-    return frozenset(
-        p for p in delta.pairs if pairwalk_absorbs((p,), frozenset(), delta, delta.pairs)
-    )
-
-
-def pairwalk_gamma_series(gamma: Relation, delta: Relation) -> list[frozenset]:
-    """The pair sets of the terms of ``gamma_series``, by one descent over
-    the table of decompositions."""
-    below = decompositions(gamma, delta)
-    if not below.keys() <= gamma.pairs:
-        raise ValueError("gamma series needs a closed subset")
-    return list(descend(gamma.pairs, below, "bracket series failed to terminate"))
-
-
-def pairwalk_levels(delta: Relation) -> tuple[tuple[Pair, ...], ...]:
-    terms = descend(
-        delta.pairs, decompositions(delta, delta), "bracket series failed to terminate"
-    )
-    return tuple(tuple(sorted(a - b)) for a, b in itertools.pairwise(terms))
-
-
-def pairwalk_upper_series(delta: Relation) -> list[frozenset]:
-    """The pair sets of the terms of ``upper_central_series``, without the
-    validity check: each remainder keeps the pairs that are a factor of a
-    composite that also stays."""
-    above: dict[Pair, list[Pair]] = {}
-    for p, factors in decompositions(delta, delta).items():
-        for f in factors:
-            above.setdefault(f, []).append(p)
-    remainders = descend(
-        delta.pairs, above, "upper central series stalled before exhausting the relation"
-    )
-    zeta, left, terms = frozenset(), delta.pairs, []
-    for rest in remainders:
-        step = left - rest
-        zeta = zeta | step
-        if not pairwalk_absorbs(step, zeta, delta, delta.pairs):
-            raise AssertionError("upper central series term failed the normality check")
-        terms.append(zeta)
-        left = rest
-    return terms
-
-
-def pairwalk_word_factorization(g: GroupElement) -> GeneratorWord:
-    """``word_factorization`` with the peel read off the table of
-    decompositions of the support closure."""
-    tokens: list[Gen] = []
-    group, ring, residual = g.group, g.group.ring, recode(g.group.relation, g._coeffs)
-    while residual:
-        support = Relation(group.relation.nodes, frozenset(residual))
-        closed = pairwalk_saturate(support, group.relation, closed=True)
-        deeper = decompositions(closed, group.relation)
-        peel = [p for p in sorted(residual) if p not in deeper]
-        if not peel:
-            raise AssertionError("support closure has no top level to peel")
-        tokens.extend(Gen(*pair, RingValue(ring, residual[pair])) for pair in peel)
-        undos = [(pair, ring._neg(residual[pair])) for pair in peel]
-        residual = label_generators_times(group, undos, residual)
-    return GeneratorWord(tuple(tokens))
-
-
-# ---------------------------------------------------------------------------
-# Label-pair kernels: the coefficient kernels of ``mclain.elements`` as they
-# ran before pair codes, with maps keyed by label pairs and each composite
-# admitted by a lookup in the relation's pair set. The bodies are kept as
-# they were; only ``label_divide`` reads its levels from ``pairwalk_levels``.
-# ``tests/test_code_kernels.py`` compares the library's code kernels against
-# them, translated with ``helpers.recode``.
-
-# A coefficient map: each label pair to a nonzero raw payload of the ring.
-LabelCoeffs = dict[Pair, object]
-
-
-def label_splice(
-    group: McLainGroup, x: LabelCoeffs, y: LabelCoeffs, base: LabelCoeffs
-) -> LabelCoeffs:
-    """base + xy for coefficient maps, zeros pruned.
-
-    base must hold no zeros, and it is added into in place. Each row sum
-    of xy starts at the ring's zero and takes every term through one
-    fused ``_fma``; each admitted sum joins base through one ``_add``.
-    The zeros that leaves are pruned in one pass at the end.
-    """
+def scan_splice(group: McLainGroup, x: dict, y: dict, base: dict) -> dict:
+    """base + xy, zeros dropped: every couple (i,j), (j,l) of x and y whose
+    composite (i,l) is a pair of the relation adds x[i,j] y[j,l] through
+    the ring's ``_fma``."""
     ring, pairs = group.ring, group.relation.pairs
-    fma, add, zero = ring._fma, ring._add, ring._zero
-    rows: dict[str, list[tuple[str, object]]] = {}
-    for (i, j), a in x.items():
-        rows.setdefault(i, []).append((j, a))
-    by_first: dict[str, list[tuple[str, object]]] = {}
-    for (j, l), b in y.items():
-        by_first.setdefault(j, []).append((l, b))
-    for i, row in rows.items():
-        # Sum row i of xy by target, then keep the targets the relation
-        # admits: every other product of basis elements is zero.
-        sums: dict[str, object] = {}
-        for j, a in row:
-            for l, b in by_first.get(j, ()):
-                sums[l] = fma(sums.get(l, zero), a, b)
-        for l, c in sums.items():
-            if (i, l) in pairs:
-                base[i, l] = add(base.get((i, l), zero), c)
-    return {p: c for p, c in base.items() if c != zero}
+    out = dict(base)
+    for ((i, j), a), ((k, l), b) in itertools.product(x.items(), y.items()):
+        if j == k and (i, l) in pairs:
+            out[i, l] = ring._fma(out.get((i, l), ring._zero), a, b)
+    return {pair: c for pair, c in out.items() if c != ring._zero}
 
 
-def label_payloads(
-    group: McLainGroup, items: Iterable[tuple[Pair, object]]
-) -> Iterator[tuple[Pair, object]]:
-    """Each (pair, value) as (pair, raw payload), zeros dropped.
-
-    A pair outside the relation raises ValueError and a value the ring
-    cannot coerce raises RingError, zero values included: they are
-    checked before they are dropped.
-    """
-    pairs, coerce, zero = group.relation.pairs, group.ring.coerce, group.ring._zero
-    for pair, raw in items:
-        if pair not in pairs:
-            raise ValueError(f"pair ({pair[0]},{pair[1]}) is not in the relation")
-        payload = coerce(raw).payload
-        if payload != zero:
-            yield pair, payload
-
-
-def label_generators_times(
-    group: McLainGroup, factors: Iterable[tuple[Pair, object]], x: LabelCoeffs
-) -> LabelCoeffs:
-    """The map of ...(1 + c2 e(p2,q2))(1 + c1 e(p1,q1))(1+x), zeros pruned:
-    each factor in turn multiplies on the left.
-
-    The running map R is kept by row. A factor 1 + c e(p,q) adds
-    c R[q,l] to R[p,l] for each l in row q with (p,l) in the relation,
-    then c to R[p,q]; nothing else changes. The factors are payloads the
-    caller has validated.
-    """
-    ring, pairs = group.ring, group.relation.pairs
-    fma, add, zero = ring._fma, ring._add, ring._zero
-    rows: dict[str, dict[str, object]] = {}
-    for (i, j), a in x.items():
-        rows.setdefault(i, {})[j] = a
-    for (p, q), c in factors:
-        row_p = rows.setdefault(p, {})
-        for l, b in rows.get(q, {}).items():
-            if (p, l) in pairs:
-                row_p[l] = fma(row_p.get(l, zero), c, b)
-        row_p[q] = add(row_p.get(q, zero), c)
-    return {
-        (i, j): a for i, row in rows.items() for j, a in row.items() if a != zero
-    }
-
-
-def label_product(group: McLainGroup, x: LabelCoeffs, y: LabelCoeffs) -> LabelCoeffs:
-    """The map of (1+x)(1+y) = 1 + (x + y + xy): x + y, added from zero,
-    is the base that ``_splice`` adds xy into and prunes."""
+def scan_product(group: McLainGroup, x: dict, y: dict) -> dict:
+    """The map of (1+x)(1+y) = 1 + x + y + xy."""
     add, zero = group.ring._add, group.ring._zero
     base = dict(x)
     for pair, c in y.items():
         base[pair] = add(base.get(pair, zero), c)
-    return label_splice(group, x, y, base)
+    return scan_splice(group, x, y, base)
 
 
-def label_divide(group: McLainGroup, u: LabelCoeffs, w: LabelCoeffs) -> LabelCoeffs:
-    """The map z with 1+z = (1+u)(1+w)^-1, solved from (1+z)(1+w) = 1+u.
+def scan_inverse(group: McLainGroup, x: dict) -> dict:
+    """The map of (1+x)^-1 = 1 - x + x^2 - ..., by Horner's rule: y becomes
+    -x + (-x)y once per node, each time taking one more power of -x. A
+    nonzero power of x walks through distinct nodes, so the powers from the
+    node count on vanish."""
+    minus_x = {pair: group.ring._neg(c) for pair, c in x.items()}
+    y: dict = {}
+    for _ in group.relation.nodes:
+        y = scan_splice(group, minus_x, y, minus_x)
+    return y
 
-    z[i,l] = u[i,l] - w[i,l] - the sum of z[i,j] w[j,l], and each such
-    (i,l) = (i,j)∘(j,l) lies at a deeper level of the bracket series than
-    (i,j). So the pairs are solved level by level, shallow first, as in a
-    triangular back-substitution: the running sums start at u - w, each
-    term added from the ring's zero, and once z[i,j] is final and nonzero,
-    z[i,j] (-w[j,l]) goes into the sum of (i,l) for each l in row j of w
-    through one ``_fma``. A pair is popped from the sums when its level
-    comes, with zero for a pair no term reached, and kept only if nonzero:
-    that is the one prune. w stays on the right, so the solve is exact
-    over noncommutative rings; with every sum spent, the rest of z is 0.
-    Only a corrupted relation has a cycle of decompositions and
-    so no levels; it raises the same AssertionError as the power loop of
-    ``nilpotency_index``.
-    """
-    ring, pairs = group.ring, group.relation.pairs
-    fma, add, neg, zero = ring._fma, ring._add, ring._neg, ring._zero
-    try:
-        levels = pairwalk_levels(group.relation)
-    except AssertionError:
-        raise AssertionError(_BOUND_MESSAGE) from None
-    sums: LabelCoeffs = dict(u)
-    rows: dict[str, list[tuple[str, object]]] = {}
-    for (j, l), c in w.items():
-        c = neg(c)
-        rows.setdefault(j, []).append((l, c))
-        sums[j, l] = add(sums.get((j, l), zero), c)
-    out: LabelCoeffs = {}
-    for level in levels:
-        if not sums:
-            break
-        for p in level:
-            z = sums.pop(p, zero)
-            if z == zero:
-                continue
-            out[p] = z
-            i = p[0]
-            for l, c in rows.get(p[1], ()):
-                q = (i, l)
-                if q in pairs:
-                    sums[q] = fma(sums.get(q, zero), z, c)
+
+def scan_divide(group: McLainGroup, u: dict, w: dict) -> dict:
+    """The map of (1+u)(1+w)^-1."""
+    return scan_product(group, u, scan_inverse(group, w))
+
+
+def scan_generators_times(group: McLainGroup, factors, x: dict) -> dict:
+    """The map of ...(1 + c2 e(p2))(1 + c1 e(p1))(1+x): each (pair, payload)
+    factor in turn multiplies on the left."""
+    for pair, c in factors:
+        x = scan_product(group, {pair: c}, x)
+    return x
+
+
+def scan_commutator(group: McLainGroup, x: dict, y: dict) -> dict:
+    """The map of g h g^-1 h^-1, for g = 1+x and h = 1+y."""
+    inverses = scan_product(group, scan_inverse(group, x), scan_inverse(group, y))
+    return scan_product(group, scan_product(group, x, y), inverses)
+
+
+def scan_eval_word(group: McLainGroup, word: GeneratorWord) -> dict:
+    """The map of a word, its tokens multiplied in from left to right."""
+    out: dict = {}
+    for token in word.tokens:
+        if isinstance(token, Gen):
+            pair = (token.source, token.target)
+            step = dict(scan_payloads(group.ring, [(pair, token.value)]))
+        elif isinstance(token, Inv):
+            step = scan_inverse(group, scan_eval_word(group, token.word))
+        elif isinstance(token, Comm):
+            left, right = (scan_eval_word(group, w) for w in (token.left, token.right))
+            step = scan_commutator(group, left, right)
+        else:
+            step = {}
+        out = scan_product(group, out, step)
     return out
 
 
-def label_eval_word(group: McLainGroup, word: GeneratorWord) -> LabelCoeffs:
-    """``McLainGroup.eval_word`` on the label-pair kernels."""
-    out: LabelCoeffs = {}
-    for is_gen, run in itertools.groupby(word.tokens, key=lambda t: isinstance(t, Gen)):
-        if is_gen:
-            factors = label_payloads(group, (((t.source, t.target), t.value) for t in run))
-            run_map = label_generators_times(group, reversed(list(factors)), {})
-            out = label_product(group, out, run_map) if out else run_map
-            continue
-        for token in run:
-            if isinstance(token, Inv):
-                out = label_divide(group, out, label_eval_word(group, token.word))
-            elif isinstance(token, Comm):
-                left = label_eval_word(group, token.left)
-                right = label_eval_word(group, token.right)
-                out = label_product(group, out, label_commutator(group, left, right))
-    return out
-
-
-def label_commutator(group: McLainGroup, x: LabelCoeffs, y: LabelCoeffs) -> LabelCoeffs:
-    """``GroupElement.commutator`` on the label-pair kernels: (g h)(h g)^-1."""
-    return label_divide(group, label_product(group, x, y), label_product(group, y, x))
+def alternating_series_inverse(g: GroupElement) -> GroupElement:
+    """g^-1 by ``scan_inverse`` on g's coefficients."""
+    group, ring = g.group, g.group.ring
+    x = {pair: value.payload for pair, value in g.coefficients().items()}
+    inverse = scan_inverse(group, x)
+    return group.element({pair: RingValue(ring, c) for pair, c in inverse.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
-"""The mask calculus against the pair-walk calculus it replaced.
+"""The mask calculus against the definitions.
 
 Every relation-level scan runs on the bitmask index of ``Relation``. The
-pair-walk versions in ``tests/oracles.py`` walk label pairs instead, and
-each result here must agree with them exactly: violation lists in order,
-closures, absorption tests, series terms, bracket levels, factorization
-words, and the self-check that fires with its message. Labels are drawn
-so that sorted order is not numeric order ("10" < "9"), node sets carry
-isolated nodes, and subsets may come with a node set of their own.
+oracles in ``tests/oracles.py`` read each answer off its definition
+instead, by testing every couple of pairs or quadruple of nodes with no
+index, and each result here must agree with them exactly: violation lists
+in order, closures, absorption tests, series terms, bracket levels,
+factorization words, and the self-check that fires with its message.
+Labels are drawn so that sorted order is not numeric order ("10" < "9"),
+node sets carry isolated nodes, and subsets may come with a node set of
+their own.
 """
 
 from __future__ import annotations
@@ -36,16 +38,15 @@ from mclain import (  # noqa: E402
 )
 from helpers import recode  # noqa: E402
 from oracles import (  # noqa: E402
+    naive_closure,
+    naive_gamma_terms,
+    naive_isolated,
+    naive_levels,
     naive_normal_closure,
     naive_transitive_closure,
-    pairwalk_absorbs,
-    pairwalk_gamma_series,
-    pairwalk_isolated,
-    pairwalk_levels,
-    pairwalk_saturate,
-    pairwalk_upper_series,
-    pairwalk_violations,
-    pairwalk_word_factorization,
+    naive_upper_terms,
+    naive_violations,
+    naive_word_factorization,
 )
 
 PROFILE = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -55,6 +56,10 @@ LOOP = from_pairs([("10", "10"), ("10", "9")])
 TWO_CYCLE = from_pairs([("9", "10"), ("10", "9"), ("10", "11")])
 EXCHANGE_BREAKER = from_pairs(
     [("9", "10"), ("10", "11"), ("11", "2"), ("9", "2"), ("9", "11")]
+)
+# (9,11) absent and (10,2) present: the scan's other branch
+ABSENT_BREAKER = from_pairs(
+    [("9", "10"), ("10", "11"), ("11", "2"), ("9", "2"), ("10", "2")]
 )
 
 labels = st.sampled_from(LABELS)
@@ -145,8 +150,9 @@ def breaker_examples(test):
 @example(LOOP)
 @example(TWO_CYCLE)
 @example(EXCHANGE_BREAKER)
+@example(ABSENT_BREAKER)
 def test_violations_match_in_order(delta):
-    assert list(fresh(delta).axiom_report.violations) == pairwalk_violations(delta)
+    assert list(fresh(delta).axiom_report.violations) == naive_violations(delta)
 
 
 @PROFILE
@@ -154,8 +160,12 @@ def test_violations_match_in_order(delta):
 @breaker_examples
 def test_closures_match(case):
     delta, sub = case
-    assert closure(sub, fresh(delta)) == pairwalk_saturate(sub, delta, closed=True)
-    assert normal_closure(sub, fresh(delta)) == pairwalk_saturate(sub, delta, closed=False)
+    assert closure(sub, fresh(delta)) == Relation(
+        delta.nodes, naive_closure(sub.pairs, delta.pairs)
+    )
+    assert normal_closure(sub, fresh(delta)) == Relation(
+        delta.nodes, naive_normal_closure(sub.pairs, delta.pairs)
+    )
 
 
 @PROFILE
@@ -163,13 +173,13 @@ def test_closures_match(case):
 @breaker_examples
 def test_absorption_tests_match(case):
     delta, sub = case
-    assert is_closed(sub, fresh(delta)) == pairwalk_absorbs(
-        sub.pairs, sub.pairs, delta, sub.pairs
+    assert is_closed(sub, fresh(delta)) == (
+        naive_closure(sub.pairs, delta.pairs) == sub.pairs
     )
-    assert is_normal(sub, fresh(delta)) == pairwalk_absorbs(
-        sub.pairs, sub.pairs, delta, delta.pairs
+    assert is_normal(sub, fresh(delta)) == (
+        naive_normal_closure(sub.pairs, delta.pairs) == sub.pairs
     )
-    assert isolated(fresh(delta)).pairs == pairwalk_isolated(delta)
+    assert isolated(fresh(delta)).pairs == naive_isolated(delta.pairs)
 
 
 @PROFILE
@@ -179,9 +189,9 @@ def test_gamma_series_matches_or_fails_alike(case):
     delta, sub = case
     for gamma in (sub, closure(sub, delta)):
         got = outcome(lambda: [t.pairs for t in gamma_series(gamma, fresh(delta)).terms])
-        assert got == outcome(pairwalk_gamma_series, gamma, delta)
+        assert got == outcome(naive_gamma_terms, gamma.pairs, delta.pairs)
     got = outcome(lambda: [t.pairs for t in gamma_series(delta, fresh(delta)).terms])
-    assert got == outcome(pairwalk_gamma_series, delta, delta)
+    assert got == outcome(naive_gamma_terms, delta.pairs, delta.pairs)
 
 
 @PROFILE
@@ -189,12 +199,13 @@ def test_gamma_series_matches_or_fails_alike(case):
 @example(LOOP)
 @example(TWO_CYCLE)
 @example(EXCHANGE_BREAKER)
+@example(from_pairs([("1", "2"), ("3", "2"), ("3", "1"), ("1", "3")]))
 def test_levels_match_or_fail_alike(delta):
     def levels():
         codes = fresh(delta)._levels
         return tuple(tuple(recode(delta, dict.fromkeys(level))) for level in codes)
 
-    assert outcome(levels) == outcome(pairwalk_levels, delta)
+    assert outcome(levels) == outcome(naive_levels, delta.pairs)
 
 
 @PROFILE
@@ -204,7 +215,7 @@ def test_levels_match_or_fail_alike(delta):
 @example(EXCHANGE_BREAKER)
 def test_upper_series_matches_or_fails_alike(delta):
     terms = lambda: [t.pairs for t in upper_central_series(forced_valid(delta)).terms]
-    assert outcome(terms) == outcome(pairwalk_upper_series, delta)
+    assert outcome(terms) == outcome(naive_upper_terms, delta.pairs)
 
 
 @PROFILE
@@ -213,7 +224,7 @@ def test_words_match(delta, seed):
     rng = random.Random(seed)
     group = McLainGroup(delta, IntegersMod(3))
     g = group.element({p: rng.randrange(3) for p in delta.pairs})
-    assert word_factorization(g) == pairwalk_word_factorization(g)
+    assert word_factorization(g) == naive_word_factorization(g)
 
 
 def test_the_peel_check_fires_alike():
@@ -221,5 +232,5 @@ def test_the_peel_check_fires_alike():
     object.__setattr__(group, "relation", from_pairs([("a", "a"), ("a", "b")]))
     g = group.element({("a", "a"): 1, ("a", "b"): 2})
     expected = (AssertionError, "support closure has no top level to peel")
-    assert outcome(word_factorization, g) == outcome(pairwalk_word_factorization, g)
+    assert outcome(word_factorization, g) == outcome(naive_word_factorization, g)
     assert outcome(word_factorization, g) == expected

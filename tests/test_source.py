@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import ast
+import runpy
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "mclain"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "mclain"
 
 
 def test_self_checks_are_raises_not_asserts():
@@ -71,3 +73,15 @@ def test_modules_use_every_name_they_import():
                         unused.append(f"{path.name}:{node.lineno} {name}")
     assert len(list(SRC.glob("*.py"))) >= 8
     assert unused == []
+
+
+def test_the_mutant_list_matches_the_tree():
+    # tools/mutate.py applies each mutant by replacing an exact snippet, so a
+    # refactor that moves one, or a test file that is renamed, must show here
+    # rather than on the next run of the harness.
+    mutants = runpy.run_path(str(ROOT / "tools" / "mutate.py"))["MUTANTS"]
+    assert len(mutants) >= 34
+    for mutant in mutants:
+        text = (SRC / mutant.file).read_text(encoding="utf-8")
+        assert text.count(mutant.snippet) == 1, mutant.name
+        assert all((ROOT / path).is_file() for path in mutant.killers), mutant.name

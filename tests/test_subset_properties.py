@@ -49,6 +49,7 @@ from oracles import (  # noqa: E402
     naive_normal_closure,
     naive_upper_central_series,
 )
+from test_mask_calculus import ABSENT_BREAKER  # noqa: E402
 
 PROFILE = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -134,6 +135,7 @@ def test_gamma_series_matches_the_iterated_couple_scan(case):
 @example(LOOP)
 @example(TWO_CYCLE)
 @example(EXCHANGE_BREAKER)
+@example(ABSENT_BREAKER)
 def test_exchange_violations_match_the_quadruple_scan(delta):
     found = [
         (v.quadruple, v.present, v.absent)

@@ -1,0 +1,161 @@
+"""Mutation check of the test suite, stdlib only: ``python tools/mutate.py``.
+
+Each mutant replaces one exact snippet of a file under ``src/mclain`` in a
+temporary copy of ``src/``, ``tests/``, ``pyproject.toml`` and ``README.md``,
+where ``pytest -x`` runs the test paths named to kill it, or all of ``tests/``
+for a mutant marked equivalent, which must survive. A failing or timed-out
+run kills. Exit status: 2, before any run, when a snippet does not occur
+exactly once or a test path is missing; 1 when the unmutated tests fail or an
+outcome differs from its mark; else 0. Two mutants run at a time.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from collections import namedtuple
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT = 300  # seconds for one pytest run
+# a mutated tree no longer holds its own snippet, so the list check is left out
+LIST_CHECK = "tests/test_source.py::test_the_mutant_list_matches_the_tree"
+KERNELS = ("tests/test_code_kernels.py",)
+CALCULUS = ("tests/test_mask_calculus.py",)
+SUBSETS = ("tests/test_subset_properties.py",)
+EQUIVALENT = ()  # no test can tell the mutant from the program
+
+# file is under src/mclain; killers are the test paths expected to kill it
+M = Mutant = namedtuple("Mutant", "name file snippet replacement killers")
+MUTANTS = [
+    # the pair-code kernels of elements.py and their label edges
+    M("splice admits every composite", "elements.py",
+      "admitted, start = admits[i], i * n", "admitted, start = -1, i * n", KERNELS),
+    M("row kernel admits every composite", "elements.py",
+      "rows.setdefault(p, {}), admits[p]", "rows.setdefault(p, {}), -1", KERNELS),
+    M("splice admits by column masks", "elements.py",
+      "admitted, start = admits[i], i * n", "admitted, start = index.cols[i], i * n", KERNELS),
+    M("pair codes transposed", "relations.py",
+      "number[pair[0]] * n + number[pair[1]]", "number[pair[1]] * n + number[pair[0]]", KERNELS),
+    M("codes decode transposed", "relations.py",
+      "labels[code // n], labels[code % n]", "labels[code % n], labels[code // n]", KERNELS),
+    M("row kernel output codes transposed", "elements.py",
+      "i * n + j: a for i, row", "j * n + i: a for i, row", KERNELS),
+    M("splice multiplies b a", "elements.py",
+      "fma(sums.get(l, zero), a, b)", "fma(sums.get(l, zero), b, a)", KERNELS),
+    M("row kernel multiplies b c", "elements.py",
+      "fma(row_p.get(l, zero), c, b)", "fma(row_p.get(l, zero), b, c)", KERNELS),
+    M("division multiplies c z", "elements.py",
+      "fma(sums.get(q, zero), z, c)", "fma(sums.get(q, zero), c, z)", KERNELS),
+    M("splice keeps zeros", "elements.py",
+      "return {code: c for code, c in base.items() if c != zero}", "return base", KERNELS),
+    M("row kernel keeps zeros", "elements.py",
+      "for j, a in row.items() if a != zero", "for j, a in row.items()", KERNELS),
+    M("product drops x from its base", "elements.py", "base = dict(x)", "base = {}", KERNELS),
+    M("division walks deep levels first", "elements.py",
+      "for level in levels:", "for level in reversed(levels):", KERNELS),
+    M("payloads keep zeros", "elements.py", "if payload != zero:", "if True:", KERNELS),
+    M("division does not negate w", "elements.py", "c = neg(c)", "c = c", KERNELS),
+    M("division keeps zeros", "elements.py", "if z == zero:", "if False:", KERNELS),
+    # the mask calculus of relations.py and its readers
+    M("descent keeps by rows only", "relations.py",
+      "if rows[x] & right[y] or cols[y] & left[x]:", "if rows[x] & right[y]:", CALCULUS),
+    M("descent keeps by columns only", "relations.py",
+      "if rows[x] & right[y] or cols[y] & left[x]:", "if cols[y] & left[x]:", CALCULUS),
+    M("absorption tests rows only", "relations.py",
+      "& ~s_rows[x] or p_cols[x]", "& ~s_rows[x] or 0 & p_cols[x]", CALCULUS),
+    M("absorption tests columns only", "relations.py",
+      "if p_rows[y] & d_rows[x]", "if 0 & p_rows[y] & d_rows[x]", CALCULUS),
+    M("saturation without right composites", "relations.py",
+      "right = p_rows[y] & d_rows[x] & ~rows[x]", "right = 0", CALCULUS),
+    M("saturation without left composites", "relations.py",
+      "left = p_cols[x] & d_cols[y] & ~cols[y]", "left = 0", CALCULUS),
+    M("descent stall is a break", "relations.py",
+      "raise AssertionError(stall)", "break", CALCULUS),
+    M("gamma series skips the closedness check", "relations.py",
+      "if not _absorbs(live, delta, (rows, cols), normal=False):", "if False:", CALCULUS),
+    M("isolated without columns", "relations.py",
+      "if not rows[x] & rows[y] | cols[x] & cols[y]]", "if not rows[x] & rows[y]]", CALCULUS),
+    M("peel without columns", "factorization.py",
+      "not rows[code // n] & cols[code % n]", "not rows[code // n]", CALCULUS),
+    M("levels deepest first", "relations.py",
+      "for shed in rounds)", "for shed in reversed(rounds))", CALCULUS),
+    M("axiom scan misses a present (i,k)", "relations.py",
+      "bad = common & ~after_y if has_xz", "bad = 0 if has_xz", CALCULUS),
+    M("axiom scan misses an absent (i,k)", "relations.py",
+      "else common & after_y", "else 0", CALCULUS),
+    M("bracket without left composites", "relations.py",
+      "out.update((z, y) for z in _bits(s_cols[x] & d_cols[y]))", "pass", SUBSETS),
+    # equivalent: each changes work or order that no result depends on
+    M("division without its bit test", "elements.py",
+      "admitted, start = admits[i], code - j", "admitted, start = -1, code - j", EQUIVALENT),
+    M("sweep bisects left", "factorization.py",
+      "import bisect_right", "import bisect_left as bisect_right", EQUIVALENT),
+    M("pruned order samples with <=", "relations.py",
+      "forward if rng.random() < density", "forward if rng.random() <= density", EQUIVALENT),
+    M("proper gamma sheds in reverse sorted order", "relations.py",
+      'closed subset")', 'closed subset")\n        live.sort(reverse=True)', EQUIVALENT),
+]
+
+
+def faults() -> list[str]:
+    """What in the list no longer matches the tree."""
+    out = []
+    for m in MUTANTS:
+        count = (ROOT / "src" / "mclain" / m.file).read_text(encoding="utf-8").count(m.snippet)
+        if count != 1:
+            out.append(f"{m.name}: snippet occurs {count} times in {m.file}")
+        out += [f"{m.name}: no test path {p}" for p in m.killers if not (ROOT / p).exists()]
+    return out
+
+
+def fails(paths: tuple, mutant: Mutant | None = None) -> bool:
+    """Do these tests fail on a fresh copy of the tree, with the mutant applied?"""
+    with tempfile.TemporaryDirectory() as scratch:
+        tree, skip = Path(scratch), shutil.ignore_patterns("__pycache__", ".hypothesis")
+        for name in ("src", "tests"):
+            shutil.copytree(ROOT / name, tree / name, ignore=skip)
+        for name in ("pyproject.toml", "README.md"):
+            shutil.copy2(ROOT / name, tree / name)
+        if mutant:
+            source = tree / "src" / "mclain" / mutant.file
+            text = source.read_text(encoding="utf-8")
+            source.write_text(text.replace(mutant.snippet, mutant.replacement), "utf-8")
+        command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
+        command += ["--deselect", LIST_CHECK, *paths]
+        env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+        try:
+            run = subprocess.run(command, cwd=tree, env=env, capture_output=True, timeout=TIMEOUT)
+        except subprocess.TimeoutExpired:
+            return True
+        return run.returncode != 0
+
+
+def timed(mutant: Mutant) -> tuple[bool, float]:
+    start = time.monotonic()
+    return fails(mutant.killers or ("tests",), mutant), time.monotonic() - start
+
+
+def main() -> int:
+    if problems := faults():
+        print("\n".join(problems))
+        return 2
+    control = tuple(sorted({p for m in MUTANTS for p in m.killers}))
+    if fails(control):
+        print(f"the unmutated tests fail: {' '.join(control)}")
+        return 1
+    status = 0
+    with ThreadPoolExecutor(2) as pool:
+        for m, (killed, seconds) in zip(MUTANTS, pool.map(timed, MUTANTS)):
+            mark = "ok" if killed == bool(m.killers) else "UNEXPECTED"
+            outcome = "killed" if killed else "survived"
+            print(f"{outcome:8} {mark:10} {seconds:5.1f}s  {m.file}: {m.name}", flush=True)
+            status |= killed != bool(m.killers)
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main())
