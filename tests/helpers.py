@@ -15,6 +15,7 @@ from mclain import (
     Inv,
     Matrices2x2Mod,
     McLainGroup,
+    One,
     Relation,
     chain,
     from_pairs,
@@ -109,7 +110,9 @@ def gen_word(factors):
 
 
 def mixed_word(group, rng):
-    """x runs with inv(...) and comm(...) tokens between them."""
+    """x runs with inv(...) and comm(...) tokens between them, then a one(),
+    a nonempty run, the inverse of a word holding a comm(...), and a last
+    run."""
     tokens = []
     for _ in range(rng.randint(1, 3)):
         tokens.extend(gen_word(random_factors(group, rng, rng.randint(0, 4))))
@@ -118,6 +121,10 @@ def mixed_word(group, rng):
             tokens.append(Inv(inner))
         else:
             tokens.append(Comm(inner, gen_word(random_factors(group, rng, 2))))
+    tokens.append(One())
+    tokens.extend(gen_word(random_factors(group, rng, rng.randint(1, 3))))
+    y, a, b, z = (gen_word(random_factors(group, rng, 2)) for _ in range(4))
+    tokens.append(Inv(GeneratorWord((*y, Comm(a, b), *z))))
     tokens.extend(gen_word(random_factors(group, rng, rng.randint(0, 3))))
     return GeneratorWord(tuple(tokens))
 

@@ -18,14 +18,13 @@ import tempfile
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import given, strategies as st  # noqa: E402
 
 from mclain import chain, format_relation, ngon, random_pruned_order  # noqa: E402
 from mclain.cli import main  # noqa: E402
+from strategies import profile  # noqa: E402
 
 COMMANDS = ["check", "series", "eval", "factor", "quotient", "demo-ngon"]
-# 30 examples for each of the six commands keeps the total under 200.
-PROFILE = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 
 RINGS = ["Z", "Z/2", "Z/7", "M2(Z/2)", "M2(Z/3)", "Z/1", "M2(Z/1)", "bogus"]
 VALID_RELATIONS = [
@@ -104,8 +103,9 @@ def argvs(draw, command, folder):
     return argv + [draw(expressions)]
 
 
+# 30 examples for each of the six commands keeps the total under 200.
 @pytest.mark.parametrize("command", COMMANDS)
-@PROFILE
+@profile(30)
 @given(data=st.data())
 def test_main_exits_with_a_documented_code_and_no_traceback(command, data):
     with tempfile.TemporaryDirectory() as folder:

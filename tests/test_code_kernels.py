@@ -12,7 +12,8 @@ codes out from the node set on its own, and must equal the oracle's:
 products, right divisions, generator runs, inverses, commutators and
 ``eval_word``, in all three rings. Relations are valid pruned orders over
 labels where sorted order is not numeric order ("10" < "9"), with
-isolated nodes.
+isolated nodes, and the relations of ``helpers.relation_zoo``, whose
+n-gons, 2-cycle and random relations are not orders.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import re
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, strategies as st  # noqa: E402
 
 from helpers import mixed_word, random_factors, recode, some_zero  # noqa: E402
 from mclain import (  # noqa: E402
@@ -50,8 +51,6 @@ from mclain.elements import (  # noqa: E402
     _splice,
 )
 from oracles import (  # noqa: E402
-    naive_normal_closure,
-    naive_transitive_closure,
     scan_commutator,
     scan_divide,
     scan_eval_word,
@@ -60,36 +59,19 @@ from oracles import (  # noqa: E402
     scan_product,
     scan_splice,
 )
-from test_mask_calculus import LABELS, extra_nodes, relabelled  # noqa: E402
+from strategies import profile, zoo_or_valid  # noqa: E402
 
-PROFILE = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 RINGS = (Integers(), IntegersMod(4), Matrices2x2Mod(2))
 
 
 @st.composite
-def pruned_orders(draw):
-    """A strict order on three or more shuffled labels, less the normal
-    closure of one of its composites (i,k) and maybe of one more pair: a
-    valid relation whose numbering is not the order's ranking and which
-    keeps the (i,j), (j,k) that compose to the missing (i,k)."""
-    ranked = draw(st.permutations(LABELS))[: draw(st.integers(3, len(LABELS)))]
-    forward = [(a, b) for n, a in enumerate(ranked) for b in ranked[n + 1 :]]
-    order = naive_transitive_closure(draw(st.sets(st.sampled_from(forward), min_size=2)))
-    composites = sorted({(i, l) for i, j in order for k, l in order if j == k})
-    seeds = draw(st.sets(st.sampled_from(sorted(order)), max_size=1))
-    if composites:
-        seeds.add(draw(st.sampled_from(composites)))
-    pairs = order - naive_normal_closure(frozenset(seeds), frozenset(order))
-    return from_pairs(pairs, set(ranked) | draw(extra_nodes))
-
-
-@st.composite
 def groups(draw):
-    """A group over a drawn valid relation and one of the three rings, with a
-    seeded generator for its elements. The generator is a ``random.Random``
-    from a drawn seed: hypothesis's own randoms shrink towards the first
-    choice every time, which would draw the same pair again and again."""
-    delta = draw(st.one_of(pruned_orders(), relabelled))
+    """A group over a drawn valid relation, an order or one of the zoo's,
+    and one of the three rings, with a seeded generator for its elements.
+    The generator is a ``random.Random`` from a drawn seed: hypothesis's own
+    randoms shrink towards the first choice every time, which would draw the
+    same pair again and again."""
+    delta = draw(zoo_or_valid)
     ring = draw(st.sampled_from(RINGS))
     return McLainGroup(delta, ring), random.Random(draw(st.integers(0, 2**32)))
 
@@ -114,7 +96,7 @@ def factors_of(group: McLainGroup, rng, length: int) -> list:
     return random_factors(group, rng, length) if group.relation.pairs else []
 
 
-@PROFILE
+@profile(150)
 @given(groups())
 def test_products_splices_and_divisions_match(case):
     group, rng = case
@@ -126,7 +108,7 @@ def test_products_splices_and_divisions_match(case):
     assert recode(relation, _divide(group, {}, x)) == scan_divide(group, {}, lx)
 
 
-@PROFILE
+@profile(150)
 @given(groups())
 def test_inverses_and_commutators_match(case):
     group, rng = case
@@ -138,7 +120,7 @@ def test_inverses_and_commutators_match(case):
     assert recode(relation, (g * h)._coeffs) == scan_product(group, lx, ly)
 
 
-@PROFILE
+@profile(150)
 @given(groups(), st.integers(0, 12))
 def test_generator_runs_match(case, length):
     group, rng = case
@@ -153,7 +135,7 @@ def test_generator_runs_match(case, length):
     assert recode(group.relation, got) == scan_generators_times(group, label_factors, lx)
 
 
-@PROFILE
+@profile(150)
 @given(groups())
 def test_eval_word_matches(case):
     group, rng = case
@@ -215,7 +197,7 @@ def test_elements_of_equal_distinct_groups_are_equal_and_hash_alike():
         assert g * h == g * g and (g * h.inverse()).is_identity()
 
 
-@PROFILE
+@profile(150)
 @given(groups())
 @example((McLainGroup(chain(3), Matrices2x2Mod(2)), random.Random(9)))  # x^2 cancels
 def test_quotients_cosets_and_nilpotency_match_the_oracle(case):

@@ -7,15 +7,16 @@ from __future__ import annotations
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import given, strategies as st  # noqa: E402
 
 from mclain import Integers  # noqa: E402
+from strategies import profile  # noqa: E402
 
 Z = Integers()
 BIG = st.integers(-(10**40), 10**40) | st.integers(-5, 5)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@profile(300)
 @given(BIG, BIG, BIG)
 def test_integer_fma_is_add_of_mul(s, a, b):
     assert Z._fma(s, a, b) == s + a * b

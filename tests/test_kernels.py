@@ -1,9 +1,12 @@
-"""The one-generator product kernels against the general product.
+"""The one-generator product kernels at their edges.
 
 ``OrderedForm.product``, the ``Gen`` runs of ``eval_word`` and the undos
 of ``word_factorization`` multiply by one generator at a time without the
-general splice. The reference here is the plain left-to-right ``*``
-product of ``group.generator`` factors, which does go through the splice.
+general splice. Their values are checked against an independent oracle in
+``tests/test_code_kernels.py``; here the peeled words are pinned, every
+factor is validated, zero values included, and no one-generator product
+falls back to the general splice, whose plain left-to-right ``*`` product
+of ``group.generator`` factors is the reference.
 """
 
 from __future__ import annotations
@@ -13,24 +16,14 @@ import random
 import pytest
 
 import mclain.elements
-from helpers import (
-    gen_word,
-    random_element,
-    random_factors,
-    relation_zoo,
-    ring_instances,
-    some_zero,
-)
+from helpers import random_factors, some_zero
 from mclain import (
-    Comm,
     Gen,
     GeneratorWord,
     Integers,
     IntegersMod,
-    Inv,
     Matrices2x2Mod,
     McLainGroup,
-    One,
     OrderedForm,
     RingError,
     chain,
@@ -40,120 +33,14 @@ from mclain import (
     random_pruned_order,
     word_factorization,
 )
-from mclain.elements import _generators_times, _payloads
 
 
-def reference_product(group, factors, start=None):
-    """start * x(p1,q1;c1) * x(p2,q2;c2) * ..., one general product each."""
-    out = group.identity() if start is None else start
+def reference_product(group, factors):
+    """x(p1,q1;c1) * x(p2,q2;c2) * ..., one general product each."""
+    out = group.identity()
     for (p, q), c in factors:
         out = out * group.generator(p, q, c)
     return out
-
-
-def kernel_relations():
-    """The zoo, which holds ngon(5), and five more seeded pruned orders."""
-    pruned = [
-        (f"pruned{seed}", random_pruned_order(seed, 7, 0.5)) for seed in range(300, 305)
-    ]
-    return relation_zoo() + pruned
-
-
-# ---------------------------------------------------------------------------
-# equivalence with the general product
-
-
-def test_ordered_product_equals_the_general_product():
-    rng = random.Random(801)
-    for _, delta in kernel_relations():
-        if not delta.pairs:
-            continue
-        for ring in ring_instances():
-            group = McLainGroup(delta, ring)
-            for _ in range(4):
-                order = sorted(delta.pairs)
-                rng.shuffle(order)
-                coefficients = {pair: some_zero(ring, rng) for pair in order}
-                form = OrderedForm(group, tuple(order), coefficients)
-                expected = reference_product(
-                    group, [(pair, coefficients[pair]) for pair in order]
-                )
-                assert form.product() == expected
-
-
-def test_eval_word_equals_the_general_product():
-    rng = random.Random(802)
-    for _, delta in kernel_relations():
-        if not delta.pairs:
-            continue
-        for ring in ring_instances():
-            group = McLainGroup(delta, ring)
-            for _ in range(4):
-                factors = random_factors(group, rng, rng.randint(0, 12))
-                word = GeneratorWord(tuple(Gen(*pair, c) for pair, c in factors))
-                assert group.eval_word(word) == reference_product(group, factors)
-
-
-def test_eval_word_with_other_tokens_between_generator_runs():
-    # Inv, Comm and One tokens split the Gen tokens into runs; each token
-    # still multiplies in at its own position.
-    rng = random.Random(803)
-    for _, delta in kernel_relations():
-        if not delta.pairs:
-            continue
-        for ring in ring_instances():
-            group = McLainGroup(delta, ring)
-            for _ in range(3):
-                tokens, expected = [], group.identity()
-                for _ in range(rng.randint(1, 5)):
-                    run = random_factors(group, rng, rng.randint(0, 4))
-                    tokens.extend(Gen(*pair, c) for pair, c in run)
-                    expected = reference_product(group, run, expected)
-                    inner = random_factors(group, rng, 2)
-                    inner_word = GeneratorWord(tuple(Gen(*p, c) for p, c in inner))
-                    inner_value = reference_product(group, inner)
-                    kind = rng.randrange(3)
-                    if kind == 0:
-                        tokens.append(Inv(inner_word))
-                        expected = expected * inner_value.inverse()
-                    elif kind == 1:
-                        other = random_factors(group, rng, 2)
-                        other_word = GeneratorWord(tuple(Gen(*p, c) for p, c in other))
-                        tokens.append(Comm(inner_word, other_word))
-                        expected = expected * inner_value.commutator(
-                            reference_product(group, other)
-                        )
-                    else:
-                        tokens.append(One())
-                assert group.eval_word(GeneratorWord(tuple(tokens))) == expected
-            # x * inv(y * comm(a, b) * z): a division by a word that holds a
-            # commutator, after a nonempty generator run.
-            x, y, z, a, b = (random_factors(group, rng, 2) for _ in range(5))
-            inner = GeneratorWord(
-                (*gen_word(y), Comm(gen_word(a), gen_word(b)), *gen_word(z))
-            )
-            value = reference_product(group, a).commutator(reference_product(group, b))
-            value = reference_product(group, y) * value * reference_product(group, z)
-            expected = reference_product(group, x) * value.inverse()
-            assert group.eval_word(GeneratorWord((*gen_word(x), Inv(inner)))) == expected
-
-
-def test_both_kernels_multiply_onto_a_nonzero_start():
-    rng = random.Random(804)
-    for _, delta in kernel_relations():
-        if not delta.pairs:
-            continue
-        for ring in ring_instances():
-            group = McLainGroup(delta, ring)
-            for _ in range(3):
-                x = random_element(group, rng, max_terms=8)
-                factors = random_factors(group, rng, rng.randint(0, 8))
-                # The kernel takes payloads validated by the caller and
-                # applies each factor in turn on the left.
-                payloads = list(_payloads(group, factors))
-                left = _generators_times(group, payloads, x._coeffs)
-                expected = reference_product(group, factors[::-1]) * x
-                assert left == expected._coeffs
 
 
 # Tokens emitted by word_factorization before the row kernel took over its

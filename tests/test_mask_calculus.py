@@ -4,138 +4,76 @@ Every relation-level scan runs on the bitmask index of ``Relation``. The
 oracles in ``tests/oracles.py`` read each answer off its definition
 instead, by testing every couple of pairs or quadruple of nodes with no
 index, and each result here must agree with them exactly: violation lists
-in order, closures, absorption tests, series terms, bracket levels,
-factorization words, and the self-check that fires with its message.
-Labels are drawn so that sorted order is not numeric order ("10" < "9"),
-node sets carry isolated nodes, and subsets may come with a node set of
-their own.
+in order, closures, brackets, absorption tests, series terms, bracket
+levels, factorization words, and the self-checks and validation errors
+that fire with their messages. The relations, drawn in
+``tests/strategies.py``, include reflexive pairs, 2-cycles and exchange
+breakers, so the scans are checked beyond the relations the group
+accepts. The last tests check which relations the calculus indexes and
+that its masks hold node numbers only.
 """
 
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, strategies as st  # noqa: E402
 
+import mclain.relations  # noqa: E402
+import mclain.series  # noqa: E402
+from helpers import recode, relation_zoo  # noqa: E402
 from mclain import (  # noqa: E402
-    AxiomReport,
+    Integers,
     IntegersMod,
     McLainGroup,
     Relation,
+    bracket,
+    chain,
+    check_axioms,
     closure,
+    difference,
     from_pairs,
     gamma_series,
+    has_maximal,
+    has_minimal,
     is_closed,
     is_normal,
     isolated,
+    lower_central_series,
     normal_closure,
-    random_pruned_order,
     upper_central_series,
     word_factorization,
 )
-from helpers import recode  # noqa: E402
 from oracles import (  # noqa: E402
+    naive_bracket,
     naive_closure,
     naive_gamma_terms,
     naive_isolated,
     naive_levels,
     naive_normal_closure,
-    naive_transitive_closure,
     naive_upper_terms,
     naive_violations,
     naive_word_factorization,
 )
-
-PROFILE = settings(max_examples=150, deadline=None, derandomize=True, database=None)
-
-LABELS = ("1", "2", "3", "9", "10", "11", "a", "b")
-LOOP = from_pairs([("10", "10"), ("10", "9")])
-TWO_CYCLE = from_pairs([("9", "10"), ("10", "9"), ("10", "11")])
-EXCHANGE_BREAKER = from_pairs(
-    [("9", "10"), ("10", "11"), ("11", "2"), ("9", "2"), ("9", "11")]
-)
-# (9,11) absent and (10,2) present: the scan's other branch
-ABSENT_BREAKER = from_pairs(
-    [("9", "10"), ("10", "11"), ("11", "2"), ("9", "2"), ("10", "2")]
-)
-
-labels = st.sampled_from(LABELS)
-extra_nodes = st.sets(labels, max_size=3)
-digraphs = st.builds(
-    from_pairs, st.sets(st.tuples(labels, labels), max_size=14), extra_nodes
+from strategies import (  # noqa: E402
+    ABSENT_BREAKER,
+    EXCHANGE_BREAKER,
+    LOOP,
+    TWO_CYCLE,
+    forced_valid,
+    fresh,
+    outcome,
+    profile,
+    relations,
+    subsets,
+    valid_relations,
+    with_subset,
 )
 
-
-@st.composite
-def pruned_orders(draw):
-    """A strict order on three, six, seven or eight shuffled labels, whose
-    steps include the first two of the ranking and at least as many more as
-    there are labels, with the normal closure of at most one of its pairs
-    removed: a valid relation, mostly with more than six pairs and many
-    composable ones, whose numbering is not the order's ranking. The orders
-    on three labels keep relations of three pairs or fewer in the draw."""
-    ranked = draw(st.permutations(LABELS))[: draw(st.sampled_from([3, 6, 7, 8]))]
-    forward = [(a, b) for n, a in enumerate(ranked) for b in ranked[n + 1 :]]
-    more = draw(st.sets(st.sampled_from(forward), min_size=len(ranked)))
-    steps = {*zip(ranked, ranked[1:3]), *more}
-    order = frozenset(naive_transitive_closure(steps))
-    seeds = draw(st.sets(st.sampled_from(sorted(order)), max_size=1))
-    pairs = order - naive_normal_closure(frozenset(seeds), order)
-    return from_pairs(pairs, set(ranked) | draw(extra_nodes))
-
-
-relabelled = st.builds(
-    lambda delta, shift: from_pairs(
-        [(str(int(i) + shift), str(int(j) + shift)) for i, j in delta.pairs],
-        [str(int(n) + shift) for n in delta.nodes],
-    ),
-    st.builds(
-        random_pruned_order, st.integers(0, 10**6), st.integers(7, 8), st.floats(0.4, 1)
-    ),
-    st.sampled_from([0, 5]),
-)
-valid_relations = st.one_of(pruned_orders(), relabelled)
-relations = st.one_of(digraphs, valid_relations)
-
-
-def fresh(relation: Relation) -> Relation:
-    """An equal relation whose index and axiom report are not built yet."""
-    return Relation(relation.nodes, relation.pairs)
-
-
-def forced_valid(relation: Relation) -> Relation:
-    """A fresh copy that passes validation whatever its axioms say."""
-    out = fresh(relation)
-    object.__setattr__(out, "axiom_report", AxiomReport(True, ()))
-    return out
-
-
-@st.composite
-def subsets(draw, delta: Relation):
-    """A subset of delta, over delta's node set or over the nodes its pairs
-    touch, with or without one more node of delta."""
-    if not delta.pairs:
-        return delta
-    pairs = frozenset(draw(st.sets(st.sampled_from(sorted(delta.pairs)))))
-    if draw(st.booleans()):
-        return delta.subset(pairs)
-    nodes = {n for pair in pairs for n in pair}
-    nodes |= draw(st.sets(st.sampled_from(sorted(delta.nodes)), max_size=1))
-    return Relation(frozenset(nodes), pairs)
-
-
-def outcome(call, *args):
-    """A call's result, or the type and message of what it raised."""
-    try:
-        return call(*args)
-    except (AssertionError, ValueError) as exc:
-        return type(exc), str(exc)
-
-
-with_subset = relations.flatmap(lambda delta: st.tuples(st.just(delta), subsets(delta)))
 breakers = [(LOOP, LOOP), (TWO_CYCLE, TWO_CYCLE), (EXCHANGE_BREAKER, EXCHANGE_BREAKER)]
 
 
@@ -145,7 +83,7 @@ def breaker_examples(test):
     return test
 
 
-@PROFILE
+@profile(150)
 @given(relations)
 @example(LOOP)
 @example(TWO_CYCLE)
@@ -155,7 +93,7 @@ def test_violations_match_in_order(delta):
     assert list(fresh(delta).axiom_report.violations) == naive_violations(delta)
 
 
-@PROFILE
+@profile(150)
 @given(with_subset)
 @breaker_examples
 def test_closures_match(case):
@@ -168,7 +106,7 @@ def test_closures_match(case):
     )
 
 
-@PROFILE
+@profile(150)
 @given(with_subset)
 @breaker_examples
 def test_absorption_tests_match(case):
@@ -182,19 +120,22 @@ def test_absorption_tests_match(case):
     assert isolated(fresh(delta)).pairs == naive_isolated(delta.pairs)
 
 
-@PROFILE
+@profile(150)
 @given(with_subset)
 @breaker_examples
 def test_gamma_series_matches_or_fails_alike(case):
+    # the first term is gamma as given; the later ones lie over delta's nodes
     delta, sub = case
-    for gamma in (sub, closure(sub, delta)):
-        got = outcome(lambda: [t.pairs for t in gamma_series(gamma, fresh(delta)).terms])
-        assert got == outcome(naive_gamma_terms, gamma.pairs, delta.pairs)
-    got = outcome(lambda: [t.pairs for t in gamma_series(delta, fresh(delta)).terms])
-    assert got == outcome(naive_gamma_terms, delta.pairs, delta.pairs)
+    for gamma in (sub, closure(sub, delta), delta):
+        terms = lambda: [(t.nodes, t.pairs) for t in gamma_series(gamma, fresh(delta)).terms]
+        expected = outcome(naive_gamma_terms, gamma.pairs, delta.pairs)
+        if type(expected) is list:
+            nodes = [gamma.nodes] + [delta.nodes] * (len(expected) - 1)
+            expected = list(zip(nodes, expected))
+        assert outcome(terms) == expected
 
 
-@PROFILE
+@profile(150)
 @given(relations)
 @example(LOOP)
 @example(TWO_CYCLE)
@@ -208,17 +149,21 @@ def test_levels_match_or_fail_alike(delta):
     assert outcome(levels) == outcome(naive_levels, delta.pairs)
 
 
-@PROFILE
+@profile(150)
 @given(relations)
 @example(LOOP)
 @example(TWO_CYCLE)
 @example(EXCHANGE_BREAKER)
 def test_upper_series_matches_or_fails_alike(delta):
+    # refused unless valid; forced past validation, it steps as the oracle does
+    if not delta.axiom_report.valid:
+        with pytest.raises(ValueError, match="violates the structural axioms"):
+            upper_central_series(fresh(delta))
     terms = lambda: [t.pairs for t in upper_central_series(forced_valid(delta)).terms]
     assert outcome(terms) == outcome(naive_upper_terms, delta.pairs)
 
 
-@PROFILE
+@profile(150)
 @given(valid_relations, st.integers(0, 2**32 - 1))
 def test_words_match(delta, seed):
     rng = random.Random(seed)
@@ -234,3 +179,108 @@ def test_the_peel_check_fires_alike():
     expected = (AssertionError, "support closure has no top level to peel")
     assert outcome(word_factorization, g) == outcome(naive_word_factorization, g)
     assert outcome(word_factorization, g) == expected
+
+
+@profile(150)
+@given(st.data())
+def test_bracket_matches_the_couple_scan(data):
+    delta = data.draw(relations)
+    a, b = data.draw(subsets(delta)), data.draw(subsets(delta))
+    assert bracket(a, b, delta).pairs == naive_bracket(a.pairs, b.pairs, delta.pairs)
+
+
+@profile(150)
+@given(valid_relations)
+def test_lower_terms_sit_inside_the_upper_terms_of_the_same_class(delta):
+    # A nilpotent group of class c has gamma_(i+1) inside zeta_(c-i), and both
+    # series reach their end in exactly c steps.
+    lower = gamma_series(delta, delta).terms
+    upper = upper_central_series(delta).terms
+    c = len(lower) - 1
+    assert len(upper) == c + 1
+    for i, term in enumerate(lower):
+        assert term.pairs <= upper[c - i].pairs
+
+
+@profile(150)
+@given(relations)
+def test_check_axioms_returns_the_cached_report(delta):
+    assert check_axioms(delta) is delta.axiom_report
+    assert check_axioms(delta) is check_axioms(delta)
+
+
+@contextmanager
+def index_builds():
+    """The relations whose _index is built inside."""
+    built: list[Relation] = []
+    prop = Relation.__dict__["_index"]
+    original = prop.func
+
+    def build(relation):
+        built.append(relation)
+        return original(relation)
+
+    prop.func = build
+    try:
+        yield built
+    finally:
+        prop.func = original
+
+
+@profile(150)
+@given(st.data())
+def test_series_index_only_the_relations_they_are_given(data):
+    delta = data.draw(valid_relations)
+    closed = closure(data.draw(subsets(delta)), delta)
+    delta, gamma = fresh(delta), fresh(closed)
+    with index_builds() as built:
+        gamma_series(gamma, delta)
+    assert all(r is gamma or r is delta for r in built)
+    delta = fresh(delta)
+    with index_builds() as built:
+        upper_central_series(delta)
+    assert all(r is delta for r in built)
+    delta, gamma = fresh(delta), fresh(closed)
+    with index_builds() as built:
+        is_closed(gamma, delta)
+    assert all(r is delta for r in built)
+
+
+def test_the_calculus_builds_masks_of_node_numbers_only(monkeypatch):
+    # Labels cross into node numbers only where a subset is encoded, so
+    # every mask builder call, the series' included, gets pairs of ints.
+    received = []
+    real = mclain.relations._masks
+
+    def recording(pairs, *rest):
+        pairs = list(pairs)
+        received.extend(pairs)
+        return real(pairs, *rest)
+
+    monkeypatch.setattr(mclain.relations, "_masks", recording)
+    monkeypatch.setattr(mclain.series, "_masks", recording)
+    for _, zoo in relation_zoo():
+        delta = fresh(zoo)
+        sub = delta.subset(sorted(delta.pairs)[::2])
+        closed, normal = closure(sub, delta), normal_closure(sub, delta)
+        assert is_closed(closed, delta) and is_normal(normal, delta)
+        bracket(sub, closed, delta)
+        gamma_series(closed, delta)
+        isolated(delta)
+        difference(delta, normal)
+        has_maximal(closed, delta)
+        has_minimal(closed, delta)
+        lower_central_series(delta, Integers())
+        upper_central_series(delta)
+    assert received
+    assert all(type(x) is int and type(y) is int for x, y in received)
+
+
+def test_bracket_and_extremal_tests_index_only_the_ambient_relation():
+    delta = from_pairs(chain(60).pairs)
+    sub = delta.subset([("1", "2"), ("2", "3")])
+    with index_builds() as built:
+        assert bracket(sub, sub, delta).pairs == {("1", "3")}
+        assert has_maximal(sub, delta) and has_minimal(sub, delta)
+    assert built == [delta]
+    assert set(vars(sub)) == {"nodes", "pairs"}  # nothing cached on the subset

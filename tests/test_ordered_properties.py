@@ -1,6 +1,6 @@
 """The ordered sweep on closed subsets too large for the recursive oracle.
 
-Relations are valid pruned orders (``tests/test_mask_calculus.py``), the
+Relations are valid pruned orders (``tests/strategies.py``), the
 closed subset is the closure of a drawn set of pairs, the order is
 shuffled and the element takes a sampled value, zero allowed, at every
 pair of the subset. By uniqueness of the ordered form, a sweep that does
@@ -17,14 +17,12 @@ import random
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import given, strategies as st  # noqa: E402
 
 from helpers import ring_instances  # noqa: E402
 from mclain import McLainGroup, closure, ordered_factorization  # noqa: E402
 from oracles import recursive_ordered_oracle  # noqa: E402
-from test_mask_calculus import valid_relations  # noqa: E402
-
-PROFILE = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+from strategies import profile, valid_relations  # noqa: E402
 
 
 @st.composite
@@ -38,7 +36,7 @@ def closed_orders(draw):
     return delta, tuple(draw(st.permutations(sorted(gamma.pairs))))
 
 
-@PROFILE
+@profile(150)
 @given(closed_orders(), st.integers(0, 2**32 - 1))
 def test_ordered_form_multiplies_back_to_a_dense_element(case, seed):
     delta, order = case

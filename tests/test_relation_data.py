@@ -14,7 +14,7 @@ from __future__ import annotations
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import given, strategies as st  # noqa: E402
 
 import mclain.relations  # noqa: E402
 from mclain import (  # noqa: E402
@@ -37,9 +37,7 @@ from mclain import (  # noqa: E402
     quotient_project,
     upper_central_series,
 )
-from test_mask_calculus import valid_relations  # noqa: E402
-
-PROFILE = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+from strategies import profile, valid_relations  # noqa: E402
 
 
 def checked(relation: Relation) -> Relation:
@@ -51,7 +49,7 @@ def checked(relation: Relation) -> Relation:
     return relation
 
 
-@PROFILE
+@profile(150)
 @given(st.data())
 def test_every_relation_the_calculus_builds_passes_the_public_check(data):
     delta = checked(data.draw(valid_relations))

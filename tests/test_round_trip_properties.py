@@ -10,9 +10,8 @@ from __future__ import annotations
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import given, strategies as st  # noqa: E402
 
-from helpers import relation_zoo  # noqa: E402
 from mclain import (  # noqa: E402
     Integers,
     IntegersMod,
@@ -24,11 +23,9 @@ from mclain import (  # noqa: E402
     parse_element_expression,
     parse_normal_form,
     parse_relation_text,
-    random_pruned_order,
     word_factorization,
 )
-
-PROFILE = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+from strategies import profile, zoo_or_valid  # noqa: E402
 
 Z, Z5, M2 = Integers(), IntegersMod(5), Matrices2x2Mod(2)
 VALUES = {
@@ -37,26 +34,18 @@ VALUES = {
     M2: st.tuples(*[st.integers(0, 1)] * 4).map(M2.value),
 }
 
-pruned_orders = st.builds(
-    random_pruned_order, st.integers(0, 10**6), st.integers(1, 7), st.floats(0.0, 1.0)
-)
-relations = st.one_of(
-    st.sampled_from([delta for _, delta in relation_zoo()]), pruned_orders
-).filter(lambda delta: delta.axiom_report.valid)
-
-
 @st.composite
 def elements(draw, ring):
     """An element of the group over a drawn relation, on a drawn subset
     of its pairs, zero values included."""
-    group = McLainGroup(draw(relations), ring)
+    group = McLainGroup(draw(zoo_or_valid), ring)
     pairs = sorted(group.relation.pairs)
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     return group.element({pair: draw(VALUES[ring]) for pair in chosen})
 
 
 @pytest.mark.parametrize("ring", [Z, Z5, M2], ids=str)
-@PROFILE
+@profile(100)
 @given(data=st.data())
 def test_word_factorization_round_trips_through_the_expression_grammar(ring, data):
     g = data.draw(elements(ring))
@@ -65,7 +54,7 @@ def test_word_factorization_round_trips_through_the_expression_grammar(ring, dat
 
 
 @pytest.mark.parametrize("ring", [Z, Z5, M2], ids=str)
-@PROFILE
+@profile(100)
 @given(data=st.data())
 def test_normal_form_print_and_parse_round_trip(ring, data):
     g = data.draw(elements(ring))
@@ -92,7 +81,7 @@ def labelled_relations(draw):
     return from_pairs(pairs, names + bare)
 
 
-@PROFILE
+@profile(100)
 @given(delta=labelled_relations())
 def test_relation_text_round_trip(delta):
     text = format_relation(delta)

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import ast
+import re
 import runpy
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "mclain"
+TESTS = ROOT / "tests"
 
 
 def test_self_checks_are_raises_not_asserts():
@@ -80,8 +82,31 @@ def test_the_mutant_list_matches_the_tree():
     # refactor that moves one, or a test file that is renamed, must show here
     # rather than on the next run of the harness.
     mutants = runpy.run_path(str(ROOT / "tools" / "mutate.py"))["MUTANTS"]
-    assert len(mutants) >= 34
+    assert len(mutants) >= 37
     for mutant in mutants:
         text = (SRC / mutant.file).read_text(encoding="utf-8")
         assert text.count(mutant.snippet) == 1, mutant.name
         assert all((ROOT / path).is_file() for path in mutant.killers), mutant.name
+
+
+def test_property_tests_share_one_seeded_profile():
+    # Settings live in tests/strategies.py, whose profile seeds the draws.
+    # The derandomizing setting seeds them from each test's source instead,
+    # so an edit to a test body would swap its examples. Test modules share
+    # strategies through that module, never by importing one another.
+    found = []
+    for path in sorted(TESTS.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        if path.name != "strategies.py" and re.search(r"\bsettings\(", text):
+            found.append(f"{path.name} calls settings")
+        if re.search(r"derandomi[z]e", text):
+            found.append(f"{path.name} seeds draws from the source")
+        for node in ast.walk(ast.parse(text, filename=str(path))):
+            if isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            elif isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            else:
+                continue
+            found += [f"{path.name} imports {m}" for m in modules if m.startswith("test_")]
+    assert found == []

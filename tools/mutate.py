@@ -25,7 +25,7 @@ TIMEOUT = 300  # seconds for one pytest run
 LIST_CHECK = "tests/test_source.py::test_the_mutant_list_matches_the_tree"
 KERNELS = ("tests/test_code_kernels.py",)
 CALCULUS = ("tests/test_mask_calculus.py",)
-SUBSETS = ("tests/test_subset_properties.py",)
+ORDERED = ("tests/test_ordered_properties.py",)
 EQUIVALENT = ()  # no test can tell the mutant from the program
 
 # file is under src/mclain; killers are the test paths expected to kill it
@@ -60,6 +60,11 @@ MUTANTS = [
     M("payloads keep zeros", "elements.py", "if payload != zero:", "if True:", KERNELS),
     M("division does not negate w", "elements.py", "c = neg(c)", "c = c", KERNELS),
     M("division keeps zeros", "elements.py", "if z == zero:", "if False:", KERNELS),
+    M("word joins a run on the wrong side", "elements.py",
+      "_product(self, out, run_map)", "_product(self, run_map, out)", KERNELS),
+    M("ordered product feeds its first factor first", "factorization.py",
+      "_generators_times(group, reversed(factors), {}))",
+      "_generators_times(group, factors, {}))", ORDERED),
     # the mask calculus of relations.py and its readers
     M("descent keeps by rows only", "relations.py",
       "if rows[x] & right[y] or cols[y] & left[x]:", "if rows[x] & right[y]:", CALCULUS),
@@ -88,7 +93,9 @@ MUTANTS = [
     M("axiom scan misses an absent (i,k)", "relations.py",
       "else common & after_y", "else 0", CALCULUS),
     M("bracket without left composites", "relations.py",
-      "out.update((z, y) for z in _bits(s_cols[x] & d_cols[y]))", "pass", SUBSETS),
+      "out.update((z, y) for z in _bits(s_cols[x] & d_cols[y]))", "pass", CALCULUS),
+    M("upper series skips validation", "series.py",
+      "require_valid(delta)\n    labels, _, rows, cols", "labels, _, rows, cols", CALCULUS),
     # equivalent: each changes work or order that no result depends on
     M("division without its bit test", "elements.py",
       "admitted, start = admits[i], code - j", "admitted, start = -1, code - j", EQUIVALENT),
