@@ -22,7 +22,12 @@ and c(v,l) is g's coefficient less their sum. The coefficient stays on the
 left, so the pass is exact over noncommutative rings. Both self-checks
 read one product of the solved payloads: a mismatch with g at a pair shed
 before the last round means a residual escaped its bracket level, and one
-in the last round alone that the sweep did not converge.
+in the last round alone that the sweep did not converge. The sweep
+(``_ordered_sweep``) takes the order as codes and the rounds as node-number
+pairs, and returns payloads: ``ordered_factorization`` checks its order and
+boxes what the sweep solved, and the coset lift (``series._lift``) feeds it
+the codes and rounds of a support closure it has just made, and boxes
+nothing.
 
 Every generator product here goes through the row kernel
 ``elements._generators_times``: the factor 1 + c e(p,q) costs
@@ -48,6 +53,7 @@ from bisect import bisect_right
 
 from ._record import record
 from .elements import (
+    Coeffs,
     Gen,
     GeneratorWord,
     GroupElement,
@@ -56,6 +62,7 @@ from .elements import (
     _payloads,
 )
 from .relations import (
+    Arc,
     Pair,
     Relation,
     _bits,
@@ -89,12 +96,20 @@ def word_factorization(g: GroupElement) -> GeneratorWord:
     kernel. Those undos change coefficients only in the bracket of the
     closed support, where no peeled pair lies, so every peeled value is
     read off the residual as it stood at the start of the pass.
+
+    A pass peels one bracket level, and a pair at depth k is a path through
+    k + 1 distinct nodes, so there are fewer passes than nodes. A residual
+    that keeps a peeled pair (a stored zero from a faulty kernel) would be
+    peeled again forever; past one pass per node it raises instead.
     """
     tokens: list[Gen] = []
     group, ring, residual = g.group, g.group.ring, g._coeffs
     index = group.relation._index
-    n = len(index.labels)
+    n, passes = len(index.labels), 0
     while residual:
+        if passes == n:
+            raise AssertionError("word factorization ran past one pass per node")
+        passes += 1
         rows, cols = _closed_support(group.relation, residual)[1]
         peel = [
             code for code in sorted(residual) if not rows[code // n] & cols[code % n]
@@ -143,11 +158,9 @@ def ordered_factorization(g: GroupElement, order: tuple[Pair, ...]) -> OrderedFo
     """The unique coefficients reproducing g as an ordered product.
 
     The order must list each pair of a closed subset exactly once, and
-    that subset must contain the support of g. One pass over the rounds of
-    its bracket descent (``relations._bracket_rounds``) solves each pair
-    (v,l) from the finished tails of the shallower pairs (module docstring),
-    with w over the bits of row v of the nonzero coefficients and column l
-    of the tails. The self-checks multiply the solved payloads, once.
+    that subset must contain the support of g. The pairs are read as codes
+    and solved by one ordered sweep (``_ordered_sweep``) over the rounds of
+    the subset's bracket descent (``relations._bracket_rounds``).
     """
     group, relation = g.group, g.group.relation
     order = tuple(order)
@@ -156,14 +169,34 @@ def ordered_factorization(g: GroupElement, order: tuple[Pair, ...]) -> OrderedFo
     if stray := sorted(pairs - relation.pairs):
         stray_text = f"pairs not in the relation: {stray}"
         raise ValueError(f"order contains pairs outside the relation: {stray_text}")
-    ring, target = group.ring, g._coeffs
-    add, neg, fma, zero = ring._add, ring._neg, ring._fma, ring._zero
     codes = [relation._codes[pair] for pair in order]
-    n, at = len(relation._index.labels), {code: t for t, code in enumerate(codes)}
-    if missing := sorted(map(relation._index.pair, target.keys() - at.keys())):
+    if missing := sorted(map(relation._index.pair, g._coeffs.keys() - set(codes))):
         raise ValueError(f"order does not cover the support: missing {missing}")
     rounds = _bracket_rounds(pairs, relation)  # also rejects a non-closed order
-    found: dict[int, object] = {}  # the nonzero coefficients, by code
+    found = _ordered_sweep(group, g._coeffs, codes, rounds)
+    ring, zero = group.ring, group.ring._zero
+    coefficients = {p: RingValue(ring, found.get(c, zero)) for p, c in zip(order, codes)}
+    return OrderedForm(group, order, coefficients)
+
+
+def _ordered_sweep(
+    group: McLainGroup, target: Coeffs, codes: list[int], rounds: list[list[Arc]]
+) -> Coeffs:
+    """The nonzero payloads, by code, of the ordered product along ``codes``
+    that equals the coefficient map ``target``, solved in one pass.
+
+    ``codes`` lists a closed subset of the group's pairs in the order of the
+    product, and covers the support of target; ``rounds`` are the node-number
+    pairs of the subset's bracket descent, by round. When its round comes,
+    each pair (v,l) is solved from the finished tails of the shallower pairs
+    (module docstring), with w over the bits of row v of the nonzero
+    coefficients and column l of the tails. The self-checks multiply the
+    solved payloads, once.
+    """
+    ring, n = group.ring, len(group.relation._index.labels)
+    add, neg, fma, zero = ring._add, ring._neg, ring._fma, ring._zero
+    at = {code: t for t, code in enumerate(codes)}
+    found: Coeffs = {}  # the nonzero coefficients, by code
     tails: dict[int, tuple[list[int], list[object]]] = {}  # positions, suffix sums
     found_rows, tail_cols = [0] * n, [0] * n  # their codes' bits, by row and column
     for shed in rounds:
@@ -198,8 +231,7 @@ def ordered_factorization(g: GroupElement, order: tuple[Pair, ...]) -> OrderedFo
         if any(product.get(c) != target.get(c) for c in at.keys() - last):
             raise AssertionError("level sweep residual escaped its bracket level")
         raise AssertionError("level sweep did not converge to the target")
-    coefficients = {p: RingValue(ring, found.get(c, zero)) for p, c in zip(order, codes)}
-    return OrderedForm(group, order, coefficients)
+    return found
 
 
 @record(eq=False)

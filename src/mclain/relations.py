@@ -29,7 +29,8 @@ in node-number pairs only; labels cross on the index of the relation that a
 subset is tested against, where ``_Index.encode`` refuses pairs outside it
 and numbers and masks the rest, and ``_Index.decode`` turns the pairs a call
 found back into labels. ``_bracket_rounds`` is the one bracket descent that
-``_levels``, ``gamma_series`` and the ordered sweep read.
+``_levels``, ``gamma_series`` and ``ordered_factorization`` read; the coset
+lift runs the same ``_shed`` on the masks of the closure it has just made.
 
 Every relation the calculus builds from pairs of a relation it already
 holds (subsets, closures, brackets, series terms, differences) is made by
@@ -215,6 +216,12 @@ class Relation:
         labels, number, _, _ = self._index
         n = len(labels)
         return {pair: number[pair[0]] * n + number[pair[1]] for pair in self.pairs}
+
+    @cached_property
+    def _quotients(self) -> dict[frozenset[Pair], "Relation"]:
+        """The differences by normal subsets (``difference``) made so far, by
+        the subset's pairs: each keeps its own index and axiom report."""
+        return {}
 
     @cached_property
     def axiom_report(self) -> AxiomReport:
@@ -535,11 +542,18 @@ def difference(delta: Relation, gamma: Relation) -> Relation:
     """Remove a normal subset; the result satisfies both axioms again.
 
     Normality of gamma is exactly what makes coefficient deletion a
-    homomorphism, so it is demanded here rather than assumed.
+    homomorphism, so it is demanded here rather than assumed. The result is
+    kept on delta (``Relation._quotients``, by gamma's pairs), so each
+    quotient is tested for normality, indexed and axiom-scanned once; a
+    subset that is not normal is refused on every call.
     """
-    if not is_normal(gamma, delta):
-        raise ValueError("can only remove a normal subset")
-    return Relation._within(delta.nodes, delta.pairs - gamma.pairs)
+    key, quotients = gamma.pairs, delta._quotients
+    out = quotients.get(key)
+    if out is None:
+        if not is_normal(gamma, delta):
+            raise ValueError("can only remove a normal subset")
+        out = quotients[key] = Relation._within(delta.nodes, delta.pairs - key)
+    return out
 
 
 def has_maximal(omega: Relation, delta: Relation) -> bool:

@@ -100,7 +100,9 @@ def quotient_project(g: GroupElement, gamma: Relation) -> GroupElement:
     The result lives in the group over the smaller relation; deletion
     is a surjective homomorphism whose kernel is exactly the elements
     supported inside gamma. Both relations have the same nodes, so the
-    kept pair codes carry over as they are.
+    kept pair codes carry over as they are. The smaller relation is the one
+    ``difference`` keeps on g's relation for gamma, so its normality test,
+    index and axiom scan run once per relation and gamma, not per call.
     """
     relation = g.group.relation
     target = McLainGroup(difference(relation, gamma), g.group.ring)
@@ -123,19 +125,26 @@ def coset_representative(g: GroupElement, gamma: Relation) -> GroupElement:
 
 def _lift(g: GroupElement, projected: GroupElement) -> GroupElement:
     """``coset_representative`` of g from its projection, already taken: the
-    quotient form's payloads, in its closure's sorted order, multiplied in g's
-    group, where the codes carry over. As gamma is normal, g r^-1 lies over
-    gamma exactly when r^-1 g does: when it keeps no pair of the quotient."""
-    from .factorization import ordered_factorization
+    payloads of the projection's ordered factorization along the closure of
+    its support in sorted order, multiplied in g's group, where the codes
+    carry over. The closure's pairs and masks (``_closed_support``) give the
+    codes and, by ``_shed``, the rounds of its bracket descent, which
+    ``factorization._ordered_sweep`` solves along; no label is read and no
+    payload boxed. As gamma is normal, g r^-1 lies over gamma exactly when
+    r^-1 g does: when it keeps no pair of the quotient."""
+    from .factorization import _ordered_sweep
 
     group, quotient = g.group, projected.group.relation
-    arcs = sorted(_closed_support(quotient, projected._coeffs)[0])
-    order = tuple(quotient._index.decode(arcs))
-    form = ordered_factorization(projected, order)
-    n, rows = len(quotient._index.labels), quotient._index.rows
-    solved = [(x * n + y, form.coefficients[p].payload) for (x, y), p in zip(arcs, order)]
-    lifted = _generators_times(group, reversed(solved), {})
-    if any(rows[c // n] >> c % n & 1 for c in _divide(group, g._coeffs, lifted)):
+    arcs, (rows, cols) = _closed_support(quotient, projected._coeffs)
+    arcs.sort()
+    rounds = _shed(arcs, rows, cols, cols, rows, "bracket series failed to terminate")
+    n = len(quotient._index.labels)
+    codes = [x * n + y for x, y in arcs]
+    solved = _ordered_sweep(projected.group, projected._coeffs, codes, rounds)
+    factors = [(code, solved[code]) for code in reversed(codes) if code in solved]
+    lifted = _generators_times(group, factors, {})
+    kept = quotient._index.rows
+    if any(kept[c // n] >> c % n & 1 for c in _divide(group, g._coeffs, lifted)):
         raise AssertionError("coset representative failed the membership check")
     return GroupElement(group, lifted)
 

@@ -360,6 +360,36 @@ word_factorization(group.element({("a", "a"): 1}))
     assert last == "AssertionError: support closure has no top level to peel"
 
 
+def test_word_factorization_pass_bound_stops_a_kernel_that_keeps_zeros():
+    # A row kernel that keeps the zeros its undos leave hands every peeled
+    # pair back to the residual, so each pass would peel it again forever.
+    # The run gets a few seconds: a missing bound fails here, not by a hang.
+    script = """
+import itertools
+import mclain.factorization
+from mclain import Integers, McLainGroup, random_pruned_order, word_factorization
+print(__debug__)
+honest = mclain.factorization._generators_times
+def keeps_zeros(group, factors, x):
+    factors = list(factors)
+    out = honest(group, factors, x)
+    for code, _ in itertools.chain(x.items(), factors):
+        out.setdefault(code, group.ring._zero)
+    return out
+mclain.factorization._generators_times = keeps_zeros
+delta = random_pruned_order(302, 6, 0.7)
+group = McLainGroup(delta, Integers())
+word_factorization(group.element({p: k + 1 for k, p in enumerate(sorted(delta.pairs))}))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, timeout=5
+    )
+    assert proc.stdout == "False\n"
+    assert proc.returncode == 1
+    last = proc.stderr.strip().splitlines()[-1]
+    assert last == "AssertionError: word factorization ran past one pass per node"
+
+
 def test_level_sweep_is_exact_over_a_relation_breaking_the_axioms():
     # Reading each level off the target needs only that the bracket series
     # of a closed order terminates, not the exchange axiom: over a relation

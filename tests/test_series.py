@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import subprocess
@@ -20,12 +21,14 @@ from oracles import (
     unit_generators,
 )
 import mclain.factorization
+import mclain.relations
 import mclain.series
 from mclain import (
     AxiomReport,
     Integers,
     IntegersMod,
     McLainGroup,
+    Relation,
     center_support,
     chain,
     coset_representative,
@@ -363,6 +366,57 @@ def test_quotient_kernel_is_the_subgroup_over_gamma():
         assert in_kernel == (g.support().pairs <= gamma.pairs)
 
 
+def test_each_quotient_is_tested_and_scanned_once(monkeypatch):
+    # Delta keeps its quotient by gamma: projections and lifts after the
+    # first find it there, with its index and its axiom report.
+    tests, scans = [], []
+    is_normal, scan = mclain.relations.is_normal, Relation.axiom_report.func
+
+    def counted_is_normal(sub, delta):
+        tests.append(sub.pairs)
+        return is_normal(sub, delta)
+
+    def counted_scan(self):
+        scans.append(self.pairs)
+        return scan(self)
+
+    report = functools.cached_property(counted_scan)
+    report.__set_name__(Relation, "axiom_report")
+    monkeypatch.setattr(mclain.relations, "is_normal", counted_is_normal)
+    monkeypatch.setattr(Relation, "axiom_report", report)
+    delta = chain(6)
+    gamma = delta.subset(p for p in delta.pairs if int(p[1]) - int(p[0]) >= 3)
+    group = McLainGroup(delta, Z)
+    g = group.element({p: 1 + k % 5 for k, p in enumerate(sorted(delta.pairs))})
+    first = quotient_project(g, gamma)
+    representative = coset_representative(g, gamma)
+    again = quotient_project(g, gamma)
+    assert tests == [gamma.pairs]
+    assert scans.count(delta.pairs - gamma.pairs) == 1
+    assert first == again == quotient_project(representative, gamma)
+
+
+def test_a_subset_that_is_not_normal_is_refused_on_every_call():
+    delta = chain(4)
+    difference(delta, delta.subset([("1", "4")]))
+    not_normal = delta.subset([("1", "2")])
+    for _ in range(2):
+        with pytest.raises(ValueError, match="can only remove a normal subset"):
+            difference(delta, not_normal)
+
+
+def test_each_gamma_has_its_own_quotient():
+    delta = chain(5)
+    _, second, third = gamma_series(delta, delta).terms[:3]
+    quotients = [difference(delta, second), difference(delta, third)]
+    assert quotients == [
+        Relation(delta.nodes, delta.pairs - second.pairs),
+        Relation(delta.nodes, delta.pairs - third.pairs),
+    ]
+    assert quotients[0] != quotients[1]
+    assert difference(delta, second) is quotients[0]
+
+
 # ---------------------------------------------------------------------------
 # coset representatives
 
@@ -416,25 +470,25 @@ def test_coset_representative_depends_only_on_the_coset():
 
 
 def _off_by_one(honest):
-    """ordered_factorization with the first coefficient of its form plus one."""
+    """The ordered sweep with the first coefficient it solves plus one."""
 
-    def factor(g, order):
-        form = honest(g, order)
-        coefficients = dict(form.coefficients)
-        coefficients[form.order[0]] += g.group.ring.one
-        return mclain.factorization.OrderedForm(form.group, form.order, coefficients)
+    def sweep(group, target, codes, rounds):
+        found = honest(group, target, codes, rounds)
+        ring, first = group.ring, codes[0]
+        found[first] = ring._add(found.get(first, ring._zero), ring.one.payload)
+        return found
 
-    return factor
+    return sweep
 
 
 def test_coset_membership_check_catches_a_wrong_factorization(monkeypatch):
     # No correct factorization reaches this check: the representative is the
     # ordered product of the projection's own coefficients, so it lies in
-    # the coset of g. A form off by one at a pair outside gamma must trip it.
+    # the coset of g. A sweep off by one at a pair outside gamma must trip it.
     monkeypatch.setattr(
         mclain.factorization,
-        "ordered_factorization",
-        _off_by_one(mclain.factorization.ordered_factorization),
+        "_ordered_sweep",
+        _off_by_one(mclain.factorization._ordered_sweep),
     )
     group = McLainGroup(chain(3), Z)
     gamma = group.relation.subset([("1", "3")])
@@ -448,13 +502,13 @@ def test_coset_membership_check_survives_python_O():
 import mclain.factorization
 from mclain import Integers, McLainGroup, chain, coset_representative
 print(__debug__)
-honest = mclain.factorization.ordered_factorization
-def factor(g, order):
-    form = honest(g, order)
-    coefficients = dict(form.coefficients)
-    coefficients[form.order[0]] += g.group.ring.one
-    return mclain.factorization.OrderedForm(form.group, form.order, coefficients)
-mclain.factorization.ordered_factorization = factor
+honest = mclain.factorization._ordered_sweep
+def sweep(group, target, codes, rounds):
+    found = honest(group, target, codes, rounds)
+    ring, first = group.ring, codes[0]
+    found[first] = ring._add(found.get(first, ring._zero), ring.one.payload)
+    return found
+mclain.factorization._ordered_sweep = sweep
 group = McLainGroup(chain(3), Integers())
 gamma = group.relation.subset([("1", "3")])
 coset_representative(group.element({("1", "2"): 2, ("2", "3"): 3}), gamma)

@@ -26,6 +26,8 @@ LIST_CHECK = "tests/test_source.py::test_the_mutant_list_matches_the_tree"
 KERNELS = ("tests/test_code_kernels.py",)
 CALCULUS = ("tests/test_mask_calculus.py",)
 ORDERED = ("tests/test_ordered_properties.py",)
+SERIES = ("tests/test_series.py",)
+FACTORIZATION = ("tests/test_factorization.py",)
 EQUIVALENT = ()  # no test can tell the mutant from the program
 
 # file is under src/mclain; killers are the test paths expected to kill it
@@ -96,6 +98,11 @@ MUTANTS = [
       "out.update((z, y) for z in _bits(s_cols[x] & d_cols[y]))", "pass", CALCULUS),
     M("upper series skips validation", "series.py",
       "require_valid(delta)\n    labels, _, rows, cols", "labels, _, rows, cols", CALCULUS),
+    # the quotient cache and the word factorization's pass bound
+    M("difference cache keyed by delta alone", "relations.py",
+      "out = quotients.get(key)", "out = next(iter(quotients.values()), None)", SERIES),
+    M("word factorization without its pass bound", "factorization.py",
+      "if passes == n:", "if False:", FACTORIZATION),
     # equivalent: each changes work or order that no result depends on
     M("division without its bit test", "elements.py",
       "admitted, start = admits[i], code - j", "admitted, start = -1, code - j", EQUIVALENT),
