@@ -27,14 +27,14 @@ and the factorizations that feed them payloads they solved, check nothing.
 The map is keyed by int pair codes, not label pairs: the pair (i,j) is
 number(i)*N + number(j) in the numbering of the relation's index
 (``relations._Index``, nodes in sorted label order, N of them). The
-kernels split a code with ``divmod`` and admit a composite (i,l) by one
-bit test on node i's successor row, so no label tuple is built or hashed
-per term. Labels appear only at the edges: ``_payloads`` and
-``coefficient`` encode through the relation's ``_codes``, and
-``coefficients``, ``support`` and ``__str__`` decode through
-``_Index.pair``. Sorted codes are sorted label pairs, and the numbering
-depends only on the node set, so equal groups, subgroups and quotients
-over the same nodes read a code alike.
+kernels split a code with ``divmod``, and the product kernels admit a
+composite (i,l) by one bit test on node i's successor row, so no label
+tuple is built or hashed per term. Labels appear only at the edges:
+``_payloads`` and ``coefficient`` encode through the relation's
+``_codes``, and ``coefficients``, ``support`` and ``__str__`` decode
+through ``_Index.pair``. Sorted codes are sorted label pairs, and the
+numbering depends only on the node set, so equal groups, subgroups and
+quotients over the same nodes read a code alike.
 
 Every kernel (``_splice``, ``_product``, ``_generators_times`` and
 ``_divide``) adds up the same way: each sum starts at ``Ring._zero`` and
@@ -288,18 +288,18 @@ def _divide(group: McLainGroup, u: Coeffs, w: Coeffs) -> Coeffs:
     (i,j). So the pairs are solved level by level, shallow first, as in a
     triangular back-substitution: the running sums start at u - w, each
     term added from the ring's zero, and once z[i,j] is final and nonzero,
-    z[i,j] (-w[j,l]) goes into the sum of (i,l) for each l in row j of w
-    that row i of the relation admits, through one ``_fma``. A pair is
-    popped from the sums when its level (``Relation._levels``, held as
-    codes) comes, with zero for a pair no term reached, and kept only if
-    nonzero: that is the one prune. w stays on the right, so the solve is
-    exact over noncommutative rings; with every sum spent, the rest of z
-    is 0. Only a corrupted relation has a cycle of decompositions and
-    so no levels; it raises the same AssertionError as the power loop of
-    ``nilpotency_index``.
+    z[i,j] (-w[j,l]) goes into the sum of (i,l) for each l in row j of w,
+    through one ``_fma``. A pair is popped from the sums when its level
+    (``Relation._levels``, held as codes) comes, with zero for a pair no
+    term reached, and kept only if nonzero: that is the one prune. Unlike
+    the products, the solve tests no composite against the relation: the
+    levels hold only its pairs, so a sum outside it is never read. w stays
+    on the right, so the solve is exact over noncommutative rings; with
+    every sum spent, the rest of z is 0. Only a corrupted relation has a
+    cycle of decompositions and so no levels; it raises the same
+    AssertionError as the power loop of ``nilpotency_index``.
     """
-    index, ring = group.relation._index, group.ring
-    n, admits = len(index.labels), index.rows
+    ring, n = group.ring, len(group.relation._index.labels)
     fma, add, neg, zero = ring._fma, ring._add, ring._neg, ring._zero
     try:
         levels = group.relation._levels
@@ -321,12 +321,11 @@ def _divide(group: McLainGroup, u: Coeffs, w: Coeffs) -> Coeffs:
             if z == zero:
                 continue
             out[code] = z
-            i, j = divmod(code, n)
-            admitted, start = admits[i], code - j
+            j = code % n
+            start = code - j
             for l, c in rows.get(j, ()):
-                if admitted >> l & 1:
-                    q = start + l
-                    sums[q] = fma(sums.get(q, zero), z, c)
+                q = start + l
+                sums[q] = fma(sums.get(q, zero), z, c)
     return out
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from ._record import record
 from .elements import GroupElement, McLainGroup, _divide, _generators_times
+from .factorization import _ordered_sweep
 from .relations import (
     Relation,
     SubsetChain,
@@ -132,8 +133,6 @@ def _lift(g: GroupElement, projected: GroupElement) -> GroupElement:
     ``factorization._ordered_sweep`` solves along; no label is read and no
     payload boxed. As gamma is normal, g r^-1 lies over gamma exactly when
     r^-1 g does: when it keeps no pair of the quotient."""
-    from .factorization import _ordered_sweep
-
     group, quotient = g.group, projected.group.relation
     arcs, (rows, cols) = _closed_support(quotient, projected._coeffs)
     arcs.sort()

@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import random
-import subprocess
-import sys
 
 import pytest
 
@@ -336,30 +334,9 @@ def test_power_loop_bound_catches_a_corrupted_relation(power):
     cycle = from_pairs([(i, j) for i in nodes for j in nodes if i != j])
     object.__setattr__(group, "relation", cycle)
     g = group.element({pair: 1 for pair in cycle.pairs})
-    with pytest.raises(AssertionError, match="nilpotency bound"):
+    message = "power series exceeded the nilpotency bound; the ambient relation is corrupted"
+    with pytest.raises(AssertionError, match=message):
         getattr(g, power)()
-
-
-@pytest.mark.parametrize("power", ["inverse", "nilpotency_index"])
-def test_power_loop_bound_survives_python_O(power):
-    # The same corrupted relation as above, in an interpreter that strips
-    # assert statements: the self-check is a raise, so it still fires.
-    script = f"""
-from mclain import Integers, McLainGroup, chain, from_pairs
-print(__debug__)
-group = McLainGroup(chain(3), Integers())
-nodes = ("1", "2", "3")
-cycle = from_pairs([(i, j) for i in nodes for j in nodes if i != j])
-object.__setattr__(group, "relation", cycle)
-group.element({{pair: 1 for pair in cycle.pairs}}).{power}()
-"""
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", script], capture_output=True, text=True
-    )
-    assert proc.stdout == "False\n"
-    assert proc.returncode == 1
-    last = proc.stderr.strip().splitlines()[-1]
-    assert last.startswith("AssertionError: power series exceeded the nilpotency bound")
 
 
 def test_squaring_inverse_equals_the_alternating_series():

@@ -312,27 +312,6 @@ def test_level_sweep_checks_catch_a_corrupted_ring(m, message):
         ordered_factorization(g, order)
 
 
-@pytest.mark.parametrize("m, message", SWEEP_FAULTS)
-def test_level_sweep_checks_survive_python_O(m, message):
-    script = f"""
-from mclain import IntegersMod, McLainGroup, chain, ordered_factorization
-print(__debug__)
-class NegationFreeMod(IntegersMod):
-    def _neg(self, a):
-        return a
-group = McLainGroup(chain({m}), NegationFreeMod(5))
-order = tuple(sorted(group.relation.pairs))
-g = group.element({{(str(i), str(i + 1)): 1 for i in range(1, {m})}})
-ordered_factorization(g, order)
-"""
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", script], capture_output=True, text=True
-    )
-    assert proc.stdout == "False\n"
-    assert proc.returncode == 1
-    assert proc.stderr.strip().splitlines()[-1] == f"AssertionError: {message}"
-
-
 def test_peel_check_catches_a_corrupted_relation():
     # Swapped in after validation, {(a,a), (a,b)} puts the loop
     # (a,a) = (a,a)∘(a,a) in the bracket of its own support closure, so no
@@ -341,23 +320,6 @@ def test_peel_check_catches_a_corrupted_relation():
     object.__setattr__(group, "relation", from_pairs([("a", "a"), ("a", "b")]))
     with pytest.raises(AssertionError, match="support closure has no top level to peel"):
         word_factorization(group.element({("a", "a"): 1}))
-
-
-def test_peel_check_survives_python_O():
-    script = """
-from mclain import Integers, McLainGroup, from_pairs, word_factorization
-print(__debug__)
-group = McLainGroup(from_pairs([("a", "b")]), Integers())
-object.__setattr__(group, "relation", from_pairs([("a", "a"), ("a", "b")]))
-word_factorization(group.element({("a", "a"): 1}))
-"""
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", script], capture_output=True, text=True
-    )
-    assert proc.stdout == "False\n"
-    assert proc.returncode == 1
-    last = proc.stderr.strip().splitlines()[-1]
-    assert last == "AssertionError: support closure has no top level to peel"
 
 
 def test_word_factorization_pass_bound_stops_a_kernel_that_keeps_zeros():

@@ -98,14 +98,14 @@ MUTANTS = [
       "out.update((z, y) for z in _bits(s_cols[x] & d_cols[y]))", "pass", CALCULUS),
     M("upper series skips validation", "series.py",
       "require_valid(delta)\n    labels, _, rows, cols", "labels, _, rows, cols", CALCULUS),
-    # the quotient cache and the word factorization's pass bound
+    # the quotient cache, the projection and the word factorization's pass bound
     M("difference cache keyed by delta alone", "relations.py",
       "out = quotients.get(key)", "out = next(iter(quotients.values()), None)", SERIES),
+    M("projection keeps every pair", "series.py",
+      "if code not in doomed}", "}", SERIES),
     M("word factorization without its pass bound", "factorization.py",
       "if passes == n:", "if False:", FACTORIZATION),
     # equivalent: each changes work or order that no result depends on
-    M("division without its bit test", "elements.py",
-      "admitted, start = admits[i], code - j", "admitted, start = -1, code - j", EQUIVALENT),
     M("sweep bisects left", "factorization.py",
       "import bisect_right", "import bisect_left as bisect_right", EQUIVALENT),
     M("pruned order samples with <=", "relations.py",
