@@ -22,9 +22,13 @@ maximal and minimal tests and both series descents run on one cached
 index per relation, ``Relation._index``: each node's successor row and
 predecessor column as an int mask, so a step is a few ``&`` tests instead
 of lookups of label pairs. The same numbering gives the int pair codes
-that key the coefficient maps of group elements. The axiom scan and the
-descents over a whole relation read its rows expanded once into successor
-numbers, ``Relation._succ``. Below the public functions the calculus works
+that key the coefficient maps of group elements. The same pass over the
+pairs that fills the masks fills each node's sorted successor numbers,
+``Relation._succ``, which the axiom scan and the descents over a whole
+relation read. The axiom scan walks the couples from a pair only when two
+mask tests leave a node that could break exchange; on a strict partial
+order none is left, so the scan costs one mask step per pair (see
+``Relation.axiom_report``). Below the public functions the calculus works
 in node-number pairs only; labels cross on the index of the relation that a
 subset is tested against, where ``_Index.encode`` refuses pairs outside it
 and numbers and masks the rest, and ``_Index.decode`` turns the pairs a call
@@ -166,7 +170,7 @@ class Relation:
     The node set may strictly contain the nodes touched by pairs; keeping
     it explicit lets set difference preserve isolated nodes. The relation
     calculus runs on its one cached ``_index`` of row and column masks, and
-    on ``_succ``, the rows expanded once.
+    on ``_succ``, the successor lists filled in the same pass.
 
     ``Relation(nodes, pairs)`` freezes both collections, rejects a pair with
     an endpoint outside the node set and applies the label rule. The private
@@ -196,17 +200,30 @@ class Relation:
 
     @cached_property
     def _index(self) -> _Index:
+        """The index, built in one pass over the pairs that sets each pair's
+        row and column bits and appends its target to the source's successor
+        list; the lists are then sorted and kept as ``_succ``."""
         labels = tuple(sorted(self.nodes))
         number = {label: x for x, label in enumerate(labels)}
-        numbered = ((number[a], number[b]) for a, b in self.pairs)
-        return _Index(labels, number, *_masks(numbered, len(labels)))
+        n = len(labels)
+        rows, cols, succ = [0] * n, [0] * n, [[] for _ in labels]
+        for a, b in self.pairs:
+            x, y = number[a], number[b]
+            rows[x] |= 1 << y
+            cols[y] |= 1 << x
+            succ[x].append(y)
+        for after in succ:
+            after.sort()
+        vars(self)["_succ"] = succ
+        return _Index(labels, number, rows, cols)
 
     @cached_property
     def _succ(self) -> list[list[int]]:
         """Each node's successor numbers, low to high: the set bits of its
-        row in ``_index``, one ``_bits`` per nonzero row. Shared by the axiom
-        scan and the descents; a caller does not change the lists."""
-        return [_bits(row) if row else [] for row in self._index.rows]
+        row in ``_index``, filled in the same pass as the index. Shared by
+        the axiom scan and the descents; a caller does not change the lists."""
+        self._index
+        return vars(self)["_succ"]
 
     @cached_property
     def _codes(self) -> dict[Pair, int]:
@@ -231,6 +248,16 @@ class Relation:
         order on the index. With S the successor rows, the l in
         common = S[i] & S[k] break the axiom when they lie outside S[j] and
         (i,k) is present, or inside S[j] and (i,k) is absent.
+
+        A source (i,j) is walked only when its risk mask is nonzero:
+        S[i] & T[j], with T[j] the union of the rows of j's successors, built
+        once per scan, and also & ~S[j] when S[j] lies inside S[i]. This is
+        exact: every l the walk flags lies in S[i] & S[k] for some k in S[j],
+        so in S[i] & T[j]; and when S[j] lies inside S[i], every such k is
+        in S[i], (i,k) is present and only l outside S[j] are flagged. A
+        strict partial order skips every source, as transitivity puts T[j]
+        inside S[j] and S[j] inside S[i], so its scan costs one mask step
+        per pair instead of one per couple.
         """
         labels, _, rows, _ = self._index
         violations: list[object] = [
@@ -239,9 +266,20 @@ class Relation:
             if rows[x] >> x & 1
         ]
         succ = self._succ
+        reach = []  # T: the union of the rows of each node's successors
+        for after in succ:
+            union = 0
+            for z in after:
+                union |= rows[z]
+            reach.append(union)
         for x, after_x in enumerate(rows):
             for y in succ[x]:
                 after_y = rows[y]
+                risk = after_x & reach[y]
+                if not after_y & ~after_x:
+                    risk &= ~after_y
+                if not risk:
+                    continue
                 for z in succ[y]:
                     common = after_x & rows[z]
                     if not common:

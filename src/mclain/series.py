@@ -75,21 +75,28 @@ def upper_central_series(delta: Relation) -> SubsetChain:
     composite left (R_row[a] & D_row[b] and R_col[b] & D_col[a] are 0, with
     D delta's masks), the isolated pairs of the quotient by the last term.
     The quotient isomorphism is what lets the accumulated union stand in for
-    centers of successive quotient groups. A step is taken from R by set
-    difference, so the terms hold delta's own pairs. Each term is checked to
-    be normal at the round's node numbers, against masks of the term that
-    grow by each round's bits; the previous term was normal at the others.
+    centers of successive quotient groups. Each term is the last joined with
+    the set of the round's pairs, looked up by code in a map of delta's own
+    pairs built for the call, so the terms hold delta's pair objects; the
+    last round completes delta, whose own pair set is the last term. Each
+    term is checked to be normal at the round's node numbers, against masks
+    of the term that grow by each round's bits; the previous term was normal
+    at the others.
     """
     require_valid(delta)
-    labels, _, rows, cols = delta._index
+    labels, number, rows, cols = delta._index
+    n = len(labels)
+    own = {number[pair[0]] * n + number[pair[1]]: pair for pair in delta.pairs}
     stall = "upper central series stalled before exhausting the relation"
-    zeta, left, masks = frozenset(), delta.pairs, _masks((), len(labels))
+    zeta, masks = frozenset(), _masks((), n)
     terms = [Relation._within(delta.nodes, zeta)]
-    for shed in _shed(_numbered(delta._succ), rows, cols, rows, cols, stall):
-        rest = left.difference(delta._index.decode(shed))
-        step, left = left - rest, rest
-        zeta = zeta | step
-        if not _absorbs(shed, delta, _masks(shed, len(labels), masks), normal=True):
+    rounds = _shed(_numbered(delta._succ), rows, cols, rows, cols, stall)
+    for shed in rounds:
+        if shed is rounds[-1]:  # the last round completes delta
+            zeta = delta.pairs
+        else:
+            zeta = zeta | frozenset([own[x * n + y] for x, y in shed])
+        if not _absorbs(shed, delta, _masks(shed, n, masks), normal=True):
             raise AssertionError("upper central series term failed the normality check")
         terms.append(Relation._within(delta.nodes, zeta))
     return SubsetChain("ascending", tuple(terms))

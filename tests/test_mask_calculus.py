@@ -9,8 +9,9 @@ levels, factorization words, and the self-checks and validation errors
 that fire with their messages. The relations, drawn in
 ``tests/strategies.py``, include reflexive pairs, 2-cycles and exchange
 breakers, so the scans are checked beyond the relations the group
-accepts. The last tests check which relations the calculus indexes and
-that its masks hold node numbers only.
+accepts. The last tests check which relations the calculus indexes, that
+its masks hold node numbers only and that series terms hold the
+relation's own pair objects.
 """
 
 from __future__ import annotations
@@ -244,6 +245,19 @@ def test_series_index_only_the_relations_they_are_given(data):
     with index_builds() as built:
         is_closed(gamma, delta)
     assert all(r is delta for r in built)
+
+
+@profile(150)
+@given(valid_relations)
+def test_series_terms_share_the_relations_pair_objects(delta):
+    # Terms and factor supports hold delta's own pairs, not equal copies,
+    # so a series adds no pair tuples to what the relation holds.
+    own = {id(pair) for pair in delta.pairs}
+    lower, reports = lower_central_series(delta, Integers())
+    upper = upper_central_series(delta)
+    held = [term.pairs for term in lower.terms + upper.terms]
+    held += [report.support.pairs for report in reports]
+    assert all(id(pair) in own for pairs in held for pair in pairs)
 
 
 def test_the_calculus_builds_masks_of_node_numbers_only(monkeypatch):

@@ -16,7 +16,6 @@ from pathlib import Path
 
 import pytest
 
-import mclain.relations
 from mclain import (
     AxiomReport,
     Comm,
@@ -220,19 +219,25 @@ def test_post_init_validation_still_fires():
 
 def test_relation_index_is_built_once_and_cached(monkeypatch):
     built = []
-    real = mclain.relations._masks
+    prop = Relation.__dict__["_index"]
+    real = prop.func
 
-    def counting(*args):
-        built.append(args)
-        return real(*args)
+    def counting(relation):
+        built.append(relation)
+        return real(relation)
 
-    monkeypatch.setattr(mclain.relations, "_masks", counting)
+    monkeypatch.setattr(prop, "func", counting)
     relation = rel()
     first = relation._index
     assert relation._index is first
     assert relation.axiom_report.valid
-    assert len(built) == 1
+    assert relation._succ == [[1], []]
+    assert len(built) == 1 and built[0] is relation
     assert vars(relation)["_index"] is first
+    # read first, the successor lists build the index, once, with them
+    other = rel()
+    assert other._succ == [[1], []] and other._index == first
+    assert len(built) == 2 and built[1] is other
     assert relation == rel() and hash(relation) == hash(rel())
 
 

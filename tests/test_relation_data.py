@@ -4,7 +4,8 @@ The calculus makes the relations it builds from pairs it already holds
 with ``Relation._within``, which skips the endpoint check of public
 construction; the first test runs that check on every such relation. The
 axiom scan and the descents over a whole relation share its successor
-lists, ``Relation._succ``; the second test counts the row expansions.
+lists, ``Relation._succ``, which the index pass fills; the second test
+checks that one index is built and no row is expanded again.
 Public construction freezes the node and pair collections it is given;
 the last test builds relations from lists and sets.
 """
@@ -79,21 +80,31 @@ def test_every_relation_the_calculus_builds_passes_the_public_check(data):
 
 
 def test_the_rows_are_expanded_once(monkeypatch):
+    # The one index pass fills the successor lists; no scan or descent over
+    # the whole relation expands a row of its masks again.
     delta = chain(12)
-    expanded = []
-    bits = mclain.relations._bits
+    built, expanded = [], []
+    prop = Relation.__dict__["_index"]
+    index, bits = prop.func, mclain.relations._bits
+
+    def building(relation):
+        built.append(relation)
+        return index(relation)
 
     def counting(mask):
         expanded.append(mask)
         return bits(mask)
 
+    monkeypatch.setattr(prop, "func", building)
     monkeypatch.setattr(mclain.relations, "_bits", counting)
     check_axioms(delta)
     lower_central_series(delta, IntegersMod(7))
     upper_central_series(delta)
     assert delta._levels
-    assert expanded == [row for row in delta._index.rows if row]
-    assert len(expanded) == 11
+    assert len(built) == 1 and built[0] is delta
+    assert expanded == []
+    assert delta._succ == [bits(row) for row in delta._index.rows]
+    assert sum(map(len, delta._succ)) == len(delta) == 66
 
 
 @pytest.mark.parametrize("make", [list, set])
