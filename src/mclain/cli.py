@@ -3,8 +3,9 @@
 Commands operate on a group built from a relation file and a ring
 spec. Exit status is 0 for success, 1 for a domain failure such as
 an invalid relation or a non-normal subset, 2 for usage or parse
-errors, and 3 when one of the library's self-checks fails (an internal
-fault, reported as one ``error: self-check failed:`` line). All output
+errors, and 3 when one of the library's self-checks raises
+``InvariantError`` (an internal fault, reported as one
+``error: self-check failed:`` line). All output
 is deterministic: pairs are sorted and ring literals are canonical.
 """
 
@@ -20,7 +21,7 @@ from .factorization import (
     word_factorization,
 )
 from .parsing import parse_element_expression, parse_order_file
-from .relations import ParseError, check_axioms, parse_relation_file
+from .relations import InvariantError, ParseError, check_axioms, parse_relation_file
 from .rings import RingError, parse_ring_spec
 from .series import (
     _lift,
@@ -184,8 +185,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except AssertionError as exc:
-        # src/ holds no assert statements, so this is a failed self-check.
+    except InvariantError as exc:
         print(f"error: self-check failed: {exc}", file=sys.stderr)
         return 3
 

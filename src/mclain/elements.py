@@ -38,8 +38,10 @@ quotients over the same nodes read a code alike.
 
 Every kernel (``_splice``, ``_product``, ``_generators_times`` and
 ``_divide``) adds up the same way: each sum starts at ``Ring._zero`` and
-takes every term through one ``Ring._fma`` or ``Ring._add``, and the zeros
-that leaves are pruned once, at the end, by ``!=`` against ``_zero``.
+takes every term through one ``Ring._fma`` or ``Ring._add``, or a row of
+terms through one ``Ring._axpy``, which may leave it unreduced until one
+``_add`` reduces it; the zeros that leaves are pruned once, at the end,
+by ``!=`` against ``_zero``.
 
 Products with a run of single generators 1 + c e(p,q) skip the general
 splice, which scans every term of both maps. One kernel does the
@@ -57,7 +59,7 @@ from itertools import groupby
 from typing import Iterable, Iterator, Mapping
 
 from ._record import record
-from .relations import Pair, Relation, require_valid
+from .relations import InvariantError, Pair, Relation, require_valid
 from .rings import Ring, RingValue
 
 
@@ -185,29 +187,27 @@ Coeffs = dict[int, object]
 def _splice(group: McLainGroup, x: Coeffs, y: Coeffs, base: Coeffs) -> Coeffs:
     """base + xy for coefficient maps, zeros pruned.
 
-    base must hold no zeros, and it is added into in place. Each row sum
-    of xy starts at the ring's zero and takes every term through one
-    fused ``_fma``; each admitted sum joins base through one ``_add``.
-    The zeros that leaves are pruned in one pass at the end.
+    base must hold no zeros, and it is added into in place. y is split by
+    first index, and each term a of x adds a times row j of y into the sums
+    of its row i through one ``Ring._axpy``, which may leave them
+    unreduced; each admitted sum joins base through one ``_add``, which
+    reduces it. The zeros that leaves are pruned in one pass at the end.
     """
     index, ring = group.relation._index, group.ring
     n, admits = len(index.labels), index.rows
-    fma, add, zero = ring._fma, ring._add, ring._zero
-    rows: dict[int, list[tuple[int, object]]] = {}
-    for code, a in x.items():
-        i, j = divmod(code, n)
-        rows.setdefault(i, []).append((j, a))
+    axpy, add, zero = ring._axpy, ring._add, ring._zero
     by_first: dict[int, list[tuple[int, object]]] = {}
     for code, b in y.items():
         j, l = divmod(code, n)
         by_first.setdefault(j, []).append((l, b))
-    for i, row in rows.items():
-        # Sum row i of xy by target, then keep the targets the relation
-        # admits: every other product of basis elements is zero.
-        sums: dict[int, object] = {}
-        for j, a in row:
-            for l, b in by_first.get(j, ()):
-                sums[l] = fma(sums.get(l, zero), a, b)
+    # row i of xy by target; only the targets the relation admits are kept,
+    # as every other product of basis elements is zero
+    row_sums: dict[int, dict[int, object]] = {}
+    for code, a in x.items():
+        i, j = divmod(code, n)
+        if j in by_first:
+            axpy(row_sums.setdefault(i, {}), a, by_first[j])
+    for i, sums in row_sums.items():
         admitted, start = admits[i], i * n
         for l, c in sums.items():
             if admitted >> l & 1:
@@ -289,22 +289,23 @@ def _divide(group: McLainGroup, u: Coeffs, w: Coeffs) -> Coeffs:
     triangular back-substitution: the running sums start at u - w, each
     term added from the ring's zero, and once z[i,j] is final and nonzero,
     z[i,j] (-w[j,l]) goes into the sum of (i,l) for each l in row j of w,
-    through one ``_fma``. A pair is popped from the sums when its level
-    (``Relation._levels``, held as codes) comes, with zero for a pair no
-    term reached, and kept only if nonzero: that is the one prune. Unlike
-    the products, the solve tests no composite against the relation: the
+    all of row j through one ``Ring._axpy``, which may leave the sums
+    unreduced. A pair is popped from the sums when its level
+    (``Relation._levels``, held as codes) comes, skipped if no term
+    reached it, reduced by one ``_add`` from zero, and kept only if
+    nonzero: that is the one prune. Unlike the products, the solve tests no composite against the relation: the
     levels hold only its pairs, so a sum outside it is never read. w stays
     on the right, so the solve is exact over noncommutative rings; with
     every sum spent, the rest of z is 0. Only a corrupted relation has a
     cycle of decompositions and so no levels; it raises the same
-    AssertionError as the power loop of ``nilpotency_index``.
+    InvariantError as the power loop of ``nilpotency_index``.
     """
     ring, n = group.ring, len(group.relation._index.labels)
-    fma, add, neg, zero = ring._fma, ring._add, ring._neg, ring._zero
+    axpy, add, neg, zero = ring._axpy, ring._add, ring._neg, ring._zero
     try:
         levels = group.relation._levels
-    except AssertionError:
-        raise AssertionError(_BOUND_MESSAGE) from None
+    except InvariantError:
+        raise InvariantError(_BOUND_MESSAGE) from None
     sums: Coeffs = dict(u)
     rows: dict[int, list[tuple[int, object]]] = {}
     for code, c in w.items():
@@ -317,15 +318,16 @@ def _divide(group: McLainGroup, u: Coeffs, w: Coeffs) -> Coeffs:
         if not sums:
             break
         for code in level:
-            z = sums.pop(code, zero)
+            z = sums.pop(code, None)
+            if z is None:
+                continue
+            z = add(zero, z)
             if z == zero:
                 continue
             out[code] = z
             j = code % n
-            start = code - j
-            for l, c in rows.get(j, ()):
-                q = start + l
-                sums[q] = fma(sums.get(q, zero), z, c)
+            if j in rows:
+                axpy(sums, z, rows[j], code - j)
     return out
 
 
@@ -395,7 +397,7 @@ class GroupElement:
             power = _splice(self.group, power, x, {})
             exponent += 1
             if power and exponent > bound:
-                raise AssertionError(_BOUND_MESSAGE)
+                raise InvariantError(_BOUND_MESSAGE)
         return exponent
 
     def __eq__(self, other: object) -> bool:

@@ -63,6 +63,7 @@ from .elements import (
 )
 from .relations import (
     Arc,
+    InvariantError,
     Pair,
     Relation,
     _bits,
@@ -108,14 +109,14 @@ def word_factorization(g: GroupElement) -> GeneratorWord:
     n, passes = len(index.labels), 0
     while residual:
         if passes == n:
-            raise AssertionError("word factorization ran past one pass per node")
+            raise InvariantError("word factorization ran past one pass per node")
         passes += 1
         rows, cols = _closed_support(group.relation, residual)[1]
         peel = [
             code for code in sorted(residual) if not rows[code // n] & cols[code % n]
         ]
         if not peel:
-            raise AssertionError("support closure has no top level to peel")
+            raise InvariantError("support closure has no top level to peel")
         tokens.extend(
             Gen(*index.pair(code), RingValue(ring, residual[code])) for code in peel
         )
@@ -229,8 +230,8 @@ def _ordered_sweep(
     if product != target:
         last = {x * n + y for x, y in rounds[-1]}
         if any(product.get(c) != target.get(c) for c in at.keys() - last):
-            raise AssertionError("level sweep residual escaped its bracket level")
-        raise AssertionError("level sweep did not converge to the target")
+            raise InvariantError("level sweep residual escaped its bracket level")
+        raise InvariantError("level sweep did not converge to the target")
     return found
 
 

@@ -60,6 +60,11 @@ class ParseError(ValueError):
     """A text surface failed to parse; the message carries a line number."""
 
 
+class InvariantError(AssertionError):
+    """A self-check failed: a result broke an invariant that a valid relation
+    guarantees. An ``AssertionError``, so callers that catch one still do."""
+
+
 @record
 class ReflexiveViolation:
     pair: Pair
@@ -304,7 +309,7 @@ class Relation:
         k-th round of ``_bracket_rounds``, which ``gamma_series`` reads too. A
         composite p = q∘r lies at a strictly deeper level than q and than r.
         A decomposition cycle, which only an axiom breaker has, raises the
-        descent's ``AssertionError``. Only the right division of elements
+        descent's ``InvariantError``. Only the right division of elements
         reads the levels, so they are built when it first needs them.
         """
         n = len(self._index.labels)
@@ -511,7 +516,7 @@ def _shed(
     rows and cols, and each round's shed bits are cleared from it in place.
     Only the live pairs are tested. A nonempty round that sheds nothing
     would repeat forever; only an axiom breaker has one, and it raises
-    ``AssertionError(stall)``.
+    ``InvariantError(stall)``.
     """
     rows, cols = list(rows), list(cols)
     rounds = []
@@ -524,7 +529,7 @@ def _shed(
             else:
                 shed.append(entry)
         if not shed:
-            raise AssertionError(stall)
+            raise InvariantError(stall)
         for x, y in shed:
             rows[x] ^= 1 << y
             cols[y] ^= 1 << x

@@ -9,8 +9,10 @@ and a commutative-only test diet cannot tell ab from ba.
 A value wraps a canonical raw payload (an int, or a row-major 4-tuple
 for the matrices), so values are equal exactly when payloads are ``==``.
 A ring supplies what the group law needs: its zero payload ``_zero`` (a
-class attribute, not a field), ``_add``, ``_neg`` and the multiply-add
-``_fma``, its only product; ``_normalize`` and ``_format`` serve the edges.
+class attribute, not a field), ``_add``, ``_neg``, the multiply-add
+``_fma`` and its row form ``_axpy``, which may leave sums unreduced: the
+other three return canonical payloads for such input. ``_normalize`` and
+``_format`` serve the edges.
 """
 
 from __future__ import annotations
@@ -134,11 +136,26 @@ class Ring:
         raise NotImplementedError
 
     def _fma(self, s: object, a: object, b: object) -> object:
-        """s + ab in one call, a on the left: the ring's only product."""
+        """s + ab in one call, a on the left."""
         raise NotImplementedError
+
+    def _axpy(self, sums: dict, a: object, row, start: int = 0) -> None:
+        """Add ab into sums[start + l] for each (l, b) in row, a on the left.
+        An override may leave sums unreduced; this default folds ``_fma``."""
+        fma, zero = self._fma, self._zero
+        for l, b in row:
+            sums[start + l] = fma(sums.get(start + l, zero), a, b)
 
     def _format(self, a: object) -> str:
         raise NotImplementedError
+
+
+def _scalar_axpy(ring: Ring, sums: dict, a: int, row, start: int = 0) -> None:
+    """``Ring._axpy`` of Z and Z/n: plain int sums, with no modulus."""
+    get = sums.get
+    for l, b in row:
+        k = start + l
+        sums[k] = get(k, 0) + a * b
 
 
 def _parse_scalar(text: str, where: str) -> int:
@@ -155,6 +172,7 @@ class Integers(Ring):
     """The ring of integers, at arbitrary precision."""
 
     _zero = 0
+    _axpy = _scalar_axpy
 
     def from_int(self, k: int) -> RingValue:
         return RingValue(self, int(k))
@@ -192,6 +210,7 @@ class IntegersMod(Ring):
 
     n: int
     _zero = 0
+    _axpy = _scalar_axpy
 
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or self.n < 2:
@@ -293,6 +312,19 @@ class Matrices2x2Mod(Ring):
             (s[2] + a21 * b11 + a22 * b21) % self.n,
             (s[3] + a21 * b12 + a22 * b22) % self.n,
         )
+
+    def _axpy(self, sums, a, row, start=0):
+        a11, a12, a21, a22 = a
+        get, zero = sums.get, self._zero
+        for l, (b11, b12, b21, b22) in row:
+            k = start + l
+            s = get(k, zero)
+            sums[k] = (
+                s[0] + a11 * b11 + a12 * b21,
+                s[1] + a11 * b12 + a12 * b22,
+                s[2] + a21 * b11 + a22 * b21,
+                s[3] + a21 * b12 + a22 * b22,
+            )
 
     def _format(self, a) -> str:
         return f"[{a[0]},{a[1]};{a[2]},{a[3]}]"

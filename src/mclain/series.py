@@ -13,6 +13,7 @@ from ._record import record
 from .elements import GroupElement, McLainGroup, _divide, _generators_times
 from .factorization import _ordered_sweep
 from .relations import (
+    InvariantError,
     Relation,
     SubsetChain,
     _absorbs,
@@ -97,7 +98,7 @@ def upper_central_series(delta: Relation) -> SubsetChain:
         else:
             zeta = zeta | frozenset([own[x * n + y] for x, y in shed])
         if not _absorbs(shed, delta, _masks(shed, n, masks), normal=True):
-            raise AssertionError("upper central series term failed the normality check")
+            raise InvariantError("upper central series term failed the normality check")
         terms.append(Relation._within(delta.nodes, zeta))
     return SubsetChain("ascending", tuple(terms))
 
@@ -151,7 +152,7 @@ def _lift(g: GroupElement, projected: GroupElement) -> GroupElement:
     lifted = _generators_times(group, factors, {})
     kept = quotient._index.rows
     if any(kept[c // n] >> c % n & 1 for c in _divide(group, g._coeffs, lifted)):
-        raise AssertionError("coset representative failed the membership check")
+        raise InvariantError("coset representative failed the membership check")
     return GroupElement(group, lifted)
 
 

@@ -67,6 +67,7 @@ from mclain import (
     GeneratorWord,
     GroupElement,
     IntegersMod,
+    InvariantError,
     Inv,
     Matrices2x2Mod,
     McLainGroup,
@@ -312,12 +313,12 @@ def naive_violations(delta: Relation) -> list:
 def naive_gamma_terms(gamma: frozenset, delta: frozenset) -> list:
     """``naive_gamma_series`` with the library's errors: a gamma that is not
     its own closure raises ValueError, and a chain that does not die out
-    within |gamma| brackets raises AssertionError."""
+    within |gamma| brackets raises InvariantError."""
     if naive_closure(gamma, delta) != gamma:
         raise ValueError("gamma series needs a closed subset")
     terms = naive_gamma_series(gamma, delta)
     if terms is None:
-        raise AssertionError("bracket series failed to terminate")
+        raise InvariantError("bracket series failed to terminate")
     return terms
 
 
@@ -333,7 +334,7 @@ def naive_upper_terms(delta: frozenset) -> list:
     terms = naive_upper_central_series(delta)
     if terms is None:
         stall = "upper central series stalled before exhausting the relation"
-        raise AssertionError(stall)
+        raise InvariantError(stall)
     return terms
 
 
@@ -348,7 +349,7 @@ def naive_word_factorization(g: GroupElement) -> GeneratorWord:
         closed = naive_closure(support, delta)
         peel = sorted(support - naive_bracket(closed, closed, delta))
         if not peel:
-            raise AssertionError("support closure has no top level to peel")
+            raise InvariantError("support closure has no top level to peel")
         values = [residual.coefficient(*pair) for pair in peel]
         tokens += [Gen(*pair, value) for pair, value in zip(peel, values)]
         for pair, value in zip(peel, values):

@@ -14,7 +14,14 @@ from __future__ import annotations
 from hypothesis import seed, settings, strategies as st
 
 from helpers import relation_zoo
-from mclain import AxiomReport, Relation, from_pairs, random_pruned_order
+from mclain import (
+    AxiomReport,
+    Integers,
+    Matrices2x2Mod,
+    Relation,
+    from_pairs,
+    random_pruned_order,
+)
 from oracles import naive_normal_closure, naive_transitive_closure
 
 
@@ -39,6 +46,22 @@ EXCHANGE_BREAKER = from_pairs(
 ABSENT_BREAKER = from_pairs(
     [("9", "10"), ("10", "11"), ("11", "2"), ("9", "2"), ("10", "2")]
 )
+
+BIG = st.integers(-(10**40), 10**40) | st.integers(-5, 5)
+
+
+def payloads(ring, reduced: bool = True):
+    """Raw payloads of Z, of Z/n or of M2(Z/n), or of a ring with an int
+    modulus ``n`` and int payloads. With ``reduced=False`` the ints and the
+    matrix entries are drawn from outside [0, n) as well, as an unreduced
+    sum holds them. Over Z both are any ints, negative and large ones
+    included."""
+    if isinstance(ring, Integers):
+        return BIG
+    n = ring.n
+    entry = st.integers(0, n - 1) if reduced else st.integers(-3 * n, 3 * n) | BIG
+    return st.tuples(entry, entry, entry, entry) if isinstance(ring, Matrices2x2Mod) else entry
+
 
 labels = st.sampled_from(LABELS)
 extra_nodes = st.sets(labels, max_size=3)

@@ -1,5 +1,6 @@
-"""The pair-code kernels against one couple-scan product, and the label
-contract at the edges of an element.
+"""The pair-code kernels against one couple-scan product, the label
+contract at the edges of an element, and the ring hook under the splice
+and the division.
 
 Coefficient maps are keyed by int pair codes in the relation's node
 numbering, and a composite is admitted by a bit test on a successor row.
@@ -14,10 +15,16 @@ products, right divisions, generator runs, inverses, commutators and
 labels where sorted order is not numeric order ("10" < "9"), with
 isolated nodes, and the relations of ``helpers.relation_zoo``, whose
 n-gons, 2-cycle and random relations are not orders.
+
+``Ring._axpy`` adds a row of products into a dict of sums and may leave
+them unreduced; after one ``_add`` from zero they must equal the fold of
+``_fma``, in each ring and in a ring that keeps the base default, and
+``_add``, ``_neg`` and ``_fma`` must reduce what it leaves.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 import re
 
@@ -37,6 +44,8 @@ from mclain import (  # noqa: E402
     McLainGroup,
     OrderedForm,
     Relation,
+    Ring,
+    RingValue,
     chain,
     coset_representative,
     from_pairs,
@@ -51,6 +60,7 @@ from mclain.elements import (  # noqa: E402
     _splice,
 )
 from oracles import (  # noqa: E402
+    payload_fma,
     scan_commutator,
     scan_divide,
     scan_eval_word,
@@ -59,7 +69,7 @@ from oracles import (  # noqa: E402
     scan_product,
     scan_splice,
 )
-from strategies import profile, zoo_or_valid  # noqa: E402
+from strategies import payloads, profile, zoo_or_valid  # noqa: E402
 
 RINGS = (Integers(), IntegersMod(4), Matrices2x2Mod(2))
 
@@ -142,6 +152,74 @@ def test_eval_word_matches(case):
     word = mixed_word(group, rng) if group.relation.pairs else GeneratorWord(())
     got = group.eval_word(word)._coeffs
     assert recode(group.relation, got) == scan_eval_word(group, word)
+
+
+# ---------------------------------------------------------------------------
+# the ring hook under the splice and the division
+
+
+class FmaOnlyMod(Ring):
+    """Z/5 written against the payload hooks without ``_axpy``: it takes the
+    base default, which folds its ``_fma``."""
+
+    n, _zero = 5, 0
+
+    def from_int(self, k: int) -> RingValue:
+        return RingValue(self, k % 5)
+
+    def _add(self, a: int, b: int) -> int:
+        return (a + b) % 5
+
+    def _neg(self, a: int) -> int:
+        return -a % 5
+
+    def _fma(self, s: int, a: int, b: int) -> int:
+        return (s + a * b) % 5
+
+
+def reduced(ring, raw):
+    """A raw sum reduced into [0, n), entrywise for M2(Z/n); as is over Z."""
+    if isinstance(ring, Integers):
+        return raw
+    return tuple(x % ring.n for x in raw) if isinstance(raw, tuple) else raw % ring.n
+
+
+def entrywise(op, *raws):
+    return tuple(map(op, *raws)) if isinstance(raws[0], tuple) else op(*raws)
+
+
+@profile(300)
+@given(st.data())
+def test_axpy_folds_fma_and_the_hooks_reduce_what_it_leaves(data):
+    ring = data.draw(st.sampled_from((*RINGS, FmaOnlyMod())))
+    zero, canonical = ring._zero, payloads(ring)
+    rows = st.lists(st.tuples(st.integers(0, 6), canonical), max_size=6)
+    calls = st.lists(st.tuples(canonical, rows, st.sampled_from((0, 5, 14))), max_size=6)
+    sums = data.draw(st.dictionaries(st.integers(0, 20), canonical, max_size=4))
+    folded = dict(sums)
+    for a, row, start in data.draw(calls):
+        ring._axpy(sums, a, row, start)
+        for l, b in row:
+            folded[start + l] = ring._fma(folded.get(start + l, zero), a, b)
+    assert {k: ring._add(zero, s) for k, s in sums.items()} == folded
+    if isinstance(ring, FmaOnlyMod):
+        return
+    s, t, a, b = (data.draw(payloads(ring, reduced=False)) for _ in range(4))
+    assert ring._add(s, t) == reduced(ring, entrywise(operator.add, s, t))
+    assert ring._neg(s) == reduced(ring, entrywise(operator.neg, s))
+    assert ring._fma(s, a, b) == payload_fma(ring, s, a, b)
+
+
+def test_a_ring_that_defines_only_fma_runs_every_kernel():
+    rng = random.Random(30)
+    delta = chain(6)
+    theirs, ours = McLainGroup(delta, FmaOnlyMod()), McLainGroup(delta, IntegersMod(5))
+    for _ in range(5):
+        maps = [{p: rng.randrange(5) for p in delta.pairs} for _ in range(2)]
+        (g, h), (g5, h5) = ([group.element(m) for m in maps] for group in (theirs, ours))
+        assert (g * h)._coeffs == (g5 * h5)._coeffs
+        assert g.inverse()._coeffs == g5.inverse()._coeffs
+        assert g.commutator(h)._coeffs == g5.commutator(h5)._coeffs
 
 
 # ---------------------------------------------------------------------------

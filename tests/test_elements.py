@@ -20,6 +20,7 @@ from mclain import (
     GeneratorWord,
     Integers,
     IntegersMod,
+    InvariantError,
     Inv,
     Matrices2x2Mod,
     McLainGroup,
@@ -335,7 +336,7 @@ def test_power_loop_bound_catches_a_corrupted_relation(power):
     object.__setattr__(group, "relation", cycle)
     g = group.element({pair: 1 for pair in cycle.pairs})
     message = "power series exceeded the nilpotency bound; the ambient relation is corrupted"
-    with pytest.raises(AssertionError, match=message):
+    with pytest.raises(InvariantError, match=message):
         getattr(g, power)()
 
 

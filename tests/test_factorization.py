@@ -26,6 +26,7 @@ from mclain import (
     Gen,
     Integers,
     IntegersMod,
+    InvariantError,
     McLainGroup,
     OrderedForm,
     Relation,
@@ -308,7 +309,7 @@ def test_level_sweep_checks_catch_a_corrupted_ring(m, message):
     group = McLainGroup(chain(m), NegationFreeMod(5))
     order = tuple(sorted(group.relation.pairs))
     g = group.element({(str(i), str(i + 1)): 1 for i in range(1, m)})
-    with pytest.raises(AssertionError, match=message):
+    with pytest.raises(InvariantError, match=message):
         ordered_factorization(g, order)
 
 
@@ -318,7 +319,7 @@ def test_peel_check_catches_a_corrupted_relation():
     # pair of the support is left to peel.
     group = McLainGroup(from_pairs([("a", "b")]), Z)
     object.__setattr__(group, "relation", from_pairs([("a", "a"), ("a", "b")]))
-    with pytest.raises(AssertionError, match="support closure has no top level to peel"):
+    with pytest.raises(InvariantError, match="support closure has no top level to peel"):
         word_factorization(group.element({("a", "a"): 1}))
 
 
@@ -349,7 +350,7 @@ word_factorization(group.element({p: k + 1 for k, p in enumerate(sorted(delta.pa
     assert proc.stdout == "False\n"
     assert proc.returncode == 1
     last = proc.stderr.strip().splitlines()[-1]
-    assert last == "AssertionError: word factorization ran past one pass per node"
+    assert last == "mclain.relations.InvariantError: word factorization ran past one pass per node"
 
 
 def test_level_sweep_is_exact_over_a_relation_breaking_the_axioms():

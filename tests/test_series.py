@@ -24,6 +24,7 @@ from mclain import (
     AxiomReport,
     Integers,
     IntegersMod,
+    InvariantError,
     McLainGroup,
     Relation,
     center_support,
@@ -229,7 +230,7 @@ def test_upper_central_series_stall_check_catches_a_corrupted_relation():
     nodes = ("1", "2", "3")
     delta = _forced_valid([(i, j) for i in nodes for j in nodes if i != j])
     message = "upper central series stalled before exhausting the relation"
-    with pytest.raises(AssertionError, match=message):
+    with pytest.raises(InvariantError, match=message):
         upper_central_series(delta)
 
 
@@ -240,7 +241,7 @@ LOOPED = [("a", "a"), ("a", "b")]
 
 def test_gamma_series_termination_check_catches_a_corrupted_relation():
     delta = _forced_valid(LOOPED)
-    with pytest.raises(AssertionError, match="bracket series failed to terminate"):
+    with pytest.raises(InvariantError, match="bracket series failed to terminate"):
         gamma_series(delta, delta)
 
 
@@ -253,7 +254,7 @@ def test_upper_central_series_normality_check_catches_a_wrong_step(monkeypatch):
 
     monkeypatch.setattr(mclain.series, "_shed", wrong)
     with pytest.raises(
-        AssertionError, match="upper central series term failed the normality check"
+        InvariantError, match="upper central series term failed the normality check"
     ):
         upper_central_series(chain(3))
 
@@ -453,7 +454,7 @@ def test_coset_membership_check_catches_a_wrong_factorization(monkeypatch):
     gamma = group.relation.subset([("1", "3")])
     g = group.element({("1", "2"): 2, ("2", "3"): 3, ("1", "3"): 5})
     message = "coset representative failed the membership check"
-    with pytest.raises(AssertionError, match=message):
+    with pytest.raises(InvariantError, match=message):
         coset_representative(g, gamma)
 
 

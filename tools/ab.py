@@ -1,0 +1,114 @@
+"""Interleaved A/B runs of the benchmark, stdlib only:
+
+    python tools/ab.py REV_A REV_B --workload W --pairs N --seconds S [--seed K]
+
+Each side is the ``src/`` of a git revision, put with ``git archive`` into a
+temporary tree beside a copy of this checkout's ``bench/``, so both sides run
+the same harness on their own library; the revision ``.`` is the working
+tree's ``src/``, uncommitted edits included. Pair k runs
+``bench/run.py --workload W --seed K --seconds S`` on A and then on B when k
+is odd, on B and then on A when it is even. Each run's end-to-end values and
+its unscaled ``tasks_per_s`` and ``task_p50_ms`` print as it ends. At the end,
+for each metric: both medians with q1-q3, and in how many pairs B was better
+(a tie is not). Exit status: 1 as soon as a run is not ``correct``, 2 when a
+revision cannot be archived, else 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import re
+import runpy
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from statistics import median, quantiles
+
+ROOT = Path(__file__).resolve().parent.parent
+UNSCALED = re.compile(r"unscaled: tasks_per_s (\S+) 1/s, task_p50_ms (\S+) ms")
+
+
+def materialize(rev: str, tree: Path) -> None:
+    """tree/src from rev (or from the working tree for "."), tree/bench from here."""
+    skip = shutil.ignore_patterns("__pycache__", "out")
+    shutil.copytree(ROOT / "bench", tree / "bench", ignore=skip)
+    if rev == ".":
+        shutil.copytree(ROOT / "src", tree / "src", ignore=skip)
+        return
+    tree.mkdir(exist_ok=True)
+    archive = subprocess.run(
+        ["git", "-C", str(ROOT), "archive", "--format=tar", rev, "src"],
+        capture_output=True, check=True,
+    )
+    subprocess.run(["tar", "-x", "-C", str(tree)], input=archive.stdout, check=True)
+
+
+def run_once(tree: Path, args: argparse.Namespace) -> dict | None:
+    """One benchmark run: its metrics and unscaled figures, or None if not correct."""
+    command = [sys.executable, str(tree / "bench" / "run.py"), "--workload", args.workload,
+               "--seed", str(args.seed), "--seconds", str(args.seconds)]
+    proc = subprocess.run(command, cwd=tree, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    report = json.loads(lines[-1]) if lines and lines[-1].startswith("{") else {}
+    if not report.get("correct"):
+        sys.stdout.write(proc.stdout + proc.stderr)
+        return None
+    values = {name: entry["value"] for name, entry in report["metrics"].items()}
+    unscaled = UNSCALED.search(proc.stdout)  # a correct run always prints it
+    values["unscaled tasks_per_s"] = float(unscaled.group(1))
+    values["unscaled task_p50_ms"] = float(unscaled.group(2))
+    return values
+
+
+def spread(values: list[float]) -> str:
+    q1, _, q3 = quantiles(values, n=4) if len(values) > 1 else values * 3
+    return f"{median(values):.4g} ({q1:.4g}-{q3:.4g})"
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("rev_a")
+    parser.add_argument("rev_b")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=5)
+    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args(argv)
+    better = {name: side for name, _, side in runpy.run_path(
+        str(ROOT / "bench" / "run.py"))["END_TO_END"]}
+    better["unscaled tasks_per_s"], better["unscaled task_p50_ms"] = "higher", "lower"
+
+    with tempfile.TemporaryDirectory() as scratch:
+        trees = {"A": Path(scratch) / "a", "B": Path(scratch) / "b"}
+        for side, rev in (("A", args.rev_a), ("B", args.rev_b)):
+            try:
+                materialize(rev, trees[side])
+            except subprocess.CalledProcessError as exc:
+                print(f"error: cannot archive {rev}: {exc.stderr.decode().strip()}")
+                return 2
+        print(f"{args.workload} seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s: "
+              f"A = {args.rev_a}, B = {args.rev_b}", flush=True)
+        runs: dict[str, list[dict]] = {"A": [], "B": []}
+        for k in range(1, args.pairs + 1):
+            for side in ("A", "B") if k % 2 else ("B", "A"):
+                values = run_once(trees[side], args)
+                if values is None:
+                    print(f"error: pair {k}, side {side} is not correct")
+                    return 1
+                runs[side].append(values)
+                shown = "  ".join(f"{name} {value:.4g}" for name, value in values.items())
+                print(f"pair {k} {side}: {shown}", flush=True)
+
+    print(f"{'metric':22} {'A median (q1-q3)':28} {'B median (q1-q3)':28} B better")
+    for name, side in better.items():
+        a, b = ([values[name] for values in runs[s]] for s in ("A", "B"))
+        wins = sum(y > x if side == "higher" else y < x for x, y in zip(a, b))
+        print(f"{name:22} {spread(a):28} {spread(b):28} {wins} of {len(a)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -48,12 +48,19 @@ MUTANTS = [
       "labels[code // n], labels[code % n]", "labels[code % n], labels[code // n]", KERNELS),
     M("row kernel output codes transposed", "elements.py",
       "i * n + j: a for i, row", "j * n + i: a for i, row", KERNELS),
-    M("splice multiplies b a", "elements.py",
-      "fma(sums.get(l, zero), a, b)", "fma(sums.get(l, zero), b, a)", KERNELS),
     M("row kernel multiplies b c", "elements.py",
       "fma(row_p.get(l, zero), c, b)", "fma(row_p.get(l, zero), b, c)", KERNELS),
-    M("division multiplies c z", "elements.py",
-      "fma(sums.get(q, zero), z, c)", "fma(sums.get(q, zero), c, z)", KERNELS),
+    # the ring hook under the splice and the division
+    M("M2 axpy multiplies b a", "rings.py",
+      "s[0] + a11 * b11 + a12 * b21,\n                s[1] + a11 * b12 + a12 * b22,\n"
+      "                s[2] + a21 * b11 + a22 * b21,\n                s[3] + a21 * b12 + a22 * b22,",
+      "s[0] + b11 * a11 + b12 * a21,\n                s[1] + b11 * a12 + b12 * a22,\n"
+      "                s[2] + b21 * a11 + b22 * a21,\n                s[3] + b21 * a12 + b22 * a22,",
+      KERNELS),
+    M("axpy ignores the offset", "rings.py",
+      "k = start + l\n        sums[k] = get(k, 0)", "k = l\n        sums[k] = get(k, 0)", KERNELS),
+    M("division skips the normalization", "elements.py",
+      "z = add(zero, z)", "pass", KERNELS),
     M("splice keeps zeros", "elements.py",
       "return {code: c for code, c in base.items() if c != zero}", "return base", KERNELS),
     M("row kernel keeps zeros", "elements.py",
@@ -83,7 +90,7 @@ MUTANTS = [
     M("saturation without left composites", "relations.py",
       "left = p_cols[x] & d_cols[y] & ~cols[y]", "left = 0", CALCULUS),
     M("descent stall is a break", "relations.py",
-      "raise AssertionError(stall)", "break", CALCULUS),
+      "raise InvariantError(stall)", "break", CALCULUS),
     M("gamma series skips the closedness check", "relations.py",
       "if not _absorbs(live, delta, (rows, cols), normal=False):", "if False:", CALCULUS),
     M("isolated without columns", "relations.py",
