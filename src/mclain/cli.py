@@ -14,32 +14,25 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .elements import GroupElement, McLainGroup, format_word
-from .factorization import (
-    demonstrate_ngon_obstruction,
-    ordered_factorization,
-    word_factorization,
-)
-from .parsing import parse_element_expression, parse_order_file
-from .relations import InvariantError, ParseError, check_axioms, parse_relation_file
-from .rings import RingError, parse_ring_spec
-from .series import (
-    _lift,
-    format_chain_lines,
-    lower_central_series,
-    quotient_project,
-    upper_central_series,
-)
+from .relations import InvariantError, ParseError
+from .rings import RingError
 
 
-def _load_element(args: argparse.Namespace) -> GroupElement:
+def _load_element(args: argparse.Namespace):
     """The element that the expression evaluates to in the group built from
     the relation file and the ring spec."""
+    from .elements import McLainGroup
+    from .parsing import parse_element_expression
+    from .relations import parse_relation_file
+    from .rings import parse_ring_spec
+
     group = McLainGroup(parse_relation_file(args.relation), parse_ring_spec(args.ring))
     return group.eval_word(parse_element_expression(args.expression, group.ring))
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    from .relations import check_axioms, parse_relation_file
+
     relation = parse_relation_file(args.file)
     report = check_axioms(relation)
     if report.valid:
@@ -51,6 +44,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_series(args: argparse.Namespace) -> int:
+    from .relations import parse_relation_file
+    from .rings import parse_ring_spec
+    from .series import format_chain_lines, lower_central_series, upper_central_series
+
     relation = parse_relation_file(args.file)
     ring = parse_ring_spec(args.ring)
     if args.lower:
@@ -70,6 +67,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_factor(args: argparse.Namespace) -> int:
+    from .elements import format_word
+    from .factorization import ordered_factorization, word_factorization
+    from .parsing import parse_order_file
+
     element = _load_element(args)
     if args.order:
         order = parse_order_file(args.order)
@@ -82,6 +83,9 @@ def _cmd_factor(args: argparse.Namespace) -> int:
 
 
 def _cmd_quotient(args: argparse.Namespace) -> int:
+    from .factorization import _lift, quotient_project
+    from .relations import parse_relation_file
+
     element = _load_element(args)
     gamma_input = parse_relation_file(args.gamma)
     gamma = element.group.relation.subset(gamma_input.pairs)
@@ -99,6 +103,10 @@ def _cmd_demo_ngon(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    from .elements import format_word
+    from .factorization import demonstrate_ngon_obstruction
+    from .rings import parse_ring_spec
+
     ring = parse_ring_spec(args.ring)
     report = demonstrate_ngon_obstruction(args.n, ring)
     sound = (

@@ -49,8 +49,9 @@ one-pair step of collection instead: ``_generators_times`` multiplies
 on the left and keeps the running map by row, so a factor adds
 c R[q,l] to R[p,l] for each l in row q, at O(|row q|). An ordered
 product is built from its right end, feeding the factors last-first
-(``eval_word`` and ``OrderedForm.product``; on payloads alone, the ordered
-sweep's self-check, the coset lift and the n-gon demonstration).
+(``eval_word`` and ``OrderedForm.product``; on payloads alone, in
+``factorization``, the ordered sweep's self-check, the coset lift and the
+n-gon demonstration).
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Factoring group elements into products of generators.
+"""Factoring group elements into products of generators, and quotients.
 
 Two factorizations are provided. The unordered one peels coefficients
 level by level: modulo the bracket of the support closure, coefficient
@@ -25,9 +25,15 @@ before the last round means a residual escaped its bracket level, and one
 in the last round alone that the sweep did not converge. The sweep
 (``_ordered_sweep``) takes the order as codes and the rounds as node-number
 pairs, and returns payloads: ``ordered_factorization`` checks its order and
-boxes what the sweep solved, and the coset lift (``series._lift``) feeds it
-the codes and rounds of a support closure it has just made, and boxes
-nothing.
+boxes what the sweep solved, and the coset lift (``_lift``) feeds it the
+codes and rounds of a support closure it has just made, and boxes nothing.
+
+Quotients live here too, beside the sweep that lifts their cosets. The
+quotient by a normal subset is plain coefficient deletion
+(``quotient_project``), which normality makes into a homomorphism onto the
+group over the difference, and a coset's representative is the ordered
+product, in the ambient group, of the projection's ordered factorization
+(``coset_representative``).
 
 Every generator product here goes through the row kernel
 ``elements._generators_times``: the factor 1 + c e(p,q) costs
@@ -58,6 +64,7 @@ from .elements import (
     GeneratorWord,
     GroupElement,
     McLainGroup,
+    _divide,
     _generators_times,
     _payloads,
 )
@@ -69,6 +76,8 @@ from .relations import (
     _bits,
     _bracket_rounds,
     _closed_support,
+    _shed,
+    difference,
     ngon,
     ngon_diagonals,
     ngon_edges,
@@ -233,6 +242,59 @@ def _ordered_sweep(
             raise InvariantError("level sweep residual escaped its bracket level")
         raise InvariantError("level sweep did not converge to the target")
     return found
+
+
+def quotient_project(g: GroupElement, gamma: Relation) -> GroupElement:
+    """Delete the coefficients at a normal subset.
+
+    The result lives in the group over the smaller relation; deletion
+    is a surjective homomorphism whose kernel is exactly the elements
+    supported inside gamma. Both relations have the same nodes, so the
+    kept pair codes carry over as they are. The smaller relation is the one
+    ``difference`` keeps on g's relation for gamma, so its normality test,
+    index and axiom scan run once per relation and gamma, not per call.
+    """
+    relation = g.group.relation
+    target = McLainGroup(difference(relation, gamma), g.group.ring)
+    doomed = {relation._codes[pair] for pair in gamma.pairs}
+    kept = {code: c for code, c in g._coeffs.items() if code not in doomed}
+    return GroupElement(target, kept)
+
+
+def coset_representative(g: GroupElement, gamma: Relation) -> GroupElement:
+    """The canonical representative of g modulo the subgroup over gamma.
+
+    Project g into the quotient group, factor the image into generators
+    there in increasing pair order, then take the ordered product of those
+    same generators inside the ambient group (``_lift``). The result depends
+    only on the coset of g, and the defining membership of g r^-1 in the
+    subgroup is checked on every call rather than trusted.
+    """
+    return _lift(g, quotient_project(g, gamma))
+
+
+def _lift(g: GroupElement, projected: GroupElement) -> GroupElement:
+    """``coset_representative`` of g from its projection, already taken: the
+    payloads of the projection's ordered factorization along the closure of
+    its support in sorted order, multiplied in g's group, where the codes
+    carry over. The closure's pairs and masks (``_closed_support``) give the
+    codes and, by ``_shed``, the rounds of its bracket descent, which
+    ``_ordered_sweep`` solves along; no label is read and no payload boxed.
+    As gamma is normal, g r^-1 lies over gamma exactly when r^-1 g does:
+    when it keeps no pair of the quotient."""
+    group, quotient = g.group, projected.group.relation
+    arcs, (rows, cols) = _closed_support(quotient, projected._coeffs)
+    arcs.sort()
+    rounds = _shed(arcs, rows, cols, cols, rows, "bracket series failed to terminate")
+    n = len(quotient._index.labels)
+    codes = [x * n + y for x, y in arcs]
+    solved = _ordered_sweep(projected.group, projected._coeffs, codes, rounds)
+    factors = [(code, solved[code]) for code in reversed(codes) if code in solved]
+    lifted = _generators_times(group, factors, {})
+    kept = quotient._index.rows
+    if any(kept[c // n] >> c % n & 1 for c in _divide(group, g._coeffs, lifted)):
+        raise InvariantError("coset representative failed the membership check")
+    return GroupElement(group, lifted)
 
 
 @record(eq=False)

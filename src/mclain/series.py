@@ -1,27 +1,24 @@
-"""Structure theory: central series, the center, and quotients.
+"""Structure theory: the central series and the center.
 
 Everything here happens at the relation level and is then interpreted
 in the group. The lower central series of the group is the bracket
 series of the relation; the center is the set of elements supported on
-the isolated pairs; quotients by normal subsets are computed by plain
-coefficient deletion, which normality makes into a homomorphism.
+the isolated pairs. Quotients by normal subsets, which are plain
+coefficient deletion, sit beside the factorizations that lift their
+cosets (``factorization.quotient_project``).
 """
 
 from __future__ import annotations
 
 from ._record import record
-from .elements import GroupElement, McLainGroup, _divide, _generators_times
-from .factorization import _ordered_sweep
 from .relations import (
     InvariantError,
     Relation,
     SubsetChain,
     _absorbs,
-    _closed_support,
     _masks,
     _numbered,
     _shed,
-    difference,
     gamma_series,
     isolated,
     require_valid,
@@ -101,59 +98,6 @@ def upper_central_series(delta: Relation) -> SubsetChain:
             raise InvariantError("upper central series term failed the normality check")
         terms.append(Relation._within(delta.nodes, zeta))
     return SubsetChain("ascending", tuple(terms))
-
-
-def quotient_project(g: GroupElement, gamma: Relation) -> GroupElement:
-    """Delete the coefficients at a normal subset.
-
-    The result lives in the group over the smaller relation; deletion
-    is a surjective homomorphism whose kernel is exactly the elements
-    supported inside gamma. Both relations have the same nodes, so the
-    kept pair codes carry over as they are. The smaller relation is the one
-    ``difference`` keeps on g's relation for gamma, so its normality test,
-    index and axiom scan run once per relation and gamma, not per call.
-    """
-    relation = g.group.relation
-    target = McLainGroup(difference(relation, gamma), g.group.ring)
-    doomed = {relation._codes[pair] for pair in gamma.pairs}
-    kept = {code: c for code, c in g._coeffs.items() if code not in doomed}
-    return GroupElement(target, kept)
-
-
-def coset_representative(g: GroupElement, gamma: Relation) -> GroupElement:
-    """The canonical representative of g modulo the subgroup over gamma.
-
-    Project g into the quotient group, factor the image into generators
-    there in increasing pair order, then take the ordered product of those
-    same generators inside the ambient group (``_lift``). The result depends
-    only on the coset of g, and the defining membership of g r^-1 in the
-    subgroup is checked on every call rather than trusted.
-    """
-    return _lift(g, quotient_project(g, gamma))
-
-
-def _lift(g: GroupElement, projected: GroupElement) -> GroupElement:
-    """``coset_representative`` of g from its projection, already taken: the
-    payloads of the projection's ordered factorization along the closure of
-    its support in sorted order, multiplied in g's group, where the codes
-    carry over. The closure's pairs and masks (``_closed_support``) give the
-    codes and, by ``_shed``, the rounds of its bracket descent, which
-    ``factorization._ordered_sweep`` solves along; no label is read and no
-    payload boxed. As gamma is normal, g r^-1 lies over gamma exactly when
-    r^-1 g does: when it keeps no pair of the quotient."""
-    group, quotient = g.group, projected.group.relation
-    arcs, (rows, cols) = _closed_support(quotient, projected._coeffs)
-    arcs.sort()
-    rounds = _shed(arcs, rows, cols, cols, rows, "bracket series failed to terminate")
-    n = len(quotient._index.labels)
-    codes = [x * n + y for x, y in arcs]
-    solved = _ordered_sweep(projected.group, projected._coeffs, codes, rounds)
-    factors = [(code, solved[code]) for code in reversed(codes) if code in solved]
-    lifted = _generators_times(group, factors, {})
-    kept = quotient._index.rows
-    if any(kept[c // n] >> c % n & 1 for c in _divide(group, g._coeffs, lifted)):
-        raise InvariantError("coset representative failed the membership check")
-    return GroupElement(group, lifted)
 
 
 def format_chain_lines(

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import pytest
 
-import mclain.cli
+import mclain.factorization
 import mclain.series
 from mclain import McLainGroup, NgonReport, chain, format_relation
 from mclain.cli import main
@@ -80,12 +80,12 @@ def test_a_failed_self_check_exits_3_with_one_line(tmp_path, capsys, monkeypatch
 
 
 def test_a_failed_ngon_demonstration_exits_1_with_one_line(capsys, monkeypatch):
-    real = mclain.cli.demonstrate_ngon_obstruction
+    real = mclain.factorization.demonstrate_ngon_obstruction
 
     def one_success(n, ring):
         return NgonReport(**{**vars(real(n, ring)), "successes": 1})
 
-    monkeypatch.setattr(mclain.cli, "demonstrate_ngon_obstruction", one_success)
+    monkeypatch.setattr(mclain.factorization, "demonstrate_ngon_obstruction", one_success)
     code = main(["demo-ngon", "4"])
     captured = capsys.readouterr()
     assert code == 1
@@ -100,7 +100,7 @@ def test_quotient_projects_once_and_validates_each_group_once(
     rel.write_text(format_relation(chain(3)))
     gamma.write_text("1 3\n")
     calls = {"project": 0, "validate": 0}
-    project, validate = mclain.series.quotient_project, McLainGroup.__post_init__
+    project, validate = mclain.factorization.quotient_project, McLainGroup.__post_init__
 
     def counted_project(*args):
         calls["project"] += 1
@@ -110,8 +110,7 @@ def test_quotient_projects_once_and_validates_each_group_once(
         calls["validate"] += 1
         return validate(self)
 
-    for module in (mclain.series, mclain.cli):
-        monkeypatch.setattr(module, "quotient_project", counted_project)
+    monkeypatch.setattr(mclain.factorization, "quotient_project", counted_project)
     monkeypatch.setattr(McLainGroup, "__post_init__", counted_validate)
     argv = ["quotient", "--relation", str(rel), "--gamma", str(gamma)]
     assert main(argv + ["x(1,2;2)*x(2,3;3)*x(1,3;5)"]) == 0

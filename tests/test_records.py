@@ -3,8 +3,8 @@ immutability, pinned class by class.
 
 Every public record of the package is listed with the field values it is
 built from and its repr. The rings come three times, once per concrete
-ring. Imports of ``mclain.cli`` load neither ``dataclasses`` nor
-``inspect``.
+ring. ``import mclain`` and each command load only the package modules
+they use, and neither ``dataclasses`` nor ``inspect``.
 """
 
 from __future__ import annotations
@@ -241,13 +241,49 @@ def test_relation_index_is_built_once_and_cached(monkeypatch):
     assert relation == rel() and hash(relation) == hash(rel())
 
 
-def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
-    env = dict(os.environ, PYTHONPATH=str(SRC))
+_CHECK = ["mclain", "mclain._record", "mclain.cli", "mclain.relations", "mclain.rings"]
+_EVAL = sorted(_CHECK + ["mclain.elements", "mclain.parsing"])
+_FACTOR = sorted(_EVAL + ["mclain.factorization"])
+_DEMO = sorted(_CHECK + ["mclain.elements", "mclain.factorization"])
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        pytest.param(None, ["mclain"], id="import"),
+        pytest.param(["check", "REL"], _CHECK, id="check"),
+        pytest.param(["series", "REL", "--lower"], _CHECK + ["mclain.series"], id="lower"),
+        pytest.param(["series", "REL", "--upper"], _CHECK + ["mclain.series"], id="upper"),
+        pytest.param(["eval", "--relation", "REL", "x(1,2;2)"], _EVAL, id="eval"),
+        pytest.param(["factor", "--relation", "REL", "x(1,3;2)"], _FACTOR, id="factor"),
+        pytest.param(
+            ["quotient", "--relation", "REL", "--gamma", "GAMMA", "x(1,2;2)"],
+            _FACTOR,
+            id="quotient",
+        ),
+        pytest.param(["demo-ngon", "4"], _DEMO, id="demo-ngon"),
+    ],
+)
+def test_each_command_loads_only_the_modules_it_uses(tmp_path, argv, loaded):
+    # The package reads each public name from its module on first use, and
+    # each cli handler imports what it calls, so a command compiles only
+    # the modules it runs; demo-ngon parses no element, so not parsing.
+    rel, gamma = tmp_path / "rel.txt", tmp_path / "gamma.txt"
+    rel.write_text("1 2\n1 3\n2 3\n")
+    gamma.write_text("1 3\n")
+    names = {"REL": str(rel), "GAMMA": str(gamma)}
+    if argv is None:
+        run = "code = 0"
+    else:
+        argv = [names.get(arg, arg) for arg in argv]
+        run = f"import mclain.cli; code = mclain.cli.main({argv!r})"
     probe = (
-        "import mclain.cli, sys; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        f"import mclain, sys; {run}; "
+        "print(code, *sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('mclain', 'dataclasses', 'inspect')))"
     )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run(
         [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
     ).stdout
-    assert out == "[]\n"
+    assert out.splitlines()[-1].split() == ["0", *loaded]

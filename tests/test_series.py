@@ -18,6 +18,7 @@ from oracles import (
     naive_normal_closure,
     unit_generators,
 )
+import mclain.factorization
 import mclain.relations
 import mclain.series
 from mclain import (
@@ -448,7 +449,9 @@ def test_coset_membership_check_catches_a_wrong_factorization(monkeypatch):
     # ordered product of the projection's own coefficients, so it lies in
     # the coset of g. A sweep off by one at a pair outside gamma must trip it.
     monkeypatch.setattr(
-        mclain.series, "_ordered_sweep", _off_by_one(mclain.series._ordered_sweep)
+        mclain.factorization,
+        "_ordered_sweep",
+        _off_by_one(mclain.factorization._ordered_sweep),
     )
     group = McLainGroup(chain(3), Z)
     gamma = group.relation.subset([("1", "3")])

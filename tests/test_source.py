@@ -3,13 +3,87 @@
 from __future__ import annotations
 
 import ast
+import importlib
 import re
 import runpy
+import sys
 from pathlib import Path
+
+import pytest
+
+import mclain
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "mclain"
 TESTS = ROOT / "tests"
+
+# the public names of the package, sorted
+PUBLIC = [
+    "AxiomReport",
+    "Comm",
+    "ExchangeViolation",
+    "FactorReport",
+    "Gen",
+    "GeneratorWord",
+    "GroupElement",
+    "Integers",
+    "IntegersMod",
+    "Inv",
+    "InvariantError",
+    "Matrices2x2Mod",
+    "McLainGroup",
+    "NgonReport",
+    "One",
+    "OrderedForm",
+    "Pair",
+    "ParseError",
+    "ReflexiveViolation",
+    "Relation",
+    "Ring",
+    "RingError",
+    "RingValue",
+    "SubsetChain",
+    "bracket",
+    "center_support",
+    "chain",
+    "check_axioms",
+    "closure",
+    "coset_representative",
+    "demonstrate_ngon_obstruction",
+    "difference",
+    "format_chain_lines",
+    "format_relation",
+    "format_word",
+    "from_pairs",
+    "gamma_series",
+    "has_maximal",
+    "has_minimal",
+    "is_closed",
+    "is_normal",
+    "isolated",
+    "lower_central_series",
+    "minimal_closed_support",
+    "ngon",
+    "ngon_diagonals",
+    "ngon_edges",
+    "nilpotency_class",
+    "normal_closure",
+    "ordered_factorization",
+    "parse_element_expression",
+    "parse_normal_form",
+    "parse_order_file",
+    "parse_order_text",
+    "parse_relation_file",
+    "parse_relation_text",
+    "parse_ring_spec",
+    "quotient_project",
+    "random_pruned_order",
+    "random_relation",
+    "require_valid",
+    "spanned_nodes",
+    "upper_central_series",
+    "word_factorization",
+]
 
 
 def test_self_checks_are_raises_not_asserts():
@@ -113,3 +187,53 @@ def test_property_tests_share_one_seeded_profile():
                 continue
             found += [f"{path.name} imports {m}" for m in modules if m.startswith("test_")]
     assert found == []
+
+
+def _definitions() -> dict[str, list[str]]:
+    """The modules whose top level defines each name, not by import."""
+    found: dict[str, list[str]] = {}
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.ClassDef | ast.FunctionDef):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in names:
+                found.setdefault(name, []).append(path.stem)
+    return found
+
+
+def test_the_export_table_lists_each_public_name_once():
+    # __init__.py holds one sorted table of name -> module. A dict literal
+    # keeps the last of two equal keys silently, so the keys are read from
+    # the source.
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    [table] = [n.value for n in tree.body if isinstance(n, ast.Assign)
+               and isinstance(n.value, ast.Dict)]
+    keys = [key.value for key in table.keys]
+    assert keys == PUBLIC
+    assert mclain.__all__ == PUBLIC
+    namespace: dict[str, object] = {}
+    exec("from mclain import *", namespace)
+    assert sorted(namespace.keys() - {"__builtins__"}) == PUBLIC
+
+
+def test_each_public_name_is_read_from_the_module_that_defines_it():
+    definitions = _definitions()
+    for name in PUBLIC:
+        [home] = definitions[name]
+        assert mclain._EXPORTS[name] == home, name
+        module = importlib.import_module(f"mclain.{home}")
+        assert getattr(mclain, name) is getattr(module, name), name
+
+
+def test_unknown_names_raise_and_submodules_still_import():
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        mclain.no_such_name
+    from mclain import cli
+
+    assert cli is sys.modules["mclain.cli"]

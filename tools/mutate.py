@@ -30,6 +30,8 @@ CALCULUS = ("tests/test_mask_calculus.py",)
 ORDERED = ("tests/test_ordered_properties.py",)
 SERIES = ("tests/test_series.py",)
 FACTORIZATION = ("tests/test_factorization.py",)
+SOURCE = ("tests/test_source.py",)
+RECORDS = ("tests/test_records.py",)
 EQUIVALENT = ()  # no test can tell the mutant from the program
 
 # file is under src/mclain; killers are the test paths expected to kill it
@@ -115,10 +117,16 @@ MUTANTS = [
     # the quotient cache, the projection and the word factorization's pass bound
     M("difference cache keyed by delta alone", "relations.py",
       "out = quotients.get(key)", "out = next(iter(quotients.values()), None)", SERIES),
-    M("projection keeps every pair", "series.py",
+    M("projection keeps every pair", "factorization.py",
       "if code not in doomed}", "}", SERIES),
     M("word factorization without its pass bound", "factorization.py",
       "if passes == n:", "if False:", FACTORIZATION),
+    # the export table and the modules each command loads
+    M("export filed under a module that only imports it", "__init__.py",
+      '"ngon": "relations",', '"ngon": "factorization",', SOURCE),
+    M("cli imports the factorizations up front", "cli.py",
+      "from .rings import RingError\n",
+      "from .rings import RingError\nfrom .factorization import quotient_project\n", RECORDS),
     # equivalent: each changes work or order that no result depends on
     M("sweep bisects left", "factorization.py",
       "import bisect_right", "import bisect_left as bisect_right", EQUIVALENT),
