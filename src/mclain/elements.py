@@ -47,11 +47,11 @@ Products with a run of single generators 1 + c e(p,q) skip the general
 splice, which scans every term of both maps. One kernel does the
 one-pair step of collection instead: ``_generators_times`` multiplies
 on the left and keeps the running map by row, so a factor adds
-c R[q,l] to R[p,l] for each l in row q, at O(|row q|). An ordered
-product is built from its right end, feeding the factors last-first
-(``eval_word`` and ``OrderedForm.product``; on payloads alone, in
-``factorization``, the ordered sweep's self-check, the coset lift and the
-n-gon demonstration).
+c R[q,l] to R[p,l] for each l in row q, at O(|row q|). Every ordered
+product, of a word's runs or of solved payloads, is ``_ordered_product``,
+which builds it from its right end by feeding the kernel the factors
+last-first; the only other caller of the kernel is the word
+factorization, whose undos multiply in on the left as they are.
 """
 
 from __future__ import annotations
@@ -162,13 +162,13 @@ class McLainGroup:
 
     def eval_word(self, word: GeneratorWord) -> "GroupElement":
         """The left-to-right product of the tokens, kept as one raw map: each
-        run of Gen tokens is built last-first by the row kernel and joined to
-        the map so far, and each inv(w) is one right division by w."""
+        run of Gen tokens is one ``_ordered_product`` joined to the map so
+        far, and each inv(w) is one right division by w."""
         out: Coeffs = {}
         for is_gen, run in groupby(word.tokens, key=lambda t: isinstance(t, Gen)):
             if is_gen:
                 factors = _payloads(self, (((t.source, t.target), t.value) for t in run))
-                run_map = _generators_times(self, reversed(list(factors)), {})
+                run_map = _ordered_product(self, factors)
                 out = _product(self, out, run_map) if out else run_map
                 continue
             for token in run:
@@ -264,6 +264,12 @@ def _generators_times(
     return {
         i * n + j: a for i, row in rows.items() for j, a in row.items() if a != zero
     }
+
+
+def _ordered_product(group: McLainGroup, factors: Iterable[tuple[int, object]]) -> Coeffs:
+    """The map of (1 + c1 e(p1,q1))(1 + c2 e(p2,q2))... for (code, payload)
+    factors given in product order, built from its right end."""
+    return _generators_times(group, reversed(list(factors)), {})
 
 
 def _product(group: McLainGroup, x: Coeffs, y: Coeffs) -> Coeffs:

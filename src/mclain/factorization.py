@@ -37,8 +37,10 @@ product, in the ambient group, of the projection's ordered factorization
 
 Every generator product here goes through the row kernel
 ``elements._generators_times``: the factor 1 + c e(p,q) costs
-O(|row q|), not the O(|support|) of a general product. Ordered products
-feed it their factors last-first, building from the right end. The layer
+O(|row q|), not the O(|support|) of a general product. The word
+factorization's undos call it directly; every ordered product (the form's,
+the sweep's self-check, the coset lift, the n-gon orderings) is
+``elements._ordered_product``, which builds from the right end. The layer
 works on pair codes, node-number pairs and payloads from entry to return,
 closing a support once on codes (``_closed_support``): values are checked
 where they enter the group, and nothing it solved is checked again. Labels
@@ -66,6 +68,7 @@ from .elements import (
     McLainGroup,
     _divide,
     _generators_times,
+    _ordered_product,
     _payloads,
 )
 from .relations import (
@@ -88,8 +91,7 @@ from .rings import IntegersMod, Ring, RingValue
 def minimal_closed_support(g: GroupElement) -> Relation:
     """The smallest closed subset containing the support of g."""
     relation = g.group.relation
-    pairs = relation._index.decode(_closed_support(relation, g._coeffs)[0])
-    return Relation._within(relation.nodes, frozenset(pairs))
+    return relation._from_arcs(_closed_support(relation, g._coeffs)[0])
 
 
 def word_factorization(g: GroupElement) -> GeneratorWord:
@@ -142,9 +144,8 @@ class OrderedForm:
     pair of the order to its coefficient, and the ordered product of
     the corresponding generators reproduces the factored element.
 
-    ``product`` multiplies out with the row kernel from the right end of
-    the order: the product so far is kept by row, and the factor at (p,q)
-    costs O(|row q|).
+    ``product`` multiplies out along the order (``_ordered_product``): the
+    factor at (p,q) costs O(|row q|).
     """
 
     group: McLainGroup
@@ -157,8 +158,8 @@ class OrderedForm:
 
     def product(self) -> GroupElement:
         group = self.group
-        factors = list(_payloads(group, ((p, self.coefficients[p]) for p in self.order)))
-        return GroupElement(group, _generators_times(group, reversed(factors), {}))
+        factors = _payloads(group, ((p, self.coefficients[p]) for p in self.order))
+        return GroupElement(group, _ordered_product(group, factors))
 
     def lines(self) -> list[str]:
         return [f"({i},{j}) ; {self.coefficients[(i, j)]}" for i, j in self.order]
@@ -234,8 +235,7 @@ def _ordered_sweep(
                     total = add(total, term)
                     suffix.append(total)
                 tails[code] = ([s for s, _ in terms], suffix[::-1])
-    factors = [(code, found[code]) for code in reversed(codes) if code in found]
-    product = _generators_times(group, factors, {})
+    product = _ordered_product(group, ((c, found[c]) for c in codes if c in found))
     if product != target:
         last = {x * n + y for x, y in rounds[-1]}
         if any(product.get(c) != target.get(c) for c in at.keys() - last):
@@ -289,8 +289,7 @@ def _lift(g: GroupElement, projected: GroupElement) -> GroupElement:
     n = len(quotient._index.labels)
     codes = [x * n + y for x, y in arcs]
     solved = _ordered_sweep(projected.group, projected._coeffs, codes, rounds)
-    factors = [(code, solved[code]) for code in reversed(codes) if code in solved]
-    lifted = _generators_times(group, factors, {})
+    lifted = _ordered_product(group, ((c, solved[c]) for c in codes if c in solved))
     kept = quotient._index.rows
     if any(kept[c // n] >> c % n & 1 for c in _divide(group, g._coeffs, lifted)):
         raise InvariantError("coset representative failed the membership check")
@@ -356,7 +355,7 @@ def demonstrate_ngon_obstruction(n: int, ring: Ring | None = None) -> NgonReport
     one, edge_codes = ring.one.payload, [delta._codes[edge] for edge in edges]
     step_two_codes = {delta._codes[pair] for pair in step_two}
     for ordering in itertools.permutations(edge_codes):
-        product = _generators_times(group, ((c, one) for c in reversed(ordering)), {})
+        product = _ordered_product(group, ((c, one) for c in ordering))
         checked += 1
         if product == target._coeffs:
             successes += 1

@@ -24,15 +24,15 @@ predecessor column as an int mask, so a step is a few ``&`` tests instead
 of lookups of label pairs. The same numbering gives the int pair codes
 that key the coefficient maps of group elements. The same pass over the
 pairs that fills the masks fills each node's sorted successor numbers,
-``Relation._succ``, which the axiom scan and the descents over a whole
+the index's ``succ``, which the axiom scan and the descents over a whole
 relation read. The axiom scan walks the couples from a pair only when two
 mask tests leave a node that could break exchange; on a strict partial
 order none is left, so the scan costs one mask step per pair (see
 ``Relation.axiom_report``). Below the public functions the calculus works
-in node-number pairs only; labels cross on the index of the relation that a
-subset is tested against, where ``_Index.encode`` refuses pairs outside it
-and numbers and masks the rest, and ``_Index.decode`` turns the pairs a call
-found back into labels. ``_bracket_rounds`` is the one bracket descent that
+in node-number pairs only; labels cross each way on the relation that a
+subset is tested against: ``Relation._encode`` refuses pairs outside it and
+numbers and masks the rest, and ``Relation._from_arcs`` makes the subset of
+the pairs a call found. ``_bracket_rounds`` is the one bracket descent that
 ``_levels``, ``gamma_series`` and ``ordered_factorization`` read; the coset
 lift runs the same ``_shed`` on the masks of the closure it has just made.
 
@@ -106,11 +106,13 @@ class _Index(NamedTuple):
     """A relation's nodes numbered in sorted label order, with each node's
     successor row and predecessor column as one int mask: bit y of rows[x]
     and bit x of cols[y] are set when (labels[x], labels[y]) is a pair.
+    succ[x] lists the set bits of rows[x], low to high.
 
     Because the numbers follow sorted labels, reading bits from low to high
     visits nodes, and so pairs, in sorted label order: scans on the masks
     report in the same order as scans over sorted label pairs. The masks
-    are shared by every caller; a scan that clears bits copies them first.
+    are shared by every caller; a scan that clears bits copies them first,
+    and no caller changes the successor lists.
 
     The coefficient maps of group elements key a pair by its code
     x*N + y, with x and y the numbers of its labels and N the node count:
@@ -123,24 +125,13 @@ class _Index(NamedTuple):
     number: dict[str, int]
     rows: list[int]
     cols: list[int]
+    succ: list[list[int]]
 
     def pair(self, code: int) -> Pair:
         """The label pair of a code."""
         labels = self.labels
         n = len(labels)
         return labels[code // n], labels[code % n]
-
-    def encode(
-        self, pairs: frozenset[Pair], ambient: frozenset[Pair], name: str
-    ) -> tuple[list[Arc], Masks]:
-        """The node-number pairs and masks of a subset of ``ambient``, the
-        indexed relation's pairs; stray pairs are refused, naming ``name``."""
-        stray = pairs - ambient
-        if stray:
-            raise ValueError(f"{name} is not a subset of the relation: {sorted(stray)}")
-        number = self.number
-        numbered = [(number[a], number[b]) for a, b in pairs]
-        return numbered, _masks(numbered, len(number))
 
     def decode(self, numbered: Iterable[Arc]) -> list[Pair]:
         """The label pairs of node-number pairs."""
@@ -174,8 +165,8 @@ class Relation:
 
     The node set may strictly contain the nodes touched by pairs; keeping
     it explicit lets set difference preserve isolated nodes. The relation
-    calculus runs on its one cached ``_index`` of row and column masks, and
-    on ``_succ``, the successor lists filled in the same pass.
+    calculus runs on its one cached ``_index`` of row and column masks and
+    successor lists.
 
     ``Relation(nodes, pairs)`` freezes both collections, rejects a pair with
     an endpoint outside the node set and applies the label rule. The private
@@ -207,7 +198,7 @@ class Relation:
     def _index(self) -> _Index:
         """The index, built in one pass over the pairs that sets each pair's
         row and column bits and appends its target to the source's successor
-        list; the lists are then sorted and kept as ``_succ``."""
+        list; the lists are then sorted."""
         labels = tuple(sorted(self.nodes))
         number = {label: x for x, label in enumerate(labels)}
         n = len(labels)
@@ -219,23 +210,27 @@ class Relation:
             succ[x].append(y)
         for after in succ:
             after.sort()
-        vars(self)["_succ"] = succ
-        return _Index(labels, number, rows, cols)
+        return _Index(labels, number, rows, cols, succ)
 
-    @cached_property
-    def _succ(self) -> list[list[int]]:
-        """Each node's successor numbers, low to high: the set bits of its
-        row in ``_index``, filled in the same pass as the index. Shared by
-        the axiom scan and the descents; a caller does not change the lists."""
-        self._index
-        return vars(self)["_succ"]
+    def _encode(self, pairs: frozenset[Pair], name: str) -> tuple[list[Arc], Masks]:
+        """The node-number pairs and masks, in the index, of a subset of the
+        pairs; stray pairs are refused, naming ``name``."""
+        if stray := pairs - self.pairs:
+            raise ValueError(f"{name} is not a subset of the relation: {sorted(stray)}")
+        number = self._index.number
+        numbered = [(number[a], number[b]) for a, b in pairs]
+        return numbered, _masks(numbered, len(number))
+
+    def _from_arcs(self, arcs: Iterable[Arc]) -> "Relation":
+        """The subset of the pairs at these node-number pairs of the index."""
+        return Relation._within(self.nodes, frozenset(self._index.decode(arcs)))
 
     @cached_property
     def _codes(self) -> dict[Pair, int]:
         """Each pair's code in the index numbering (see ``_Index``), built
         when the first group element over the relation needs it. Elements
         built from labels share these int keys."""
-        labels, number, _, _ = self._index
+        labels, number, *_ = self._index
         n = len(labels)
         return {pair: number[pair[0]] * n + number[pair[1]] for pair in self.pairs}
 
@@ -264,13 +259,12 @@ class Relation:
         inside S[j] and S[j] inside S[i], so its scan costs one mask step
         per pair instead of one per couple.
         """
-        labels, _, rows, _ = self._index
+        labels, _, rows, _, succ = self._index
         violations: list[object] = [
             ReflexiveViolation((label, label))
             for x, label in enumerate(labels)
             if rows[x] >> x & 1
         ]
-        succ = self._succ
         reach = []  # T: the union of the rows of each node's successors
         for after in succ:
             union = 0
@@ -364,7 +358,7 @@ def require_valid(delta: Relation) -> None:
 def is_closed(sub: Relation, delta: Relation) -> bool:
     """Does sub contain every composite of its own pairs that delta admits?
     Absorption with sub as the partners, on sub's masks in delta's index."""
-    pairs, masks = delta._index.encode(sub.pairs, delta.pairs, "subset")
+    pairs, masks = delta._encode(sub.pairs, "subset")
     return _absorbs(pairs, delta, masks, normal=False)
 
 
@@ -375,7 +369,7 @@ def is_normal(sub: Relation, delta: Relation) -> bool:
     (i,k) ambient forces (i,k) into sub, and any ambient (k,i) with
     (k,j) ambient forces (k,j) into sub. Normality implies closedness.
     """
-    pairs, masks = delta._index.encode(sub.pairs, delta.pairs, "subset")
+    pairs, masks = delta._encode(sub.pairs, "subset")
     return _absorbs(pairs, delta, masks, normal=True)
 
 
@@ -385,7 +379,7 @@ def _absorbs(pairs: Iterable[Arc], delta: Relation, sub: Masks, normal: bool) ->
     numbering, and the partners are delta's pairs when ``normal``, else sub's.
     One mask test per pair: (x,y) leaks when P_row[y] & D_row[x] or
     P_col[x] & D_col[y] has a bit outside sub's row x or column y."""
-    _, _, d_rows, d_cols = delta._index
+    _, _, d_rows, d_cols, _ = delta._index
     s_rows, s_cols = sub
     p_rows, p_cols = (d_rows, d_cols) if normal else sub
     for x, y in pairs:
@@ -402,10 +396,9 @@ def closure(omega: Relation, delta: Relation) -> Relation:
     touches, so the result stays finite and inside delta restricted to
     those nodes.
     """
-    index = delta._index
-    pairs, masks = index.encode(omega.pairs, delta.pairs, "subset")
+    pairs, masks = delta._encode(omega.pairs, "subset")
     _saturate(pairs, delta, masks, closed=True)
-    return Relation._within(delta.nodes, frozenset(index.decode(pairs)))
+    return delta._from_arcs(pairs)
 
 
 def normal_closure(omega: Relation, delta: Relation) -> Relation:
@@ -413,10 +406,9 @@ def normal_closure(omega: Relation, delta: Relation) -> Relation:
 
     Saturation under composition with any pair of delta, on either side.
     """
-    index = delta._index
-    pairs, masks = index.encode(omega.pairs, delta.pairs, "subset")
+    pairs, masks = delta._encode(omega.pairs, "subset")
     _saturate(pairs, delta, masks, closed=False)
-    return Relation._within(delta.nodes, frozenset(index.decode(pairs)))
+    return delta._from_arcs(pairs)
 
 
 def _saturate(pairs: list[Arc], delta: Relation, masks: Masks, closed: bool) -> None:
@@ -431,7 +423,7 @@ def _saturate(pairs: list[Arc], delta: Relation, masks: Masks, closed: bool) -> 
     later meets (a,b) when it is visited in turn. For the normal closure
     every pair of delta is a partner.
     """
-    _, _, d_rows, d_cols = delta._index
+    _, _, d_rows, d_cols, _ = delta._index
     rows, cols = masks
     p_rows, p_cols = masks if closed else (d_rows, d_cols)
     for x, y in pairs:  # also visits the pairs appended on the way
@@ -467,15 +459,14 @@ def bracket(sub1: Relation, sub2: Relation, delta: Relation) -> Relation:
     and those of S_col[i] & D_col[j] the (k,j), with S sub2's masks in
     delta's index, built for this call, and D delta's.
     """
-    index = delta._index
-    pairs, _ = index.encode(sub1.pairs, delta.pairs, "first subset")
-    _, (s_rows, s_cols) = index.encode(sub2.pairs, delta.pairs, "second subset")
-    d_rows, d_cols = index.rows, index.cols
+    pairs, _ = delta._encode(sub1.pairs, "first subset")
+    _, (s_rows, s_cols) = delta._encode(sub2.pairs, "second subset")
+    _, _, d_rows, d_cols, _ = delta._index
     out: set[Arc] = set()
     for x, y in pairs:
         out.update((x, z) for z in _bits(s_rows[y] & d_rows[x]))
         out.update((z, y) for z in _bits(s_cols[x] & d_cols[y]))
-    return Relation._within(delta.nodes, frozenset(index.decode(out)))
+    return delta._from_arcs(out)
 
 
 @record
@@ -494,7 +485,7 @@ class SubsetChain:
 
 
 def _numbered(succ: list[list[int]]) -> list[Arc]:
-    """The pairs (x,y) of successor lists (``Relation._succ``), in sorted order."""
+    """The pairs (x,y) of successor lists (``_Index.succ``), in sorted order."""
     return [(x, y) for x, after in enumerate(succ) for y in after]
 
 
@@ -510,7 +501,7 @@ def _shed(
     masks, by the round that sheds them, each round in the order of ``live``.
 
     The caller passes the term's pairs as ``live``: for a whole relation in
-    sorted order from ``Relation._succ``, so its rows are not expanded
+    sorted order from the index's ``succ``, so its rows are not expanded
     again. A live (x,y) stays for the next round while T_row[x] & right[y]
     or T_col[y] & left[x], where T is the live term. T starts as a copy of
     rows and cols, and each round's shed bits are cleared from it in place.
@@ -543,14 +534,14 @@ def _bracket_rounds(gamma: frozenset[Pair], delta: Relation) -> list[list[Arc]]:
     delta's index, by the round of the bracket descent (``gamma_series``) that
     sheds them: (a,c) of the term T stays while T_row[a] & G_col[c] or
     G_row[a] & T_col[c], with G gamma's masks. Gamma equal to delta's pairs
-    shares delta's masks and ``_succ`` and sheds in sorted order; a proper
+    shares delta's masks and ``succ`` and sheds in sorted order; a proper
     subset gets its own masks, and no caller reads its order within a round.
     Only an axiom breaker's descent, on a cycle of decompositions, never ends."""
-    _, _, rows, cols = delta._index
+    _, _, rows, cols, succ = delta._index
     if gamma == delta.pairs:  # gamma is delta: share its masks
-        live = _numbered(delta._succ)
+        live = _numbered(succ)
     else:
-        live, (rows, cols) = delta._index.encode(gamma, delta.pairs, "subset")
+        live, (rows, cols) = delta._encode(gamma, "subset")
         if not _absorbs(live, delta, (rows, cols), normal=False):
             raise ValueError("gamma series needs a closed subset")
     return _shed(live, rows, cols, cols, rows, "bracket series failed to terminate")
@@ -575,10 +566,10 @@ def isolated(delta: Relation) -> Relation:
     """Pairs that compose with nothing: no right extension (j,k) with
     (i,k) present, and no left extension (l,i) with (l,j) present: with D
     delta's masks, D_row[x] & D_row[y] and D_col[x] & D_col[y] are 0."""
-    _, _, rows, cols = delta._index
-    pairs = _numbered(delta._succ)
+    _, _, rows, cols, succ = delta._index
+    pairs = _numbered(succ)
     alone = [(x, y) for x, y in pairs if not rows[x] & rows[y] | cols[x] & cols[y]]
-    return Relation._within(delta.nodes, frozenset(delta._index.decode(alone)))
+    return delta._from_arcs(alone)
 
 
 def difference(delta: Relation, gamma: Relation) -> Relation:
@@ -616,11 +607,11 @@ def _has_unextended(omega: Relation, delta: Relation, maximal: bool) -> bool:
     omega on its right (maximal) or on its left (not maximal)? With O
     omega's masks in delta's index and D delta's, (i,j) has none when
     O_row[j] & D_row[i] is 0, or O_col[i] & D_col[j] for minimality."""
-    pairs, (o_rows, o_cols) = delta._index.encode(omega.pairs, delta.pairs, "subset")
+    pairs, (o_rows, o_cols) = delta._encode(omega.pairs, "subset")
     if not pairs:
         kind = "maximality" if maximal else "minimality"
         raise ValueError(f"{kind} is about nonempty subsets")
-    _, _, d_rows, d_cols = delta._index
+    _, _, d_rows, d_cols, _ = delta._index
     for x, y in pairs:
         if not (o_rows[y] & d_rows[x] if maximal else o_cols[x] & d_cols[y]):
             return True

@@ -12,7 +12,10 @@ A ring supplies what the group law needs: its zero payload ``_zero`` (a
 class attribute, not a field), ``_add``, ``_neg``, the multiply-add
 ``_fma`` and its row form ``_axpy``, which may leave sums unreduced: the
 other three return canonical payloads for such input. ``_normalize`` and
-``_format`` serve the edges.
+``_format`` serve the edges. Z and Z/n differ only in ``from_int`` and
+their arithmetic, so they share the rest through one base, ``_Scalar``:
+the zero, the literal parser, the payload check, the formatter and the
+row multiply-add, which leaves plain int sums with no modulus.
 """
 
 from __future__ import annotations
@@ -150,43 +153,45 @@ class Ring:
         raise NotImplementedError
 
 
-def _scalar_axpy(ring: Ring, sums: dict, a: int, row, start: int = 0) -> None:
-    """``Ring._axpy`` of Z and Z/n: plain int sums, with no modulus."""
-    get = sums.get
-    for l, b in row:
-        k = start + l
-        sums[k] = get(k, 0) + a * b
-
-
-def _parse_scalar(text: str, where: str) -> int:
-    cleaned = _clean_literal(text)
-    if _SCALAR_LITERAL.fullmatch(cleaned):
-        return int(cleaned)
-    if _MATRIX_LITERAL.fullmatch(cleaned):
-        raise RingError(f"matrix literal {text!r} used with scalar ring {where}")
-    raise RingError(f"malformed {where} literal: {text!r}")
-
-
-@record
-class Integers(Ring):
-    """The ring of integers, at arbitrary precision."""
+class _Scalar(Ring):
+    """Base of the rings on int payloads, Z and Z/n: each payload is the one
+    its ``from_int`` gives, and the subclass supplies the arithmetic."""
 
     _zero = 0
-    _axpy = _scalar_axpy
-
-    def from_int(self, k: int) -> RingValue:
-        return RingValue(self, int(k))
 
     def parse(self, text: str) -> RingValue:
-        return self.from_int(_parse_scalar(text, str(self)))
-
-    def sample(self, rng: random.Random) -> RingValue:
-        return self.from_int(rng.randint(-9, 9))
+        cleaned = _clean_literal(text)
+        if _SCALAR_LITERAL.fullmatch(cleaned):
+            return self.from_int(int(cleaned))
+        if _MATRIX_LITERAL.fullmatch(cleaned):
+            raise RingError(f"matrix literal {text!r} used with scalar ring {self}")
+        raise RingError(f"malformed {self} literal: {text!r}")
 
     def _normalize(self, payload: object) -> int:
         if isinstance(payload, bool) or not isinstance(payload, int):
             raise RingError(f"{self} payload must be an int, got {payload!r}")
-        return payload
+        return self.from_int(payload).payload
+
+    def _axpy(self, sums: dict, a: int, row, start: int = 0) -> None:
+        """Plain int sums, with no modulus."""
+        get = sums.get
+        for l, b in row:
+            k = start + l
+            sums[k] = get(k, 0) + a * b
+
+    def _format(self, a: int) -> str:
+        return str(a)
+
+
+@record
+class Integers(_Scalar):
+    """The ring of integers, at arbitrary precision."""
+
+    def from_int(self, k: int) -> RingValue:
+        return RingValue(self, int(k))
+
+    def sample(self, rng: random.Random) -> RingValue:
+        return self.from_int(rng.randint(-9, 9))
 
     def _add(self, a: int, b: int) -> int:
         return a + b
@@ -197,20 +202,15 @@ class Integers(Ring):
     def _fma(self, s: int, a: int, b: int) -> int:
         return s + a * b
 
-    def _format(self, a: int) -> str:
-        return str(a)
-
     def __str__(self) -> str:
         return "Z"
 
 
 @record
-class IntegersMod(Ring):
+class IntegersMod(_Scalar):
     """Integers modulo n, with residues kept in [0, n)."""
 
     n: int
-    _zero = 0
-    _axpy = _scalar_axpy
 
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or self.n < 2:
@@ -219,20 +219,12 @@ class IntegersMod(Ring):
     def from_int(self, k: int) -> RingValue:
         return RingValue(self, int(k) % self.n)
 
-    def parse(self, text: str) -> RingValue:
-        return self.from_int(_parse_scalar(text, str(self)))
-
     def sample(self, rng: random.Random) -> RingValue:
         return self.from_int(rng.randrange(self.n))
 
     def elements(self) -> Iterator[RingValue]:
         for k in range(self.n):
             yield self.from_int(k)
-
-    def _normalize(self, payload: object) -> int:
-        if isinstance(payload, bool) or not isinstance(payload, int):
-            raise RingError(f"{self} payload must be an int, got {payload!r}")
-        return payload % self.n
 
     def _add(self, a: int, b: int) -> int:
         return (a + b) % self.n
@@ -242,9 +234,6 @@ class IntegersMod(Ring):
 
     def _fma(self, s: int, a: int, b: int) -> int:
         return (s + a * b) % self.n
-
-    def _format(self, a: int) -> str:
-        return str(a)
 
     def __str__(self) -> str:
         return f"Z/{self.n}"

@@ -82,13 +82,13 @@ def upper_central_series(delta: Relation) -> SubsetChain:
     at the others.
     """
     require_valid(delta)
-    labels, number, rows, cols = delta._index
+    labels, number, rows, cols, succ = delta._index
     n = len(labels)
     own = {number[pair[0]] * n + number[pair[1]]: pair for pair in delta.pairs}
     stall = "upper central series stalled before exhausting the relation"
     zeta, masks = frozenset(), _masks((), n)
     terms = [Relation._within(delta.nodes, zeta)]
-    rounds = _shed(_numbered(delta._succ), rows, cols, rows, cols, stall)
+    rounds = _shed(_numbered(succ), rows, cols, rows, cols, stall)
     for shed in rounds:
         if shed is rounds[-1]:  # the last round completes delta
             zeta = delta.pairs

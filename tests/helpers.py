@@ -129,6 +129,16 @@ def mixed_word(group, rng):
     return GeneratorWord(tuple(tokens))
 
 
+def counting(calls: dict, name: str, call):
+    """call, counting each use under name in calls."""
+
+    def wrapper(*args):
+        calls[name] += 1
+        return call(*args)
+
+    return wrapper
+
+
 def recode(relation: Relation, coeffs: dict) -> dict:
     """A coefficient map over the relation with its keys translated, values
     kept: an int pair code to its label pair, and a label pair to its code.

@@ -15,6 +15,7 @@ import pytest
 
 import mclain.factorization
 import mclain.series
+from helpers import counting
 from mclain import McLainGroup, NgonReport, chain, format_relation
 from mclain.cli import main
 
@@ -100,18 +101,10 @@ def test_quotient_projects_once_and_validates_each_group_once(
     rel.write_text(format_relation(chain(3)))
     gamma.write_text("1 3\n")
     calls = {"project": 0, "validate": 0}
-    project, validate = mclain.factorization.quotient_project, McLainGroup.__post_init__
-
-    def counted_project(*args):
-        calls["project"] += 1
-        return project(*args)
-
-    def counted_validate(self):
-        calls["validate"] += 1
-        return validate(self)
-
-    monkeypatch.setattr(mclain.factorization, "quotient_project", counted_project)
-    monkeypatch.setattr(McLainGroup, "__post_init__", counted_validate)
+    project = counting(calls, "project", mclain.factorization.quotient_project)
+    monkeypatch.setattr(mclain.factorization, "quotient_project", project)
+    validate = counting(calls, "validate", McLainGroup.__post_init__)
+    monkeypatch.setattr(McLainGroup, "__post_init__", validate)
     argv = ["quotient", "--relation", str(rel), "--gamma", str(gamma)]
     assert main(argv + ["x(1,2;2)*x(2,3;3)*x(1,3;5)"]) == 0
     assert capsys.readouterr().out == (

@@ -16,7 +16,7 @@ import random
 
 import mclain.elements
 import mclain.factorization
-from helpers import dense_element, relation_zoo, ring_instances, sparse_element
+from helpers import counting, dense_element, relation_zoo, ring_instances, sparse_element
 from oracles import alternating_series_inverse, payload_fma
 from mclain import (
     Gen,
@@ -54,16 +54,6 @@ def test_divide_multiplies_back_inverts_and_cancels():
             for g in elements:
                 inverse = GroupElement(group, _divide(group, {}, g._coeffs))
                 assert inverse == alternating_series_inverse(g), (name, str(ring))
-
-
-def counting(calls, name, call):
-    """call, counting each use under name in calls."""
-
-    def wrapper(*args):
-        calls[name] += 1
-        return call(*args)
-
-    return wrapper
 
 
 def generator_run(g):

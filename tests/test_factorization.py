@@ -9,9 +9,10 @@ import sys
 
 import pytest
 
-import mclain.factorization
+import mclain.elements
 from helpers import (
     acceptance_relations,
+    counting,
     dense_element,
     random_element,
     relation_zoo,
@@ -257,7 +258,7 @@ def test_the_sweep_makes_one_fma_per_composable_triple_at_most(monkeypatch):
     # Each term c(v,w) Q[w,l] of a pair (v,l) is one _fma, read off a suffix
     # sum, so however many levels chain(20) has, the sweep beyond its
     # self-check makes at most one per triple v < w < l, and the self-check's
-    # product is its one call of the row kernel.
+    # product is its one ordered product, so its one call of the row kernel.
     fmas = []
 
     class CountingMod(IntegersMod):
@@ -265,16 +266,16 @@ def test_the_sweep_makes_one_fma_per_composable_triple_at_most(monkeypatch):
             fmas.append(1)
             return super()._fma(s, a, b)
 
-    kernel, products = mclain.factorization._generators_times, []
+    kernel, products = mclain.elements._generators_times, []
 
-    def counting(*args):
+    def counted(*args):
         products.append(1)
         return kernel(*args)
 
     group = McLainGroup(chain(20), CountingMod(7))
     order = tuple(sorted(group.relation.pairs))
     g = dense_element(group, random.Random(62))
-    monkeypatch.setattr(mclain.factorization, "_generators_times", counting)
+    monkeypatch.setattr(mclain.elements, "_generators_times", counted)
     form = ordered_factorization(g, order)
     swept, fmas[:] = len(fmas), []
     assert products == [1]
@@ -444,13 +445,6 @@ def test_the_factorization_layer_crosses_no_edge_it_holds(monkeypatch):
     # its unit orderings as payload codes: only its 20 sampled forms coerce.
     calls = {"coerce": 0, "relation": 0, "encode": 0}
 
-    def counting(name, real):
-        def wrapper(*args):
-            calls[name] += 1
-            return real(*args)
-
-        return wrapper
-
     class CountingMod(IntegersMod):
         def coerce(self, value):
             calls["coerce"] += 1
@@ -460,9 +454,9 @@ def test_the_factorization_layer_crosses_no_edge_it_holds(monkeypatch):
     far = (p for p in group.relation.pairs if int(p[1]) - int(p[0]) >= 3)
     gamma = group.relation.subset(far)  # normal in a chain
     g = dense_element(group, random.Random(1202))
-    within = Relation._within.__func__
-    monkeypatch.setattr(Relation, "_within", classmethod(counting("relation", within)))
-    monkeypatch.setattr(_Index, "encode", counting("encode", _Index.encode))
+    within = classmethod(counting(calls, "relation", Relation._within.__func__))
+    monkeypatch.setattr(Relation, "_within", within)
+    monkeypatch.setattr(Relation, "_encode", counting(calls, "encode", Relation._encode))
 
     def taken(call):
         before = dict(calls)

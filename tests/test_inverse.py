@@ -13,6 +13,7 @@ import random
 
 import mclain.elements
 from helpers import (
+    counting,
     dense_element,
     random_element,
     recode,
@@ -104,18 +105,12 @@ def test_commutator_is_one_division_of_two_products(monkeypatch):
     g, h = dense_element(group, rng), dense_element(group, rng)
     expected = g * h * alternating_series_inverse(g) * alternating_series_inverse(h)
     calls = {"inverse": 0, "_divide": 0, "_product": 0}
-
-    def counted(name, call):
-        def wrapper(*args):
-            calls[name] += 1
-            return call(*args)
-
-        return wrapper
-
     with monkeypatch.context() as patch:
-        patch.setattr(GroupElement, "inverse", counted("inverse", GroupElement.inverse))
+        inverse = counting(calls, "inverse", GroupElement.inverse)
+        patch.setattr(GroupElement, "inverse", inverse)
         for name in ("_divide", "_product"):
-            patch.setattr(mclain.elements, name, counted(name, getattr(mclain.elements, name)))
+            kernel = getattr(mclain.elements, name)
+            patch.setattr(mclain.elements, name, counting(calls, name, kernel))
         result = g.commutator(h)
     assert calls == {"inverse": 0, "_divide": 1, "_product": 2}
     assert result == expected

@@ -231,12 +231,12 @@ def test_relation_index_is_built_once_and_cached(monkeypatch):
     first = relation._index
     assert relation._index is first
     assert relation.axiom_report.valid
-    assert relation._succ == [[1], []]
+    assert relation._index.succ == [[1], []]
     assert len(built) == 1 and built[0] is relation
     assert vars(relation)["_index"] is first
-    # read first, the successor lists build the index, once, with them
+    # an equal relation builds its own index, once, successor lists included
     other = rel()
-    assert other._succ == [[1], []] and other._index == first
+    assert other._index.succ == [[1], []] and other._index == first
     assert len(built) == 2 and built[1] is other
     assert relation == rel() and hash(relation) == hash(rel())
 

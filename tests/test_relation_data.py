@@ -4,7 +4,7 @@ The calculus makes the relations it builds from pairs it already holds
 with ``Relation._within``, which skips the endpoint check of public
 construction; the first test runs that check on every such relation. The
 axiom scan and the descents over a whole relation share its successor
-lists, ``Relation._succ``, which the index pass fills; the second test
+lists, ``_Index.succ``, which the index pass fills; the second test
 checks that one index is built and no row is expanded again.
 Public construction freezes the node and pair collections it is given;
 the last test builds relations from lists and sets.
@@ -103,8 +103,8 @@ def test_the_rows_are_expanded_once(monkeypatch):
     assert delta._levels
     assert len(built) == 1 and built[0] is delta
     assert expanded == []
-    assert delta._succ == [bits(row) for row in delta._index.rows]
-    assert sum(map(len, delta._succ)) == len(delta) == 66
+    assert delta._index.succ == [bits(row) for row in delta._index.rows]
+    assert sum(map(len, delta._index.succ)) == len(delta) == 66
 
 
 @pytest.mark.parametrize("make", [list, set])

@@ -165,6 +165,30 @@ def test_coerce():
     assert Matrices2x2Mod(3).coerce(4).payload == (1, 0, 0, 1)
 
 
+def test_value_reduces_a_payload_and_refuses_a_malformed_one():
+    # value(payload) is the ring's canonical form of a raw payload: reduced
+    # mod n, unchanged in Z, entrywise for the matrices.
+    assert IntegersMod(5).value(7).payload == 2
+    assert IntegersMod(5).value(-3).payload == 2
+    assert Integers().value(-3).payload == -3
+    assert Matrices2x2Mod(3).value((4, 5, 6, 7)).payload == (1, 2, 0, 1)
+    refused = [
+        (Integers(), True, "Z payload must be an int, got True"),
+        (IntegersMod(5), True, "Z/5 payload must be an int, got True"),
+        (IntegersMod(5), "3", "Z/5 payload must be an int, got '3'"),
+        (Matrices2x2Mod(3), (1, 2, 3), "M2(Z/3) payload must be a 4-tuple, got (1, 2, 3)"),
+        (
+            Matrices2x2Mod(3),
+            (1, 2, 3, True),
+            "M2(Z/3) payload entries must be ints, got (1, 2, 3, True)",
+        ),
+    ]
+    for ring, payload, message in refused:
+        with pytest.raises(RingError) as excinfo:
+            ring.value(payload)
+        assert str(excinfo.value) == message
+
+
 def test_truthiness_tracks_zero():
     ring = IntegersMod(4)
     assert not ring.zero

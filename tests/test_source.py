@@ -154,6 +154,26 @@ def test_modules_use_every_name_they_import():
     assert unused == []
 
 
+def test_the_row_kernel_is_called_by_the_ordered_product_and_the_peel_alone():
+    # Every ordered product goes through elements._ordered_product, which
+    # reverses its factors for the row kernel; the word factorization's
+    # undos multiply in on the left as they are. A second spelling of the
+    # reversal, or a caller that skips the helper, shows up here.
+    callers = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for function in ast.walk(tree):
+            if not isinstance(function, ast.FunctionDef):
+                continue
+            callers += [
+                f"{path.stem}.{function.name}"
+                for node in ast.walk(function)
+                if isinstance(node, ast.Call)
+                and "_generators_times" in (getattr(node.func, a, None) for a in ("id", "attr"))
+            ]
+    assert sorted(callers) == ["elements._ordered_product", "factorization.word_factorization"]
+
+
 def test_the_mutant_list_matches_the_tree():
     # tools/mutate.py applies each mutant by replacing an exact snippet, so a
     # refactor that moves one, or a test file that is renamed, must show here

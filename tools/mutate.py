@@ -32,6 +32,7 @@ SERIES = ("tests/test_series.py",)
 FACTORIZATION = ("tests/test_factorization.py",)
 SOURCE = ("tests/test_source.py",)
 RECORDS = ("tests/test_records.py",)
+RINGS = ("tests/test_rings.py",)
 EQUIVALENT = ()  # no test can tell the mutant from the program
 
 # file is under src/mclain; killers are the test paths expected to kill it
@@ -60,7 +61,10 @@ MUTANTS = [
       "                s[2] + b21 * a11 + b22 * a21,\n                s[3] + b21 * a12 + b22 * a22,",
       KERNELS),
     M("axpy ignores the offset", "rings.py",
-      "k = start + l\n        sums[k] = get(k, 0)", "k = l\n        sums[k] = get(k, 0)", KERNELS),
+      "k = start + l\n            sums[k] = get(k, 0)", "k = l\n            sums[k] = get(k, 0)",
+      KERNELS),
+    M("scalar value skips the reduction", "rings.py",
+      "return self.from_int(payload).payload", "return payload", RINGS),
     M("division skips the normalization", "elements.py",
       "z = add(zero, z)", "pass", KERNELS),
     M("splice keeps zeros", "elements.py",
@@ -75,9 +79,8 @@ MUTANTS = [
     M("division keeps zeros", "elements.py", "if z == zero:", "if False:", KERNELS),
     M("word joins a run on the wrong side", "elements.py",
       "_product(self, out, run_map)", "_product(self, run_map, out)", KERNELS),
-    M("ordered product feeds its first factor first", "factorization.py",
-      "_generators_times(group, reversed(factors), {}))",
-      "_generators_times(group, factors, {}))", ORDERED),
+    M("ordered product feeds its first factor first", "elements.py",
+      "reversed(list(factors))", "list(factors)", ORDERED),
     # the mask calculus of relations.py and its readers
     M("descent keeps by rows only", "relations.py",
       "if rows[x] & right[y] or cols[y] & left[x]:", "if rows[x] & right[y]:", CALCULUS),
