@@ -300,12 +300,13 @@ def _divide(group: McLainGroup, u: Coeffs, w: Coeffs) -> Coeffs:
     unreduced. A pair is popped from the sums when its level
     (``Relation._levels``, held as codes) comes, skipped if no term
     reached it, reduced by one ``_add`` from zero, and kept only if
-    nonzero: that is the one prune. Unlike the products, the solve tests no composite against the relation: the
-    levels hold only its pairs, so a sum outside it is never read. w stays
-    on the right, so the solve is exact over noncommutative rings; with
-    every sum spent, the rest of z is 0. Only a corrupted relation has a
-    cycle of decompositions and so no levels; it raises the same
-    InvariantError as the power loop of ``nilpotency_index``.
+    nonzero: that is the one prune. Unlike the products, the solve tests no
+    composite against the relation: the levels hold only its pairs, so a
+    sum outside it is never read, and the walk runs through every level.
+    w stays on the right, so the solve is exact over noncommutative rings.
+    Only a corrupted relation has a cycle of decompositions and so no
+    levels; it raises the same InvariantError as the power loop of
+    ``nilpotency_index``.
     """
     ring, n = group.ring, len(group.relation._index.labels)
     axpy, add, neg, zero = ring._axpy, ring._add, ring._neg, ring._zero
@@ -322,8 +323,6 @@ def _divide(group: McLainGroup, u: Coeffs, w: Coeffs) -> Coeffs:
         sums[code] = add(sums.get(code, zero), c)
     out: Coeffs = {}
     for level in levels:
-        if not sums:
-            break
         for code in level:
             z = sums.pop(code, None)
             if z is None:

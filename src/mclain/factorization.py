@@ -56,7 +56,6 @@ factorization of it must borrow step-two pairs.
 from __future__ import annotations
 
 import itertools
-import random
 from bisect import bisect_right
 
 from ._record import record
@@ -183,7 +182,7 @@ def ordered_factorization(g: GroupElement, order: tuple[Pair, ...]) -> OrderedFo
     codes = [relation._codes[pair] for pair in order]
     if missing := sorted(map(relation._index.pair, g._coeffs.keys() - set(codes))):
         raise ValueError(f"order does not cover the support: missing {missing}")
-    rounds = _bracket_rounds(pairs, relation)  # also rejects a non-closed order
+    rounds = _bracket_rounds(pairs, relation, "order")
     found = _ordered_sweep(group, g._coeffs, codes, rounds)
     ring, zero = group.ring, group.ring._zero
     coefficients = {p: RingValue(ring, found.get(c, zero)) for p, c in zip(order, codes)}
@@ -317,15 +316,17 @@ class NgonReport:
 def demonstrate_ngon_obstruction(n: int, ring: Ring | None = None) -> NgonReport:
     """Exhaust the single-step factorization attempts around an n-cycle.
 
-    The target is the sum of unit generators on all step-one pairs. Any
+    The target is the sum of unit generators on all step-one pairs. No
+    step-one pair (x,y) is a composite of two pairs of the n-gon, which is
+    checked exactly on the index masks (no z has x -> z -> y), so any
     ordered product of step-one generators reproduces its own inputs on
-    the step-one coefficients, which is asserted on random inputs and
-    forces every candidate coefficient to be the unit. The ordered
-    product of the unit generators is then taken in all n! orderings;
-    each one picks up a nonzero step-two coefficient wherever (i,i+1)
-    precedes (i+1,i+2), and a full cycle of descents is impossible, so
-    none can equal the target. A mixed factorization from word_factorization is attached
-    to show the target is still a product of generators.
+    the step-one coefficients, and every candidate coefficient is forced
+    to be the unit. The ordered product of the unit generators is then
+    taken in all n! orderings; each one picks up a nonzero step-two
+    coefficient wherever (i,i+1) precedes (i+1,i+2), and a full cycle of
+    descents is impossible, so none can equal the target. A mixed
+    factorization from word_factorization is attached to show the target
+    is still a product of generators.
     """
     if not 4 <= n <= 6:
         raise ValueError("the demonstration enumerates n! orderings; use 4 <= n <= 6")
@@ -337,17 +338,10 @@ def demonstrate_ngon_obstruction(n: int, ring: Ring | None = None) -> NgonReport
     step_two = set(ngon_diagonals(n))
     target = group.element({edge: ring.one for edge in edges})
 
-    # Edge coefficients of an ordered edge product are exactly the inputs:
-    # matching the all-unit target therefore forces unit coefficients.
-    rng = random.Random(20240 + n)
-    forced = True
-    for _ in range(20):
-        values = {edge: ring.sample(rng) for edge in edges}
-        shuffled = list(edges)
-        rng.shuffle(shuffled)
-        product = OrderedForm(group, tuple(shuffled), values).product()
-        if any(product.coefficient(*e) != values[e] for e in edges):
-            forced = False
+    # No edge is a composite, so the edge coefficients of an ordered edge
+    # product are exactly the inputs: the all-unit target forces units.
+    _, number, rows, cols, _ = delta._index
+    forced = not any(rows[number[x]] & cols[number[y]] for x, y in edges)
 
     checked = 0
     successes = 0

@@ -25,7 +25,7 @@ Order files list one pair per line, ``i j``, in increasing order;
 from __future__ import annotations
 
 from .elements import Comm, Gen, GeneratorWord, Inv, McLainGroup
-from .relations import _LABEL_PUNCTUATION, Pair, ParseError, _pair_lines
+from .relations import _LABEL_PUNCTUATION, Pair, ParseError, _pair_lines, _read_text
 from .rings import Ring, RingError
 
 _LABEL_STOP = set(_LABEL_PUNCTUATION + " \t\r\n")
@@ -179,5 +179,4 @@ def parse_order_text(text: str) -> tuple[Pair, ...]:
 
 
 def parse_order_file(path: str) -> tuple[Pair, ...]:
-    with open(path, encoding="utf-8-sig") as handle:
-        return parse_order_text(handle.read())
+    return parse_order_text(_read_text(path))

@@ -307,7 +307,7 @@ class Relation:
         reads the levels, so they are built when it first needs them.
         """
         n = len(self._index.labels)
-        rounds = _bracket_rounds(self.pairs, self)
+        rounds = _bracket_rounds(self.pairs, self, "relation")
         return tuple(tuple(x * n + y for x, y in shed) for shed in rounds)
 
     def subset(self, pairs: Iterable[Pair]) -> "Relation":
@@ -529,21 +529,24 @@ def _shed(
     return rounds
 
 
-def _bracket_rounds(gamma: frozenset[Pair], delta: Relation) -> list[list[Arc]]:
+def _bracket_rounds(
+    gamma: frozenset[Pair], delta: Relation, subject: str
+) -> list[list[Arc]]:
     """The pairs (x,y) of closed gamma, a frozenset of delta's pairs, numbered in
     delta's index, by the round of the bracket descent (``gamma_series``) that
     sheds them: (a,c) of the term T stays while T_row[a] & G_col[c] or
     G_row[a] & T_col[c], with G gamma's masks. Gamma equal to delta's pairs
     shares delta's masks and ``succ`` and sheds in sorted order; a proper
     subset gets its own masks, and no caller reads its order within a round.
-    Only an axiom breaker's descent, on a cycle of decompositions, never ends."""
+    A gamma that is not closed is refused, naming ``subject``. Only an axiom
+    breaker's descent, on a cycle of decompositions, never ends."""
     _, _, rows, cols, succ = delta._index
     if gamma == delta.pairs:  # gamma is delta: share its masks
         live = _numbered(succ)
     else:
         live, (rows, cols) = delta._encode(gamma, "subset")
         if not _absorbs(live, delta, (rows, cols), normal=False):
-            raise ValueError("gamma series needs a closed subset")
+            raise ValueError(f"{subject} needs a closed subset")
     return _shed(live, rows, cols, cols, rows, "bracket series failed to terminate")
 
 
@@ -556,7 +559,7 @@ def gamma_series(gamma: Relation, delta: Relation) -> SubsetChain:
     """
     decode = delta._index.decode
     terms, term = [gamma], gamma.pairs
-    for shed in _bracket_rounds(gamma.pairs, delta):
+    for shed in _bracket_rounds(gamma.pairs, delta, "gamma series"):
         term = term.difference(decode(shed))
         terms.append(Relation._within(delta.nodes, term))
     return SubsetChain("descending", tuple(terms))
@@ -814,9 +817,14 @@ def parse_relation_text(text: str) -> Relation:
     return Relation._within(frozenset(nodes), frozenset(pairs))
 
 
-def parse_relation_file(path: str) -> Relation:
+def _read_text(path: str) -> str:
+    """An input file's text, read as UTF-8 less a leading byte-order mark."""
     with open(path, encoding="utf-8-sig") as handle:
-        return parse_relation_text(handle.read())
+        return handle.read()
+
+
+def parse_relation_file(path: str) -> Relation:
+    return parse_relation_text(_read_text(path))
 
 
 def format_relation(delta: Relation) -> str:

@@ -11,11 +11,14 @@ for the matrices), so values are equal exactly when payloads are ``==``.
 A ring supplies what the group law needs: its zero payload ``_zero`` (a
 class attribute, not a field), ``_add``, ``_neg``, the multiply-add
 ``_fma`` and its row form ``_axpy``, which may leave sums unreduced: the
-other three return canonical payloads for such input. ``_normalize`` and
-``_format`` serve the edges. Z and Z/n differ only in ``from_int`` and
-their arithmetic, so they share the rest through one base, ``_Scalar``:
-the zero, the literal parser, the payload check, the formatter and the
-row multiply-add, which leaves plain int sums with no modulus.
+other three return canonical payloads for such input. Each ring defines
+all five: the base has no zero, and its hooks raise NotImplementedError.
+``_normalize`` and ``_format`` serve the edges. Z and Z/n differ only in
+``from_int`` and their arithmetic, so they share the rest through one
+base, ``_Scalar``: the zero, the literal parser, the payload check, the
+formatter and the row multiply-add, which leaves plain int sums with no
+modulus. Z/n and M2(Z/n) share the modulus field and its check through
+``_Modular``.
 """
 
 from __future__ import annotations
@@ -108,15 +111,13 @@ class Ring:
 
     def coerce(self, value: "RingValue | int") -> RingValue:
         """Accept a value of this ring, or an int through from_int."""
-        if isinstance(value, bool):
-            raise RingError(f"cannot coerce {value!r} into {self}")
-        if isinstance(value, int):
-            return self.from_int(value)
         if isinstance(value, RingValue):
             if value.ring != self:
                 raise RingError(f"value of {value.ring} used where {self} expected")
             return value
-        raise RingError(f"cannot coerce {value!r} into {self}")
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise RingError(f"cannot coerce {value!r} into {self}")
+        return self.from_int(value)
 
     def parse(self, text: str) -> RingValue:
         raise NotImplementedError
@@ -143,11 +144,10 @@ class Ring:
         raise NotImplementedError
 
     def _axpy(self, sums: dict, a: object, row, start: int = 0) -> None:
-        """Add ab into sums[start + l] for each (l, b) in row, a on the left.
-        An override may leave sums unreduced; this default folds ``_fma``."""
-        fma, zero = self._fma, self._zero
-        for l, b in row:
-            sums[start + l] = fma(sums.get(start + l, zero), a, b)
+        """Add ab into sums[start + l] for each (l, b) in row, a on the left,
+        each sum starting at ``_zero`` when absent; the sums may be left
+        unreduced."""
+        raise NotImplementedError
 
     def _format(self, a: object) -> str:
         raise NotImplementedError
@@ -207,14 +207,19 @@ class Integers(_Scalar):
 
 
 @record
-class IntegersMod(_Scalar):
-    """Integers modulo n, with residues kept in [0, n)."""
+class _Modular(Ring):
+    """Base of the rings with a modulus, Z/n and M2(Z/n): n is an int >= 2."""
 
     n: int
 
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or self.n < 2:
             raise RingError(f"modulus must be an integer >= 2, got {self.n!r}")
+
+
+@record
+class IntegersMod(_Scalar, _Modular):
+    """Integers modulo n, with residues kept in [0, n)."""
 
     def from_int(self, k: int) -> RingValue:
         return RingValue(self, int(k) % self.n)
@@ -240,19 +245,14 @@ class IntegersMod(_Scalar):
 
 
 @record
-class Matrices2x2Mod(Ring):
+class Matrices2x2Mod(_Modular):
     """2x2 matrices over the integers mod n, stored row major.
 
     Noncommutative for every n >= 2, which is the point: it separates
     coefficient products ab from ba wherever an order matters.
     """
 
-    n: int
     _zero = (0, 0, 0, 0)
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 2:
-            raise RingError(f"modulus must be an integer >= 2, got {self.n!r}")
 
     def from_int(self, k: int) -> RingValue:
         r = int(k) % self.n

@@ -235,7 +235,7 @@ def test_factor_with_non_closed_order_fails(tmp_path, capsys):
         "x(1,2;1)",
     )
     assert code == 1
-    assert "closed" in err
+    assert err == "error: order needs a closed subset\n"
 
 
 def test_factor_with_order_not_covering_support_fails(tmp_path, capsys):

@@ -85,6 +85,8 @@ def test_cross_group_arithmetic_rejected():
     b = _group(4).identity()
     with pytest.raises(ValueError, match="different groups"):
         a * b
+    with pytest.raises(ValueError, match="expected a group element, got 2"):
+        a * 2
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +388,7 @@ def test_equal_elements_share_one_hash_and_repr_is_str():
         assert len(set(routes)) == 1
         assert len({hash(route) for route in routes}) == 1
         assert repr(g) == str(g)
+        assert g.__eq__(str(g)) is NotImplemented and g != str(g)
 
 
 def test_parse_normal_form_rejects_bad_text():

@@ -326,7 +326,7 @@ def test_gamma_series_chain4():
 def test_gamma_series_ngon4():
     delta = ngon(4)
     series = gamma_series(delta, delta)
-    assert len(series.terms) == 3
+    assert len(series) == len(series.terms) == 3
     assert series.terms[1].pairs == frozenset(ngon_diagonals(4))
     assert series.terms[2].pairs == frozenset()
 

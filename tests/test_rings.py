@@ -150,6 +150,8 @@ def test_cross_ring_operations_raise():
             x + y
         with pytest.raises(RingError):
             x * y
+    with pytest.raises(RingError, match="expected a ring value, got 1"):
+        a + 1
 
 
 def test_coerce():

@@ -117,13 +117,16 @@ MUTANTS = [
     M("upper series skips validation", "series.py",
       "require_valid(delta)\n    labels, number, rows, cols", "labels, number, rows, cols",
       CALCULUS),
-    # the quotient cache, the projection and the word factorization's pass bound
+    # the quotient cache, the projection, the word factorization's pass bound
+    # and the n-gon demonstration's exact forcing test
     M("difference cache keyed by delta alone", "relations.py",
       "out = quotients.get(key)", "out = next(iter(quotients.values()), None)", SERIES),
     M("projection keeps every pair", "factorization.py",
       "if code not in doomed}", "}", SERIES),
     M("word factorization without its pass bound", "factorization.py",
       "if passes == n:", "if False:", FACTORIZATION),
+    M("n-gon forcing test without columns", "factorization.py",
+      "rows[number[x]] & cols[number[y]] for", "rows[number[x]] for", FACTORIZATION),
     # the export table and the modules each command loads
     M("export filed under a module that only imports it", "__init__.py",
       '"ngon": "relations",', '"ngon": "factorization",', SOURCE),
