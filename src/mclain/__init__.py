@@ -29,7 +29,6 @@ _EXPORTS = {
     "Matrices2x2Mod": "rings",
     "McLainGroup": "elements",
     "NgonReport": "factorization",
-    "One": "elements",
     "OrderedForm": "factorization",
     "Pair": "relations",
     "ParseError": "relations",

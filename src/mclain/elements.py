@@ -15,6 +15,13 @@ product, so it is exact over noncommutative rings. The inverse divides 1
 by g, the commutator (g h)(h g)^-1 takes two products and no inverse,
 and a word divides by each of its inv(w) factors.
 
+A word is a ``GeneratorWord`` of three kinds of token: ``Gen``, the
+generator x_p(r); ``Inv``, the inverse of a word; and ``Comm``, the
+commutator of two words. The empty word is the identity, and it is the
+only spelling of it. ``format_word`` prints a word in the expression
+grammar of ``parsing``; when its generators carry labels that follow the
+label rule and values of one ring, that text parses back to the same word.
+
 Elements are immutable and normalized: zero coefficients are never
 stored, so equality of elements is equality of coefficient maps. The
 map holds raw ring payloads (an int, or a 4-tuple for M2(Z/n)) and the
@@ -83,36 +90,40 @@ class Gen:
 class Inv:
     word: "GeneratorWord"
 
+    def __post_init__(self) -> None:
+        _require_word(self.word)
+
 
 @record
 class Comm:
     left: "GeneratorWord"
     right: "GeneratorWord"
 
+    def __post_init__(self) -> None:
+        _require_word(self.left)
+        _require_word(self.right)
 
-@record
-class One:
-    pass
 
-
-Token = object
+def _require_word(word: object) -> None:
+    if not isinstance(word, GeneratorWord):
+        raise ValueError(f"expected a GeneratorWord, got {word!r}")
 
 
 @record
 class GeneratorWord:
     """A product of tokens, evaluated left to right."""
 
-    tokens: tuple[Token, ...] = ()
+    tokens: tuple[Gen | Inv | Comm, ...] = ()
 
     def __post_init__(self) -> None:
         for token in self.tokens:
-            if not isinstance(token, (Gen, Inv, Comm, One)):
+            if not isinstance(token, (Gen, Inv, Comm)):
                 raise ValueError(f"bad word token: {token!r}")
 
     def __len__(self) -> int:
         return len(self.tokens)
 
-    def __iter__(self) -> Iterator[Token]:
+    def __iter__(self) -> Iterator[Gen | Inv | Comm]:
         return iter(self.tokens)
 
 
@@ -123,16 +134,12 @@ def format_word(word: GeneratorWord) -> str:
     return "*".join(_format_token(t) for t in word.tokens)
 
 
-def _format_token(token: Token) -> str:
+def _format_token(token: Gen | Inv | Comm) -> str:
     if isinstance(token, Gen):
         return f"x({token.source},{token.target};{token.value})"
     if isinstance(token, Inv):
         return f"inv({format_word(token.word)})"
-    if isinstance(token, Comm):
-        return f"comm({format_word(token.left)},{format_word(token.right)})"
-    if isinstance(token, One):
-        return "1"
-    raise ValueError(f"bad word token: {token!r}")
+    return f"comm({format_word(token.left)},{format_word(token.right)})"
 
 
 @record
@@ -174,7 +181,7 @@ class McLainGroup:
             for token in run:
                 if isinstance(token, Inv):
                     out = _divide(self, out, self.eval_word(token.word)._coeffs)
-                elif isinstance(token, Comm):
+                else:
                     left, right = self.eval_word(token.left), self.eval_word(token.right)
                     out = _product(self, out, left.commutator(right)._coeffs)
         return GroupElement(self, out)

@@ -105,21 +105,21 @@ def _parse_expr(scanner: _Scanner, ring: Ring) -> GeneratorWord:
     if scanner.depth > _MAX_NESTING:
         raise ParseError(f"nesting deeper than {_MAX_NESTING} at position {scanner.pos}")
     scanner.depth += 1
-    tokens = list(_parse_term(scanner, ring).tokens)
+    tokens = list(_parse_term(scanner, ring))
     while scanner.try_take("*"):
-        tokens.extend(_parse_term(scanner, ring).tokens)
+        tokens.extend(_parse_term(scanner, ring))
     scanner.depth -= 1
     return GeneratorWord(tuple(tokens))
 
 
-def _parse_term(scanner: _Scanner, ring: Ring) -> GeneratorWord:
+def _parse_term(scanner: _Scanner, ring: Ring) -> tuple[Gen | Inv | Comm, ...]:
     if scanner.try_take("("):
         inner = _parse_expr(scanner, ring)
         scanner.take(")")
-        return inner
+        return inner.tokens
     name = scanner.atom()
     if name == "1":
-        return GeneratorWord(())
+        return ()
     if name == "x":
         scanner.take("(")
         source = scanner.atom()
@@ -132,19 +132,19 @@ def _parse_term(scanner: _Scanner, ring: Ring) -> GeneratorWord:
             value = ring.parse(literal)
         except RingError as exc:
             raise ParseError(f"bad coefficient in generator: {exc}") from exc
-        return GeneratorWord((Gen(source, target, value),))
+        return (Gen(source, target, value),)
     if name == "inv":
         scanner.take("(")
         inner = _parse_expr(scanner, ring)
         scanner.take(")")
-        return GeneratorWord((Inv(inner),))
+        return (Inv(inner),)
     if name == "comm":
         scanner.take("(")
         left = _parse_expr(scanner, ring)
         scanner.take(",")
         right = _parse_expr(scanner, ring)
         scanner.take(")")
-        return GeneratorWord((Comm(left, right),))
+        return (Comm(left, right),)
     raise ParseError(f"unknown term {name!r} in expression")
 
 

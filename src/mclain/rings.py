@@ -13,12 +13,12 @@ class attribute, not a field), ``_add``, ``_neg``, the multiply-add
 ``_fma`` and its row form ``_axpy``, which may leave sums unreduced: the
 other three return canonical payloads for such input. Each ring defines
 all five: the base has no zero, and its hooks raise NotImplementedError.
-``_normalize`` and ``_format`` serve the edges. Z and Z/n differ only in
-``from_int`` and their arithmetic, so they share the rest through one
-base, ``_Scalar``: the zero, the literal parser, the payload check, the
-formatter and the row multiply-add, which leaves plain int sums with no
-modulus. Z/n and M2(Z/n) share the modulus field and its check through
-``_Modular``.
+At the edges, ``value`` checks a raw payload and wraps its canonical
+form, and ``_format`` prints one. Z and Z/n differ only in ``from_int``
+and their arithmetic, so they share the rest through one base,
+``_Scalar``: the zero, the literal parser, ``value``, the formatter and
+the row multiply-add, which leaves plain int sums with no modulus. Z/n
+and M2(Z/n) share the modulus field and its check through ``_Modular``.
 """
 
 from __future__ import annotations
@@ -95,7 +95,9 @@ class Ring:
     """Base for the concrete rings. Subclasses define payload arithmetic."""
 
     def value(self, payload: object) -> RingValue:
-        return RingValue(self, self._normalize(payload))
+        """The value of a raw payload, reduced to its canonical form; a
+        malformed payload raises RingError."""
+        raise NotImplementedError
 
     def from_int(self, k: int) -> RingValue:
         """The canonical image of the integer k, i.e. k times the unit."""
@@ -130,9 +132,6 @@ class Ring:
 
     # payload hooks. Subclasses also set _zero, the zero payload; the base
     # has none, so a ring that forgets it fails on first use.
-    def _normalize(self, payload: object) -> object:
-        raise NotImplementedError
-
     def _add(self, a: object, b: object) -> object:
         raise NotImplementedError
 
@@ -167,10 +166,10 @@ class _Scalar(Ring):
             raise RingError(f"matrix literal {text!r} used with scalar ring {self}")
         raise RingError(f"malformed {self} literal: {text!r}")
 
-    def _normalize(self, payload: object) -> int:
+    def value(self, payload: object) -> RingValue:
         if isinstance(payload, bool) or not isinstance(payload, int):
             raise RingError(f"{self} payload must be an int, got {payload!r}")
-        return self.from_int(payload).payload
+        return self.from_int(payload)
 
     def _axpy(self, sums: dict, a: int, row, start: int = 0) -> None:
         """Plain int sums, with no modulus."""
@@ -274,12 +273,12 @@ class Matrices2x2Mod(_Modular):
         for quad in itertools.product(range(self.n), repeat=4):
             yield self.value(quad)
 
-    def _normalize(self, payload: object) -> tuple[int, int, int, int]:
+    def value(self, payload: object) -> RingValue:
         if not (isinstance(payload, tuple) and len(payload) == 4):
             raise RingError(f"{self} payload must be a 4-tuple, got {payload!r}")
         if any(isinstance(x, bool) or not isinstance(x, int) for x in payload):
             raise RingError(f"{self} payload entries must be ints, got {payload!r}")
-        return tuple(x % self.n for x in payload)
+        return RingValue(self, tuple(x % self.n for x in payload))
 
     def _add(self, a, b):
         n = self.n

@@ -15,7 +15,6 @@ from mclain import (
     Inv,
     Matrices2x2Mod,
     McLainGroup,
-    One,
     Relation,
     chain,
     from_pairs,
@@ -110,8 +109,8 @@ def gen_word(factors):
 
 
 def mixed_word(group, rng):
-    """x runs with inv(...) and comm(...) tokens between them, then a one(),
-    a nonempty run, the inverse of a word holding a comm(...), and a last
+    """x runs with inv(...) and comm(...) tokens between them, then a
+    nonempty run, the inverse of a word holding a comm(...), and a last
     run."""
     tokens = []
     for _ in range(rng.randint(1, 3)):
@@ -121,7 +120,6 @@ def mixed_word(group, rng):
             tokens.append(Inv(inner))
         else:
             tokens.append(Comm(inner, gen_word(random_factors(group, rng, 2))))
-    tokens.append(One())
     tokens.extend(gen_word(random_factors(group, rng, rng.randint(1, 3))))
     y, a, b, z = (gen_word(random_factors(group, rng, 2)) for _ in range(4))
     tokens.append(Inv(GeneratorWord((*y, Comm(a, b), *z))))

@@ -61,7 +61,6 @@ import random
 from typing import Iterable
 
 from mclain import (
-    Comm,
     ExchangeViolation,
     Gen,
     GeneratorWord,
@@ -476,11 +475,9 @@ def scan_eval_word(group: McLainGroup, word: GeneratorWord) -> dict:
             step = dict(scan_payloads(group.ring, [(pair, token.value)]))
         elif isinstance(token, Inv):
             step = scan_inverse(group, scan_eval_word(group, token.word))
-        elif isinstance(token, Comm):
+        else:
             left, right = (scan_eval_word(group, w) for w in (token.left, token.right))
             step = scan_commutator(group, left, right)
-        else:
-            step = {}
         out = scan_product(group, out, step)
     return out
 

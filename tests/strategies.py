@@ -16,7 +16,10 @@ from hypothesis import seed, settings, strategies as st
 from helpers import relation_zoo
 from mclain import (
     AxiomReport,
+    Comm,
+    GeneratorWord,
     Integers,
+    Inv,
     Matrices2x2Mod,
     Relation,
     from_pairs,
@@ -129,6 +132,21 @@ def subsets(draw, delta: Relation):
 
 
 with_subset = relations.flatmap(lambda delta: st.tuples(st.just(delta), subsets(delta)))
+
+
+def words(gens):
+    """Words of drawn Gen tokens and of inv(...) and comm(...) tokens nested
+    around drawn sub-words, empty ones included."""
+
+    def products(tokens):
+        return st.lists(tokens, max_size=4).map(lambda t: GeneratorWord(tuple(t)))
+
+    def wrapped(inner):
+        return st.builds(Inv, products(inner)) | st.builds(
+            Comm, products(inner), products(inner)
+        )
+
+    return products(st.recursive(gens, wrapped, max_leaves=10))
 
 
 def fresh(relation: Relation) -> Relation:

@@ -200,7 +200,7 @@ def test_each_ring_defines_its_row_kernel_and_the_base_none():
             return s + a * b
 
     base = Ring()
-    hooks = {"_normalize": (0,), "_add": (0, 0), "_neg": (0,), "_fma": (0, 0, 0), "_format": (0,)}
+    hooks = {"value": (0,), "_add": (0, 0), "_neg": (0,), "_fma": (0, 0, 0), "_format": (0,)}
     for name, args in hooks.items():
         with pytest.raises(NotImplementedError):
             getattr(base, name)(*args)

@@ -29,7 +29,6 @@ from mclain import (
     Matrices2x2Mod,
     McLainGroup,
     NgonReport,
-    One,
     OrderedForm,
     ReflexiveViolation,
     Relation,
@@ -41,7 +40,7 @@ from mclain.rings import Ring, RingValue
 SRC = Path(__file__).resolve().parents[1] / "src"
 REL = "Relation([('1', '2')])"
 Z7 = "IntegersMod(n=7)"
-WORD = "GeneratorWord(tokens=(One(),))"
+WORD = "GeneratorWord(tokens=(Inv(word=GeneratorWord(tokens=())),))"
 
 
 def rel():
@@ -49,7 +48,7 @@ def rel():
 
 
 def word():
-    return GeneratorWord((One(),))
+    return GeneratorWord((Inv(GeneratorWord()),))
 
 
 # Each case: the class, a function giving fresh field values by name, and
@@ -93,8 +92,7 @@ CASES = [
         lambda: {"left": word(), "right": GeneratorWord()},
         f"Comm(left={WORD}, right=GeneratorWord(tokens=()))",
     ),
-    (One, dict, "One()"),
-    (GeneratorWord, lambda: {"tokens": (One(),)}, WORD),
+    (GeneratorWord, lambda: {"tokens": word().tokens}, WORD),
     (
         McLainGroup,
         lambda: {"relation": rel(), "ring": IntegersMod(7)},

@@ -1,8 +1,9 @@
 """Round trips through the text surfaces, as properties in all three rings.
 
-Anything the library computes it can print and parse back: the word of
-``word_factorization`` through the expression grammar, an element
-through its printed normal form, and a relation through its text format.
+Anything the library computes it can print and parse back: a word, and
+the word of ``word_factorization``, through the expression grammar, an
+element through its printed normal form, and a relation through its text
+format.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
 from mclain import (  # noqa: E402
+    Gen,
     Integers,
     IntegersMod,
     Matrices2x2Mod,
@@ -25,7 +27,7 @@ from mclain import (  # noqa: E402
     parse_relation_text,
     word_factorization,
 )
-from strategies import profile, zoo_or_valid  # noqa: E402
+from strategies import profile, words, zoo_or_valid  # noqa: E402
 
 Z, Z5, M2 = Integers(), IntegersMod(5), Matrices2x2Mod(2)
 VALUES = {
@@ -88,3 +90,11 @@ def test_relation_text_round_trip(delta):
     parsed = parse_relation_text(text)
     assert parsed == delta
     assert format_relation(parsed) == text
+
+
+@pytest.mark.parametrize("ring", [Z, Z5, M2], ids=str)
+@profile(100)
+@given(data=st.data())
+def test_a_word_prints_and_parses_back_to_the_same_word(ring, data):
+    word = data.draw(words(st.builds(Gen, labels, labels, VALUES[ring])))
+    assert parse_element_expression(format_word(word), ring) == word

@@ -33,7 +33,6 @@ PUBLIC = [
     "Matrices2x2Mod",
     "McLainGroup",
     "NgonReport",
-    "One",
     "OrderedForm",
     "Pair",
     "ParseError",

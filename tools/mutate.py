@@ -33,6 +33,7 @@ FACTORIZATION = ("tests/test_factorization.py",)
 SOURCE = ("tests/test_source.py",)
 RECORDS = ("tests/test_records.py",)
 RINGS = ("tests/test_rings.py",)
+ELEMENTS = ("tests/test_elements.py",)
 EQUIVALENT = ()  # no test can tell the mutant from the program
 
 # file is under src/mclain; killers are the test paths expected to kill it
@@ -64,7 +65,7 @@ MUTANTS = [
       "k = start + l\n            sums[k] = get(k, 0)", "k = l\n            sums[k] = get(k, 0)",
       KERNELS),
     M("scalar value skips the reduction", "rings.py",
-      "return self.from_int(payload).payload", "return payload", RINGS),
+      "return self.from_int(payload)", "return RingValue(self, payload)", RINGS),
     M("division skips the normalization", "elements.py",
       "z = add(zero, z)", "pass", KERNELS),
     M("splice keeps zeros", "elements.py",
@@ -127,6 +128,9 @@ MUTANTS = [
       "if passes == n:", "if False:", FACTORIZATION),
     M("n-gon forcing test without columns", "factorization.py",
       "rows[number[x]] & cols[number[y]] for", "rows[number[x]] for", FACTORIZATION),
+    # the words: inv(...) and comm(...) take words only
+    M("inv and comm take any sub-word", "elements.py",
+      "if not isinstance(word, GeneratorWord):", "if False:", ELEMENTS),
     # the export table and the modules each command loads
     M("export filed under a module that only imports it", "__init__.py",
       '"ngon": "relations",', '"ngon": "factorization",', SOURCE),
