@@ -7,10 +7,10 @@ and zero otherwise. Every coefficient map x is nilpotent: a nonzero
 product of basis elements walks through distinct nodes, so x^m vanishes
 once m reaches the number of touched nodes. One right division gives
 both the inverse and the commutator: 1 + z = (1+u)(1+w)^-1 solves
-(1+z)(1+w) = 1+u one pair at a time, and a composite (i,l) = (i,j)∘(j,l)
-lies deeper in the bracket series than (i,j), so walking the pairs level
-by level, shallow first, is a triangular back-substitution at about the
-cost of one product. It keeps w on the right of every coefficient
+(1+z)(1+w) = 1+u one row at a time, and a composite (i,l) = (i,j)∘(j,l)
+lies deeper in the bracket series than (i,j), so walking each row's
+targets by depth, shallow first, is a triangular back-substitution at
+about the cost of one product. It keeps w on the right of every coefficient
 product, so it is exact over noncommutative rings. The inverse divides 1
 by g, the commutator (g h)(h g)^-1 takes two products and no inverse,
 and a word divides by each of its inv(w) factors.
@@ -19,8 +19,9 @@ A word is a ``GeneratorWord`` of three kinds of token: ``Gen``, the
 generator x_p(r); ``Inv``, the inverse of a word; and ``Comm``, the
 commutator of two words. The empty word is the identity, and it is the
 only spelling of it. ``format_word`` prints a word in the expression
-grammar of ``parsing``; when its generators carry labels that follow the
-label rule and values of one ring, that text parses back to the same word.
+grammar of ``parsing``, and refuses a generator whose labels break the
+label rule or whose value is not a ring value; when the values are of one
+ring, that text parses back to the same word.
 
 Elements are immutable and normalized: zero coefficients are never
 stored, so equality of elements is equality of coefficient maps. The
@@ -34,21 +35,28 @@ and the factorizations that feed them payloads they solved, check nothing.
 The map is keyed by int pair codes, not label pairs: the pair (i,j) is
 number(i)*N + number(j) in the numbering of the relation's index
 (``relations._Index``, nodes in sorted label order, N of them). The
-kernels split a code with ``divmod``, and the product kernels admit a
-composite (i,l) by one bit test on node i's successor row, so no label
-tuple is built or hashed per term. Labels appear only at the edges:
+kernels split a code with ``divmod``, and no label tuple is built or
+hashed per term. Labels appear only at the edges:
 ``_payloads`` and ``coefficient`` encode through the relation's
 ``_codes``, and ``coefficients``, ``support`` and ``__str__`` decode
 through ``_Index.pair``. Sorted codes are sorted label pairs, and the
 numbering depends only on the node set, so equal groups, subgroups and
 quotients over the same nodes read a code alike.
 
-Every kernel (``_splice``, ``_product``, ``_generators_times`` and
-``_divide``) adds up the same way: each sum starts at ``Ring._zero`` and
-takes every term through one ``Ring._fma`` or ``Ring._add``, or a row of
-terms through one ``Ring._axpy``, which may leave it unreduced until one
-``_add`` reduces it; the zeros that leaves are pruned once, at the end,
-by ``!=`` against ``_zero``.
+The general product (``_splice``, and ``_product`` on it) and the division
+(``_divide``) work one output row at a time, with row accumulators: the
+sums of row i live in one list of N slots, each starting as the ring's
+zero object, and a term a of x at (i,j) adds a times row j of y into it
+through one ``Ring._axpy``, which may leave the sums unreduced (delayed
+reduction, one ``_add`` per output entry, as in Dumas, Giorgi & Pernet,
+ACM TOMS 35(3), 2008). Only the relation's targets of row i are read
+back: the product harvests ``_Index.succ[i]``, so a composite outside
+the relation is never read and needs no admission test, and the division
+walks row i's targets in bracket-depth order (``Relation._levels``). A
+slot that still is the zero object is skipped, and a nonzero result is
+kept by ``!=`` against ``_zero``. ``_generators_times`` keeps its rows as
+dicts, takes each term through one ``Ring._fma`` and admits a composite
+(p,l) by one bit test on node p's successor row.
 
 Products with a run of single generators 1 + c e(p,q) skip the general
 splice, which scans every term of both maps. One kernel does the
@@ -63,11 +71,12 @@ factorization, whose undos multiply in on the left as they are.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from itertools import groupby
 from typing import Iterable, Iterator, Mapping
 
 from ._record import record
-from .relations import InvariantError, Pair, Relation, require_valid
+from .relations import InvariantError, Pair, Relation, _require_label_rule, require_valid
 from .rings import Ring, RingValue
 
 
@@ -128,7 +137,44 @@ class GeneratorWord:
 
 
 def format_word(word: GeneratorWord) -> str:
-    """Render a word in the expression grammar; the empty word is 1."""
+    """Render a word in the expression grammar; the empty word is 1.
+
+    A ``Gen`` whose value is not a ``RingValue``, or whose labels break the
+    label rule, would print text that parses to another word or not at all,
+    so it is refused with a ValueError naming it. The labels of the whole
+    word are checked in one scan (``relations._require_label_rule``); a
+    token is looked at alone only on failure.
+    """
+    gens = _gens(word)
+    for token in gens:
+        if not isinstance(token.value, RingValue):
+            raise ValueError(f"cannot format {token!r}: its value is not a ring value")
+    try:
+        _require_label_rule([t.source for t in gens] + [t.target for t in gens])
+    except ValueError:
+        for token in gens:
+            try:
+                _require_label_rule((token.source, token.target))
+            except ValueError as fault:
+                raise ValueError(f"cannot format {token!r}: {fault}") from None
+    return _format_word(word)
+
+
+def _gens(word: GeneratorWord) -> list[Gen]:
+    """The Gen tokens of a word, inside its inv(...) and comm(...) too."""
+    out, stack = [], [word]
+    while stack:
+        for token in stack.pop().tokens:
+            if isinstance(token, Gen):
+                out.append(token)
+            elif isinstance(token, Inv):
+                stack.append(token.word)
+            else:
+                stack += (token.left, token.right)
+    return out
+
+
+def _format_word(word: GeneratorWord) -> str:
     if not word.tokens:
         return "1"
     return "*".join(_format_token(t) for t in word.tokens)
@@ -138,8 +184,8 @@ def _format_token(token: Gen | Inv | Comm) -> str:
     if isinstance(token, Gen):
         return f"x({token.source},{token.target};{token.value})"
     if isinstance(token, Inv):
-        return f"inv({format_word(token.word)})"
-    return f"comm({format_word(token.left)},{format_word(token.right)})"
+        return f"inv({_format_word(token.word)})"
+    return f"comm({_format_word(token.left)},{_format_word(token.right)})"
 
 
 @record
@@ -192,36 +238,50 @@ class McLainGroup:
 Coeffs = dict[int, object]
 
 
-def _splice(group: McLainGroup, x: Coeffs, y: Coeffs, base: Coeffs) -> Coeffs:
-    """base + xy for coefficient maps, zeros pruned.
+def _splice(group: McLainGroup, x: Coeffs, y: Coeffs, unit: bool = False) -> Coeffs:
+    """The map of xy, or with ``unit`` of (1+x)(1+y) = 1 + (x + y + xy),
+    zeros pruned, one output row at a time.
 
-    base must hold no zeros, and it is added into in place. y is split by
-    first index, and each term a of x adds a times row j of y into the sums
-    of its row i through one ``Ring._axpy``, which may leave them
-    unreduced; each admitted sum joins base through one ``_add``, which
-    reduces it. The zeros that leaves are pruned in one pass at the end.
+    The sums of output row i live in one list with a slot per node, each
+    slot starting as the ring's zero object; the list is made when the row
+    is first touched. y is split by first index, and each term a of x at
+    (i,j) adds a times row j of y into row i through one ``Ring._axpy``,
+    which may leave the sums unreduced. With ``unit``, each term of x and
+    of y is loaded into its slot as well: as it is while the slot still is
+    the zero object, by one ``_add`` once it is not. Each row is then
+    harvested over the relation's successors of i (``_Index.succ``), as
+    every other product of basis elements is zero: a slot that still is
+    the zero object is skipped, any other is reduced by one ``_add`` from
+    zero and kept if it is nonzero.
     """
     index, ring = group.relation._index, group.ring
-    n, admits = len(index.labels), index.rows
+    n, succ = len(index.labels), index.succ
     axpy, add, zero = ring._axpy, ring._add, ring._zero
+    rows = defaultdict(([zero] * n).copy)
     by_first: dict[int, list[tuple[int, object]]] = {}
     for code, b in y.items():
         j, l = divmod(code, n)
         by_first.setdefault(j, []).append((l, b))
-    # row i of xy by target; only the targets the relation admits are kept,
-    # as every other product of basis elements is zero
-    row_sums: dict[int, dict[int, object]] = {}
+        if unit:
+            rows[j][l] = b
     for code, a in x.items():
         i, j = divmod(code, n)
+        row = rows[i]
+        if unit:
+            s = row[j]
+            row[j] = a if s is zero else add(s, a)
         if j in by_first:
-            axpy(row_sums.setdefault(i, {}), a, by_first[j])
-    for i, sums in row_sums.items():
-        admitted, start = admits[i], i * n
-        for l, c in sums.items():
-            if admitted >> l & 1:
-                code = start + l
-                base[code] = add(base.get(code, zero), c)
-    return {code: c for code, c in base.items() if c != zero}
+            axpy(row, a, by_first[j])
+    out: Coeffs = {}
+    for i, row in rows.items():
+        start = i * n
+        for l in succ[i]:
+            c = row[l]
+            if c is not zero:
+                c = add(zero, c)
+                if c != zero:
+                    out[start + l] = c
+    return out
 
 
 def _payloads(
@@ -280,13 +340,8 @@ def _ordered_product(group: McLainGroup, factors: Iterable[tuple[int, object]]) 
 
 
 def _product(group: McLainGroup, x: Coeffs, y: Coeffs) -> Coeffs:
-    """The map of (1+x)(1+y) = 1 + (x + y + xy): x + y, added from zero,
-    is the base that ``_splice`` adds xy into and prunes."""
-    add, zero = group.ring._add, group.ring._zero
-    base = dict(x)
-    for code, c in y.items():
-        base[code] = add(base.get(code, zero), c)
-    return _splice(group, x, y, base)
+    """The map of (1+x)(1+y) = 1 + (x + y + xy)."""
+    return _splice(group, x, y, unit=True)
 
 
 _BOUND_MESSAGE = (
@@ -299,20 +354,22 @@ def _divide(group: McLainGroup, u: Coeffs, w: Coeffs) -> Coeffs:
 
     z[i,l] = u[i,l] - w[i,l] - the sum of z[i,j] w[j,l], and each such
     (i,l) = (i,j)∘(j,l) lies at a deeper level of the bracket series than
-    (i,j). So the pairs are solved level by level, shallow first, as in a
-    triangular back-substitution: the running sums start at u - w, each
-    term added from the ring's zero, and once z[i,j] is final and nonzero,
-    z[i,j] (-w[j,l]) goes into the sum of (i,l) for each l in row j of w,
-    all of row j through one ``Ring._axpy``, which may leave the sums
-    unreduced. A pair is popped from the sums when its level
-    (``Relation._levels``, held as codes) comes, skipped if no term
-    reached it, reduced by one ``_add`` from zero, and kept only if
-    nonzero: that is the one prune. Unlike the products, the solve tests no
-    composite against the relation: the levels hold only its pairs, so a
-    sum outside it is never read, and the walk runs through every level.
-    w stays on the right, so the solve is exact over noncommutative rings.
-    Only a corrupted relation has a cycle of decompositions and so no
-    levels; it raises the same InvariantError as the power loop of
+    (i,j). So row i of z depends on row i of u and w and on itself alone,
+    and each row that u or w touches is solved on its own, as a triangular
+    back-substitution; no other row, and no level of the whole relation, is
+    visited. The row's sums live in one list with a slot per node, as in
+    ``_splice``, loaded with u - w, and its targets are walked in
+    bracket-depth order (``Relation._levels``). A slot that still is the
+    zero object is skipped. Any other, once nonzero, is z[i,j], final, and
+    z[i,j] (-w[j,l]) goes into slot l for each l in row j of w, all of row
+    j through one ``Ring._axpy``, which may leave the sums unreduced. So a
+    slot is reduced, by one ``_add`` from zero, only once an ``_axpy`` has
+    reached its row: until then it holds u - w as loaded, already reduced.
+    Unlike the product, the solve needs no harvest: the walk reads only the
+    relation's pairs, so a slot outside it is never read. w stays on the
+    right, so the solve is exact over noncommutative rings. Only a
+    corrupted relation has a cycle of decompositions and so no levels; it
+    raises the same InvariantError as the power loop of
     ``nilpotency_index``.
     """
     ring, n = group.ring, len(group.relation._index.labels)
@@ -321,26 +378,33 @@ def _divide(group: McLainGroup, u: Coeffs, w: Coeffs) -> Coeffs:
         levels = group.relation._levels
     except InvariantError:
         raise InvariantError(_BOUND_MESSAGE) from None
-    sums: Coeffs = dict(u)
-    rows: dict[int, list[tuple[int, object]]] = {}
+    rows = defaultdict(([zero] * n).copy)
+    for code, c in u.items():
+        i, l = divmod(code, n)
+        rows[i][l] = c
+    by_first: dict[int, list[tuple[int, object]]] = {}
     for code, c in w.items():
         c = neg(c)
         j, l = divmod(code, n)
-        rows.setdefault(j, []).append((l, c))
-        sums[code] = add(sums.get(code, zero), c)
+        by_first.setdefault(j, []).append((l, c))
+        row = rows[j]
+        s = row[l]
+        row[l] = c if s is zero else add(s, c)
     out: Coeffs = {}
-    for level in levels:
-        for code in level:
-            z = sums.pop(code, None)
-            if z is None:
+    for i, row in rows.items():
+        start, reached = i * n, False
+        for l in levels[i]:
+            z = row[l]
+            if z is zero:
                 continue
-            z = add(zero, z)
+            if reached:
+                z = add(zero, z)
             if z == zero:
                 continue
-            out[code] = z
-            j = code % n
-            if j in rows:
-                axpy(sums, z, rows[j], code - j)
+            out[start + l] = z
+            if l in by_first:
+                axpy(row, z, by_first[l])
+                reached = True
     return out
 
 
@@ -407,7 +471,7 @@ class GroupElement:
         bound = len({node for code in x for node in divmod(code, n)})
         power, exponent = x, 1
         while power:
-            power = _splice(self.group, power, x, {})
+            power = _splice(self.group, power, x)
             exponent += 1
             if power and exponent > bound:
                 raise InvariantError(_BOUND_MESSAGE)

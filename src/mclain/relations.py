@@ -296,19 +296,22 @@ class Relation:
 
     @cached_property
     def _levels(self) -> tuple[tuple[int, ...], ...]:
-        """The pair codes (``_codes``) by exact bracket depth, shallow
-        first, each level sorted.
+        """Each node's targets by bracket depth: entry x lists the numbers y
+        of the pairs (x,y), shallow first.
 
-        Level k is gamma_k less gamma_(k+1) of the relation with itself: the
-        k-th round of ``_bracket_rounds``, which ``gamma_series`` reads too. A
-        composite p = q∘r lies at a strictly deeper level than q and than r.
-        A decomposition cycle, which only an axiom breaker has, raises the
+        The depth of a pair is the round of ``_bracket_rounds`` of the
+        relation with itself that sheds it (gamma_k less gamma_(k+1), as
+        ``gamma_series`` reads it). A composite (x,z) = (x,y)∘(y,z) lies at
+        a strictly deeper level than (x,y), so y comes before z in row x. A
+        decomposition cycle, which only an axiom breaker has, raises the
         descent's ``InvariantError``. Only the right division of elements
         reads the levels, so they are built when it first needs them.
         """
-        n = len(self._index.labels)
-        rounds = _bracket_rounds(self.pairs, self, "relation")
-        return tuple(tuple(x * n + y for x, y in shed) for shed in rounds)
+        levels: list[list[int]] = [[] for _ in self._index.labels]
+        for shed in _bracket_rounds(self.pairs, self, "relation"):
+            for x, y in shed:
+                levels[x].append(y)
+        return tuple(map(tuple, levels))
 
     def subset(self, pairs: Iterable[Pair]) -> "Relation":
         """A sub-relation over the same node set."""

@@ -10,14 +10,17 @@ A value wraps a canonical raw payload (an int, or a row-major 4-tuple
 for the matrices), so values are equal exactly when payloads are ``==``.
 A ring supplies what the group law needs: its zero payload ``_zero`` (a
 class attribute, not a field), ``_add``, ``_neg``, the multiply-add
-``_fma`` and its row form ``_axpy``, which may leave sums unreduced: the
-other three return canonical payloads for such input. Each ring defines
-all five: the base has no zero, and its hooks raise NotImplementedError.
+``_fma`` and its row form ``_axpy``, which adds a row of products into a
+row accumulator, a list of sums indexed by node number, and may leave
+them unreduced: the other three return canonical payloads for such
+input. Each ring defines all five: the base has no zero, and its hooks
+raise NotImplementedError.
 At the edges, ``value`` checks a raw payload and wraps its canonical
 form, and ``_format`` prints one. Z and Z/n differ only in ``from_int``
 and their arithmetic, so they share the rest through one base,
 ``_Scalar``: the zero, the literal parser, ``value``, the formatter and
-the row multiply-add, which leaves plain int sums with no modulus. Z/n
+the row multiply-add, which leaves plain int sums with no modulus. The
+M2(Z/n) row multiply-add leaves 4-tuples of plain ints, a on the left. Z/n
 and M2(Z/n) share the modulus field and its check through ``_Modular``.
 """
 
@@ -142,10 +145,10 @@ class Ring:
         """s + ab in one call, a on the left."""
         raise NotImplementedError
 
-    def _axpy(self, sums: dict, a: object, row, start: int = 0) -> None:
-        """Add ab into sums[start + l] for each (l, b) in row, a on the left,
-        each sum starting at ``_zero`` when absent; the sums may be left
-        unreduced."""
+    def _axpy(self, sums: list, a: object, row) -> None:
+        """Add ab into sums[l] for each (l, b) in row, a on the left: sums is
+        one row of an output, indexed by node number, each slot starting at
+        ``_zero``; the sums may be left unreduced."""
         raise NotImplementedError
 
     def _format(self, a: object) -> str:
@@ -171,12 +174,10 @@ class _Scalar(Ring):
             raise RingError(f"{self} payload must be an int, got {payload!r}")
         return self.from_int(payload)
 
-    def _axpy(self, sums: dict, a: int, row, start: int = 0) -> None:
+    def _axpy(self, sums: list, a: int, row) -> None:
         """Plain int sums, with no modulus."""
-        get = sums.get
         for l, b in row:
-            k = start + l
-            sums[k] = get(k, 0) + a * b
+            sums[l] += a * b
 
     def _format(self, a: int) -> str:
         return str(a)
@@ -301,13 +302,11 @@ class Matrices2x2Mod(_Modular):
             (s[3] + a21 * b12 + a22 * b22) % self.n,
         )
 
-    def _axpy(self, sums, a, row, start=0):
+    def _axpy(self, sums, a, row):
         a11, a12, a21, a22 = a
-        get, zero = sums.get, self._zero
         for l, (b11, b12, b21, b22) in row:
-            k = start + l
-            s = get(k, zero)
-            sums[k] = (
+            s = sums[l]
+            sums[l] = (
                 s[0] + a11 * b11 + a12 * b21,
                 s[1] + a11 * b12 + a12 * b22,
                 s[2] + a21 * b11 + a22 * b21,

@@ -108,14 +108,20 @@ def format_chain_lines(
     Descending chains are numbered from 1 and may carry ranks; the
     ascending chain is numbered from 0 because its first term is the
     trivial subset.
+
+    The union of the terms' pairs is sorted once and each pair formatted
+    once; a term's body keeps, in that order, the pairs it holds.
     """
     label = "gamma" if chain.direction == "descending" else "zeta"
     first = 1 if chain.direction == "descending" else 0
     by_level = {report.level: report for report in reports or []}
+    union = sorted(frozenset().union(*(term.pairs for term in chain.terms)))
+    shown = [(pair, f"({pair[0]},{pair[1]})") for pair in union]
     lines = []
     for offset, term in enumerate(chain.terms):
         level = first + offset
-        body = ",".join(f"({i},{j})" for i, j in sorted(term.pairs))
+        pairs = term.pairs
+        body = ",".join([text for pair, text in shown if pair in pairs])
         line = f"{label} {level}: {{{body}}}"
         report = by_level.get(level)
         if report is not None and chain.direction == "descending":

@@ -16,11 +16,17 @@ labels where sorted order is not numeric order ("10" < "9"), with
 isolated nodes, and the relations of ``helpers.relation_zoo``, whose
 n-gons, 2-cycle and random relations are not orders.
 
-``Ring._axpy`` adds a row of products into a dict of sums and may leave
-them unreduced; after one ``_add`` from zero they must equal the fold of
-``_fma``, in each ring, and ``_add``, ``_neg`` and ``_fma`` must reduce
-what it leaves. Each ring defines its own ``_axpy``: the base's raises
+``Ring._axpy`` adds a row of products into a list of sums indexed by node
+number and may leave them unreduced; after one ``_add`` from zero they
+must equal the fold of ``_fma``, in each ring, and ``_add``, ``_neg`` and
+``_fma`` must reduce what it leaves. Each ring defines its own ``_axpy``: the base's raises
 ``NotImplementedError``, as its other hooks do.
+
+The kernels keep the sums of an output row in one list of a slot per node
+and harvest or walk only the relation's targets of that row, so products,
+inverses and commutators are also checked where such a row is nearly
+empty (four-term elements on wide relations) and where composites fall
+outside the relation (n-gons and pruned orders).
 """
 
 from __future__ import annotations
@@ -49,8 +55,10 @@ from mclain import (  # noqa: E402
     chain,
     coset_representative,
     from_pairs,
+    ngon,
     normal_closure,
     quotient_project,
+    random_pruned_order,
 )
 from mclain.elements import (  # noqa: E402
     _divide,
@@ -65,6 +73,7 @@ from oracles import (  # noqa: E402
     scan_divide,
     scan_eval_word,
     scan_generators_times,
+    scan_inverse,
     scan_payloads,
     scan_product,
     scan_splice,
@@ -154,6 +163,41 @@ def test_eval_word_matches(case):
     assert recode(group.relation, got) == scan_eval_word(group, word)
 
 
+def local_maps(group: McLainGroup, rng, width: int) -> list[tuple[dict, dict]]:
+    """Two four-term elements, each on pairs among ``width`` nodes in a row
+    of the sorted node numbers, wrapping round, so that their terms compose
+    while every touched row of a wide relation stays nearly empty; each as
+    a code map and as a label map."""
+    nodes = sorted(group.relation.nodes, key=int)
+    maps = []
+    for _ in range(2):
+        start = rng.randrange(len(nodes))
+        window = {nodes[(start + k) % len(nodes)] for k in range(width)}
+        pairs = sorted(p for p in group.relation.pairs if window.issuperset(p))
+        items = [(p, group.ring.sample(rng)) for p in rng.sample(pairs, 4)]
+        maps.append((dict(_payloads(group, items)), dict(scan_payloads(group.ring, items))))
+    return maps
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+def test_sparse_rows_and_composites_outside_the_relation_match(ring):
+    rng = random.Random(490)
+    wide = [(delta, lambda group: local_maps(group, rng, 5)) for delta in (ngon(490), chain(60))]
+    pruned = [random_pruned_order(seed, 10, 0.5) for seed in range(4)]
+    off_order = [
+        (delta, lambda group: [both_maps(group, rng) for _ in range(2)])
+        for delta in (ngon(7), ngon(12), *pruned)
+    ]
+    for delta, draw in wide + off_order:
+        group = McLainGroup(delta, ring)
+        for _ in range(4):
+            (x, lx), (y, ly) = draw(group)
+            g, h = GroupElement(group, x), GroupElement(group, y)
+            assert recode(delta, (g * h)._coeffs) == scan_product(group, lx, ly)
+            assert recode(delta, g.inverse()._coeffs) == scan_inverse(group, lx)
+            assert recode(delta, g.commutator(h)._coeffs) == scan_commutator(group, lx, ly)
+
+
 # ---------------------------------------------------------------------------
 # the ring hook under the splice and the division
 
@@ -175,14 +219,15 @@ def test_axpy_folds_fma_and_the_hooks_reduce_what_it_leaves(data):
     ring = data.draw(st.sampled_from(RINGS))
     zero, canonical = ring._zero, payloads(ring)
     rows = st.lists(st.tuples(st.integers(0, 6), canonical), max_size=6)
-    calls = st.lists(st.tuples(canonical, rows, st.sampled_from((0, 5, 14))), max_size=6)
-    sums = data.draw(st.dictionaries(st.integers(0, 20), canonical, max_size=4))
-    folded = dict(sums)
-    for a, row, start in data.draw(calls):
-        ring._axpy(sums, a, row, start)
+    calls = st.lists(st.tuples(canonical, rows), max_size=6)
+    start = data.draw(st.dictionaries(st.integers(0, 6), canonical, max_size=4))
+    sums = [start.get(l, zero) for l in range(7)]
+    folded = list(sums)
+    for a, row in data.draw(calls):
+        ring._axpy(sums, a, row)
         for l, b in row:
-            folded[start + l] = ring._fma(folded.get(start + l, zero), a, b)
-    assert {k: ring._add(zero, s) for k, s in sums.items()} == folded
+            folded[l] = ring._fma(folded[l], a, b)
+    assert [ring._add(zero, s) for s in sums] == folded
     s, t, a, b = (data.draw(payloads(ring, reduced=False)) for _ in range(4))
     assert ring._add(s, t) == reduced(ring, entrywise(operator.add, s, t))
     assert ring._neg(s) == reduced(ring, entrywise(operator.neg, s))

@@ -1,9 +1,9 @@
 """The level-ordered inverse and the inverse-free commutator.
 
 ``GroupElement.inverse`` and ``GroupElement.commutator`` are right
-divisions, solved pair by pair over the relation's cached levels,
-shallow first. The oracle is the alternating series 1 - x + x^2 - ...
-on the couple-scan product of ``tests/oracles.py``.
+divisions, solved row by row, each row's targets in the relation's cached
+bracket-depth order, shallow first. The oracle is the alternating series
+1 - x + x^2 - ... on the couple-scan product of ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -48,20 +48,24 @@ def non_order_relations():
 
 
 def test_levels_partition_the_relation_by_bracket_depth():
+    # row i lists each target of delta once, by the lower central series
+    # term that sheds (i,j), shallow first, sorted within a term; so j comes
+    # before l whenever (i,l) = (i,j)∘(j,l)
     for name, delta in relation_zoo():
-        levels = [tuple(recode(delta, dict.fromkeys(level))) for level in delta._levels]
-        assert all(levels), name
-        assert sum(len(level) for level in levels) == len(delta.pairs), name
-        depth = {pair: k for k, level in enumerate(levels, 1) for pair in level}
-        assert depth.keys() == delta.pairs, name
-        for (i, j), (k, l) in itertools.product(delta.pairs, repeat=2):
-            if j == k and (i, l) in delta.pairs:  # (i,l) = (i,j)∘(j,l)
-                for q in ((i, j), (k, l)):
-                    assert depth[i, l] > depth[q], (name, (i, l), q)
+        labels = sorted(delta.nodes)
+        rows = {labels[x]: [labels[y] for y in row] for x, row in enumerate(delta._levels)}
+        assert len(rows) == len(delta.nodes), name
+        listed = [(i, j) for i, row in rows.items() for j in row]
+        assert len(listed) == len(delta.pairs) and set(listed) == delta.pairs, name
         _, reports = lower_central_series(delta, IntegersMod(5))
-        assert [frozenset(level) for level in levels] == [
-            report.support.pairs for report in reports
-        ], name
+        depth = {pair: k for k, report in enumerate(reports, 1) for pair in report.support.pairs}
+        for i, row in rows.items():
+            assert row == sorted(row, key=lambda j: (depth[i, j], j)), (name, i)
+            place = {j: k for k, j in enumerate(row)}
+            for j, l in itertools.product(row, repeat=2):
+                if (j, l) in delta.pairs:  # (i,l) = (i,j)∘(j,l)
+                    assert place[j] < place[l], (name, (i, l), j)
+                    assert depth[i, l] > depth[j, l], (name, (i, l), j)
 
 
 def test_inverse_and_commutator_match_the_oracle_off_orders():

@@ -28,6 +28,7 @@ from mclain import (
     InvariantError,
     McLainGroup,
     Relation,
+    SubsetChain,
     center_support,
     chain,
     coset_representative,
@@ -481,6 +482,39 @@ def test_format_chain_lines_ascending():
         "zeta 1: {(1,3)}",
         "zeta 2: {(1,2),(1,3),(2,3)}",
     ]
+
+
+def per_term_lines(chain_, reports=None):
+    """The report lines with each term's pairs sorted and formatted alone."""
+    label, first = ("gamma", 1) if chain_.direction == "descending" else ("zeta", 0)
+    ranks = {report.level: report.rank for report in reports or []}
+    lines = []
+    for level, term in enumerate(chain_.terms, first):
+        line = f"{label} {level}: {{{','.join(f'({i},{j})' for i, j in sorted(term.pairs))}}}"
+        if level in ranks and chain_.direction == "descending":
+            line += f" rank {ranks[level]}"
+        lines.append(line)
+    return lines
+
+
+def test_chain_lines_read_as_if_each_term_were_sorted_alone():
+    # format_chain_lines sorts the union of the terms once; labels sort as
+    # text ("10" < "9"), and a hand-built chain need not be nested
+    cases = []
+    for delta in (chain(12), ngon(9), *(random_pruned_order(s, 10, 0.4) for s in range(4))):
+        series, reports = lower_central_series(delta, Z)
+        closed = normal_closure(delta.subset(sorted(delta.pairs)[:2]), delta)
+        cases += [(series, reports), (series, None), (upper_central_series(delta), None)]
+        cases.append((gamma_series(closed, delta), None))
+    delta = chain(11)
+    terms = tuple(
+        delta.subset(pairs)
+        for pairs in ([("1", "2"), ("9", "11")], [("10", "11"), ("1", "2"), ("3", "4")], [],
+                      [("1", "10")])
+    )
+    cases += [(SubsetChain(direction, terms), None) for direction in ("descending", "ascending")]
+    for chain_, reports in cases:
+        assert format_chain_lines(chain_, reports) == per_term_lines(chain_, reports)
 
 
 # ---------------------------------------------------------------------------

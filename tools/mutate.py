@@ -40,12 +40,13 @@ EQUIVALENT = ()  # no test can tell the mutant from the program
 M = Mutant = namedtuple("Mutant", "name file snippet replacement killers")
 MUTANTS = [
     # the pair-code kernels of elements.py and their label edges
-    M("splice admits every composite", "elements.py",
-      "admitted, start = admits[i], i * n", "admitted, start = -1, i * n", KERNELS),
+    M("splice harvests every slot", "elements.py",
+      "for l in succ[i]:", "for l in range(n):", KERNELS),
     M("row kernel admits every composite", "elements.py",
       "rows.setdefault(p, {}), admits[p]", "rows.setdefault(p, {}), -1", KERNELS),
-    M("splice admits by column masks", "elements.py",
-      "admitted, start = admits[i], i * n", "admitted, start = index.cols[i], i * n", KERNELS),
+    M("splice harvests by column masks", "elements.py",
+      "for l in succ[i]:", "for l in (y for y in range(n) if index.cols[i] >> y & 1):",
+      KERNELS),
     M("pair codes transposed", "relations.py",
       "number[pair[0]] * n + number[pair[1]]", "number[pair[1]] * n + number[pair[0]]", KERNELS),
     M("codes decode transposed", "relations.py",
@@ -61,23 +62,30 @@ MUTANTS = [
       "s[0] + b11 * a11 + b12 * a21,\n                s[1] + b11 * a12 + b12 * a22,\n"
       "                s[2] + b21 * a11 + b22 * a21,\n                s[3] + b21 * a12 + b22 * a22,",
       KERNELS),
-    M("axpy ignores the offset", "rings.py",
-      "k = start + l\n            sums[k] = get(k, 0)", "k = l\n            sums[k] = get(k, 0)",
-      KERNELS),
+    M("scalar axpy adds into the slot before", "rings.py",
+      "sums[l] += a * b", "sums[l - 1] += a * b", KERNELS),
     M("scalar value skips the reduction", "rings.py",
       "return self.from_int(payload)", "return RingValue(self, payload)", RINGS),
     M("division skips the normalization", "elements.py",
       "z = add(zero, z)", "pass", KERNELS),
-    M("splice keeps zeros", "elements.py",
-      "return {code: c for code, c in base.items() if c != zero}", "return base", KERNELS),
+    M("splice keeps zeros", "elements.py", "if c != zero:", "if True:", KERNELS),
+    M("product loading overwrites a filled slot", "elements.py",
+      "row[j] = a if s is zero else add(s, a)", "row[j] = a", KERNELS),
+    M("division loading overwrites u", "elements.py",
+      "row[l] = c if s is zero else add(s, c)", "row[l] = c", KERNELS),
     M("row kernel keeps zeros", "elements.py",
       "for j, a in row.items() if a != zero", "for j, a in row.items()", KERNELS),
-    M("product drops x from its base", "elements.py", "base = dict(x)", "base = {}", KERNELS),
+    M("product drops x from its base", "elements.py",
+      "row[j] = a if s is zero else add(s, a)", "row[j] = s", KERNELS),
     M("division walks deep levels first", "elements.py",
-      "for level in levels:", "for level in reversed(levels):", KERNELS),
+      "for l in levels[i]:", "for l in reversed(levels[i]):", KERNELS),
+    M("division walks a row's targets in sorted order", "elements.py",
+      "for l in levels[i]:", "for l in sorted(levels[i]):", KERNELS),
     M("payloads keep zeros", "elements.py", "if payload != zero:", "if True:", KERNELS),
     M("division does not negate w", "elements.py", "c = neg(c)", "c = c", KERNELS),
     M("division keeps zeros", "elements.py", "if z == zero:", "if False:", KERNELS),
+    M("division takes a row an axpy reached as reduced", "elements.py",
+      "reached = True", "reached = False", KERNELS),
     M("word joins a run on the wrong side", "elements.py",
       "_product(self, out, run_map)", "_product(self, run_map, out)", KERNELS),
     M("ordered product feeds its first factor first", "elements.py",
@@ -104,7 +112,8 @@ MUTANTS = [
     M("peel without columns", "factorization.py",
       "not rows[code // n] & cols[code % n]", "not rows[code // n]", CALCULUS),
     M("levels deepest first", "relations.py",
-      "for shed in rounds)", "for shed in reversed(rounds))", CALCULUS),
+      'for shed in _bracket_rounds(self.pairs, self, "relation"):',
+      'for shed in reversed(_bracket_rounds(self.pairs, self, "relation")):', CALCULUS),
     M("axiom scan misses a present (i,k)", "relations.py",
       "bad = common & ~after_y if has_xz", "bad = 0 if has_xz", CALCULUS),
     M("axiom scan misses an absent (i,k)", "relations.py",
