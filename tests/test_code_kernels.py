@@ -19,8 +19,8 @@ n-gons, 2-cycle and random relations are not orders.
 ``Ring._axpy`` adds a row of products into a list of sums indexed by node
 number and may leave them unreduced; after one ``_add`` from zero they
 must equal the fold of ``_fma``, in each ring, and ``_add``, ``_neg`` and
-``_fma`` must reduce what it leaves. Each ring defines its own ``_axpy``: the base's raises
-``NotImplementedError``, as its other hooks do.
+``_fma`` must reduce what it leaves. Each ring defines its own ``_axpy``:
+the base's raises ``NotImplementedError``, as its other hooks do.
 
 The kernels keep the sums of an output row in one list of a slot per node
 and harvest or walk only the relation's targets of that row, so products,
