@@ -18,10 +18,10 @@ and a word divides by each of its inv(w) factors.
 A word is a ``GeneratorWord`` of three kinds of token: ``Gen``, the
 generator x_p(r); ``Inv``, the inverse of a word; and ``Comm``, the
 commutator of two words. The empty word is the identity, and it is the
-only spelling of it. ``format_word`` prints a word in the expression
-grammar of ``parsing``, and refuses a generator whose labels break the
-label rule or whose value is not a ring value; when the values are of one
-ring, that text parses back to the same word.
+only spelling of it. ``Gen`` refuses a value that is not a ring value and
+labels that break the label rule, so ``format_word`` only prints: a word
+in the expression grammar of ``parsing`` that, when the values are of one
+ring, parses back to the same word.
 
 Elements are immutable and normalized: zero coefficients are never
 stored, so equality of elements is equality of coefficient maps. The
@@ -82,17 +82,36 @@ from .rings import Ring, RingValue
 
 @record
 class Gen:
-    """One generator factor: unit plus value at the pair (source, target)."""
+    """One generator factor: unit plus value at the pair (source, target).
+
+    It refuses, with a ValueError naming the fault, a value that is not a
+    RingValue and a label that breaks the label rule, so it prints as text
+    that parses back to it. ``_of`` skips the check.
+    """
 
     source: str
     target: str
     value: RingValue
 
     def __init__(self, source: str, target: str, value: RingValue) -> None:
-        # Written out, like RingValue's, because one is built per token.
+        if not isinstance(value, RingValue):
+            raise ValueError(
+                f"cannot build Gen({source!r}, {target!r}, {value!r}): "
+                "its value is not a ring value"
+            )
+        _require_label_rule((source, target))
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "value", value)
+
+    @classmethod
+    def _of(cls, source: str, target: str, value: RingValue) -> "Gen":
+        """The token, unchecked, for a pair of a relation and a RingValue."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "value", value)
+        return self
 
 
 @record
@@ -139,42 +158,9 @@ class GeneratorWord:
 def format_word(word: GeneratorWord) -> str:
     """Render a word in the expression grammar; the empty word is 1.
 
-    A ``Gen`` whose value is not a ``RingValue``, or whose labels break the
-    label rule, would print text that parses to another word or not at all,
-    so it is refused with a ValueError naming it. The labels of the whole
-    word are checked in one scan (``relations._require_label_rule``); a
-    token is looked at alone only on failure.
+    Every ``Gen`` was checked when it was built, so the text parses back
+    to the same word when the values are of one ring.
     """
-    gens = _gens(word)
-    for token in gens:
-        if not isinstance(token.value, RingValue):
-            raise ValueError(f"cannot format {token!r}: its value is not a ring value")
-    try:
-        _require_label_rule([t.source for t in gens] + [t.target for t in gens])
-    except ValueError:
-        for token in gens:
-            try:
-                _require_label_rule((token.source, token.target))
-            except ValueError as fault:
-                raise ValueError(f"cannot format {token!r}: {fault}") from None
-    return _format_word(word)
-
-
-def _gens(word: GeneratorWord) -> list[Gen]:
-    """The Gen tokens of a word, inside its inv(...) and comm(...) too."""
-    out, stack = [], [word]
-    while stack:
-        for token in stack.pop().tokens:
-            if isinstance(token, Gen):
-                out.append(token)
-            elif isinstance(token, Inv):
-                stack.append(token.word)
-            else:
-                stack += (token.left, token.right)
-    return out
-
-
-def _format_word(word: GeneratorWord) -> str:
     if not word.tokens:
         return "1"
     return "*".join(_format_token(t) for t in word.tokens)
@@ -184,8 +170,8 @@ def _format_token(token: Gen | Inv | Comm) -> str:
     if isinstance(token, Gen):
         return f"x({token.source},{token.target};{token.value})"
     if isinstance(token, Inv):
-        return f"inv({_format_word(token.word)})"
-    return f"comm({_format_word(token.left)},{_format_word(token.right)})"
+        return f"inv({format_word(token.word)})"
+    return f"comm({format_word(token.left)},{format_word(token.right)})"
 
 
 @record

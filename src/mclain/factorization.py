@@ -108,6 +108,9 @@ def word_factorization(g: GroupElement) -> GeneratorWord:
     closed support, where no peeled pair lies, so every peeled value is
     read off the residual as it stood at the start of the pass.
 
+    The tokens skip ``Gen``'s check (``Gen._of``): each is a pair of the
+    relation, which applied the label rule, and a RingValue of its ring.
+
     A pass peels one bracket level, and a pair at depth k is a path through
     k + 1 distinct nodes, so there are fewer passes than nodes. A residual
     that keeps a peeled pair (a stored zero from a faulty kernel) would be
@@ -128,7 +131,7 @@ def word_factorization(g: GroupElement) -> GeneratorWord:
         if not peel:
             raise InvariantError("support closure has no top level to peel")
         tokens.extend(
-            Gen(*index.pair(code), RingValue(ring, residual[code])) for code in peel
+            Gen._of(*index.pair(code), RingValue(ring, residual[code])) for code in peel
         )
         undos = [(code, ring._neg(residual[code])) for code in peel]
         residual = _generators_times(group, undos, residual)

@@ -6,12 +6,13 @@ Expression grammar (products evaluate left to right):
     term := "1" | gen | "inv(" expr ")" | "comm(" expr "," expr ")" | "(" expr ")"
     gen  := "x(" label "," label ";" ringliteral ")"
 
-Labels follow the rule of relation files: printable, no whitespace and
-none of ``* ( ) , ; [ ] + #``. Ring literals follow the coefficient ring:
-signed decimal for the scalar rings, ``[a,b;c,d]`` for the matrix rings. A
-parenthesized expr splices its tokens into the surrounding product. Brackets
-nest at most _MAX_NESTING deep, to keep parsing, and the printing, comparing
-and hashing of the parsed word, off the recursion limit.
+Labels follow the rule of relation files, which ``Gen`` applies: a label
+that breaks it is a ParseError naming it and the generator's position.
+Ring literals follow the coefficient ring: signed decimal for the scalar
+rings, ``[a,b;c,d]`` for the matrix rings. A parenthesized expr splices
+its tokens into the surrounding product. Brackets nest at most
+_MAX_NESTING deep, to keep parsing, and the printing, comparing and
+hashing of the parsed word, off the recursion limit.
 
 Normal forms, as printed by elements, are also parseable here:
 
@@ -121,6 +122,7 @@ def _parse_term(scanner: _Scanner, ring: Ring) -> tuple[Gen | Inv | Comm, ...]:
     if name == "1":
         return ()
     if name == "x":
+        start = scanner.pos - 1
         scanner.take("(")
         source = scanner.atom()
         scanner.take(",")
@@ -132,7 +134,10 @@ def _parse_term(scanner: _Scanner, ring: Ring) -> tuple[Gen | Inv | Comm, ...]:
             value = ring.parse(literal)
         except RingError as exc:
             raise ParseError(f"bad coefficient in generator: {exc}") from exc
-        return (Gen(source, target, value),)
+        try:
+            return (Gen(source, target, value),)
+        except ValueError as exc:  # a label that breaks the rule
+            raise ParseError(f"position {start} in expression: {exc}") from exc
     if name == "inv":
         scanner.take("(")
         inner = _parse_expr(scanner, ring)

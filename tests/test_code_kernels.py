@@ -275,7 +275,7 @@ def test_pairs_outside_the_relation_raise_value_error_naming_the_pair():
         with pytest.raises(ValueError, match=message):
             group.generator(i, j, 0)
         with pytest.raises(ValueError, match=message):
-            group.eval_word(GeneratorWord((Gen(i, j, 1),)))
+            group.eval_word(GeneratorWord((Gen(i, j, group.ring.one),)))
         with pytest.raises(ValueError, match=message):
             OrderedForm(group, ((i, j),), {(i, j): group.ring.one}).product()
 

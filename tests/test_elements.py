@@ -305,30 +305,24 @@ def test_format_word_round_trips_through_the_parser():
         assert parse_element_expression(format_word(word), group.ring) == word
 
 
-def test_format_word_refuses_a_generator_that_would_not_parse_back():
+def test_gen_refuses_a_generator_that_would_not_parse_back():
     # an int value would print as a literal that parses to a ring value, and
     # a label outside the label rule prints text the parser refuses or reads
-    # as another word; each is refused, naming its token, wherever it sits
+    # as another word; each is refused where the token is built, naming its
+    # fault, so format_word never meets one
     v = Integers().from_int(3)
-    good = GeneratorWord((Gen("1", "2", v),))
     cases = {
-        Gen("1", "2", 3): "its value is not a ring value",
-        Gen("a b", "2", v): "label 'a b' contains ' '",
-        Gen("1", "node", v): "label 'node' is reserved for node lines",
-        Gen("1", "", v): "label '' is empty",
-        Gen("x;y", "2", v): "label 'x;y' contains ';'",
+        ("1", "2", 3): "its value is not a ring value",
+        ("a b", "2", v): "label 'a b' contains ' '",
+        ("1", "node", v): "label 'node' is reserved for node lines",
+        ("1", "", v): "label '' is empty",
+        ("x;y", "2", v): "label 'x;y' contains ';'",
     }
-    for bad, fault in cases.items():
-        for word in (
-            GeneratorWord((bad,)),
-            GeneratorWord((*good.tokens, Inv(GeneratorWord((bad,))))),
-            GeneratorWord((Comm(good, GeneratorWord((Gen("1", "2", v), bad))),)),
-        ):
-            with pytest.raises(ValueError) as excinfo:
-                format_word(word)
-            message = str(excinfo.value)
-            assert message.startswith(f"cannot format {bad!r}: ") and fault in message
-    assert format_word(good) == "x(1,2;3)"
+    for fields, fault in cases.items():
+        with pytest.raises(ValueError) as excinfo:
+            Gen(*fields)
+        assert fault in str(excinfo.value)
+    assert format_word(GeneratorWord((Gen("1", "2", v),))) == "x(1,2;3)"
 
 
 # ---------------------------------------------------------------------------

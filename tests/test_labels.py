@@ -1,5 +1,7 @@
-"""One label rule for every text surface: relation files, order files,
-expressions and printed normal forms."""
+"""One label rule for every text surface: relation files and order files
+refuse a label that breaks it with an error naming the line, expressions
+with one naming the position (``Gen`` applies the rule), and printed normal
+forms read only pairs of a relation, which applied it when it was made."""
 
 from __future__ import annotations
 
@@ -93,7 +95,24 @@ def test_from_pairs_refuses_labels_that_break_the_rule(label):
         from_pairs([("1", "2")], nodes=[label])
 
 
-def test_node_is_a_reserved_label_everywhere():
+def _assert_expressions_refuse(label, tmp_path, capsys):
+    """The expression surface refuses the label: the parser with a
+    ParseError naming it, and ``mclain eval`` with exit 2 and one line."""
+    for ring in (Integers(), IntegersMod(7)):
+        message = re.escape(f"position 2 in expression: label {label!r}")
+        with pytest.raises(ParseError, match=message):
+            parse_element_expression(f"1*x({label},c;1)", ring)
+    path = tmp_path / "expr-rel.txt"
+    path.write_text("1 2\n", encoding="utf-8")
+    code = main(["eval", "--relation", str(path), f"x({label},1;1)"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert f"label {label!r}" in captured.err
+
+
+def test_node_is_a_reserved_label_everywhere(tmp_path, capsys):
     # A pair (node, x) would print as the line "node x", which declares a
     # bare node instead.
     with pytest.raises(ValueError, match="label 'node' is reserved"):
@@ -103,6 +122,7 @@ def test_node_is_a_reserved_label_everywhere():
             parse_relation_text(text)
     with pytest.raises(ParseError, match="line 2: label 'node' is reserved"):
         parse_order_text("1 2\nnode x\n")
+    _assert_expressions_refuse("node", tmp_path, capsys)
     assert parse_relation_text("node x\n").nodes == frozenset({"x"})
 
 
@@ -151,3 +171,4 @@ def test_labels_that_do_not_print_are_refused_everywhere(tmp_path, capsys, label
         assert captured.out == ""
         assert captured.err.startswith("error: line 2: label ")
         assert captured.err.count("\n") == 1
+    _assert_expressions_refuse(label, tmp_path, capsys)

@@ -95,7 +95,7 @@ def test_fixed_cancellations_on_chain3(ring):
     form = OrderedForm(group, order, dict(zip(order, map(ring.from_int, (1, 1, -1)))))
     assert ("1", "3") not in recode(group.relation, form.product()._coeffs)
     assert form.product() == product
-    word = gen_word([(("1", "2"), 1), (("2", "3"), 1), (("1", "3"), -1)])
+    word = gen_word(zip(order, map(ring.from_int, (1, 1, -1))))
     assert group.eval_word(word)._coeffs == product._coeffs
     g = x(1, 2, 1) * x(2, 3, 1) * x(1, 3, 1)
     assert (g * g.inverse())._coeffs == {}

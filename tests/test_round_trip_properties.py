@@ -92,9 +92,14 @@ def test_relation_text_round_trip(delta):
     assert format_relation(parsed) == text
 
 
+# Built once: hypothesis validates a recursive strategy again each time a
+# new one is drawn from, which cost more than the test's own work.
+WORDS = {ring: words(st.builds(Gen, labels, labels, VALUES[ring])) for ring in VALUES}
+
+
 @pytest.mark.parametrize("ring", [Z, Z5, M2], ids=str)
 @profile(100)
 @given(data=st.data())
 def test_a_word_prints_and_parses_back_to_the_same_word(ring, data):
-    word = data.draw(words(st.builds(Gen, labels, labels, VALUES[ring])))
+    word = data.draw(WORDS[ring])
     assert parse_element_expression(format_word(word), ring) == word

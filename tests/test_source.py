@@ -173,6 +173,27 @@ def test_the_row_kernel_is_called_by_the_ordered_product_and_the_peel_alone():
     assert sorted(callers) == ["elements._ordered_product", "factorization.word_factorization"]
 
 
+def test_the_unchecked_gen_is_built_by_the_word_factorization_alone():
+    # Gen._of skips the value and label checks of Gen(...). Its one caller
+    # reads labels off a relation, which applied the label rule, and builds
+    # RingValues; any other use, a call or a stored reference, shows up here
+    # with the function that makes it (or <module>).
+    users = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        owner = {}
+        for function in ast.walk(tree):  # outer first, so the innermost wins
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((node, function.name) for node in ast.walk(function))
+        users += [
+            f"{path.stem}.{owner.get(node, '<module>')}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "_of"
+            or isinstance(node, ast.Name) and node.id == "_of"
+        ]
+    assert users == ["factorization.word_factorization"]
+
+
 def test_the_mutant_list_matches_the_tree():
     # tools/mutate.py applies each mutant by replacing an exact snippet, so a
     # refactor that moves one, or a test file that is renamed, must show here

@@ -34,6 +34,7 @@ SOURCE = ("tests/test_source.py",)
 RECORDS = ("tests/test_records.py",)
 RINGS = ("tests/test_rings.py",)
 ELEMENTS = ("tests/test_elements.py",)
+LABELS = ("tests/test_labels.py",)
 EQUIVALENT = ()  # no test can tell the mutant from the program
 
 # file is under src/mclain; killers are the test paths expected to kill it
@@ -137,9 +138,17 @@ MUTANTS = [
       "if passes == n:", "if False:", FACTORIZATION),
     M("n-gon forcing test without columns", "factorization.py",
       "rows[number[x]] & cols[number[y]] for", "rows[number[x]] for", FACTORIZATION),
-    # the words: inv(...) and comm(...) take words only
+    # the words: inv(...) and comm(...) take words only, and Gen(...) a ring
+    # value and labels under the rule, which the parser relies on
     M("inv and comm take any sub-word", "elements.py",
       "if not isinstance(word, GeneratorWord):", "if False:", ELEMENTS),
+    M("Gen skips its label check", "elements.py",
+      "_require_label_rule((source, target))", "pass", LABELS),
+    M("Gen takes any value", "elements.py",
+      "if not isinstance(value, RingValue):", "if False:", ELEMENTS),
+    M("parser builds the unchecked Gen", "parsing.py",
+      "return (Gen(source, target, value),)", "return (Gen._of(source, target, value),)",
+      LABELS),
     # the export table and the modules each command loads
     M("export filed under a module that only imports it", "__init__.py",
       '"ngon": "relations",', '"ngon": "factorization",', SOURCE),
