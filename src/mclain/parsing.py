@@ -14,7 +14,8 @@ its tokens into the surrounding product. Brackets nest at most
 _MAX_NESTING deep, to keep parsing, and the printing, comparing and
 hashing of the parsed word, off the recursion limit.
 
-Normal forms, as printed by elements, are also parseable here:
+Normal forms, as printed by elements, are also parseable here, their
+labels under the same rule (a ParseError naming the label):
 
     1
     1 + c*e(i,j) + ...
@@ -26,7 +27,7 @@ Order files list one pair per line, ``i j``, in increasing order;
 from __future__ import annotations
 
 from .elements import Comm, Gen, GeneratorWord, Inv, McLainGroup
-from .relations import _LABEL_PUNCTUATION, Pair, ParseError, _pair_lines, _read_text
+from .relations import _LABEL_PUNCTUATION, Pair, ParseError, _label_fault, _pair_lines, _read_text
 from .rings import Ring, RingError
 
 _LABEL_STOP = set(_LABEL_PUNCTUATION + " \t\r\n")
@@ -169,6 +170,8 @@ def parse_normal_form(text: str, group: McLainGroup):
         if len(labels) != 2 or not all(labels):
             raise ParseError(f"bad pair in normal-form term: {part!r}")
         pair = (labels[0].strip(), labels[1].strip())
+        if fault := next(filter(None, map(_label_fault, pair)), None):
+            raise ParseError(f"bad label in normal form: {fault}")
         if pair in coeffs:
             raise ParseError(f"duplicate pair in normal form: ({pair[0]},{pair[1]})")
         try:

@@ -93,6 +93,16 @@ def _clean_literal(text: str) -> str:
     return text.replace("−", "-").replace(" ", "").strip()
 
 
+def _literal_int(digits: str) -> int:
+    """int(digits) for a signed decimal literal; a literal past Python's
+    limit on integer-string conversion is a RingError naming its length."""
+    try:
+        return int(digits)
+    except ValueError:
+        count = len(digits.lstrip("+-"))
+        raise RingError(f"literal of {count} digits is past the integer-string limit") from None
+
+
 @record
 class Ring:
     """Base for the concrete rings. Subclasses define payload arithmetic."""
@@ -164,7 +174,7 @@ class _Scalar(Ring):
     def parse(self, text: str) -> RingValue:
         cleaned = _clean_literal(text)
         if _SCALAR_LITERAL.fullmatch(cleaned):
-            return self.from_int(int(cleaned))
+            return self.from_int(_literal_int(cleaned))
         if _MATRIX_LITERAL.fullmatch(cleaned):
             raise RingError(f"matrix literal {text!r} used with scalar ring {self}")
         raise RingError(f"malformed {self} literal: {text!r}")
@@ -265,7 +275,7 @@ class Matrices2x2Mod(_Modular):
             if _SCALAR_LITERAL.fullmatch(cleaned):
                 raise RingError(f"scalar literal {text!r} used with matrix ring {self}")
             raise RingError(f"malformed {self} literal: {text!r}")
-        return self.value(tuple(int(g) for g in m.groups()))
+        return self.value(tuple(map(_literal_int, m.groups())))
 
     def sample(self, rng: random.Random) -> RingValue:
         return self.value(tuple(rng.randrange(self.n) for _ in range(4)))

@@ -22,6 +22,8 @@ from mclain import (
     random_pruned_order,
     random_relation,
 )
+from mclain.elements import _payloads
+from oracles import scan_payloads
 
 
 def ring_instances():
@@ -78,20 +80,6 @@ def dense_element(group: McLainGroup, rng: random.Random):
     return group.element({pair: group.ring.sample(rng) for pair in pairs})
 
 
-def sparse_element(group: McLainGroup, rng: random.Random):
-    """An element on one to three pairs, each with a nonzero value."""
-    pairs = sorted(group.relation.pairs)
-    chosen = rng.sample(pairs, rng.randint(1, min(3, len(pairs))))
-    ring = group.ring
-    values = {}
-    for pair in chosen:
-        value = ring.sample(rng)
-        while value == ring.zero:
-            value = ring.sample(rng)
-        values[pair] = value
-    return group.element(values)
-
-
 def some_zero(ring, rng):
     """A sampled value, or the zero of the ring about a third of the time."""
     return ring.zero if rng.random() < 0.3 else ring.sample(rng)
@@ -130,11 +118,24 @@ def mixed_word(group, rng):
 def counting(calls: dict, name: str, call):
     """call, counting each use under name in calls."""
 
-    def wrapper(*args):
+    def wrapper(*args, **kwargs):
         calls[name] += 1
-        return call(*args)
+        return call(*args, **kwargs)
 
     return wrapper
+
+
+def both_maps(group: McLainGroup, rng: random.Random) -> tuple[dict, dict]:
+    """One element, on a random share of the pairs with some values zero, as
+    a code map and as a label map, each built by its own side's payload
+    filter (``elements._payloads``, ``oracles.scan_payloads``); the two must
+    name the same coefficients."""
+    pairs = sorted(group.relation.pairs)
+    items = [(p, some_zero(group.ring, rng)) for p in pairs if rng.random() < 0.6]
+    coded = dict(_payloads(group, items))
+    labelled = dict(scan_payloads(group.ring, items))
+    assert recode(group.relation, coded) == labelled
+    return coded, labelled
 
 
 def recode(relation: Relation, coeffs: dict) -> dict:

@@ -41,7 +41,8 @@ routes is meaningful evidence rather than a tautology.
   in the pair set. The inverse is the alternating series 1 - x + x^2 -
   ... on it, and division, generator runs, the commutator and words are
   folds of those (``tests/test_code_kernels.py``, and through
-  ``alternating_series_inverse`` the inverse tests).
+  ``scanned``, which makes an element of a scan's map, the seeded sweep
+  and the call-count table of ``tests/test_kernels.py``).
 * Payload formula: s + ab on raw ring payloads, the residue formula for
   Z and Z/n and ``mat_mul`` for M2(Z/n), against the rings' ``_fma``
   and ``RingValue`` multiplication.
@@ -73,7 +74,6 @@ from mclain import (
     Pair,
     ReflexiveViolation,
     Relation,
-    RingValue,
     gamma_series,
     is_closed,
     quotient_project,
@@ -482,12 +482,15 @@ def scan_eval_word(group: McLainGroup, word: GeneratorWord) -> dict:
     return out
 
 
-def alternating_series_inverse(g: GroupElement) -> GroupElement:
-    """g^-1 by ``scan_inverse`` on g's coefficients."""
-    group, ring = g.group, g.group.ring
-    x = {pair: value.payload for pair, value in g.coefficients().items()}
-    inverse = scan_inverse(group, x)
-    return group.element({pair: RingValue(ring, c) for pair, c in inverse.items()})
+def scanned(group: McLainGroup, scan, *args) -> GroupElement:
+    """The element of the label map ``scan(group, *args)``, each group
+    element among the args passed as its label map of raw payloads."""
+    maps = [
+        {pair: v.payload for pair, v in a.coefficients().items()}
+        if isinstance(a, GroupElement) else a
+        for a in args
+    ]
+    return group.element({pair: group.ring.value(c) for pair, c in scan(group, *maps).items()})
 
 
 # ---------------------------------------------------------------------------

@@ -141,9 +141,10 @@ def test_eval_matrix_ring(tmp_path, capsys):
 def test_eval_expression_parse_error_is_usage(tmp_path, capsys):
     path = tmp_path / "rel.txt"
     path.write_text(CHAIN3)
-    code, out, err = run(capsys, "eval", "--relation", str(path), "y(1,2;1)")
-    assert code == 2
-    assert err.startswith("error:")
+    for expression in ("y(1,2;1)", f"x(1,2;{'9' * 5000})"):
+        code, out, err = run(capsys, "eval", "--relation", str(path), expression)
+        assert code == 2
+        assert err.startswith("error:") and len(err) < 200
 
 
 def test_eval_pair_outside_relation_is_domain_error(tmp_path, capsys):

@@ -24,7 +24,6 @@ from oracles import (
     recursive_ordered_oracle,
 )
 from mclain import (
-    Gen,
     Integers,
     IntegersMod,
     InvariantError,
@@ -85,18 +84,6 @@ def test_word_factorization_identity_is_the_empty_word():
     word = word_factorization(group.identity())
     assert len(word) == 0
     assert format_word(word) == "1"
-
-
-def test_word_factorization_round_trips():
-    rng = random.Random(61)
-    for name, delta in relation_zoo():
-        for ring in ring_instances():
-            group = McLainGroup(delta, ring)
-            for _ in range(6):
-                g = random_element(group, rng)
-                word = word_factorization(g)
-                assert group.eval_word(word) == g, name
-                assert all(isinstance(t, Gen) for t in word.tokens)
 
 
 def test_word_factorization_decodes_only_the_pairs_it_returns(monkeypatch):
@@ -170,24 +157,6 @@ def test_ordered_form_refuses_an_order_pair_without_a_coefficient():
     group = McLainGroup(chain(3), IntegersMod(7))
     with pytest.raises(ValueError, match=r"^order pair \(2,3\) has no coefficient$"):
         OrderedForm(group, (("1", "2"), ("2", "3")), {("1", "2"): 1})
-
-
-def test_ordered_factorization_round_trips_random():
-    rng = random.Random(62)
-    checked = 0
-    for name, delta in relation_zoo():
-        for ring in ring_instances():
-            group = McLainGroup(delta, ring)
-            for _ in range(5):
-                g = random_element(group, rng)
-                gamma = closure(g.support(), delta)
-                order = sorted(gamma.pairs)
-                rng.shuffle(order)
-                form = ordered_factorization(g, tuple(order))
-                assert form.product() == g, name
-                assert set(form.coefficients) == set(order)
-                checked += 1
-    assert checked >= 200
 
 
 def test_ordered_coefficients_are_unique():

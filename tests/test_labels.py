@@ -1,7 +1,7 @@
 """One label rule for every text surface: relation files and order files
 refuse a label that breaks it with an error naming the line, expressions
 with one naming the position (``Gen`` applies the rule), and printed normal
-forms read only pairs of a relation, which applied it when it was made."""
+forms with one naming the label."""
 
 from __future__ import annotations
 
@@ -95,13 +95,18 @@ def test_from_pairs_refuses_labels_that_break_the_rule(label):
         from_pairs([("1", "2")], nodes=[label])
 
 
-def _assert_expressions_refuse(label, tmp_path, capsys):
-    """The expression surface refuses the label: the parser with a
-    ParseError naming it, and ``mclain eval`` with exit 2 and one line."""
+def _assert_element_surfaces_refuse(label, tmp_path, capsys):
+    """The expression and normal-form surfaces refuse the label: the parsers
+    with a ParseError naming it, and ``mclain eval`` with exit 2 and one
+    line."""
     for ring in (Integers(), IntegersMod(7)):
         message = re.escape(f"position 2 in expression: label {label!r}")
         with pytest.raises(ParseError, match=message):
             parse_element_expression(f"1*x({label},c;1)", ring)
+        group = McLainGroup(from_pairs([("1", "2")]), ring)
+        message = re.escape(f"bad label in normal form: label {label!r}")
+        with pytest.raises(ParseError, match=message):
+            parse_normal_form(f"1 + 1*e(1,2) + 1*e({label},1)", group)
     path = tmp_path / "expr-rel.txt"
     path.write_text("1 2\n", encoding="utf-8")
     code = main(["eval", "--relation", str(path), f"x({label},1;1)"])
@@ -122,7 +127,7 @@ def test_node_is_a_reserved_label_everywhere(tmp_path, capsys):
             parse_relation_text(text)
     with pytest.raises(ParseError, match="line 2: label 'node' is reserved"):
         parse_order_text("1 2\nnode x\n")
-    _assert_expressions_refuse("node", tmp_path, capsys)
+    _assert_element_surfaces_refuse("node", tmp_path, capsys)
     assert parse_relation_text("node x\n").nodes == frozenset({"x"})
 
 
@@ -171,4 +176,4 @@ def test_labels_that_do_not_print_are_refused_everywhere(tmp_path, capsys, label
         assert captured.out == ""
         assert captured.err.startswith("error: line 2: label ")
         assert captured.err.count("\n") == 1
-    _assert_expressions_refuse(label, tmp_path, capsys)
+    _assert_element_surfaces_refuse(label, tmp_path, capsys)

@@ -16,6 +16,7 @@ relation's own pair objects.
 
 from __future__ import annotations
 
+import itertools
 import random
 from contextlib import contextmanager
 
@@ -159,7 +160,18 @@ def test_levels_match_or_fail_alike(delta):
                 rows[i] += (j,)
         return rows
 
-    assert outcome(levels) == outcome(naive_rows, delta.pairs)
+    rows = outcome(levels)
+    assert rows == outcome(naive_rows, delta.pairs)
+    if type(rows) is not dict:
+        return
+    # where the levels exist and (i,l) = (i,j)∘(j,l), j comes before l in
+    # row i, and (i,l) lies deeper than (j,l)
+    depth = {pair: k for k, level in enumerate(naive_levels(delta.pairs)) for pair in level}
+    for i, row in rows.items():
+        for j, l in itertools.permutations(row, 2):
+            if (j, l) in delta.pairs:
+                assert row.index(j) < row.index(l), (i, j, l)
+                assert depth[i, l] > depth[j, l], (i, j, l)
 
 
 @profile(150)

@@ -1,14 +1,21 @@
-"""Relations: axiom checking, the subset calculus, builders, text format."""
+"""Relations: axiom checking, the subset calculus, builders, text format.
+
+Frozen examples, the refusals and their messages, and the paper's theorems
+over the zoo of ``helpers.relation_zoo`` (normal subsets are closed, the
+bracket series dies within the size bound, the bracket of normal subsets
+is normal and lies in both, Δ∖Γ is valid). The values of the scans against
+their definitions, on drawn relations and digraphs, are checked in
+``tests/test_mask_calculus.py``.
+"""
 
 from __future__ import annotations
 
-import itertools
 import random
 
 import pytest
 
 from helpers import relation_zoo
-from oracles import by_first, fixed_point_pruned_order, naive_closure, naive_normal_closure
+from oracles import by_first, fixed_point_pruned_order
 from mclain import (
     ExchangeViolation,
     ParseError,
@@ -87,23 +94,6 @@ def test_exchange_violation_other_direction():
 
 def test_exchange_holds_when_both_cross_pairs_present():
     assert chain(4).axiom_report.valid
-
-
-def test_exchange_violations_match_a_scan_of_all_quadruples():
-    # Each quadruple is reported once, in order, on digraphs with reflexive
-    # pairs and 2-cycles, where nodes of a quadruple may repeat.
-    rng = random.Random(41)
-    nodes = [str(i) for i in range(1, 6)]
-    for _ in range(40):
-        pairs = {(i, j) for i in nodes for j in nodes if rng.random() < 0.35}
-        expected = []
-        for i, j, k, l in itertools.product(nodes, repeat=4):
-            has_ik, has_jl = (i, k) in pairs, (j, l) in pairs
-            if {(i, j), (j, k), (k, l), (i, l)} <= pairs and has_ik != has_jl:
-                present, absent = ((i, k), (j, l)) if has_ik else ((j, l), (i, k))
-                expected.append(ExchangeViolation((i, j, k, l), present, absent))
-        found = check_axioms(from_pairs(pairs)).violations
-        assert [v for v in found if isinstance(v, ExchangeViolation)] == expected
 
 
 def test_repairing_the_witness_restores_validity():
@@ -200,64 +190,6 @@ def test_closure_examples():
     assert closure(gon.subset(ngon_edges(4)), gon).pairs == gon.pairs
 
 
-def test_closure_properties_random():
-    rng = random.Random(31)
-    for _, delta in relation_zoo():
-        pairs = sorted(delta.pairs)
-        for _ in range(20):
-            seed = [p for p in pairs if rng.random() < 0.4]
-            omega = delta.subset(seed)
-            closed = closure(omega, delta)
-            assert omega.pairs <= closed.pairs
-            assert is_closed(closed, delta)
-            assert closure(closed, delta).pairs == closed.pairs
-            # monotone: enlarging the seed can only enlarge the closure
-            extra = [p for p in pairs if rng.random() < 0.4]
-            bigger = closure(delta.subset(seed + extra), delta)
-            assert closed.pairs <= bigger.pairs
-            # the closure never leaves the nodes spanned by the seed
-            spanned = {node for pair in omega.pairs for node in pair}
-            assert all(
-                i in spanned and j in spanned for i, j in closed.pairs
-            )
-
-
-def test_normal_closure_properties_random():
-    rng = random.Random(32)
-    for _, delta in relation_zoo():
-        pairs = sorted(delta.pairs)
-        for _ in range(20):
-            omega = delta.subset([p for p in pairs if rng.random() < 0.3])
-            normal = normal_closure(omega, delta)
-            assert omega.pairs <= normal.pairs
-            assert is_normal(normal, delta)
-            assert is_closed(normal, delta)
-            assert normal_closure(normal, delta).pairs == normal.pairs
-
-
-def test_closures_equal_the_fixed_point_oracles_random():
-    # Minimality as well as closedness: the worklist saturations must land
-    # exactly on the least fixed points, also on relations that break the
-    # axioms (reflexive pairs, cycles), since saturation does not rely on them.
-    rng = random.Random(34)
-    nodes = [str(i) for i in range(5)]
-    digraphs = [
-        from_pairs(
-            [(i, j) for i in nodes for j in nodes if rng.random() < 0.3], nodes
-        )
-        for _ in range(6)
-    ]
-    cases = relation_zoo() + [(f"digraph{k}", d) for k, d in enumerate(digraphs)]
-    for name, delta in cases:
-        pairs = sorted(delta.pairs)
-        for _ in range(20):
-            omega = delta.subset([p for p in pairs if rng.random() < 0.3])
-            want = naive_closure(omega.pairs, delta.pairs)
-            assert closure(omega, delta).pairs == want, name
-            want = naive_normal_closure(omega.pairs, delta.pairs)
-            assert normal_closure(omega, delta).pairs == want, name
-
-
 def test_normal_implies_closed_on_zoo_subsets():
     rng = random.Random(33)
     for _, delta in relation_zoo():
@@ -283,16 +215,6 @@ def test_bracket_examples():
     assert bracket(gon, gon, gon).pairs == frozenset(ngon_diagonals(4))
     diag = gon.subset(ngon_diagonals(4))
     assert bracket(diag, diag, gon).pairs == frozenset()
-
-
-def test_bracket_symmetric_random():
-    rng = random.Random(34)
-    for _, delta in relation_zoo():
-        pairs = sorted(delta.pairs)
-        for _ in range(10):
-            a = delta.subset([p for p in pairs if rng.random() < 0.4])
-            b = delta.subset([p for p in pairs if rng.random() < 0.4])
-            assert bracket(a, b, delta).pairs == bracket(b, a, delta).pairs
 
 
 def test_bracket_of_normal_subsets_is_normal_and_bounded():

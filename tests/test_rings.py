@@ -74,6 +74,17 @@ def test_literal_shape_mismatches_raise():
             Integers().parse(bad)
         with pytest.raises(RingError):
             Matrices2x2Mod(2).parse(bad)
+    # past Python's limit on integer-string conversion: the message gives
+    # the length and does not echo the digits
+    nines = "9" * 5000
+    for ring, text in [
+        (Integers(), nines),
+        (IntegersMod(5), f"-{nines}"),
+        (Matrices2x2Mod(2), f"[1,0;{nines},1]"),
+    ]:
+        with pytest.raises(RingError) as excinfo:
+            ring.parse(text)
+        assert str(excinfo.value) == "literal of 5000 digits is past the integer-string limit"
 
 
 def test_print_parse_idempotent():
@@ -202,9 +213,11 @@ def test_truthiness_tracks_zero():
     "ring", [IntegersMod(4), IntegersMod(7), Matrices2x2Mod(2), Integers()], ids=str
 )
 def test_payload_contract(ring):
-    """Zero is one constant payload compared with ==, and a product is the
-    ring's _fma from that zero. _zero is a class constant, not a field, so
-    ring equality, hash and repr still see only the modulus."""
+    """Zero is one constant payload compared with ==, and s + ab is the
+    ring's _fma, which agrees with the textbook formula on every triple of
+    values (Z/4 has zero divisors; in M2(Z/2) a must stay on the left).
+    _zero is a class constant, not a field, so ring equality, hash and repr
+    still see only the modulus."""
     assert ring._zero == ring.from_int(0).payload
     assert ring.zero == ring.from_int(0)
     assert "_zero" not in vars(ring)
@@ -219,5 +232,6 @@ def test_payload_contract(ring):
         values = list(ring.elements())
     for v in values:
         assert bool(v) == (v.payload != ring._zero)
-    for a, b in itertools.product(values, repeat=2):
-        assert (a * b).payload == payload_fma(ring, ring._zero, a.payload, b.payload)
+    for s, a, b in itertools.product(values, repeat=3):
+        formula = payload_fma(ring, s.payload, a.payload, b.payload)
+        assert ring._fma(s.payload, a.payload, b.payload) == (s + a * b).payload == formula

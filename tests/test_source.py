@@ -132,10 +132,12 @@ def _annotation_names(tree: ast.AST) -> set[str]:
 
 def test_modules_use_every_name_they_import():
     # No linter is part of the suite, so an import left behind by a refactor
-    # would go unnoticed. A name counts as used wherever it is read, in an
-    # annotation too; __init__.py imports to re-export, so it is skipped.
+    # would go unnoticed, in the package or in its tests. A name counts as
+    # used wherever it is read, in an annotation too; __init__.py imports to
+    # re-export, so it is skipped.
     unused = []
-    for path in sorted(SRC.glob("*.py")):
+    paths = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    for path in paths:
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -148,9 +150,30 @@ def test_modules_use_every_name_they_import():
                 for alias in node.names:
                     name = alias.asname or alias.name.split(".")[0]
                     if name not in used:
-                        unused.append(f"{path.name}:{node.lineno} {name}")
-    assert len(list(SRC.glob("*.py"))) >= 8
+                        unused.append(f"{path.parent.name}/{path.name}:{node.lineno} {name}")
+    assert len(list(SRC.glob("*.py"))) >= 8 and len(list(TESTS.glob("*.py"))) >= 20
     assert unused == []
+
+
+def test_every_shared_test_function_is_used():
+    # A retired test must not leave its helper, oracle or strategy behind:
+    # each top-level function of the shared modules is named somewhere in
+    # tests/ outside its own definition.
+    shared = {"helpers.py", "oracles.py", "strategies.py"}
+    defined, named = set(), set()
+    for path in sorted(TESTS.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for statement in tree.body:
+            own = statement.name if isinstance(statement, ast.FunctionDef) else None
+            if own and path.name in shared:
+                defined.add(own)
+            named |= {
+                node.id if isinstance(node, ast.Name) else node.attr
+                for node in ast.walk(statement)
+                if isinstance(node, ast.Name | ast.Attribute)
+            } - {own}
+    assert len(defined) >= 40
+    assert sorted(defined - named) == []
 
 
 def test_the_row_kernel_is_called_by_the_ordered_product_and_the_peel_alone():
