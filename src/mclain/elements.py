@@ -39,9 +39,10 @@ kernels split a code with ``divmod``, and no label tuple is built or
 hashed per term. Labels appear only at the edges:
 ``_payloads`` and ``coefficient`` encode through the relation's
 ``_codes``, and ``coefficients``, ``support`` and ``__str__`` decode
-through ``_Index.pair``. Sorted codes are sorted label pairs, and the
-numbering depends only on the node set, so equal groups, subgroups and
-quotients over the same nodes read a code alike.
+through ``_Index.pair`` into the relation's own pair objects. Sorted codes
+are sorted label pairs, and the numbering depends only on the node set, so
+equal groups, subgroups and quotients over the same nodes read a code
+alike.
 
 The general product (``_splice``, and ``_product`` on it) and the division
 (``_divide``) work one output row at a time, with row accumulators: the
@@ -330,11 +331,6 @@ def _product(group: McLainGroup, x: Coeffs, y: Coeffs) -> Coeffs:
     return _splice(group, x, y, unit=True)
 
 
-_BOUND_MESSAGE = (
-    "power series exceeded the nilpotency bound; the ambient relation is corrupted"
-)
-
-
 def _divide(group: McLainGroup, u: Coeffs, w: Coeffs) -> Coeffs:
     """The map z with 1+z = (1+u)(1+w)^-1, solved from (1+z)(1+w) = 1+u.
 
@@ -354,16 +350,12 @@ def _divide(group: McLainGroup, u: Coeffs, w: Coeffs) -> Coeffs:
     Unlike the product, the solve needs no harvest: the walk reads only the
     relation's pairs, so a slot outside it is never read. w stays on the
     right, so the solve is exact over noncommutative rings. Only a
-    corrupted relation has a cycle of decompositions and so no levels; it
-    raises the same InvariantError as the power loop of
-    ``nilpotency_index``.
+    corrupted relation has a cycle of decompositions and so no levels; the
+    levels' own InvariantError goes through.
     """
     ring, n = group.ring, len(group.relation._index.labels)
     axpy, add, neg, zero = ring._axpy, ring._add, ring._neg, ring._zero
-    try:
-        levels = group.relation._levels
-    except InvariantError:
-        raise InvariantError(_BOUND_MESSAGE) from None
+    levels = group.relation._levels
     rows = defaultdict(([zero] * n).copy)
     for code, c in u.items():
         i, l = divmod(code, n)
@@ -460,7 +452,10 @@ class GroupElement:
             power = _splice(self.group, power, x)
             exponent += 1
             if power and exponent > bound:
-                raise InvariantError(_BOUND_MESSAGE)
+                raise InvariantError(
+                    "power series exceeded the nilpotency bound; "
+                    "the ambient relation is corrupted"
+                )
         return exponent
 
     def __eq__(self, other: object) -> bool:

@@ -77,8 +77,8 @@ from .relations import (
     Relation,
     _bits,
     _bracket_rounds,
+    _closed_subset,
     _closed_support,
-    _shed,
     difference,
     ngon,
     ngon_diagonals,
@@ -180,12 +180,11 @@ def ordered_factorization(g: GroupElement, order: tuple[Pair, ...]) -> OrderedFo
     if len(pairs := frozenset(order)) != len(order):
         raise ValueError("order lists a pair twice, so it is not a total order")
     if stray := sorted(pairs - relation.pairs):
-        stray_text = f"pairs not in the relation: {stray}"
-        raise ValueError(f"order contains pairs outside the relation: {stray_text}")
+        raise ValueError(f"order contains pairs outside the relation: {stray}")
     codes = [relation._codes[pair] for pair in order]
     if missing := sorted(map(relation._index.pair, g._coeffs.keys() - set(codes))):
         raise ValueError(f"order does not cover the support: missing {missing}")
-    rounds = _bracket_rounds(pairs, relation, "order")
+    rounds = _bracket_rounds(*_closed_subset(pairs, relation, "order"))
     found = _ordered_sweep(group, g._coeffs, codes, rounds)
     ring, zero = group.ring, group.ring._zero
     coefficients = {p: RingValue(ring, found.get(c, zero)) for p, c in zip(order, codes)}
@@ -280,14 +279,15 @@ def _lift(g: GroupElement, projected: GroupElement) -> GroupElement:
     payloads of the projection's ordered factorization along the closure of
     its support in sorted order, multiplied in g's group, where the codes
     carry over. The closure's pairs and masks (``_closed_support``) give the
-    codes and, by ``_shed``, the rounds of its bracket descent, which
-    ``_ordered_sweep`` solves along; no label is read and no payload boxed.
+    codes and, by ``_bracket_rounds``, the rounds of its bracket descent,
+    which ``_ordered_sweep`` solves along; no label is read and no payload
+    boxed.
     As gamma is normal, g r^-1 lies over gamma exactly when r^-1 g does:
     when it keeps no pair of the quotient."""
     group, quotient = g.group, projected.group.relation
-    arcs, (rows, cols) = _closed_support(quotient, projected._coeffs)
+    arcs, masks = _closed_support(quotient, projected._coeffs)
     arcs.sort()
-    rounds = _shed(arcs, rows, cols, cols, rows, "bracket series failed to terminate")
+    rounds = _bracket_rounds(arcs, masks)
     n = len(quotient._index.labels)
     codes = [x * n + y for x, y in arcs]
     solved = _ordered_sweep(projected.group, projected._coeffs, codes, rounds)
@@ -343,7 +343,7 @@ def demonstrate_ngon_obstruction(n: int, ring: Ring | None = None) -> NgonReport
 
     # No edge is a composite, so the edge coefficients of an ordered edge
     # product are exactly the inputs: the all-unit target forces units.
-    _, number, rows, cols, _ = delta._index
+    number, rows, cols = delta._index.number, delta._index.rows, delta._index.cols
     forced = not any(rows[number[x]] & cols[number[y]] for x, y in edges)
 
     checked = 0

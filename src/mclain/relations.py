@@ -25,7 +25,8 @@ of lookups of label pairs. The same numbering gives the int pair codes
 that key the coefficient maps of group elements. The same pass over the
 pairs that fills the masks fills each node's sorted successor numbers,
 the index's ``succ``, which the axiom scan and the descents over a whole
-relation read. The axiom scan walks the couples from a pair only when two
+relation read, and ``by_code``, each pair code's own pair object, through
+which codes decode. The axiom scan walks the couples from a pair only when two
 mask tests leave a node that could break exchange; on a strict partial
 order none is left, so the scan costs one mask step per pair (see
 ``Relation.axiom_report``). Below the public functions the calculus works
@@ -33,8 +34,8 @@ in node-number pairs only; labels cross each way on the relation that a
 subset is tested against: ``Relation._encode`` refuses pairs outside it and
 numbers and masks the rest, and ``Relation._from_arcs`` makes the subset of
 the pairs a call found. ``_bracket_rounds`` is the one bracket descent that
-``_levels``, ``gamma_series`` and ``ordered_factorization`` read; the coset
-lift runs the same ``_shed`` on the masks of the closure it has just made.
+``_levels``, ``gamma_series``, ``ordered_factorization`` and the coset lift
+read, and ``_upper_rounds`` the one upper descent; ``_shed`` runs both.
 
 Every relation the calculus builds from pairs of a relation it already
 holds (subsets, closures, brackets, series terms, differences) is made by
@@ -115,10 +116,14 @@ class _Index(NamedTuple):
     and no caller changes the successor lists.
 
     The coefficient maps of group elements key a pair by its code
-    x*N + y, with x and y the numbers of its labels and N the node count:
-    ``Relation._codes`` encodes and ``pair`` decodes, and sorted codes are
-    sorted pairs. The numbering depends only on the node set, so a code
-    means the same pair in every relation over the same nodes.
+    x*N + y, with x and y the numbers of its labels and N the node count.
+    The pass that builds the index writes that format once, into
+    ``by_code``, each code's pair object of the relation. Codes decode
+    through it (``pair``, ``decode``, ``Relation._codes``), so every pair
+    that the calculus or an element hands back is one of the relation's
+    own. Sorted codes are sorted pairs. The numbering depends only on the
+    node set, so a code means the same pair in every relation over the same
+    nodes.
     """
 
     labels: tuple[str, ...]
@@ -126,17 +131,16 @@ class _Index(NamedTuple):
     rows: list[int]
     cols: list[int]
     succ: list[list[int]]
+    by_code: dict[int, Pair]
 
     def pair(self, code: int) -> Pair:
-        """The label pair of a code."""
-        labels = self.labels
-        n = len(labels)
-        return labels[code // n], labels[code % n]
+        """The pair of a code."""
+        return self.by_code[code]
 
     def decode(self, numbered: Iterable[Arc]) -> list[Pair]:
-        """The label pairs of node-number pairs."""
-        labels = self.labels
-        return [(labels[x], labels[y]) for x, y in numbered]
+        """The pairs at node-number pairs."""
+        n, by_code = len(self.labels), self.by_code
+        return [by_code[x * n + y] for x, y in numbered]
 
 
 def _bits(mask: int) -> list[int]:
@@ -197,20 +201,21 @@ class Relation:
     @cached_property
     def _index(self) -> _Index:
         """The index, built in one pass over the pairs that sets each pair's
-        row and column bits and appends its target to the source's successor
-        list; the lists are then sorted."""
+        row and column bits, appends its target to the source's successor
+        list and files the pair under its code; the lists are then sorted."""
         labels = tuple(sorted(self.nodes))
         number = {label: x for x, label in enumerate(labels)}
         n = len(labels)
-        rows, cols, succ = [0] * n, [0] * n, [[] for _ in labels]
-        for a, b in self.pairs:
-            x, y = number[a], number[b]
+        rows, cols, succ, by_code = [0] * n, [0] * n, [[] for _ in labels], {}
+        for pair in self.pairs:
+            x, y = number[pair[0]], number[pair[1]]
             rows[x] |= 1 << y
             cols[y] |= 1 << x
             succ[x].append(y)
+            by_code[x * n + y] = pair
         for after in succ:
             after.sort()
-        return _Index(labels, number, rows, cols, succ)
+        return _Index(labels, number, rows, cols, succ, by_code)
 
     def _encode(self, pairs: frozenset[Pair], name: str) -> tuple[list[Arc], Masks]:
         """The node-number pairs and masks, in the index, of a subset of the
@@ -227,12 +232,10 @@ class Relation:
 
     @cached_property
     def _codes(self) -> dict[Pair, int]:
-        """Each pair's code in the index numbering (see ``_Index``), built
+        """Each pair's code, the inverse of the index's ``by_code``, built
         when the first group element over the relation needs it. Elements
         built from labels share these int keys."""
-        labels, number, *_ = self._index
-        n = len(labels)
-        return {pair: number[pair[0]] * n + number[pair[1]] for pair in self.pairs}
+        return {pair: code for code, pair in self._index.by_code.items()}
 
     @cached_property
     def _quotients(self) -> dict[frozenset[Pair], "Relation"]:
@@ -259,7 +262,8 @@ class Relation:
         inside S[j] and S[j] inside S[i], so its scan costs one mask step
         per pair instead of one per couple.
         """
-        labels, _, rows, _, succ = self._index
+        index = self._index
+        labels, rows, succ = index.labels, index.rows, index.succ
         violations: list[object] = [
             ReflexiveViolation((label, label))
             for x, label in enumerate(labels)
@@ -304,11 +308,11 @@ class Relation:
         ``gamma_series`` reads it). A composite (x,z) = (x,y)∘(y,z) lies at
         a strictly deeper level than (x,y), so y comes before z in row x. A
         decomposition cycle, which only an axiom breaker has, raises the
-        descent's ``InvariantError``. Only the right division of elements
-        reads the levels, so they are built when it first needs them.
+        descent's ``InvariantError``. The right division of elements, their
+        only reader, builds them when it first needs them.
         """
         levels: list[list[int]] = [[] for _ in self._index.labels]
-        for shed in _bracket_rounds(self.pairs, self, "relation"):
+        for shed in _bracket_rounds(*_closed_subset(self.pairs, self, "relation")):
             for x, y in shed:
                 levels[x].append(y)
         return tuple(map(tuple, levels))
@@ -382,7 +386,7 @@ def _absorbs(pairs: Iterable[Arc], delta: Relation, sub: Masks, normal: bool) ->
     numbering, and the partners are delta's pairs when ``normal``, else sub's.
     One mask test per pair: (x,y) leaks when P_row[y] & D_row[x] or
     P_col[x] & D_col[y] has a bit outside sub's row x or column y."""
-    _, _, d_rows, d_cols, _ = delta._index
+    d_rows, d_cols = delta._index.rows, delta._index.cols
     s_rows, s_cols = sub
     p_rows, p_cols = (d_rows, d_cols) if normal else sub
     for x, y in pairs:
@@ -426,7 +430,7 @@ def _saturate(pairs: list[Arc], delta: Relation, masks: Masks, closed: bool) -> 
     later meets (a,b) when it is visited in turn. For the normal closure
     every pair of delta is a partner.
     """
-    _, _, d_rows, d_cols, _ = delta._index
+    d_rows, d_cols = delta._index.rows, delta._index.cols
     rows, cols = masks
     p_rows, p_cols = masks if closed else (d_rows, d_cols)
     for x, y in pairs:  # also visits the pairs appended on the way
@@ -464,7 +468,7 @@ def bracket(sub1: Relation, sub2: Relation, delta: Relation) -> Relation:
     """
     pairs, _ = delta._encode(sub1.pairs, "first subset")
     _, (s_rows, s_cols) = delta._encode(sub2.pairs, "second subset")
-    _, _, d_rows, d_cols, _ = delta._index
+    d_rows, d_cols = delta._index.rows, delta._index.cols
     out: set[Arc] = set()
     for x, y in pairs:
         out.update((x, z) for z in _bits(s_rows[y] & d_rows[x]))
@@ -492,27 +496,21 @@ def _numbered(succ: list[list[int]]) -> list[Arc]:
     return [(x, y) for x, after in enumerate(succ) for y in after]
 
 
-def _shed(
-    live: list[Arc],
-    rows: list[int],
-    cols: list[int],
-    right: list[int],
-    left: list[int],
-    stall: str,
-) -> list[list[Arc]]:
+def _shed(live: list[Arc], masks: Masks, partners: Masks, stall: str) -> list[list[Arc]]:
     """The pairs (x,y), by node number, of a descent from the term with these
     masks, by the round that sheds them, each round in the order of ``live``.
 
     The caller passes the term's pairs as ``live``: for a whole relation in
     sorted order from the index's ``succ``, so its rows are not expanded
     again. A live (x,y) stays for the next round while T_row[x] & right[y]
-    or T_col[y] & left[x], where T is the live term. T starts as a copy of
-    rows and cols, and each round's shed bits are cleared from it in place.
-    Only the live pairs are tested. A nonempty round that sheds nothing
-    would repeat forever; only an axiom breaker has one, and it raises
-    ``InvariantError(stall)``.
+    or T_col[y] & left[x], where T is the live term and (right, left) the
+    partners. T starts as a copy of the masks, and each round's shed bits
+    are cleared from it in place. Only the live pairs are tested. A nonempty
+    round that sheds nothing would repeat forever; only an axiom breaker has
+    one, and it raises ``InvariantError(stall)``.
     """
-    rows, cols = list(rows), list(cols)
+    rows, cols = map(list, masks)
+    right, left = partners
     rounds = []
     while live:
         kept, shed = [], []
@@ -532,25 +530,45 @@ def _shed(
     return rounds
 
 
-def _bracket_rounds(
+def _closed_subset(
     gamma: frozenset[Pair], delta: Relation, subject: str
-) -> list[list[Arc]]:
-    """The pairs (x,y) of closed gamma, a frozenset of delta's pairs, numbered in
-    delta's index, by the round of the bracket descent (``gamma_series``) that
-    sheds them: (a,c) of the term T stays while T_row[a] & G_col[c] or
-    G_row[a] & T_col[c], with G gamma's masks. Gamma equal to delta's pairs
-    shares delta's masks and ``succ`` and sheds in sorted order; a proper
-    subset gets its own masks, and no caller reads its order within a round.
-    A gamma that is not closed is refused, naming ``subject``. Only an axiom
-    breaker's descent, on a cycle of decompositions, never ends."""
-    _, _, rows, cols, succ = delta._index
+) -> tuple[list[Arc], Masks]:
+    """The node-number pairs and masks in delta's index of closed gamma, a
+    frozenset of delta's pairs. Gamma equal to delta's pairs gets delta's own
+    masks, which no caller may change, and its pairs in sorted order from
+    ``succ``; a proper subset gets its own masks and its pairs in no order.
+    A gamma that is not closed is refused, naming ``subject``."""
+    index = delta._index
     if gamma == delta.pairs:  # gamma is delta: share its masks
-        live = _numbered(succ)
-    else:
-        live, (rows, cols) = delta._encode(gamma, "subset")
-        if not _absorbs(live, delta, (rows, cols), normal=False):
-            raise ValueError(f"{subject} needs a closed subset")
-    return _shed(live, rows, cols, cols, rows, "bracket series failed to terminate")
+        return _numbered(index.succ), (index.rows, index.cols)
+    live, masks = delta._encode(gamma, "subset")
+    if not _absorbs(live, delta, masks, normal=False):
+        raise ValueError(f"{subject} needs a closed subset")
+    return live, masks
+
+
+def _bracket_rounds(live: list[Arc], masks: Masks) -> list[list[Arc]]:
+    """The pairs (x,y) of a closed subset G, given as the node-number pairs
+    ``live`` and G's masks, by the round of the bracket descent
+    (``gamma_series``) that sheds them, each round in the order of ``live``:
+    (a,c) of the term T stays while T_row[a] & G_col[c] or G_row[a] &
+    T_col[c]. Only an axiom breaker's descent, on a cycle of decompositions,
+    never ends."""
+    rows, cols = masks
+    return _shed(live, masks, (cols, rows), "bracket series failed to terminate")
+
+
+def _upper_rounds(delta: Relation) -> list[list[Arc]]:
+    """The pairs (x,y) of delta, by node number, by the round of the upper
+    descent (``series.upper_central_series``) that sheds them, each round in
+    sorted order: (a,b) of the term T stays while T_row[a] & D_row[b] or
+    T_col[b] & D_col[a], with D delta's masks, so a round sheds the pairs of
+    T that are a factor of no composite in T. Only an axiom breaker has a
+    round that sheds nothing."""
+    index = delta._index
+    masks = index.rows, index.cols
+    stall = "upper central series stalled before exhausting the relation"
+    return _shed(_numbered(index.succ), masks, masks, stall)
 
 
 def gamma_series(gamma: Relation, delta: Relation) -> SubsetChain:
@@ -562,7 +580,7 @@ def gamma_series(gamma: Relation, delta: Relation) -> SubsetChain:
     """
     decode = delta._index.decode
     terms, term = [gamma], gamma.pairs
-    for shed in _bracket_rounds(gamma.pairs, delta, "gamma series"):
+    for shed in _bracket_rounds(*_closed_subset(gamma.pairs, delta, "gamma series")):
         term = term.difference(decode(shed))
         terms.append(Relation._within(delta.nodes, term))
     return SubsetChain("descending", tuple(terms))
@@ -572,8 +590,8 @@ def isolated(delta: Relation) -> Relation:
     """Pairs that compose with nothing: no right extension (j,k) with
     (i,k) present, and no left extension (l,i) with (l,j) present: with D
     delta's masks, D_row[x] & D_row[y] and D_col[x] & D_col[y] are 0."""
-    _, _, rows, cols, succ = delta._index
-    pairs = _numbered(succ)
+    index = delta._index
+    rows, cols, pairs = index.rows, index.cols, _numbered(index.succ)
     alone = [(x, y) for x, y in pairs if not rows[x] & rows[y] | cols[x] & cols[y]]
     return delta._from_arcs(alone)
 
@@ -617,7 +635,7 @@ def _has_unextended(omega: Relation, delta: Relation, maximal: bool) -> bool:
     if not pairs:
         kind = "maximality" if maximal else "minimality"
         raise ValueError(f"{kind} is about nonempty subsets")
-    _, _, d_rows, d_cols, _ = delta._index
+    d_rows, d_cols = delta._index.rows, delta._index.cols
     for x, y in pairs:
         if not (o_rows[y] & d_rows[x] if maximal else o_cols[x] & d_cols[y]):
             return True

@@ -8,15 +8,18 @@ and a commutative-only test diet cannot tell ab from ba.
 
 A value wraps a canonical raw payload (an int, or a row-major 4-tuple
 for the matrices), so values are equal exactly when payloads are ``==``.
-A ring supplies what the group law needs: its zero payload ``_zero`` (a
-class attribute, not a field), ``_add``, ``_neg``, the multiply-add
-``_fma`` and its row form ``_axpy``, which adds a row of products into a
-row accumulator, a list of sums indexed by node number, and may leave
-them unreduced: the other three return canonical payloads for such
-input. Each ring defines all five: the base has no zero, and its hooks
-raise NotImplementedError.
-At the edges, ``value`` checks a raw payload and wraps its canonical
-form, and ``_format`` prints one. Z and Z/n differ only in ``from_int``
+A ring supplies what the group law needs, the payload hooks: its zero
+payload ``_zero`` (a class attribute, not a field), ``_add(a, b)``,
+``_neg(a)``, the multiply-add ``_fma(s, a, b)``, which is s + ab with a on
+the left, and its row form ``_axpy(sums, a, row)``, which adds ab into
+sums[l] for each (l, b) in row, a on the left. ``sums`` is a row
+accumulator, a list indexed by node number, each slot starting at
+``_zero``, and ``_axpy`` may leave them unreduced: the other three return
+canonical payloads for such input. At the edges, ``value`` checks a raw
+payload and wraps its canonical form, and ``_format(a)`` prints one. Each
+ring defines every hook. The base defines none, so a ring that forgets one
+fails on first use, and the base's ``value``, ``from_int``, ``parse`` and
+``sample`` raise NotImplementedError. Z and Z/n differ only in ``from_int``
 and their arithmetic, so they share the rest through one base,
 ``_Scalar``: the zero, the literal parser, ``value``, the formatter and
 the row multiply-add, which leaves plain int sums with no modulus. The
@@ -105,7 +108,8 @@ def _literal_int(digits: str) -> int:
 
 @record
 class Ring:
-    """Base for the concrete rings. Subclasses define payload arithmetic."""
+    """Base for the concrete rings. Subclasses define the payload hooks of
+    the module docstring."""
 
     def value(self, payload: object) -> RingValue:
         """The value of a raw payload, reduced to its canonical form; a
@@ -142,27 +146,6 @@ class Ring:
 
     def elements(self) -> Iterator[RingValue]:
         raise RingError(f"{self} is not finite")
-
-    # payload hooks. Subclasses also set _zero, the zero payload; the base
-    # has none, so a ring that forgets it fails on first use.
-    def _add(self, a: object, b: object) -> object:
-        raise NotImplementedError
-
-    def _neg(self, a: object) -> object:
-        raise NotImplementedError
-
-    def _fma(self, s: object, a: object, b: object) -> object:
-        """s + ab in one call, a on the left."""
-        raise NotImplementedError
-
-    def _axpy(self, sums: list, a: object, row) -> None:
-        """Add ab into sums[l] for each (l, b) in row, a on the left: sums is
-        one row of an output, indexed by node number, each slot starting at
-        ``_zero``; the sums may be left unreduced."""
-        raise NotImplementedError
-
-    def _format(self, a: object) -> str:
-        raise NotImplementedError
 
 
 class _Scalar(Ring):

@@ -17,8 +17,7 @@ from .relations import (
     SubsetChain,
     _absorbs,
     _masks,
-    _numbered,
-    _shed,
+    _upper_rounds,
     gamma_series,
     isolated,
     require_valid,
@@ -68,32 +67,29 @@ def center_support(delta: Relation) -> Relation:
 def upper_central_series(delta: Relation) -> SubsetChain:
     """Ascending chain from the empty subset up to the whole relation.
 
-    Each round of one descent on delta's masks (``relations._shed``) is a
-    step: it adjoins the pairs of what is left, R, that are a factor of no
-    composite left (R_row[a] & D_row[b] and R_col[b] & D_col[a] are 0, with
-    D delta's masks), the isolated pairs of the quotient by the last term.
-    The quotient isomorphism is what lets the accumulated union stand in for
-    centers of successive quotient groups. Each term is the last joined with
-    the set of the round's pairs, looked up by code in a map of delta's own
-    pairs built for the call, so the terms hold delta's pair objects; the
-    last round completes delta, whose own pair set is the last term. Each
+    Each round of the upper descent on delta's masks
+    (``relations._upper_rounds``) is a step: it adjoins the pairs of what is
+    left, R, that are a factor of no composite left (R_row[a] & D_row[b] and
+    R_col[b] & D_col[a] are 0, with D delta's masks), the isolated pairs of
+    the quotient by the last term. The quotient isomorphism is what lets the
+    accumulated union stand in for centers of successive quotient groups.
+    Each term is the last joined with the set of the round's pairs, decoded
+    through delta's index, so the terms hold delta's pair objects; the last
+    round completes delta, whose own pair set is the last term. Each
     term is checked to be normal at the round's node numbers, against masks
     of the term that grow by each round's bits; the previous term was normal
     at the others.
     """
     require_valid(delta)
-    labels, number, rows, cols, succ = delta._index
-    n = len(labels)
-    own = {number[pair[0]] * n + number[pair[1]]: pair for pair in delta.pairs}
-    stall = "upper central series stalled before exhausting the relation"
+    n, decode = len(delta._index.labels), delta._index.decode
     zeta, masks = frozenset(), _masks((), n)
     terms = [Relation._within(delta.nodes, zeta)]
-    rounds = _shed(_numbered(succ), rows, cols, rows, cols, stall)
+    rounds = _upper_rounds(delta)
     for shed in rounds:
         if shed is rounds[-1]:  # the last round completes delta
             zeta = delta.pairs
         else:
-            zeta = zeta | frozenset([own[x * n + y] for x, y in shed])
+            zeta = zeta | frozenset(decode(shed))
         if not _absorbs(shed, delta, _masks(shed, n, masks), normal=True):
             raise InvariantError("upper central series term failed the normality check")
         terms.append(Relation._within(delta.nodes, zeta))

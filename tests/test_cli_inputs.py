@@ -66,7 +66,7 @@ def test_a_failed_self_check_exits_3_with_one_line(tmp_path, capsys, monkeypatch
     def wrong(*args):
         return [[(0, 1)], [(0, 2), (1, 2)]]
 
-    monkeypatch.setattr(mclain.series, "_shed", wrong)
+    monkeypatch.setattr(mclain.series, "_upper_rounds", wrong)
     rel = tmp_path / "rel.txt"
     rel.write_text(format_relation(chain(3)))
     code = main(["series", str(rel), "--upper"])

@@ -47,6 +47,7 @@ from mclain import (  # noqa: E402
     is_normal,
     isolated,
     lower_central_series,
+    minimal_closed_support,
     normal_closure,
     upper_central_series,
     word_factorization,
@@ -274,13 +275,22 @@ def test_series_index_only_the_relations_they_are_given(data):
 @profile(150)
 @given(valid_relations)
 def test_series_terms_share_the_relations_pair_objects(delta):
-    # Terms and factor supports hold delta's own pairs, not equal copies,
-    # so a series adds no pair tuples to what the relation holds.
+    # Codes decode through the index into delta's own pairs, not equal
+    # copies: series terms, factor supports, what the calculus returns and
+    # the pairs an element hands back add no pair tuples to the relation's,
+    # also where the input held copies.
     own = {id(pair) for pair in delta.pairs}
+    copies = [(a, b) for a, b in sorted(delta.pairs)[::2]]
+    sub = delta.subset(copies)
     lower, reports = lower_central_series(delta, Integers())
     upper = upper_central_series(delta)
     held = [term.pairs for term in lower.terms + upper.terms]
     held += [report.support.pairs for report in reports]
+    closed = closure(sub, delta)
+    held += [closed.pairs, normal_closure(sub, delta).pairs, isolated(delta).pairs]
+    held.append(bracket(sub, closed, delta).pairs)
+    g = McLainGroup(delta, Integers()).element({pair: 1 for pair in copies})
+    held += [minimal_closed_support(g).pairs, g.support().pairs, g.coefficients().keys()]
     assert all(id(pair) in own for pairs in held for pair in pairs)
 
 

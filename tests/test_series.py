@@ -254,7 +254,7 @@ def test_upper_central_series_normality_check_catches_a_wrong_step(monkeypatch):
     def wrong(*args):
         return [[(0, 1)], [(0, 2), (1, 2)]]
 
-    monkeypatch.setattr(mclain.series, "_shed", wrong)
+    monkeypatch.setattr(mclain.series, "_upper_rounds", wrong)
     with pytest.raises(
         InvariantError, match="upper central series term failed the normality check"
     ):

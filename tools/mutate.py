@@ -49,9 +49,9 @@ MUTANTS = [
       "for l in succ[i]:", "for l in (y for y in range(n) if index.cols[i] >> y & 1):",
       KERNELS),
     M("pair codes transposed", "relations.py",
-      "number[pair[0]] * n + number[pair[1]]", "number[pair[1]] * n + number[pair[0]]", KERNELS),
+      "by_code[x * n + y] = pair", "by_code[y * n + x] = pair", KERNELS),
     M("codes decode transposed", "relations.py",
-      "labels[code // n], labels[code % n]", "labels[code % n], labels[code // n]", KERNELS),
+      "by_code[x * n + y] for x, y", "by_code[y * n + x] for x, y", KERNELS),
     M("row kernel output codes transposed", "elements.py",
       "i * n + j: a for i, row", "j * n + i: a for i, row", KERNELS),
     M("row kernel multiplies b c", "elements.py",
@@ -107,14 +107,14 @@ MUTANTS = [
     M("descent stall is a break", "relations.py",
       "raise InvariantError(stall)", "break", CALCULUS),
     M("gamma series skips the closedness check", "relations.py",
-      "if not _absorbs(live, delta, (rows, cols), normal=False):", "if False:", CALCULUS),
+      "if not _absorbs(live, delta, masks, normal=False):", "if False:", CALCULUS),
     M("isolated without columns", "relations.py",
       "if not rows[x] & rows[y] | cols[x] & cols[y]]", "if not rows[x] & rows[y]]", CALCULUS),
     M("peel without columns", "factorization.py",
       "not rows[code // n] & cols[code % n]", "not rows[code // n]", CALCULUS),
     M("levels deepest first", "relations.py",
-      'for shed in _bracket_rounds(self.pairs, self, "relation"):',
-      'for shed in reversed(_bracket_rounds(self.pairs, self, "relation")):', CALCULUS),
+      '_bracket_rounds(*_closed_subset(self.pairs, self, "relation")):',
+      'reversed(_bracket_rounds(*_closed_subset(self.pairs, self, "relation"))):', CALCULUS),
     M("axiom scan misses a present (i,k)", "relations.py",
       "bad = common & ~after_y if has_xz", "bad = 0 if has_xz", CALCULUS),
     M("axiom scan misses an absent (i,k)", "relations.py",
@@ -126,8 +126,7 @@ MUTANTS = [
     M("bracket without left composites", "relations.py",
       "out.update((z, y) for z in _bits(s_cols[x] & d_cols[y]))", "pass", CALCULUS),
     M("upper series skips validation", "series.py",
-      "require_valid(delta)\n    labels, number, rows, cols", "labels, number, rows, cols",
-      CALCULUS),
+      "require_valid(delta)\n    n, decode", "n, decode", CALCULUS),
     # the quotient cache, the projection, the word factorization's pass bound
     # and the n-gon demonstration's exact forcing test
     M("difference cache keyed by delta alone", "relations.py",
@@ -161,7 +160,7 @@ MUTANTS = [
     M("pruned order samples with <=", "relations.py",
       "forward if rng.random() < density", "forward if rng.random() <= density", EQUIVALENT),
     M("proper gamma sheds in reverse sorted order", "relations.py",
-      'closed subset")', 'closed subset")\n        live.sort(reverse=True)', EQUIVALENT),
+      'closed subset")', 'closed subset")\n    live.sort(reverse=True)', EQUIVALENT),
 ]
 
 
