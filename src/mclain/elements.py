@@ -36,31 +36,31 @@ The map is keyed by int pair codes, not label pairs: the pair (i,j) is
 number(i)*N + number(j) in the numbering of the relation's index
 (``relations._Index``, nodes in sorted label order, N of them). The
 kernels split a code with ``divmod``, and no label tuple is built or
-hashed per term. Labels appear only at the edges:
-``_payloads`` and ``coefficient`` encode through the relation's
-``_codes``, and ``coefficients``, ``support`` and ``__str__`` decode
-through ``_Index.pair`` into the relation's own pair objects. Sorted codes
-are sorted label pairs, and the numbering depends only on the node set, so
-equal groups, subgroups and quotients over the same nodes read a code
-alike.
+hashed per term. Labels appear only at the edges: ``_payloads`` and
+``coefficient`` encode through the relation's ``_codes``, and
+``coefficients``, ``support`` and ``__str__`` decode through the index's
+``by_code`` into the relation's own pair objects. Sorted codes are sorted
+label pairs, and the numbering depends only on the node set, so equal
+groups, subgroups and quotients over the same nodes read a code alike.
 
-The general product (``_splice``, and ``_product`` on it) and the division
-(``_divide``) work one output row at a time, with row accumulators: the
-sums of row i live in one list of N slots, each starting as the ring's
-zero object, and a term a of x at (i,j) adds a times row j of y into it
-through one ``Ring._axpy``, which may leave the sums unreduced (delayed
-reduction, one ``_add`` per output entry, as in Dumas, Giorgi & Pernet,
-ACM TOMS 35(3), 2008). Only the relation's targets of row i are read
-back: the product harvests ``_Index.succ[i]``, so a composite outside
-the relation is never read and needs no admission test, and the division
-walks row i's targets in bracket-depth order (``Relation._levels``). A
-slot that still is the zero object is skipped, and a nonzero result is
-kept by ``!=`` against ``_zero``. ``_generators_times`` keeps its rows as
-dicts, takes each term through one ``Ring._fma`` and admits a composite
-(p,l) by one bit test on node p's successor row.
+The one general product (``_product``, of units: xy alone is that product
+less x and y) and the division (``_divide``) work one output row at a
+time, with row accumulators: the sums of row i live in one list of N
+slots, each starting as the ring's zero object, and a term a of x at (i,j)
+adds a times row j of y into it through one ``Ring._axpy``, which may
+leave the sums unreduced (delayed reduction, one ``_add`` per output
+entry, as in Dumas, Giorgi & Pernet, ACM TOMS 35(3), 2008). Only the
+relation's targets of row i are read back: the product harvests
+``_Index.succ[i]``, so a composite outside the relation is never read and
+needs no admission test, and the division walks row i's targets in
+bracket-depth order (``Relation._levels``). A slot that still is the zero
+object is skipped, and a nonzero result is kept by ``!=`` against
+``_zero``. ``_generators_times`` keeps its rows as dicts, takes each term
+through one ``Ring._fma`` and admits a composite (p,l) by one bit test on
+node p's successor row.
 
 Products with a run of single generators 1 + c e(p,q) skip the general
-splice, which scans every term of both maps. One kernel does the
+product, which scans every term of both maps. One kernel does the
 one-pair step of collection instead: ``_generators_times`` multiplies
 on the left and keeps the running map by row, so a factor adds
 c R[q,l] to R[p,l] for each l in row q, at O(|row q|). Every ordered
@@ -225,18 +225,17 @@ class McLainGroup:
 Coeffs = dict[int, object]
 
 
-def _splice(group: McLainGroup, x: Coeffs, y: Coeffs, unit: bool = False) -> Coeffs:
-    """The map of xy, or with ``unit`` of (1+x)(1+y) = 1 + (x + y + xy),
-    zeros pruned, one output row at a time.
+def _product(group: McLainGroup, x: Coeffs, y: Coeffs) -> Coeffs:
+    """The map of (1+x)(1+y) = 1 + (x + y + xy), zeros pruned, one output
+    row at a time.
 
     The sums of output row i live in one list with a slot per node, each
     slot starting as the ring's zero object; the list is made when the row
-    is first touched. y is split by first index, and each term a of x at
-    (i,j) adds a times row j of y into row i through one ``Ring._axpy``,
-    which may leave the sums unreduced. With ``unit``, each term of x and
-    of y is loaded into its slot as well: as it is while the slot still is
-    the zero object, by one ``_add`` once it is not. Each row is then
-    harvested over the relation's successors of i (``_Index.succ``), as
+    is first touched. Each term of y, split by first index, and of x is
+    loaded into its slot: as it is while the slot still is the zero object,
+    by one ``_add`` once it is not. A term a of x at (i,j) then adds a times
+    row j of y into row i through one ``Ring._axpy``, which may leave the
+    sums unreduced. Each row is harvested over the relation's successors of i (``_Index.succ``), as
     every other product of basis elements is zero: a slot that still is
     the zero object is skipped, any other is reduced by one ``_add`` from
     zero and kept if it is nonzero.
@@ -249,14 +248,12 @@ def _splice(group: McLainGroup, x: Coeffs, y: Coeffs, unit: bool = False) -> Coe
     for code, b in y.items():
         j, l = divmod(code, n)
         by_first.setdefault(j, []).append((l, b))
-        if unit:
-            rows[j][l] = b
+        rows[j][l] = b
     for code, a in x.items():
         i, j = divmod(code, n)
         row = rows[i]
-        if unit:
-            s = row[j]
-            row[j] = a if s is zero else add(s, a)
+        s = row[j]
+        row[j] = a if s is zero else add(s, a)
         if j in by_first:
             axpy(row, a, by_first[j])
     out: Coeffs = {}
@@ -326,11 +323,6 @@ def _ordered_product(group: McLainGroup, factors: Iterable[tuple[int, object]]) 
     return _generators_times(group, reversed(list(factors)), {})
 
 
-def _product(group: McLainGroup, x: Coeffs, y: Coeffs) -> Coeffs:
-    """The map of (1+x)(1+y) = 1 + (x + y + xy)."""
-    return _splice(group, x, y, unit=True)
-
-
 def _divide(group: McLainGroup, u: Coeffs, w: Coeffs) -> Coeffs:
     """The map z with 1+z = (1+u)(1+w)^-1, solved from (1+z)(1+w) = 1+u.
 
@@ -340,7 +332,7 @@ def _divide(group: McLainGroup, u: Coeffs, w: Coeffs) -> Coeffs:
     and each row that u or w touches is solved on its own, as a triangular
     back-substitution; no other row, and no level of the whole relation, is
     visited. The row's sums live in one list with a slot per node, as in
-    ``_splice``, loaded with u - w, and its targets are walked in
+    ``_product``, loaded with u - w, and its targets are walked in
     bracket-depth order (``Relation._levels``). A slot that still is the
     zero object is skipped. Any other, once nonzero, is z[i,j], final, and
     z[i,j] (-w[j,l]) goes into slot l for each l in row j of w, all of row
@@ -403,12 +395,12 @@ class GroupElement:
         return RingValue(ring, self._coeffs.get(code, ring._zero))
 
     def coefficients(self) -> dict[Pair, RingValue]:
-        ring, decode = self.group.ring, self.group.relation._index.pair
-        return {decode(code): RingValue(ring, c) for code, c in self._coeffs.items()}
+        ring, by_code = self.group.ring, self.group.relation._index.by_code
+        return {by_code[code]: RingValue(ring, c) for code, c in self._coeffs.items()}
 
     def support(self) -> Relation:
         relation = self.group.relation
-        pairs = frozenset(map(relation._index.pair, self._coeffs))
+        pairs = frozenset(map(relation._index.by_code.__getitem__, self._coeffs))
         return Relation._within(relation.nodes, pairs)
 
     def is_identity(self) -> bool:
@@ -441,15 +433,22 @@ class GroupElement:
     def nilpotency_index(self) -> int:
         """Least m >= 1 with (g - 1)^m = 0; the identity gives 1.
 
-        Powers are taken one at a time. A nonzero power x^m walks through
-        m + 1 distinct nodes, so running past the node bound would mean a
-        non-nilpotent map, which a valid relation cannot produce.
+        Powers are taken one at a time: x^(m+1) is the product
+        (1 + x^m)(1 + x) less x^m and x, with x^m kept on the left, so it
+        is exact over noncommutative rings. A nonzero power x^m walks
+        through m + 1 distinct nodes, so running past the node bound would
+        mean a non-nilpotent map, which a valid relation cannot produce.
         """
-        x, n = self._coeffs, len(self.group.relation._index.labels)
+        group, x = self.group, self._coeffs
+        add, neg, zero = group.ring._add, group.ring._neg, group.ring._zero
+        n = len(group.relation._index.labels)
         bound = len({node for code in x for node in divmod(code, n)})
         power, exponent = x, 1
         while power:
-            power = _splice(self.group, power, x)
+            product = _product(group, power, x)
+            for code, c in [*power.items(), *x.items()]:
+                product[code] = add(product.get(code, zero), neg(c))
+            power = {code: c for code, c in product.items() if c != zero}
             exponent += 1
             if power and exponent > bound:
                 raise InvariantError(
@@ -469,10 +468,10 @@ class GroupElement:
     def __str__(self) -> str:
         if not self._coeffs:
             return "1"
-        fmt, decode = self.group.ring._format, self.group.relation._index.pair
+        fmt, by_code = self.group.ring._format, self.group.relation._index.by_code
         parts = []
         for code in sorted(self._coeffs):  # sorted codes are sorted pairs
-            i, j = decode(code)
+            i, j = by_code[code]
             parts.append(f"{fmt(self._coeffs[code])}*e({i},{j})")
         return "1 + " + " + ".join(parts)
 

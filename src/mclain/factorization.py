@@ -33,7 +33,8 @@ quotient by a normal subset is plain coefficient deletion
 (``quotient_project``), which normality makes into a homomorphism onto the
 group over the difference, and a coset's representative is the ordered
 product, in the ambient group, of the projection's ordered factorization
-(``coset_representative``).
+(``coset_representative``). Both test a code against the difference's
+own ``by_code``: the projection keeps it, and the lift's check refuses it.
 
 Every generator product here goes through the row kernel
 ``elements._generators_times``: the factor 1 + c e(p,q) costs
@@ -131,7 +132,7 @@ def word_factorization(g: GroupElement) -> GeneratorWord:
         if not peel:
             raise InvariantError("support closure has no top level to peel")
         tokens.extend(
-            Gen._of(*index.pair(code), RingValue(ring, residual[code])) for code in peel
+            Gen._of(*index.by_code[code], RingValue(ring, residual[code])) for code in peel
         )
         undos = [(code, ring._neg(residual[code])) for code in peel]
         residual = _generators_times(group, undos, residual)
@@ -182,7 +183,8 @@ def ordered_factorization(g: GroupElement, order: tuple[Pair, ...]) -> OrderedFo
     if stray := sorted(pairs - relation.pairs):
         raise ValueError(f"order contains pairs outside the relation: {stray}")
     codes = [relation._codes[pair] for pair in order]
-    if missing := sorted(map(relation._index.pair, g._coeffs.keys() - set(codes))):
+    by_code = relation._index.by_code
+    if missing := sorted([by_code[c] for c in g._coeffs.keys() - set(codes)]):
         raise ValueError(f"order does not cover the support: missing {missing}")
     rounds = _bracket_rounds(*_closed_subset(pairs, relation, "order"))
     found = _ordered_sweep(group, g._coeffs, codes, rounds)
@@ -250,16 +252,14 @@ def quotient_project(g: GroupElement, gamma: Relation) -> GroupElement:
 
     The result lives in the group over the smaller relation; deletion
     is a surjective homomorphism whose kernel is exactly the elements
-    supported inside gamma. Both relations have the same nodes, so the
-    kept pair codes carry over as they are. The smaller relation is the one
-    ``difference`` keeps on g's relation for gamma, so its normality test,
-    index and axiom scan run once per relation and gamma, not per call.
+    supported inside gamma. The smaller relation is the one ``difference``
+    keeps on g's relation for gamma, so its normality test, index and axiom
+    scan run once per relation and gamma, not per call. Both relations have
+    the same nodes, so the kept codes are those in its index's ``by_code``.
     """
-    relation = g.group.relation
-    target = McLainGroup(difference(relation, gamma), g.group.ring)
-    doomed = {relation._codes[pair] for pair in gamma.pairs}
-    kept = {code: c for code, c in g._coeffs.items() if code not in doomed}
-    return GroupElement(target, kept)
+    target = McLainGroup(difference(g.group.relation, gamma), g.group.ring)
+    kept = target.relation._index.by_code
+    return GroupElement(target, {code: c for code, c in g._coeffs.items() if code in kept})
 
 
 def coset_representative(g: GroupElement, gamma: Relation) -> GroupElement:
@@ -283,7 +283,7 @@ def _lift(g: GroupElement, projected: GroupElement) -> GroupElement:
     which ``_ordered_sweep`` solves along; no label is read and no payload
     boxed.
     As gamma is normal, g r^-1 lies over gamma exactly when r^-1 g does:
-    when it keeps no pair of the quotient."""
+    when no code of it is one of the quotient relation's (``by_code``)."""
     group, quotient = g.group, projected.group.relation
     arcs, masks = _closed_support(quotient, projected._coeffs)
     arcs.sort()
@@ -292,8 +292,8 @@ def _lift(g: GroupElement, projected: GroupElement) -> GroupElement:
     codes = [x * n + y for x, y in arcs]
     solved = _ordered_sweep(projected.group, projected._coeffs, codes, rounds)
     lifted = _ordered_product(group, ((c, solved[c]) for c in codes if c in solved))
-    kept = quotient._index.rows
-    if any(kept[c // n] >> c % n & 1 for c in _divide(group, g._coeffs, lifted)):
+    kept = quotient._index.by_code
+    if any(c in kept for c in _divide(group, g._coeffs, lifted)):
         raise InvariantError("coset representative failed the membership check")
     return GroupElement(group, lifted)
 

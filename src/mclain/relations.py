@@ -18,24 +18,25 @@ additionally absorbs composition with ambient pairs on either side;
 normal subsets index normal subgroups and quotients.
 
 The axiom scan, the closures, the absorption tests, ``bracket``, the
-maximal and minimal tests and both series descents run on one cached
-index per relation, ``Relation._index``: each node's successor row and
+maximal and minimal tests and both series descents run on one cached index
+per relation, ``Relation._index``: each node's successor row and
 predecessor column as an int mask, so a step is a few ``&`` tests instead
-of lookups of label pairs. The same numbering gives the int pair codes
-that key the coefficient maps of group elements. The same pass over the
-pairs that fills the masks fills each node's sorted successor numbers,
-the index's ``succ``, which the axiom scan and the descents over a whole
-relation read, and ``by_code``, each pair code's own pair object, through
-which codes decode. The axiom scan walks the couples from a pair only when two
-mask tests leave a node that could break exchange; on a strict partial
-order none is left, so the scan costs one mask step per pair (see
-``Relation.axiom_report``). Below the public functions the calculus works
-in node-number pairs only; labels cross each way on the relation that a
-subset is tested against: ``Relation._encode`` refuses pairs outside it and
-numbers and masks the rest, and ``Relation._from_arcs`` makes the subset of
-the pairs a call found. ``_bracket_rounds`` is the one bracket descent that
-``_levels``, ``gamma_series``, ``ordered_factorization`` and the coset lift
-read, and ``_upper_rounds`` the one upper descent; ``_shed`` runs both.
+of lookups of label pairs. The same numbering gives the int pair codes that
+key the coefficient maps of group elements. The same pass over the pairs
+that fills the masks fills each node's sorted successor numbers, the
+index's ``succ``, which the axiom scan and the descents over a whole
+relation read, and ``by_code``, each pair code's own pair object, which
+holds exactly the relation's codes. The axiom scan walks the couples from a
+pair only when two mask tests leave a node that could break exchange; on a
+strict partial order none is left, so the scan costs one mask step per pair
+(see ``Relation.axiom_report``). Below the public functions the calculus
+works in node-number pairs only; labels cross each way on the relation that
+a subset is tested against: ``Relation._encode`` refuses pairs outside it
+and numbers and masks the rest, and ``Relation._from_arcs`` makes the
+subset of the pairs a call found. ``_bracket_rounds`` is the one bracket
+descent that ``_levels``, ``gamma_series``, ``ordered_factorization`` and
+the coset lift read, and ``_upper_rounds`` the one upper descent; ``_shed``
+runs both.
 
 Every relation the calculus builds from pairs of a relation it already
 holds (subsets, closures, brackets, series terms, differences) is made by
@@ -118,12 +119,12 @@ class _Index(NamedTuple):
     The coefficient maps of group elements key a pair by its code
     x*N + y, with x and y the numbers of its labels and N the node count.
     The pass that builds the index writes that format once, into
-    ``by_code``, each code's pair object of the relation. Codes decode
-    through it (``pair``, ``decode``, ``Relation._codes``), so every pair
-    that the calculus or an element hands back is one of the relation's
-    own. Sorted codes are sorted pairs. The numbering depends only on the
-    node set, so a code means the same pair in every relation over the same
-    nodes.
+    ``by_code``, each code's pair object of the relation. A code is the
+    relation's exactly when it is a key of ``by_code``, and codes decode by
+    indexing it (``decode``, ``Relation._codes``), so every pair that the
+    calculus or an element hands back is one of the relation's own. Sorted
+    codes are sorted pairs. The numbering depends only on the node set, so
+    a code means the same pair in every relation over the same nodes.
     """
 
     labels: tuple[str, ...]
@@ -132,10 +133,6 @@ class _Index(NamedTuple):
     cols: list[int]
     succ: list[list[int]]
     by_code: dict[int, Pair]
-
-    def pair(self, code: int) -> Pair:
-        """The pair of a code."""
-        return self.by_code[code]
 
     def decode(self, numbered: Iterable[Arc]) -> list[Pair]:
         """The pairs at node-number pairs."""

@@ -1,6 +1,6 @@
 """The pair-code kernels against one couple-scan product, on drawn input,
 the label contract at the edges of an element, and the ring hook under
-the splice and the division.
+the product and the division.
 
 Coefficient maps are keyed by int pair codes in the relation's node
 numbering, and a composite is admitted by a bit test on a successor row.
@@ -63,7 +63,6 @@ from mclain.elements import (  # noqa: E402
     _generators_times,
     _payloads,
     _product,
-    _splice,
 )
 from oracles import (  # noqa: E402
     payload_fma,
@@ -103,7 +102,6 @@ def test_products_splices_and_divisions_match(case):
     relation = group.relation
     (x, lx), (y, ly) = both_maps(group, rng), both_maps(group, rng)
     assert recode(relation, _product(group, x, y)) == scan_product(group, lx, ly)
-    assert recode(relation, _splice(group, x, y)) == scan_splice(group, lx, ly, {})
     assert recode(relation, _divide(group, x, y)) == scan_divide(group, lx, ly)
     assert recode(relation, _divide(group, {}, x)) == scan_divide(group, {}, lx)
 
@@ -145,7 +143,7 @@ def test_eval_word_matches(case):
 
 
 # ---------------------------------------------------------------------------
-# the ring hook under the splice and the division
+# the ring hook under the product and the division
 
 
 def reduced(ring, raw):

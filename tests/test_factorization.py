@@ -46,7 +46,6 @@ from mclain import (
     random_pruned_order,
     word_factorization,
 )
-from mclain.relations import _Index
 
 Z = Integers()
 
@@ -86,25 +85,26 @@ def test_word_factorization_identity_is_the_empty_word():
     assert format_word(word) == "1"
 
 
-def test_word_factorization_decodes_only_the_pairs_it_returns(monkeypatch):
+def test_word_factorization_decodes_only_the_pairs_it_returns():
     # Each pass saturates the residual's codes as node numbers; a code is
-    # turned into labels only for the generator that peels it.
-    group = McLainGroup(chain(8), IntegersMod(7))
-    g = group.element({pair: 1 + n % 6 for n, pair in enumerate(sorted(group.relation))})
+    # turned into labels only for the generator that peels it. The reads
+    # are counted by a mapping swapped into a fresh relation's index.
     decoded = []
-    real = _Index.pair
 
-    def counting(index, code):
-        decoded.append(code)
-        return real(index, code)
+    class Counting(dict):
+        def __getitem__(self, code):
+            decoded.append(code)
+            return super().__getitem__(code)
 
-    monkeypatch.setattr(_Index, "pair", counting)
+    relation = chain(8)
+    real = relation._index.by_code
+    object.__setattr__(relation, "_index", relation._index._replace(by_code=Counting(real)))
+    group = McLainGroup(relation, IntegersMod(7))
+    g = group.element({pair: 1 + n % 6 for n, pair in enumerate(sorted(relation))})
     word = word_factorization(g)
-    index = group.relation._index
-    assert [real(index, code) for code in decoded] == [
+    assert [real[code] for code in decoded] == [
         (token.source, token.target) for token in word.tokens
     ]
-    monkeypatch.undo()
     assert group.eval_word(word) == g
 
 

@@ -87,6 +87,8 @@ MUTANTS = [
     M("division keeps zeros", "elements.py", "if z == zero:", "if False:", KERNELS),
     M("division takes a row an axpy reached as reduced", "elements.py",
       "reached = True", "reached = False", KERNELS),
+    M("power loop keeps power + x", "elements.py",
+      "product[code] = add(product.get(code, zero), neg(c))", "pass", KERNELS),
     M("word joins a run on the wrong side", "elements.py",
       "_product(self, out, run_map)", "_product(self, run_map, out)", KERNELS),
     M("ordered product feeds its first factor first", "elements.py",
@@ -127,12 +129,14 @@ MUTANTS = [
       "out.update((z, y) for z in _bits(s_cols[x] & d_cols[y]))", "pass", CALCULUS),
     M("upper series skips validation", "series.py",
       "require_valid(delta)\n    n, decode", "n, decode", CALCULUS),
-    # the quotient cache, the projection, the word factorization's pass bound
-    # and the n-gon demonstration's exact forcing test
+    # the quotient cache, the projection and the coset check, the word
+    # factorization's pass bound and the n-gon demonstration's exact forcing test
     M("difference cache keyed by delta alone", "relations.py",
       "out = quotients.get(key)", "out = next(iter(quotients.values()), None)", SERIES),
     M("projection keeps every pair", "factorization.py",
-      "if code not in doomed}", "}", SERIES),
+      "if code in kept}", "}", SERIES),
+    M("coset check never fires", "factorization.py",
+      "any(c in kept for c in", "any(False for c in", SERIES),
     M("word factorization without its pass bound", "factorization.py",
       "if passes == n:", "if False:", FACTORIZATION),
     M("n-gon forcing test without columns", "factorization.py",
