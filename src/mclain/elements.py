@@ -32,32 +32,40 @@ validated once, on entry (``_payloads``, from ``McLainGroup.element``,
 ``McLainGroup.eval_word`` and ``OrderedForm.product``). The kernels below,
 and the factorizations that feed them payloads they solved, check nothing.
 
-The map is keyed by int pair codes, not label pairs: the pair (i,j) is
-number(i)*N + number(j) in the numbering of the relation's index
-(``relations._Index``, nodes in sorted label order, N of them). The
-kernels split a code with ``divmod``, and no label tuple is built or
-hashed per term. Labels appear only at the edges: ``_payloads`` and
-``coefficient`` encode through the relation's ``_codes``, and
-``coefficients``, ``support`` and ``__str__`` decode through the index's
-``by_code`` into the relation's own pair objects. Sorted codes are sorted
+The map is a row map, keyed by node numbers in the numbering of the
+relation's index (``relations._Index``, nodes in sorted label order, N of
+them): row i maps to a dict from each target l to the nonzero payload at
+the pair (i,l), and no row is empty. Two equal elements so hold equal maps.
+Row i of a product reads row i of x and the rows j of y, so the kernels
+read rows as they are stored, as in Gustavson's row-by-row sparse product
+(ACM TOMS 4(3), 1978), and no label tuple is built or hashed per term; a
+row that ``Ring._axpy`` walks is read once per call into a list of its
+terms, which walks faster there than a dict's items. The kernels never
+change a map they are given, and the ones they return may share unchanged
+rows with their inputs. Labels appear only at the edges:
+``_payloads`` numbers a pair through ``Relation._arcs`` and ``coefficient``
+its labels through the index, and ``coefficients`` and ``support`` read
+the pair (i,l) from the index's ``by_code`` at its code i*N + l, as the
+relation's own pair object. Sorted rows, then sorted targets, are sorted
 label pairs, and the numbering depends only on the node set, so equal
-groups, subgroups and quotients over the same nodes read a code alike.
+groups, subgroups and quotients over the same nodes read a row map alike.
 
 The one general product (``_product``, of units: xy alone is that product
 less x and y) and the division (``_divide``) work one output row at a
 time, with row accumulators: the sums of row i live in one list of N
-slots, each starting as the ring's zero object, and a term a of x at (i,j)
-adds a times row j of y into it through one ``Ring._axpy``, which may
-leave the sums unreduced (delayed reduction, one ``_add`` per output
+slots, each starting as the ring's zero object (one ``[zero] * N``, which
+fills a wide row faster than a copy of a template), and a term a of x at
+(i,j) adds a times row j of y into it through one ``Ring._axpy``, which
+may leave the sums unreduced (delayed reduction, one ``_add`` per output
 entry, as in Dumas, Giorgi & Pernet, ACM TOMS 35(3), 2008). Only the
 relation's targets of row i are read back: the product harvests
 ``_Index.succ[i]``, so a composite outside the relation is never read and
 needs no admission test, and the division walks row i's targets in
 bracket-depth order (``Relation._levels``). A slot that still is the zero
-object is skipped, and a nonzero result is kept by ``!=`` against
-``_zero``. ``_generators_times`` keeps its rows as dicts, takes each term
-through one ``Ring._fma`` and admits a composite (p,l) by one bit test on
-node p's successor row.
+object is skipped, a nonzero result is kept by ``!=`` against ``_zero``,
+and a row that keeps none is left out. ``_generators_times`` copies each
+row it changes, takes each term through one ``Ring._fma`` and admits a
+composite (p,l) by one bit test on node p's successor row.
 
 Products with a run of single generators 1 + c e(p,q) skip the general
 product, which scans every term of both maps. One kernel does the
@@ -73,11 +81,13 @@ factorization, whose undos multiply in on the left as they are.
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Iterable, Iterator, Mapping
+from functools import partial
 from itertools import groupby
-from typing import Iterable, Iterator, Mapping
+from operator import mul
 
 from ._record import record
-from .relations import InvariantError, Pair, Relation, _require_label_rule, require_valid
+from .relations import Arc, InvariantError, Pair, Relation, _require_label_rule, require_valid
 from .rings import Ring, RingValue
 
 
@@ -195,7 +205,10 @@ class McLainGroup:
 
     def element(self, coefficients: Mapping[Pair, RingValue | int]) -> "GroupElement":
         """Build an element from a pair-to-coefficient map; zeros drop out."""
-        return GroupElement(self, dict(_payloads(self, coefficients.items())))
+        rows = defaultdict(dict)
+        for (i, l), c in _payloads(self, coefficients.items()):
+            rows[i][l] = c
+        return GroupElement(self, dict(rows))
 
     def generator(self, source: str, target: str, value: RingValue | int) -> "GroupElement":
         return self.element({(source, target): value})
@@ -220,9 +233,10 @@ class McLainGroup:
         return GroupElement(self, out)
 
 
-# A coefficient map: each pair, by its code, to a nonzero raw payload of
-# the group's ring.
-Coeffs = dict[int, object]
+# A coefficient map, by row: each row's node number to a dict from each
+# target's node number to the nonzero raw payload of the group's ring at
+# that pair. No row is empty.
+Coeffs = dict[int, dict[int, object]]
 
 
 def _product(group: McLainGroup, x: Coeffs, y: Coeffs) -> Coeffs:
@@ -230,95 +244,107 @@ def _product(group: McLainGroup, x: Coeffs, y: Coeffs) -> Coeffs:
     row at a time.
 
     The sums of output row i live in one list with a slot per node, each
-    slot starting as the ring's zero object; the list is made when the row
-    is first touched. Each term of y, split by first index, and of x is
-    loaded into its slot: as it is while the slot still is the zero object,
-    by one ``_add`` once it is not. A term a of x at (i,j) then adds a times
-    row j of y into row i through one ``Ring._axpy``, which may leave the
-    sums unreduced. Each row is harvested over the relation's successors of i (``_Index.succ``), as
-    every other product of basis elements is zero: a slot that still is
+    slot starting as the ring's zero object; the list is made, as
+    ``[zero] * n``, when the row is first touched. Each term of y, then of
+    x, is loaded into its slot: as it is while the slot still is the zero
+    object, by one ``_add`` once it is not. A term a of x at (i,j) then adds
+    a times row j of y into row i through one ``Ring._axpy``, which may
+    leave the sums unreduced. Each row of y is read once into a list of its
+    (l, b) terms, which every term of x in column j hands to ``_axpy``: a
+    list walks faster there than a dict's items. Each
+    row is harvested over the relation's successors of i (``_Index.succ``),
+    as every other product of basis elements is zero: a slot that still is
     the zero object is skipped, any other is reduced by one ``_add`` from
-    zero and kept if it is nonzero.
+    zero and kept if it is nonzero, and a row that keeps none is left out.
     """
     index, ring = group.relation._index, group.ring
     n, succ = len(index.labels), index.succ
     axpy, add, zero = ring._axpy, ring._add, ring._zero
-    rows = defaultdict(([zero] * n).copy)
-    by_first: dict[int, list[tuple[int, object]]] = {}
-    for code, b in y.items():
-        j, l = divmod(code, n)
-        by_first.setdefault(j, []).append((l, b))
-        rows[j][l] = b
-    for code, a in x.items():
-        i, j = divmod(code, n)
-        row = rows[i]
-        s = row[j]
-        row[j] = a if s is zero else add(s, a)
-        if j in by_first:
-            axpy(row, a, by_first[j])
+    rows = defaultdict(partial(mul, [zero], n))
+    terms = {}  # each row of y, as a list
+    for j, row_y in y.items():
+        sums = rows[j]
+        terms[j] = row = list(row_y.items())
+        for l, b in row:
+            sums[l] = b
+    for i, row_x in x.items():
+        sums = rows[i]
+        for j, a in row_x.items():
+            s = sums[j]
+            sums[j] = a if s is zero else add(s, a)
+            if j in terms:
+                axpy(sums, a, terms[j])
     out: Coeffs = {}
-    for i, row in rows.items():
-        start = i * n
+    for i, sums in rows.items():
+        harvest = {}
         for l in succ[i]:
-            c = row[l]
+            c = sums[l]
             if c is not zero:
                 c = add(zero, c)
                 if c != zero:
-                    out[start + l] = c
+                    harvest[l] = c
+        if harvest:
+            out[i] = harvest
     return out
 
 
 def _payloads(
     group: McLainGroup, items: Iterable[tuple[Pair, object]]
-) -> Iterator[tuple[int, object]]:
-    """Each (pair, value) as (pair code, raw payload), zeros dropped.
+) -> Iterator[tuple[Arc, object]]:
+    """Each (pair, value) as (node-number pair, raw payload), zeros dropped.
 
     A pair outside the relation raises ValueError and a value the ring
     cannot coerce raises RingError, zero values included: they are
     checked before they are dropped.
     """
-    codes, coerce, zero = group.relation._codes, group.ring.coerce, group.ring._zero
+    arcs, coerce, zero = group.relation._arcs, group.ring.coerce, group.ring._zero
     for pair, raw in items:
-        code = codes.get(pair)
-        if code is None:
+        arc = arcs.get(pair)
+        if arc is None:
             raise ValueError(f"pair ({pair[0]},{pair[1]}) is not in the relation")
         payload = coerce(raw).payload
         if payload != zero:
-            yield code, payload
+            yield arc, payload
 
 
 def _generators_times(
-    group: McLainGroup, factors: Iterable[tuple[int, object]], x: Coeffs
+    group: McLainGroup, factors: Iterable[tuple[Arc, object]], x: Coeffs
 ) -> Coeffs:
     """The map of ...(1 + c2 e(p2,q2))(1 + c1 e(p1,q1))(1+x), zeros pruned:
     each factor in turn multiplies on the left.
 
-    The running map R is kept by row. A factor 1 + c e(p,q), given as the
-    code of (p,q) and c, adds c R[q,l] to R[p,l] for each l in row q with
-    (p,l) in the relation, then c to R[p,q]; nothing else changes. The
-    factors are payloads the caller has validated.
+    A factor 1 + c e(p,q), given as ((p, q), c), adds c R[q,l] to R[p,l]
+    for each l in row q of the running map R with (p,l) in the relation,
+    then c to R[p,q]; no other row changes. Row p is copied from x when a
+    factor first changes it, and the copies are pruned of zeros at the
+    end; every other row of x is returned as it is. The factors are
+    payloads the caller has validated.
     """
-    index, ring = group.relation._index, group.ring
-    n, admits = len(index.labels), index.rows
+    admits, ring = group.relation._index.rows, group.ring
     fma, add, zero = ring._fma, ring._add, ring._zero
-    rows: dict[int, dict[int, object]] = {}
-    for code, a in x.items():
-        i, j = divmod(code, n)
-        rows.setdefault(i, {})[j] = a
-    for code, c in factors:
-        p, q = divmod(code, n)
-        row_p, admitted = rows.setdefault(p, {}), admits[p]
-        for l, b in rows.get(q, {}).items():
+    changed: Coeffs = {}
+    none: dict = {}
+    for (p, q), c in factors:
+        row_p = changed.get(p)
+        if row_p is None:
+            row_p = changed[p] = dict(x.get(p, none))
+        row_q = changed.get(q) or x.get(q, none)
+        admitted = admits[p]
+        for l, b in row_q.items():
             if admitted >> l & 1:
                 row_p[l] = fma(row_p.get(l, zero), c, b)
         row_p[q] = add(row_p.get(q, zero), c)
-    return {
-        i * n + j: a for i, row in rows.items() for j, a in row.items() if a != zero
-    }
+    out = dict(x)
+    for p, row in changed.items():
+        if row := {l: a for l, a in row.items() if a != zero}:
+            out[p] = row
+        else:
+            out.pop(p, None)
+    return out
 
 
-def _ordered_product(group: McLainGroup, factors: Iterable[tuple[int, object]]) -> Coeffs:
-    """The map of (1 + c1 e(p1,q1))(1 + c2 e(p2,q2))... for (code, payload)
+def _ordered_product(group: McLainGroup, factors: Iterable[tuple[Arc, object]]) -> Coeffs:
+    """The map of (1 + c1 e(p1,q1))(1 + c2 e(p2,q2))... for ((p, q), payload)
     factors given in product order, built from its right end."""
     return _generators_times(group, reversed(list(factors)), {})
 
@@ -336,45 +362,51 @@ def _divide(group: McLainGroup, u: Coeffs, w: Coeffs) -> Coeffs:
     bracket-depth order (``Relation._levels``). A slot that still is the
     zero object is skipped. Any other, once nonzero, is z[i,j], final, and
     z[i,j] (-w[j,l]) goes into slot l for each l in row j of w, all of row
-    j through one ``Ring._axpy``, which may leave the sums unreduced. So a
-    slot is reduced, by one ``_add`` from zero, only once an ``_axpy`` has
-    reached its row: until then it holds u - w as loaded, already reduced.
-    Unlike the product, the solve needs no harvest: the walk reads only the
-    relation's pairs, so a slot outside it is never read. w stays on the
-    right, so the solve is exact over noncommutative rings. Only a
-    corrupted relation has a cycle of decompositions and so no levels; the
-    levels' own InvariantError goes through.
+    j of -w, taken once as a list as in ``_product``, through one
+    ``Ring._axpy``, which may leave the sums unreduced.
+    So a slot is reduced, by one ``_add`` from zero, only once an ``_axpy``
+    has reached its row: until then it holds u - w as loaded, already
+    reduced. Unlike the product, the solve needs no harvest: the walk reads
+    only the relation's pairs, so a slot outside it is never read, and a
+    row that solves to zero is left out. w stays on the right, so the solve
+    is exact over noncommutative rings. Only a corrupted relation has a
+    cycle of decompositions and so no levels; the levels' own
+    InvariantError goes through.
     """
     ring, n = group.ring, len(group.relation._index.labels)
     axpy, add, neg, zero = ring._axpy, ring._add, ring._neg, ring._zero
     levels = group.relation._levels
-    rows = defaultdict(([zero] * n).copy)
-    for code, c in u.items():
-        i, l = divmod(code, n)
-        rows[i][l] = c
-    by_first: dict[int, list[tuple[int, object]]] = {}
-    for code, c in w.items():
-        c = neg(c)
-        j, l = divmod(code, n)
-        by_first.setdefault(j, []).append((l, c))
-        row = rows[j]
-        s = row[l]
-        row[l] = c if s is zero else add(s, c)
+    rows = defaultdict(partial(mul, [zero], n))
+    for i, row_u in u.items():
+        sums = rows[i]
+        for l, c in row_u.items():
+            sums[l] = c
+    minus_w = {}  # each row of -w, as a list
+    for j, row_w in w.items():
+        sums, row = rows[j], []
+        for l, c in row_w.items():
+            c = neg(c)
+            row.append((l, c))
+            s = sums[l]
+            sums[l] = c if s is zero else add(s, c)
+        minus_w[j] = row
     out: Coeffs = {}
-    for i, row in rows.items():
-        start, reached = i * n, False
+    for i, sums in rows.items():
+        solved, reached = {}, False
         for l in levels[i]:
-            z = row[l]
+            z = sums[l]
             if z is zero:
                 continue
             if reached:
                 z = add(zero, z)
             if z == zero:
                 continue
-            out[start + l] = z
-            if l in by_first:
-                axpy(row, z, by_first[l])
+            solved[l] = z
+            if l in minus_w:
+                axpy(sums, z, minus_w[l])
                 reached = True
+        if solved:
+            out[i] = solved
     return out
 
 
@@ -390,17 +422,23 @@ class GroupElement:
     def coefficient(self, source: str, target: str) -> RingValue:
         """The coefficient at (source, target): zero off the support, also
         for a pair outside the relation or a label outside the node set."""
-        ring = self.group.ring
-        code = self.group.relation._codes.get((source, target))
-        return RingValue(ring, self._coeffs.get(code, ring._zero))
+        ring, number = self.group.ring, self.group.relation._index.number
+        row = self._coeffs.get(number.get(source), {})
+        return RingValue(ring, row.get(number.get(target), ring._zero))
 
     def coefficients(self) -> dict[Pair, RingValue]:
-        ring, by_code = self.group.ring, self.group.relation._index.by_code
-        return {by_code[code]: RingValue(ring, c) for code, c in self._coeffs.items()}
+        ring, index = self.group.ring, self.group.relation._index
+        n, by_code = len(index.labels), index.by_code
+        return {
+            by_code[i * n + l]: RingValue(ring, c)
+            for i, row in self._coeffs.items()
+            for l, c in row.items()
+        }
 
     def support(self) -> Relation:
-        relation = self.group.relation
-        pairs = frozenset(map(relation._index.by_code.__getitem__, self._coeffs))
+        relation, index = self.group.relation, self.group.relation._index
+        n, by_code = len(index.labels), index.by_code
+        pairs = frozenset(by_code[i * n + l] for i, row in self._coeffs.items() for l in row)
         return Relation._within(relation.nodes, pairs)
 
     def is_identity(self) -> bool:
@@ -441,14 +479,18 @@ class GroupElement:
         """
         group, x = self.group, self._coeffs
         add, neg, zero = group.ring._add, group.ring._neg, group.ring._zero
-        n = len(group.relation._index.labels)
-        bound = len({node for code in x for node in divmod(code, n)})
+        bound = len(set(x).union(*x.values()))
         power, exponent = x, 1
         while power:
             product = _product(group, power, x)
-            for code, c in [*power.items(), *x.items()]:
-                product[code] = add(product.get(code, zero), neg(c))
-            power = {code: c for code, c in product.items() if c != zero}
+            for i, row in [*power.items(), *x.items()]:
+                sums = product.setdefault(i, {})
+                for l, c in row.items():
+                    sums[l] = add(sums.get(l, zero), neg(c))
+            power = {}
+            for i, sums in product.items():
+                if row := {l: c for l, c in sums.items() if c != zero}:
+                    power[i] = row
             exponent += 1
             if power and exponent > bound:
                 raise InvariantError(
@@ -463,16 +505,17 @@ class GroupElement:
         return self.group == other.group and self._coeffs == other._coeffs
 
     def __hash__(self) -> int:
-        return hash((self.group, frozenset(self._coeffs.items())))
+        rows = self._coeffs.items()
+        return hash((self.group, frozenset((i, frozenset(row.items())) for i, row in rows)))
 
     def __str__(self) -> str:
         if not self._coeffs:
             return "1"
-        fmt, by_code = self.group.ring._format, self.group.relation._index.by_code
-        parts = []
-        for code in sorted(self._coeffs):  # sorted codes are sorted pairs
-            i, j = by_code[code]
-            parts.append(f"{fmt(self._coeffs[code])}*e({i},{j})")
+        fmt, labels = self.group.ring._format, self.group.relation._index.labels
+        parts = []  # sorted rows, then sorted targets, are sorted pairs
+        for i, row in sorted(self._coeffs.items()):
+            for l in sorted(row):
+                parts.append(f"{fmt(row[l])}*e({labels[i]},{labels[l]})")
         return "1 + " + " + ".join(parts)
 
     def __repr__(self) -> str:

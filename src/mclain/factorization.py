@@ -15,26 +15,28 @@ factors after position t, the row kernel's rule makes Q_t[v,l] the sum of
 c(v,w) Q_s[w,l] over the factors (v,w) at positions s > t, with Q_s[l,l]
 = 1: a step function of t, kept as the pair's tail, its terms sorted by
 position with their suffix sums. The rounds of the bracket descent of the
-closed set, read as pair codes, shed (v,l) after every (v,w) and (w,l) it
-sums over, so when its round comes each term is one ``_fma`` of a found
-coefficient by a suffix sum read off a finished tail with ``bisect_right``,
-and c(v,l) is g's coefficient less their sum. The coefficient stays on the
+closed set, read as node-number pairs, shed (v,l) after every (v,w) and
+(w,l) it sums over, so when its round comes each term is one ``_fma`` of a
+found coefficient by a suffix sum read off a finished tail with
+``bisect_right``, and c(v,l) is g's coefficient less their sum. The coefficient stays on the
 left, so the pass is exact over noncommutative rings. Both self-checks
 read one product of the solved payloads: a mismatch with g at a pair shed
 before the last round means a residual escaped its bracket level, and one
 in the last round alone that the sweep did not converge. The sweep
-(``_ordered_sweep``) takes the order as codes and the rounds as node-number
-pairs, and returns payloads: ``ordered_factorization`` checks its order and
-boxes what the sweep solved, and the coset lift (``_lift``) feeds it the
-codes and rounds of a support closure it has just made, and boxes nothing.
+(``_ordered_sweep``) takes the order and the rounds as node-number pairs,
+and returns payloads as a row map (``elements.Coeffs``):
+``ordered_factorization`` checks its order and boxes what the sweep solved,
+and the coset lift (``_lift``) feeds it the pairs and rounds of a support
+closure it has just made, and boxes nothing.
 
 Quotients live here too, beside the sweep that lifts their cosets. The
 quotient by a normal subset is plain coefficient deletion
 (``quotient_project``), which normality makes into a homomorphism onto the
 group over the difference, and a coset's representative is the ordered
 product, in the ambient group, of the projection's ordered factorization
-(``coset_representative``). Both test a code against the difference's
-own ``by_code``: the projection keeps it, and the lift's check refuses it.
+(``coset_representative``). Both test a pair (i,l), by its code i*N + l,
+against the difference's own ``by_code``: the projection keeps it, and the
+lift's check refuses it.
 
 Every generator product here goes through the row kernel
 ``elements._generators_times``: the factor 1 + c e(p,q) costs
@@ -42,8 +44,8 @@ O(|row q|), not the O(|support|) of a general product. The word
 factorization's undos call it directly; every ordered product (the form's,
 the sweep's self-check, the coset lift, the n-gon orderings) is
 ``elements._ordered_product``, which builds from the right end. The layer
-works on pair codes, node-number pairs and payloads from entry to return,
-closing a support once on codes (``_closed_support``): values are checked
+works on row maps, node-number pairs and payloads from entry to return,
+closing a support once on its rows (``_closed_support``): values are checked
 where they enter the group, and nothing it solved is checked again. Labels
 and ring values are built only for the relations, forms and words returned.
 
@@ -58,6 +60,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
+from collections import defaultdict
 
 from ._record import record
 from .elements import (
@@ -127,14 +130,17 @@ def word_factorization(g: GroupElement) -> GeneratorWord:
         passes += 1
         rows, cols = _closed_support(group.relation, residual)[1]
         peel = [
-            code for code in sorted(residual) if not rows[code // n] & cols[code % n]
+            (a, c, row[c])
+            for a, row in sorted(residual.items())
+            for c in sorted(row)
+            if not rows[a] & cols[c]
         ]
         if not peel:
             raise InvariantError("support closure has no top level to peel")
         tokens.extend(
-            Gen._of(*index.by_code[code], RingValue(ring, residual[code])) for code in peel
+            Gen._of(*index.by_code[a * n + c], RingValue(ring, b)) for a, c, b in peel
         )
-        undos = [(code, ring._neg(residual[code])) for code in peel]
+        undos = [((a, c), ring._neg(b)) for a, c, b in peel]
         residual = _generators_times(group, undos, residual)
     return GeneratorWord(tuple(tokens))
 
@@ -172,9 +178,10 @@ def ordered_factorization(g: GroupElement, order: tuple[Pair, ...]) -> OrderedFo
     """The unique coefficients reproducing g as an ordered product.
 
     The order must list each pair of a closed subset exactly once, and
-    that subset must contain the support of g. The pairs are read as codes
-    and solved by one ordered sweep (``_ordered_sweep``) over the rounds of
-    the subset's bracket descent (``relations._bracket_rounds``).
+    that subset must contain the support of g. The pairs are read as
+    node-number pairs (``Relation._arcs``) and solved by one ordered sweep
+    (``_ordered_sweep``) over the rounds of the subset's bracket descent
+    (``relations._bracket_rounds``).
     """
     group, relation = g.group, g.group.relation
     order = tuple(order)
@@ -182,54 +189,65 @@ def ordered_factorization(g: GroupElement, order: tuple[Pair, ...]) -> OrderedFo
         raise ValueError("order lists a pair twice, so it is not a total order")
     if stray := sorted(pairs - relation.pairs):
         raise ValueError(f"order contains pairs outside the relation: {stray}")
-    codes = [relation._codes[pair] for pair in order]
-    by_code = relation._index.by_code
-    if missing := sorted([by_code[c] for c in g._coeffs.keys() - set(codes)]):
+    arcs, covered = [relation._arcs[pair] for pair in order], defaultdict(set)
+    for x, y in arcs:
+        covered[x].add(y)
+    n, by_code = len(relation._index.labels), relation._index.by_code
+    left = (x * n + y for x, row in g._coeffs.items() for y in row.keys() - covered[x])
+    if missing := sorted(map(by_code.__getitem__, left)):
         raise ValueError(f"order does not cover the support: missing {missing}")
     rounds = _bracket_rounds(*_closed_subset(pairs, relation, "order"))
-    found = _ordered_sweep(group, g._coeffs, codes, rounds)
-    ring, zero = group.ring, group.ring._zero
-    coefficients = {p: RingValue(ring, found.get(c, zero)) for p, c in zip(order, codes)}
+    found = _ordered_sweep(group, g._coeffs, arcs, rounds)
+    ring, zero, none = group.ring, group.ring._zero, {}
+    coefficients = {
+        p: RingValue(ring, found.get(x, none).get(y, zero)) for p, (x, y) in zip(order, arcs)
+    }
     return OrderedForm(group, order, coefficients)
 
 
 def _ordered_sweep(
-    group: McLainGroup, target: Coeffs, codes: list[int], rounds: list[list[Arc]]
+    group: McLainGroup, target: Coeffs, order: list[Arc], rounds: list[list[Arc]]
 ) -> Coeffs:
-    """The nonzero payloads, by code, of the ordered product along ``codes``
-    that equals the coefficient map ``target``, solved in one pass.
+    """The nonzero payloads, as a row map, of the ordered product along
+    ``order`` that equals the row map ``target``, solved in one pass.
 
-    ``codes`` lists a closed subset of the group's pairs in the order of the
-    product, and covers the support of target; ``rounds`` are the node-number
-    pairs of the subset's bracket descent, by round. When its round comes,
-    each pair (v,l) is solved from the finished tails of the shallower pairs
-    (module docstring), with w over the bits of row v of the nonzero
-    coefficients and column l of the tails. The self-checks multiply the
-    solved payloads, once.
+    ``order`` lists the node-number pairs of a closed subset of the group's
+    pairs in the order of the product, and covers the support of target;
+    ``rounds`` are the same pairs by round of the subset's bracket descent.
+    When its round comes, each pair (v,l) is solved from the finished tails
+    of the shallower pairs (module docstring), with w over the bits of row v
+    of the nonzero coefficients and column l of the tails. Positions are
+    kept by row and tails by column. The self-checks multiply the solved
+    payloads, once.
     """
     ring, n = group.ring, len(group.relation._index.labels)
     add, neg, fma, zero = ring._add, ring._neg, ring._fma, ring._zero
-    at = {code: t for t, code in enumerate(codes)}
-    found: Coeffs = {}  # the nonzero coefficients, by code
-    tails: dict[int, tuple[list[int], list[object]]] = {}  # positions, suffix sums
-    found_rows, tail_cols = [0] * n, [0] * n  # their codes' bits, by row and column
+    at = defaultdict(dict)  # each pair's position, by row
+    for t, (x, y) in enumerate(order):
+        at[x][y] = t
+    found: Coeffs = {}  # the nonzero coefficients
+    tails = defaultdict(dict)  # each pair's positions and suffix sums, by column
+    found_rows, tail_cols = [0] * n, [0] * n  # their pairs' bits, by row and column
+    none: dict = {}
     for shed in rounds:
         for v, l in shed:
-            start, terms, total = v * n, [], zero
+            place, mine, column = at[v], found.get(v), tails[l]
+            terms, total = [], zero
             for w in _bits(found_rows[v] & tail_cols[l]):
-                where, sums = tails[w * n + l]
-                s = at[start + w]
+                where, sums = column[w]
+                s = place[w]
                 k = bisect_right(where, s)
                 if k < len(where):
-                    term = fma(zero, found[start + w], sums[k])
+                    term = fma(zero, mine[w], sums[k])
                     terms.append((s, term))
                     total = add(total, term)
-            code = start + l
-            c = add(target.get(code, zero), neg(total))
+            c = add(target.get(v, none).get(l, zero), neg(total))
             if c != zero:
-                found[code] = c
+                if mine is None:
+                    mine = found[v] = {}
+                mine[l] = c
                 found_rows[v] |= 1 << l
-                terms.append((at[code], c))
+                terms.append((place[l], c))
             if terms:
                 tail_cols[l] |= 1 << v
                 terms.sort()
@@ -237,14 +255,24 @@ def _ordered_sweep(
                 for _, term in reversed(terms):
                     total = add(total, term)
                     suffix.append(total)
-                tails[code] = ([s for s, _ in terms], suffix[::-1])
-    product = _ordered_product(group, ((c, found[c]) for c in codes if c in found))
+                column[v] = ([s for s, _ in terms], suffix[::-1])
+    product = _ordered_product(group, _along(order, found))
     if product != target:
-        last = {x * n + y for x, y in rounds[-1]}
-        if any(product.get(c) != target.get(c) for c in at.keys() - last):
+        last = set(rounds[-1])
+        if any(
+            product.get(x, none).get(y) != target.get(x, none).get(y)
+            for x, y in order
+            if (x, y) not in last
+        ):
             raise InvariantError("level sweep residual escaped its bracket level")
         raise InvariantError("level sweep did not converge to the target")
     return found
+
+
+def _along(order: list[Arc], found: Coeffs) -> list[tuple[Arc, object]]:
+    """The factors ((x, y), payload) of the pairs of ``order`` that have a
+    payload in ``found``, in the order's order."""
+    return [((x, y), found[x][y]) for x, y in order if y in found.get(x, ())]
 
 
 def quotient_project(g: GroupElement, gamma: Relation) -> GroupElement:
@@ -255,11 +283,17 @@ def quotient_project(g: GroupElement, gamma: Relation) -> GroupElement:
     supported inside gamma. The smaller relation is the one ``difference``
     keeps on g's relation for gamma, so its normality test, index and axiom
     scan run once per relation and gamma, not per call. Both relations have
-    the same nodes, so the kept codes are those in its index's ``by_code``.
+    the same nodes, so (i,l) is kept when its code i*N + l is in that
+    index's ``by_code``, and a row that keeps nothing is left out.
     """
     target = McLainGroup(difference(g.group.relation, gamma), g.group.ring)
-    kept = target.relation._index.by_code
-    return GroupElement(target, {code: c for code, c in g._coeffs.items() if code in kept})
+    index = target.relation._index
+    n, kept, rows = len(index.labels), index.by_code, {}
+    for i, row in g._coeffs.items():
+        start = i * n
+        if row := {l: c for l, c in row.items() if start + l in kept}:
+            rows[i] = row
+    return GroupElement(target, rows)
 
 
 def coset_representative(g: GroupElement, gamma: Relation) -> GroupElement:
@@ -277,23 +311,23 @@ def coset_representative(g: GroupElement, gamma: Relation) -> GroupElement:
 def _lift(g: GroupElement, projected: GroupElement) -> GroupElement:
     """``coset_representative`` of g from its projection, already taken: the
     payloads of the projection's ordered factorization along the closure of
-    its support in sorted order, multiplied in g's group, where the codes
-    carry over. The closure's pairs and masks (``_closed_support``) give the
-    codes and, by ``_bracket_rounds``, the rounds of its bracket descent,
-    which ``_ordered_sweep`` solves along; no label is read and no payload
-    boxed.
+    its support in sorted order, multiplied in g's group, where the node
+    numbers carry over. The closure's pairs and masks (``_closed_support``)
+    give the order and, by ``_bracket_rounds``, the rounds of its bracket
+    descent, which ``_ordered_sweep`` solves along; no label is read and no
+    payload boxed.
     As gamma is normal, g r^-1 lies over gamma exactly when r^-1 g does:
-    when no code of it is one of the quotient relation's (``by_code``)."""
+    when no pair (i,l) of it has its code i*N + l among the quotient
+    relation's (``by_code``)."""
     group, quotient = g.group, projected.group.relation
     arcs, masks = _closed_support(quotient, projected._coeffs)
     arcs.sort()
     rounds = _bracket_rounds(arcs, masks)
-    n = len(quotient._index.labels)
-    codes = [x * n + y for x, y in arcs]
-    solved = _ordered_sweep(projected.group, projected._coeffs, codes, rounds)
-    lifted = _ordered_product(group, ((c, solved[c]) for c in codes if c in solved))
-    kept = quotient._index.by_code
-    if any(c in kept for c in _divide(group, g._coeffs, lifted)):
+    solved = _ordered_sweep(projected.group, projected._coeffs, arcs, rounds)
+    lifted = _ordered_product(group, _along(arcs, solved))
+    n, kept = len(quotient._index.labels), quotient._index.by_code
+    rest = _divide(group, g._coeffs, lifted)
+    if any(i * n + l in kept for i, row in rest.items() for l in row):
         raise InvariantError("coset representative failed the membership check")
     return GroupElement(group, lifted)
 
@@ -349,14 +383,14 @@ def demonstrate_ngon_obstruction(n: int, ring: Ring | None = None) -> NgonReport
     checked = 0
     successes = 0
     all_have_step_two = True
-    one, edge_codes = ring.one.payload, [delta._codes[edge] for edge in edges]
-    step_two_codes = {delta._codes[pair] for pair in step_two}
-    for ordering in itertools.permutations(edge_codes):
-        product = _ordered_product(group, ((c, one) for c in ordering))
+    one, edge_arcs = ring.one.payload, [delta._arcs[edge] for edge in edges]
+    step_two_arcs = {delta._arcs[pair] for pair in step_two}
+    for ordering in itertools.permutations(edge_arcs):
+        product = _ordered_product(group, ((arc, one) for arc in ordering))
         checked += 1
         if product == target._coeffs:
             successes += 1
-        elif step_two_codes.isdisjoint(product):
+        elif step_two_arcs.isdisjoint((x, y) for x, row in product.items() for y in row):
             all_have_step_two = False
 
     mixed = word_factorization(target)

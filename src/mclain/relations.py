@@ -21,8 +21,8 @@ The axiom scan, the closures, the absorption tests, ``bracket``, the
 maximal and minimal tests and both series descents run on one cached index
 per relation, ``Relation._index``: each node's successor row and
 predecessor column as an int mask, so a step is a few ``&`` tests instead
-of lookups of label pairs. The same numbering gives the int pair codes that
-key the coefficient maps of group elements. The same pass over the pairs
+of lookups of label pairs. The same numbering keys the rows and targets of
+the coefficient maps of group elements. The same pass over the pairs
 that fills the masks fills each node's sorted successor numbers, the
 index's ``succ``, which the axiom scan and the descents over a whole
 relation read, and ``by_code``, each pair code's own pair object, which
@@ -48,8 +48,9 @@ from __future__ import annotations
 
 import random
 import re
+from collections.abc import Collection, Iterable, Iterator, Mapping
 from functools import cached_property
-from typing import Collection, Iterable, Iterator, NamedTuple
+from typing import NamedTuple
 
 from ._record import record
 
@@ -116,15 +117,15 @@ class _Index(NamedTuple):
     are shared by every caller; a scan that clears bits copies them first,
     and no caller changes the successor lists.
 
-    The coefficient maps of group elements key a pair by its code
-    x*N + y, with x and y the numbers of its labels and N the node count.
-    The pass that builds the index writes that format once, into
-    ``by_code``, each code's pair object of the relation. A code is the
-    relation's exactly when it is a key of ``by_code``, and codes decode by
-    indexing it (``decode``, ``Relation._codes``), so every pair that the
-    calculus or an element hands back is one of the relation's own. Sorted
-    codes are sorted pairs. The numbering depends only on the node set, so
-    a code means the same pair in every relation over the same nodes.
+    A pair's code is x*N + y, with x and y the numbers of its labels and
+    N the node count. The pass that builds the index writes that format
+    once, into ``by_code``, each code's pair object of the relation. A code
+    is the relation's exactly when it is a key of ``by_code``, and codes
+    decode by indexing it (``decode``, and the label edges of group
+    elements), so every pair that the calculus or an element hands back is
+    one of the relation's own. Sorted codes are sorted pairs. The numbering
+    depends only on the node set, so a code means the same pair in every
+    relation over the same nodes.
     """
 
     labels: tuple[str, ...]
@@ -228,11 +229,12 @@ class Relation:
         return Relation._within(self.nodes, frozenset(self._index.decode(arcs)))
 
     @cached_property
-    def _codes(self) -> dict[Pair, int]:
-        """Each pair's code, the inverse of the index's ``by_code``, built
-        when the first group element over the relation needs it. Elements
-        built from labels share these int keys."""
-        return {pair: code for code, pair in self._index.by_code.items()}
+    def _arcs(self) -> dict[Pair, Arc]:
+        """Each pair's node-number pair in the index, built when the first
+        group element over the relation needs it: the pair's row and
+        target in a coefficient row map."""
+        n = len(self._index.labels)
+        return {pair: divmod(code, n) for code, pair in self._index.by_code.items()}
 
     @cached_property
     def _quotients(self) -> dict[frozenset[Pair], "Relation"]:
@@ -445,11 +447,13 @@ def _saturate(pairs: list[Arc], delta: Relation, masks: Masks, closed: bool) -> 
                 pairs.append((z, y))
 
 
-def _closed_support(delta: Relation, codes: Iterable[int]) -> tuple[list[Arc], Masks]:
-    """The node-number pairs and masks of the least closed subset with these codes."""
-    n = len(delta._index.labels)
-    pairs = [divmod(code, n) for code in codes]
-    masks = _masks(pairs, n)
+def _closed_support(
+    delta: Relation, rows: Mapping[int, Iterable[int]]
+) -> tuple[list[Arc], Masks]:
+    """The node-number pairs and masks of the least closed subset holding
+    the pairs (x,y) with y in rows[x], as in a coefficient row map."""
+    pairs = [(x, y) for x, after in rows.items() for y in after]
+    masks = _masks(pairs, len(delta._index.labels))
     _saturate(pairs, delta, masks, closed=True)
     return pairs, masks
 

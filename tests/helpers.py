@@ -1,6 +1,6 @@
 """Shared fixtures for the test suite: a zoo of small valid relations,
 deterministic random element sampling, and the translation between the
-pair codes that key coefficient maps and label pairs."""
+row maps of node numbers that hold coefficients and label pairs."""
 
 from __future__ import annotations
 
@@ -22,7 +22,6 @@ from mclain import (
     random_pruned_order,
     random_relation,
 )
-from mclain.elements import _payloads
 from oracles import scan_payloads
 
 
@@ -127,12 +126,12 @@ def counting(calls: dict, name: str, call):
 
 def both_maps(group: McLainGroup, rng: random.Random) -> tuple[dict, dict]:
     """One element, on a random share of the pairs with some values zero, as
-    a code map and as a label map, each built by its own side's payload
-    filter (``elements._payloads``, ``oracles.scan_payloads``); the two must
+    a row map and as a label map, each built by its own side's payload
+    filter (``McLainGroup.element``, ``oracles.scan_payloads``); the two must
     name the same coefficients."""
     pairs = sorted(group.relation.pairs)
     items = [(p, some_zero(group.ring, rng)) for p in pairs if rng.random() < 0.6]
-    coded = dict(_payloads(group, items))
+    coded = group.element(dict(items))._coeffs
     labelled = dict(scan_payloads(group.ring, items))
     assert recode(group.relation, coded) == labelled
     return coded, labelled
@@ -140,20 +139,21 @@ def both_maps(group: McLainGroup, rng: random.Random) -> tuple[dict, dict]:
 
 def recode(relation: Relation, coeffs: dict) -> dict:
     """A coefficient map over the relation with its keys translated, values
-    kept: an int pair code to its label pair, and a label pair to its code.
+    kept: a row map {number(i): {number(j): c}} to the label map
+    {(i, j): c}, and a label map to its row map.
 
-    The code of (i, j) is number(i) * N + number(j), where the N nodes of
-    the relation are numbered in sorted label order. It is worked out here
-    from the node set, without the library's index, so a test that
-    translates with it also checks the library's encoding.
+    The N nodes of the relation are numbered in sorted label order. The
+    numbers are worked out here from the node set, without the library's
+    index, so a test that translates with it also checks the library's
+    numbering. An empty row translates to nothing: the normal form of row
+    maps is checked on its own (``tests/test_code_kernels.py``).
     """
     labels = sorted(relation.nodes)
     number = {label: x for x, label in enumerate(labels)}
-    n = len(labels)
-
-    def translate(key):
+    out: dict = {}
+    for key, value in coeffs.items():
         if isinstance(key, int):
-            return labels[key // n], labels[key % n]
-        return number[key[0]] * n + number[key[1]]
-
-    return {translate(key): value for key, value in coeffs.items()}
+            out.update(((labels[key], labels[l]), c) for l, c in value.items())
+        else:
+            out.setdefault(number[key[0]], {})[number[key[1]]] = value
+    return out

@@ -1,22 +1,26 @@
-"""The pair-code kernels against one couple-scan product, on drawn input,
-the label contract at the edges of an element, and the ring hook under
-the product and the division.
+"""The row-map kernels against one couple-scan product, on drawn input,
+the normal form of row maps, the label contract at the edges of an
+element, and the ring hook under the product and the division.
 
-Coefficient maps are keyed by int pair codes in the relation's node
-numbering, and a composite is admitted by a bit test on a successor row.
+Coefficient maps are row maps in the relation's node numbering, each row's
+number to a dict from target numbers to payloads, and a composite is
+admitted by a bit test on a successor row.
 The oracle in ``tests/oracles.py`` multiplies maps keyed by label pairs
 by testing every couple of pairs, with admission by a lookup in the pair
 set; its inverse is the alternating series, and division, generator runs,
 the commutator and words are folds of those. Every result here is
 translated back to label pairs with ``helpers.recode``, which works the
-codes out from the node set on its own, and must equal the oracle's:
+numbering out from the node set on its own, and must equal the oracle's:
 products, right divisions, generator runs, inverses, commutators and
 ``eval_word``, in all three rings. Relations are valid pruned orders over
 labels where sorted order is not numeric order ("10" < "9"), with
 isolated nodes, and the relations of ``helpers.relation_zoo``, whose
 n-gons, 2-cycle and random relations are not orders. Each comparison is
 of whole maps, so a kernel that stores a zero coefficient fails it with
-an extra key.
+an extra key. An empty row translates to nothing, so the normal form of
+every map a kernel or a factorization returns, no empty row and no zero
+payload, is checked on its own, with the kernels' inputs left as they were
+and equal elements built by different routes equal and hashed alike.
 
 ``Ring._axpy`` adds a row of products into a list of sums indexed by node
 number and may leave them unreduced; after one ``_add`` from zero they
@@ -34,12 +38,14 @@ from __future__ import annotations
 import operator
 import random
 import re
+from unittest import mock
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, strategies as st  # noqa: E402
 
+import mclain.factorization  # noqa: E402
 from helpers import both_maps, mixed_word, random_factors, recode  # noqa: E402
 from mclain import (  # noqa: E402
     Gen,
@@ -55,12 +61,16 @@ from mclain import (  # noqa: E402
     chain,
     coset_representative,
     from_pairs,
+    minimal_closed_support,
     normal_closure,
+    ordered_factorization,
     quotient_project,
+    word_factorization,
 )
 from mclain.elements import (  # noqa: E402
     _divide,
     _generators_times,
+    _ordered_product,
     _payloads,
     _product,
 )
@@ -126,7 +136,7 @@ def test_generator_runs_match(case, length):
     factors = factors_of(group, rng, length)
     payloads = list(_payloads(group, factors))
     label_factors = scan_payloads(group.ring, factors)
-    assert [recode(group.relation, {code: c}).popitem() for code, c in payloads] == (
+    assert [recode(group.relation, {i: {l: c}}).popitem() for (i, l), c in payloads] == (
         label_factors
     )
     got = _generators_times(group, payloads, x)
@@ -140,6 +150,59 @@ def test_eval_word_matches(case):
     word = mixed_word(group, rng) if group.relation.pairs else GeneratorWord(())
     got = group.eval_word(word)._coeffs
     assert recode(group.relation, got) == scan_eval_word(group, word)
+
+
+def assert_normal(group: McLainGroup, rows: dict) -> None:
+    """No empty row, and no zero payload."""
+    zero = group.ring._zero
+    assert all(rows.values()), f"an empty row in {rows}"
+    assert all(c != zero for row in rows.values() for c in row.values()), rows
+
+
+@profile(150)
+@given(groups(), st.integers(0, 8))
+def test_every_row_map_is_in_normal_form(case, length):
+    group, rng = case
+    delta = group.relation
+    if not delta.pairs:
+        return
+    (x, _), (y, _) = both_maps(group, rng), both_maps(group, rng)
+    given_maps = [{i: dict(row) for i, row in m.items()} for m in (x, y)]
+    payloads = list(_payloads(group, factors_of(group, rng, length)))
+    maps = [
+        _product(group, x, y),
+        _product(group, x, _divide(group, {}, x)),  # every row cancels
+        _divide(group, x, y),
+        _divide(group, x, x),
+        _generators_times(group, payloads, x),
+        _ordered_product(group, payloads),
+        group.eval_word(mixed_word(group, rng))._coeffs,
+    ]
+    g, h = GroupElement(group, x), GroupElement(group, y)
+    gamma = normal_closure(delta.subset([rng.choice(sorted(delta.pairs))]), delta)
+    maps += [quotient_project(g, gamma)._coeffs, coset_representative(g, gamma)._coeffs]
+    residuals = []  # what each pass of the word factorization leaves
+    honest = mclain.factorization._generators_times
+
+    def recording(*args):
+        residuals.append(honest(*args))
+        return residuals[-1]
+
+    with mock.patch.object(mclain.factorization, "_generators_times", recording):
+        word = word_factorization(g)
+    assert residuals[-1:] in ([], [{}])
+    for rows in maps + residuals:
+        assert_normal(group, rows)
+    assert [x, y] == given_maps  # no call changed a map it was given
+    order = tuple(sorted(minimal_closed_support(g).pairs))
+    routes = [
+        group.eval_word(word),
+        g * h * h.inverse(),
+        group.element(g.coefficients()),
+        ordered_factorization(g, order).product(),
+    ]
+    for twin in routes:
+        assert twin == g and hash(twin) == hash(g)
 
 
 # ---------------------------------------------------------------------------

@@ -86,7 +86,7 @@ def test_word_factorization_identity_is_the_empty_word():
 
 
 def test_word_factorization_decodes_only_the_pairs_it_returns():
-    # Each pass saturates the residual's codes as node numbers; a code is
+    # Each pass saturates the residual's rows as node numbers; a pair is
     # turned into labels only for the generator that peels it. The reads
     # are counted by a mapping swapped into a fresh relation's index.
     decoded = []
@@ -299,7 +299,6 @@ def test_word_factorization_pass_bound_stops_a_kernel_that_keeps_zeros():
     # pair back to the residual, so each pass would peel it again forever.
     # The run gets a few seconds: a missing bound fails here, not by a hang.
     script = """
-import itertools
 import mclain.factorization
 from mclain import Integers, McLainGroup, random_pruned_order, word_factorization
 print(__debug__)
@@ -307,8 +306,9 @@ honest = mclain.factorization._generators_times
 def keeps_zeros(group, factors, x):
     factors = list(factors)
     out = honest(group, factors, x)
-    for code, _ in itertools.chain(x.items(), factors):
-        out.setdefault(code, group.ring._zero)
+    pairs = [(i, l) for i, row in x.items() for l in row] + [arc for arc, _ in factors]
+    for i, l in pairs:
+        out.setdefault(i, {}).setdefault(l, group.ring._zero)
     return out
 mclain.factorization._generators_times = keeps_zeros
 delta = random_pruned_order(302, 6, 0.7)
@@ -364,8 +364,8 @@ def test_ordered_factorization_matches_recursive_oracle():
 
 def test_ordered_factorization_matches_the_oracle_off_numeric_order():
     # Labels i + 7 sort as "10" < "11" < ... < "8" < "9", and the isolated
-    # nodes "1" and "85" sit among them, so node numbers, and the n of the
-    # sweep's pair codes, differ from those of the unrelabelled relation.
+    # nodes "1" and "85" sit among them, so the node numbers of the sweep's
+    # pairs differ from those of the unrelabelled relation.
     rng = random.Random(67)
     compared = 0
     for delta in (chain(5), ngon(5), random_pruned_order(3, 6, 0.6)):
@@ -390,9 +390,9 @@ def test_ordered_factorization_matches_the_oracle_off_numeric_order():
 
 
 def test_the_sweep_makes_no_relation(monkeypatch):
-    # The sweep reads the rounds of the bracket descent as pair codes; it
-    # builds no series term, no relation per level, no support and no
-    # relation for the order, whose stray pairs one set difference refuses.
+    # The sweep reads the rounds of the bracket descent as node-number
+    # pairs; it builds no series term, no relation per level, no support and
+    # no relation for the order, whose stray pairs one set difference refuses.
     group = McLainGroup(chain(8), IntegersMod(7))
     order = tuple(sorted(group.relation.pairs))
     g = group.element({pair: 1 + n % 6 for n, pair in enumerate(order)})
@@ -411,8 +411,9 @@ def test_the_sweep_makes_no_relation(monkeypatch):
 def test_the_factorization_layer_crosses_no_edge_it_holds(monkeypatch):
     # Values enter through group.element and labels through gamma; from there
     # the coset lift, the support closure and the node bound of the power
-    # loop work on codes and payloads, and the n-gon demonstration multiplies
-    # its unit orderings as payload codes: only its 20 sampled forms coerce.
+    # loop work on row maps and payloads, and the n-gon demonstration
+    # multiplies its unit orderings as payloads: only its 20 sampled forms
+    # coerce.
     calls = {"coerce": 0, "relation": 0, "encode": 0}
 
     class CountingMod(IntegersMod):

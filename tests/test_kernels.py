@@ -59,7 +59,7 @@ from mclain import (
     random_relation,
     word_factorization,
 )
-from mclain.elements import _divide, _payloads
+from mclain.elements import _divide
 from oracles import (
     naive_word_factorization,
     scan_commutator,
@@ -261,7 +261,7 @@ def local_maps(group: McLainGroup, rng, width: int) -> list[tuple[dict, dict]]:
     """Two four-term elements, each on pairs among ``width`` nodes in a row
     of the sorted node numbers, wrapping round, so that their terms compose
     while every touched row of a wide relation stays nearly empty; each as
-    a code map and as a label map."""
+    a row map and as a label map."""
     nodes = sorted(group.relation.nodes, key=int)
     maps = []
     for _ in range(2):
@@ -269,7 +269,7 @@ def local_maps(group: McLainGroup, rng, width: int) -> list[tuple[dict, dict]]:
         window = {nodes[(start + k) % len(nodes)] for k in range(width)}
         pairs = sorted(p for p in group.relation.pairs if window.issuperset(p))
         items = [(p, group.ring.sample(rng)) for p in rng.sample(pairs, 4)]
-        maps.append((dict(_payloads(group, items)), dict(scan_payloads(group.ring, items))))
+        maps.append((group.element(dict(items))._coeffs, dict(scan_payloads(group.ring, items))))
     return maps
 
 

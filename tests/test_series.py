@@ -436,10 +436,11 @@ def test_coset_representative_depends_only_on_the_coset():
 def _off_by_one(honest):
     """The ordered sweep with the first coefficient it solves plus one."""
 
-    def sweep(group, target, codes, rounds):
-        found = honest(group, target, codes, rounds)
-        ring, first = group.ring, codes[0]
-        found[first] = ring._add(found.get(first, ring._zero), ring.one.payload)
+    def sweep(group, target, order, rounds):
+        found = honest(group, target, order, rounds)
+        ring, (x, y) = group.ring, order[0]
+        row = found.setdefault(x, {})
+        row[y] = ring._add(row.get(y, ring._zero), ring.one.payload)
         return found
 
     return sweep

@@ -196,6 +196,24 @@ def test_the_row_kernel_is_called_by_the_ordered_product_and_the_peel_alone():
     assert sorted(callers) == ["elements._ordered_product", "factorization.word_factorization"]
 
 
+def test_the_kernels_split_no_pair_code():
+    # Coefficient maps are stored by row, so the kernels read each term's row
+    # and target as stored: none of them splits a flat pair code, by divmod
+    # or by // and %.
+    kernels = {"_product", "_divide", "_generators_times", "_ordered_sweep"}
+    splits = {}
+    for path in (SRC / "elements.py", SRC / "factorization.py"):
+        for function in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(function, ast.FunctionDef) and function.name in kernels:
+                splits[function.name] = [
+                    node.lineno
+                    for node in ast.walk(function)
+                    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "divmod"
+                    or isinstance(node, ast.BinOp) and isinstance(node.op, ast.FloorDiv | ast.Mod)
+                ]
+    assert splits == {name: [] for name in kernels}
+
+
 def test_the_unchecked_gen_is_built_by_the_word_factorization_alone():
     # Gen._of skips the value and label checks of Gen(...). Its one caller
     # reads labels off a relation, which applied the label rule, and builds

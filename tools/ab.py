@@ -18,7 +18,8 @@ commits they name, the workload, seed, seconds, pair count and trace flag,
 the interpreter version and the number of processors this process may run
 on, every run's values in the order they ran, and the summary of each
 metric. Exit status: 1 as soon as a run is not ``correct``, 2 when a revision
-cannot be archived, else 0.
+cannot be archived, else 0. ``record_faults`` checks that a record has that
+shape; a committed ``BENCH_*.json`` must pass it.
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ from statistics import median, quantiles
 
 ROOT = Path(__file__).resolve().parent.parent
 UNSCALED = re.compile(r"unscaled: tasks_per_s (\S+) 1/s, task_p50_ms (\S+) ms")
+RECORD_KEYS = ("revisions", "commits", "workload", "seed", "seconds", "pairs", "trace",
+               "python", "nproc", "runs", "summary")
 
 
 def materialize(rev: str, tree: Path) -> None:
@@ -79,6 +82,23 @@ def run_once(tree: Path, args: argparse.Namespace) -> dict | None:
         values["unscaled tasks_per_s"] = float(unscaled.group(1))
         values["unscaled task_p50_ms"] = float(unscaled.group(2))
     return values
+
+
+def record_faults(record: dict) -> list[str]:
+    """How a record departs from the shape ``--json`` writes: the keys of
+    RECORD_KEYS, two runs per pair and, untraced, a summary entry for each
+    end-to-end metric of ``bench/run.py``, each over every pair."""
+    if sorted(record) != sorted(RECORD_KEYS):
+        return [f"keys {sorted(record)}, expected {sorted(RECORD_KEYS)}"]
+    pairs, summary, faults = record["pairs"], record["summary"], []
+    if len(record["runs"]) != 2 * pairs:
+        faults.append(f"{len(record['runs'])} runs for {pairs} pairs")
+    if not record["trace"]:
+        harness = runpy.run_path(str(ROOT / "bench" / "run.py"))
+        for name, _, _ in harness["END_TO_END"]:
+            if summary.get(name, {}).get("pairs") != pairs:
+                faults.append(f"no summary of {name} over {pairs} pairs")
+    return faults
 
 
 def spread(values: list[float]) -> dict:

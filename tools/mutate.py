@@ -1,9 +1,10 @@
 """Mutation check of the test suite, stdlib only: ``python tools/mutate.py``.
 
 Each mutant replaces one exact snippet of a file under ``src/mclain`` in a
-temporary copy of ``src/``, ``tests/``, ``pyproject.toml`` and ``README.md``,
-where ``pytest -x`` runs the test paths named to kill it, or all of ``tests/``
-for a mutant marked equivalent, which must survive. A failing or timed-out
+temporary copy of ``src/``, ``tests/``, ``tools/``, ``bench/``, the
+``BENCH_*.json`` records, ``pyproject.toml`` and ``README.md``, where
+``pytest -x`` runs the test paths named to kill it, or all of ``tests/`` for a
+mutant marked equivalent, which must survive. A failing or timed-out
 run kills. Exit status: 2, before any run, when a snippet does not occur
 exactly once or a test path is missing; 1 when the unmutated tests fail or an
 outcome differs from its mark; else 0. Two mutants run at a time, the
@@ -40,11 +41,11 @@ EQUIVALENT = ()  # no test can tell the mutant from the program
 # file is under src/mclain; killers are the test paths expected to kill it
 M = Mutant = namedtuple("Mutant", "name file snippet replacement killers")
 MUTANTS = [
-    # the pair-code kernels of elements.py and their label edges
+    # the row-map kernels of elements.py and their label edges
     M("splice harvests every slot", "elements.py",
       "for l in succ[i]:", "for l in range(n):", KERNELS),
     M("row kernel admits every composite", "elements.py",
-      "rows.setdefault(p, {}), admits[p]", "rows.setdefault(p, {}), -1", KERNELS),
+      "admitted = admits[p]", "admitted = -1", KERNELS),
     M("splice harvests by column masks", "elements.py",
       "for l in succ[i]:", "for l in (y for y in range(n) if index.cols[i] >> y & 1):",
       KERNELS),
@@ -52,11 +53,11 @@ MUTANTS = [
       "by_code[x * n + y] = pair", "by_code[y * n + x] = pair", KERNELS),
     M("codes decode transposed", "relations.py",
       "by_code[x * n + y] for x, y", "by_code[y * n + x] for x, y", KERNELS),
-    M("row kernel output codes transposed", "elements.py",
-      "i * n + j: a for i, row", "j * n + i: a for i, row", KERNELS),
+    M("row kernel writes into its input's rows", "elements.py",
+      "dict(x.get(p, none))", "x.setdefault(p, {})", KERNELS),
     M("row kernel multiplies b c", "elements.py",
       "fma(row_p.get(l, zero), c, b)", "fma(row_p.get(l, zero), b, c)", KERNELS),
-    # the ring hook under the splice and the division
+    # the ring hook under the product and the division
     M("M2 axpy multiplies b a", "rings.py",
       "s[0] + a11 * b11 + a12 * b21,\n                s[1] + a11 * b12 + a12 * b22,\n"
       "                s[2] + a21 * b11 + a22 * b21,\n                s[3] + a21 * b12 + a22 * b22,",
@@ -70,14 +71,15 @@ MUTANTS = [
     M("division skips the normalization", "elements.py",
       "z = add(zero, z)", "pass", KERNELS),
     M("splice keeps zeros", "elements.py", "if c != zero:", "if True:", KERNELS),
+    M("product keeps an empty row", "elements.py", "if harvest:", "if True:", KERNELS),
     M("product loading overwrites a filled slot", "elements.py",
-      "row[j] = a if s is zero else add(s, a)", "row[j] = a", KERNELS),
+      "sums[j] = a if s is zero else add(s, a)", "sums[j] = a", KERNELS),
     M("division loading overwrites u", "elements.py",
-      "row[l] = c if s is zero else add(s, c)", "row[l] = c", KERNELS),
+      "sums[l] = c if s is zero else add(s, c)", "sums[l] = c", KERNELS),
     M("row kernel keeps zeros", "elements.py",
-      "for j, a in row.items() if a != zero", "for j, a in row.items()", KERNELS),
+      "{l: a for l, a in row.items() if a != zero}", "{l: a for l, a in row.items()}", KERNELS),
     M("product drops x from its base", "elements.py",
-      "row[j] = a if s is zero else add(s, a)", "row[j] = s", KERNELS),
+      "sums[j] = a if s is zero else add(s, a)", "sums[j] = s", KERNELS),
     M("division walks deep levels first", "elements.py",
       "for l in levels[i]:", "for l in reversed(levels[i]):", KERNELS),
     M("division walks a row's targets in sorted order", "elements.py",
@@ -88,7 +90,7 @@ MUTANTS = [
     M("division takes a row an axpy reached as reduced", "elements.py",
       "reached = True", "reached = False", KERNELS),
     M("power loop keeps power + x", "elements.py",
-      "product[code] = add(product.get(code, zero), neg(c))", "pass", KERNELS),
+      "sums[l] = add(sums.get(l, zero), neg(c))", "pass", KERNELS),
     M("word joins a run on the wrong side", "elements.py",
       "_product(self, out, run_map)", "_product(self, run_map, out)", KERNELS),
     M("ordered product feeds its first factor first", "elements.py",
@@ -113,7 +115,7 @@ MUTANTS = [
     M("isolated without columns", "relations.py",
       "if not rows[x] & rows[y] | cols[x] & cols[y]]", "if not rows[x] & rows[y]]", CALCULUS),
     M("peel without columns", "factorization.py",
-      "not rows[code // n] & cols[code % n]", "not rows[code // n]", CALCULUS),
+      "if not rows[a] & cols[c]", "if not rows[a]", CALCULUS),
     M("levels deepest first", "relations.py",
       '_bracket_rounds(*_closed_subset(self.pairs, self, "relation")):',
       'reversed(_bracket_rounds(*_closed_subset(self.pairs, self, "relation"))):', CALCULUS),
@@ -134,9 +136,9 @@ MUTANTS = [
     M("difference cache keyed by delta alone", "relations.py",
       "out = quotients.get(key)", "out = next(iter(quotients.values()), None)", SERIES),
     M("projection keeps every pair", "factorization.py",
-      "if code in kept}", "}", SERIES),
+      "if start + l in kept}", "}", SERIES),
     M("coset check never fires", "factorization.py",
-      "any(c in kept for c in", "any(False for c in", SERIES),
+      "any(i * n + l in kept for", "any(False for", SERIES),
     M("word factorization without its pass bound", "factorization.py",
       "if passes == n:", "if False:", FACTORIZATION),
     M("n-gon forcing test without columns", "factorization.py",
@@ -182,11 +184,12 @@ def faults() -> list[str]:
 def fails(paths: tuple, mutant: Mutant | None = None) -> bool:
     """Do these tests fail on a fresh copy of the tree, with the mutant applied?"""
     with tempfile.TemporaryDirectory() as scratch:
-        tree, skip = Path(scratch), shutil.ignore_patterns("__pycache__", ".hypothesis")
-        for name in ("src", "tests"):
+        tree = Path(scratch)
+        skip = shutil.ignore_patterns("__pycache__", ".hypothesis", "out")
+        for name in ("src", "tests", "tools", "bench"):
             shutil.copytree(ROOT / name, tree / name, ignore=skip)
-        for name in ("pyproject.toml", "README.md"):
-            shutil.copy2(ROOT / name, tree / name)
+        for path in (ROOT / "pyproject.toml", ROOT / "README.md", *ROOT.glob("BENCH_*.json")):
+            shutil.copy2(path, tree / path.name)
         if mutant:
             source = tree / "src" / "mclain" / mutant.file
             text = source.read_text(encoding="utf-8")
