@@ -251,11 +251,11 @@ def _product(group: McLainGroup, x: Coeffs, y: Coeffs) -> Coeffs:
     a times row j of y into row i through one ``Ring._axpy``, which may
     leave the sums unreduced. Each row of y is read once into a list of its
     (l, b) terms, which every term of x in column j hands to ``_axpy``: a
-    list walks faster there than a dict's items. Each
-    row is harvested over the relation's successors of i (``_Index.succ``),
-    as every other product of basis elements is zero: a slot that still is
-    the zero object is skipped, any other is reduced by one ``_add`` from
-    zero and kept if it is nonzero, and a row that keeps none is left out.
+    list walks faster there than a dict's items. Each row is harvested over
+    the relation's successors of i (``_Index.succ``), as every other product
+    of basis elements is zero: a slot that still is the zero object is
+    skipped, any other is reduced by one ``_add`` from zero and kept if it
+    is nonzero, and a row that keeps none is left out.
     """
     index, ring = group.relation._index, group.ring
     n, succ = len(index.labels), index.succ
